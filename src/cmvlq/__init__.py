@@ -12,6 +12,7 @@ from .lqmodel import (
     GainMatrices,
     LqCost,
     LqDynamics,
+    LqModel,
     check_standing_condition,
     gains,
     lifted_running_cost,
@@ -19,7 +20,7 @@ from .lqmodel import (
     load_model,
     save_model,
 )
-from .measure import AffineMap, EmpiricalMeasure, l2_norm, mean, pushforward, quad_moment, tree_mean, tree_sum, variance_form, w2_1d
+from .measure import AffineMap, EmpiricalMeasure, l2_norm, mean, pushforward, quad_moment, tree_mean, tree_sum, variance_form
 from .policy import (
     FeedbackGains,
     FeedbackPolicy,
@@ -40,7 +41,6 @@ from .riccati import (
 )
 from .simulator import (
     AffineControl,
-    DynamicsSpec,
     FeedbackControl,
     ParticleTrajectory,
     ShiftedControl,

@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -43,6 +42,8 @@ CONFIG_KEYS = {
     "epsilon": float, "init": str, "control": str, "stride": int,
     "count": int, "delta": float, "chaos-ns": str,
 }
+SYSTEMIC_RISK_DEFAULTS = {"kappa": 1.0, "q": 0.5, "eta": 1.0, "c": 1.0, "sigma0": 1.0,
+                          "sigma1": 0.0, "rho": 0.5, "T": 1.0, "x0": 1.0}
 
 
 def _build_parser():
@@ -86,9 +87,7 @@ def _build_parser():
 
     p = sub.add_parser("systemic-risk", help="end-to-end interbank example")
     add_common(p, model_required=False)
-    for name, default in [("kappa", 1.0), ("q", 0.5), ("eta", 1.0), ("c", 1.0),
-                          ("sigma0", 1.0), ("sigma1", 0.0), ("rho", 0.5),
-                          ("T", 1.0), ("x0", 1.0)]:
+    for name, default in SYSTEMIC_RISK_DEFAULTS.items():
         p.add_argument(f"--{name}", type=float, default=None,
                        help=f"model parameter (default {default})")
     return top
@@ -183,20 +182,17 @@ def _prepare(cfg, need_model=True):
 
 
 def _require_seed(cfg):
-    if cfg.get("seed") is None:
+    seed = cfg.get("seed")
+    if seed is None:
         raise ValueError("--seed is mandatory (reproducibility contract)")
-    return cfg["seed"]
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64); got {seed}")
+    return seed
 
 
 def _solved(dyn, cost, T, cfg):
     sol = riccati_mod.solve_riccati(dyn, cost, T, cfg["riccati_step"])
     return sol, QuadraticValue(sol, dyn, cost)
-
-
-def _json_dump(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _public_config(cfg):
@@ -273,7 +269,7 @@ def cmd_cost(cfg):
         "value": value(qv, cfg["t0"], cloud0),
         "config": _public_config(cfg),
     }
-    _json_dump(os.path.join(cfg["out"], "cost.json"), out)
+    verify_mod.save_report(os.path.join(cfg["out"], "cost.json"), out)
     print(f"cost mean = {est.mean!r} (stderr {est.stderr:.3e}); wrote cost.json")
     return 0
 
@@ -394,17 +390,9 @@ def cmd_verify(cfg):
 
 def cmd_systemic_risk(cfg):
     _prepare(cfg, need_model=False)
-    params = riccati_mod.SystemicRiskParams(
-        kappa=cfg["kappa"] if cfg.get("kappa") is not None else 1.0,
-        q=cfg["q"] if cfg.get("q") is not None else 0.5,
-        eta=cfg["eta"] if cfg.get("eta") is not None else 1.0,
-        c=cfg["c"] if cfg.get("c") is not None else 1.0,
-        sigma0=cfg["sigma0"] if cfg.get("sigma0") is not None else 1.0,
-        sigma1=cfg["sigma1"] if cfg.get("sigma1") is not None else 0.0,
-        rho=cfg["rho"] if cfg.get("rho") is not None else 0.5,
-        T=cfg["T"] if cfg.get("T") is not None else 1.0,
-        x0=cfg["x0"] if cfg.get("x0") is not None else 1.0,
-    )
+    params = riccati_mod.SystemicRiskParams(**{
+        k: default if cfg.get(k) is None else cfg[k]
+        for k, default in SYSTEMIC_RISK_DEFAULTS.items()})
     _defaults(cfg, params.T)
     _require_seed(cfg)
     cfg["init"] = f"point:{params.x0!r}"
@@ -445,7 +433,7 @@ def cmd_systemic_risk(cfg):
         "cost_value_gap": est.mean - w0,
         "config": _public_config(cfg),
     }
-    _json_dump(os.path.join(out, "systemic_risk.json"), report)
+    verify_mod.save_report(os.path.join(out, "systemic_risk.json"), report)
     print(f"delta+ = {dp!r}, delta- = {dm!r}")
     print(f"Lambda(0) = {float(lam_num[0])!r} (closed form {float(lam_cf[0])!r}, "
           f"max abs err {max_err:.3e})")

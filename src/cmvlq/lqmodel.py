@@ -1,9 +1,10 @@
 """Linear-quadratic problem data.
 
 Holds the affine dynamics coefficients and quadratic cost matrices of the
-controlled mean-field model, the lifted (measure-level) running and
-terminal costs, the gain matrices entering the optimal feedback, and the
-standing positivity condition on the cost data.
+controlled mean-field model, the one pointwise evaluator of each LQ formula
+(affine feedback, coefficients, running and terminal cost) with the lifted
+(measure-level) costs as their particle means, the gain matrices entering
+the optimal feedback, and the standing positivity condition on the cost data.
 
 Conventions: the state lives in R^d, controls in R^m, and the model has one
 idiosyncratic and one common Brownian motion, so the volatility coefficients
@@ -16,10 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import AffineMap, mean, pushforward, quad_moment, tree_mean, variance_form
+from .measure import mean, tree_mean
 
 SYM_TOL = 1e-12
 PD_THRESHOLD = 1e-10
+BLOWUP_LIMIT = 1e12
+GRID_TOL = 1e-9
 
 MODEL_KEYS = [
     "d", "m", "T",
@@ -213,33 +216,78 @@ def gains(t, Lam, Gam, gam, dyn, cost):
     return GainMatrices(t=float(t), U=U, V=V, S=S, Z=Z, Y=Y, min_eig_u=min_u, min_eig_v=min_v)
 
 
+@dataclass(frozen=True)
+class LqModel:
+    """An LQ problem on [0, T]: affine dynamics and quadratic costs."""
+
+    dyn: LqDynamics
+    cost: LqCost
+    T: float
+
+    @property
+    def d(self):
+        return self.dyn.d
+
+    @property
+    def m(self):
+        return self.dyn.m
+
+
+# ---------------------------------------------------------------------------
+# pointwise formulas; x is (..., N, d), mbar (..., d), a (..., N, m)
+
+def affine_feedback(K1, K2, k, x, mbar):
+    """Controls K1 (x - mbar) + K2 mbar + k; gains (..., m, d) and k (..., m)."""
+    mbar = mbar[..., None, :]
+    return (x - mbar) @ np.swapaxes(K1, -1, -2) + mbar @ np.swapaxes(K2, -1, -2) + k[..., None, :]
+
+
+def coefficient_values(dyn, x, mbar, a):
+    """Drift, idiosyncratic and common volatility at each particle, each (..., N, d)."""
+    b = dyn.b0 + x @ dyn.B.T + mbar @ dyn.Bbar.T + a @ dyn.C.T
+    s = dyn.theta + x @ dyn.D.T + mbar @ dyn.Dbar.T + a @ dyn.F.T
+    s0 = dyn.theta0 + x @ dyn.D0.T + mbar @ dyn.D0bar.T + a @ dyn.F0.T
+    return b, s, s0
+
+
+def _forms(x, L, y):
+    return np.einsum("...ni,ij,...nj->...n", x, L, y)
+
+
+def _mean_form(mbar, L):
+    return np.einsum("...i,ij,...j->...", mbar, L, mbar)[..., None]
+
+
+def running_cost(cost, x, mbar, a):
+    """Running cost x'Q2 x + mbar'Q2bar mbar + a'R2 a + 2 x'M2 a at each particle."""
+    vals = _forms(x, cost.Q2, x) + _mean_form(mbar, cost.Q2bar) + _forms(a, cost.R2, a)
+    if np.any(cost.M2):
+        vals = vals + 2.0 * _forms(x, cost.M2, a)
+    return vals
+
+
+def terminal_cost(cost, x, mbar):
+    """Terminal cost x'P2 x + mbar'P2bar mbar at each particle."""
+    return _forms(x, cost.P2, x) + _mean_form(mbar, cost.P2bar)
+
+
 def lifted_running_cost(mu, a, cost):
     """Measure-level running cost at cloud mu under the affine policy a.
 
-    Exact particle sums of the variance form in Q2, the mean form in
-    Q2+Q2bar, the pushforward second moment in R2, and the M2 cross term.
+    The particle mean of the pointwise running cost.
     """
     if a.dim_in != mu.dim:
         raise ValueError("policy input dimension does not match the cloud")
     if cost.d != mu.dim or cost.m != a.dim_out:
         raise ValueError("cost dimensions do not match cloud/policy")
-    mbar = mean(mu)
-    amu = pushforward(mu, a)
-    val = variance_form(mu, cost.Q2)
-    val += float(mbar @ (cost.Q2 + cost.Q2bar) @ mbar)
-    val += quad_moment(amu, cost.R2)
-    if np.any(cost.M2):
-        cross = np.einsum("ni,ij,nj->n", mu.points, cost.M2, amu.points)
-        val += 2.0 * float(tree_mean(cross))
-    return val
+    return float(tree_mean(running_cost(cost, mu.points, mean(mu), a(mu.points))))
 
 
 def lifted_terminal_cost(mu, cost):
-    """Measure-level terminal cost: Var-form in P2 plus mean form in P2+P2bar."""
+    """Measure-level terminal cost: the particle mean of the pointwise terminal cost."""
     if cost.d != mu.dim:
         raise ValueError("cost dimension does not match the cloud")
-    mbar = mean(mu)
-    return variance_form(mu, cost.P2) + float(mbar @ (cost.P2 + cost.P2bar) @ mbar)
+    return float(tree_mean(terminal_cost(cost, mu.points, mean(mu))))
 
 
 def check_standing_condition(cost, delta):
@@ -353,8 +401,3 @@ def load_model(path):
         M2=mat("M2", d, m) if "M2" in kv else None,
     )
     return dyn, cost, T
-
-
-def zero_control(dyn):
-    """The identically-zero policy for this model's control dimension."""
-    return AffineMap.zero(dyn.m, dyn.d)

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-W2_MAX_DIM = 1
-
 
 def tree_sum(a, axis=0):
     """Sum along `axis` with a fixed index-ascending pairwise tree.
@@ -163,21 +161,6 @@ def pushforward(mu, a):
     if a.dim_in != mu.dim:
         raise ValueError(f"map expects dimension {a.dim_in}, cloud has {mu.dim}")
     return EmpiricalMeasure(a(mu.points))
-
-
-def w2_1d(mu, nu):
-    """Exact 2-Wasserstein distance between two 1-d clouds of equal size.
-
-    Sorting realizes the optimal coupling for equal-weight samples on the
-    line.  Dimensions above 1 are unsupported by design.
-    """
-    if mu.dim > W2_MAX_DIM or nu.dim > W2_MAX_DIM:
-        raise ValueError("w2_1d supports dimension 1 only")
-    if mu.n != nu.n:
-        raise ValueError("w2_1d requires equal particle counts")
-    xs = np.sort(mu.points[:, 0])
-    ys = np.sort(nu.points[:, 0])
-    return float(np.sqrt(tree_mean((xs - ys) ** 2)))
 
 
 def l2_norm(mu):

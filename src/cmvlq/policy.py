@@ -14,7 +14,7 @@ import numpy as np
 
 from . import riccati as _riccati
 from .errors import NonPositiveGain
-from .lqmodel import PD_THRESHOLD, gains, lifted_terminal_cost
+from .lqmodel import PD_THRESHOLD, affine_feedback, gains, lifted_terminal_cost
 from .measure import EmpiricalMeasure, mean, variance_form
 
 
@@ -79,29 +79,29 @@ class QuadraticValue:
         Lam, Gam, gam, chi = self.sol.eval(t)
         return QuadraticFunctional(Lam, Gam, gam, chi)
 
+    def dt_at(self, t):
+        """Time derivative of the value functional at t.
+
+        Built from the exact ODE right-hand sides at the interpolated
+        coefficients, not from differencing the interpolant, so
+        dynamic-programming residuals are exact up to solver error.
+        """
+        Lam, Gam, gam, _ = self.sol.eval(t)
+        return QuadraticFunctional(*_riccati.ode_rhs(Lam, Gam, gam, self.dyn, self.cost, t))
+
 
 def value(qv: QuadraticValue, t, mu):
     """Value at (t, mu); at t = T this equals the lifted terminal cost."""
     return qv.at(t)(mu)
 
 
-def value_derivatives(qv: QuadraticValue, t, mu, x, xp=None):
-    """(d_t, d_mu at x, dx_dmu, d2_mu) of the value at (t, mu).
-
-    d_t comes from the exact ODE right-hand sides evaluated at the
-    interpolated coefficients, not from differencing the interpolant, so
-    dynamic-programming residuals are exact up to solver error.
-    """
+def value_derivatives(qv: QuadraticValue, t, mu, x):
+    """(d_t, d_mu at x, dx_dmu, d2_mu) of the value at (t, mu); d_t as in dt_at."""
     t = float(t)
     if not 0.0 <= t <= qv.T * (1.0 + 1e-12):
         raise ValueError(f"t={t} outside [0, {qv.T}]")
-    Lam, Gam, gam, chi = qv.sol.eval(t)
-    phi = QuadraticFunctional(Lam, Gam, gam, chi)
-    dLam, dGam, dgam, dchi = _riccati.ode_rhs(Lam, Gam, gam, qv.dyn, qv.cost, t)
-    mbar = mean(mu)
-    d_t = (variance_form(mu, dLam) + float(mbar @ dGam @ mbar)
-           + float(dgam @ mbar) + dchi)
-    return d_t, phi.d_mu(mu, x), phi.dx_dmu(), phi.d2_mu()
+    phi = qv.at(t)
+    return qv.dt_at(t)(mu), phi.d_mu(mu, x), phi.dx_dmu(), phi.d2_mu()
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,8 @@ class FeedbackGains:
                 raise ValueError(f"state has length {x.shape[0]}, expected {d}")
             x = x[:, None]
         if x.ndim == 1:
-            return self.K1 @ (x - mubar) + self.K2 @ mubar + self.k
-        return (x - mubar) @ self.K1.T + mubar @ self.K2.T + self.k
+            return affine_feedback(self.K1, self.K2, self.k, x[None, :], mubar)[0]
+        return affine_feedback(self.K1, self.K2, self.k, x, mubar)
 
 
 def optimal_feedback(qv: QuadraticValue, t) -> FeedbackGains:
@@ -163,9 +163,6 @@ class FeedbackPolicy:
 
     def gains_at(self, t) -> FeedbackGains:
         return optimal_feedback(self.qv, t)
-
-    def __call__(self, t, x, mubar):
-        return self.gains_at(t).control(x, mubar)
 
     def grid_gains(self, t0, dt, n_steps, offset=0):
         """(K1, K2, k) stacked over the nodes t0 + (offset + k) dt.

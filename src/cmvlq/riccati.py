@@ -19,10 +19,16 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DomainError, NonPositiveGain, NumericalBlowup
-from .lqmodel import PD_THRESHOLD, LqCost, LqDynamics, check_standing_condition, gain_blocks, gains
-
-BLOWUP_LIMIT = 1e12
-GRID_TOL = 1e-9
+from .lqmodel import (
+    BLOWUP_LIMIT,
+    GRID_TOL,
+    PD_THRESHOLD,
+    LqCost,
+    LqDynamics,
+    check_standing_condition,
+    gain_blocks,
+    gains,
+)
 
 
 def _solve_pd(M, rhs, t, which):

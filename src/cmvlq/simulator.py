@@ -11,9 +11,13 @@ any suffix can be replayed bitwise.
 Randomness is counter-based: the normal draws of (path, step) come from a
 Philox generator keyed by (seed, path_index) with the step index in the
 counter block, so paths are independent streams and a step's noise can be
-regenerated without replaying the stream.  Scalar LQ models with affine
-controls run on a compiled kernel when available; the pure-numpy fallback
-performs the identical sequence of floating-point operations.
+regenerated without replaying the stream.
+
+Every control is an affine feedback a = K1(t)(x - mbar) + K2(t) mbar + k(t)
+given by its gains on the step grid.  Scalar models (d = m = 1) step on a
+compiled kernel when available, or on its pure-numpy twin, which performs
+the identical sequence of floating-point operations; every other shape
+steps on one vectorized affine Euler loop.
 """
 
 from __future__ import annotations
@@ -25,11 +29,19 @@ from numpy.random import Generator, Philox
 
 from . import backends
 from .errors import NumericalBlowup
-from .lqmodel import LqCost, LqDynamics
-from .measure import AffineMap, EmpiricalMeasure, load_csv, mean, tree_mean, tree_sum
+from .lqmodel import (
+    BLOWUP_LIMIT,
+    GRID_TOL,
+    LqCost,
+    LqDynamics,
+    LqModel,
+    affine_feedback,
+    coefficient_values,
+    running_cost,
+    terminal_cost,
+)
+from .measure import AffineMap, EmpiricalMeasure, load_csv, tree_mean, tree_sum
 
-BLOWUP_LIMIT = 1e12
-GRID_TOL = 1e-9
 _INIT_PATH_TAG = 2**64 - 1
 
 
@@ -76,60 +88,9 @@ def _gen_noise(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, 
 # ---------------------------------------------------------------------------
 # model and control specifications
 
-@dataclass(frozen=True)
-class DynamicsSpec:
-    """Coefficient interface of a controlled mean-field model.
-
-    b(x, mu, a) -> (N, d); sigma(x, mu, a) -> (N, d, n);
-    sigma0(x, mu, a) -> (N, d, m0); f(x, mu, a) -> (N,); g(x, mu) -> (N,).
-    x is the particle block (N, d), mu the current empirical cloud, a the
-    control values (N, m).  lq carries the affine/quadratic data when the
-    model is linear-quadratic, which unlocks the fast scalar path.
-    """
-
-    d: int
-    n: int
-    m0: int
-    m: int
-    T: float
-    b: object
-    sigma: object
-    sigma0: object
-    f: object
-    g: object
-    lq: tuple = None
-
-
-def lq_dynamics_spec(dyn: LqDynamics, cost: LqCost, T) -> DynamicsSpec:
-    """Vectorized coefficients of the LQ model (one idio, one common noise)."""
-
-    def b(x, mu, a):
-        return dyn.b0 + x @ dyn.B.T + mean(mu) @ dyn.Bbar.T + a @ dyn.C.T
-
-    def sigma(x, mu, a):
-        vals = dyn.theta + x @ dyn.D.T + mean(mu) @ dyn.Dbar.T + a @ dyn.F.T
-        return vals[:, :, None]
-
-    def sigma0(x, mu, a):
-        vals = dyn.theta0 + x @ dyn.D0.T + mean(mu) @ dyn.D0bar.T + a @ dyn.F0.T
-        return vals[:, :, None]
-
-    def f(x, mu, a):
-        mbar = mean(mu)
-        vals = np.einsum("ni,ij,nj->n", x, cost.Q2, x)
-        vals = vals + float(mbar @ cost.Q2bar @ mbar)
-        vals = vals + np.einsum("ni,ij,nj->n", a, cost.R2, a)
-        if np.any(cost.M2):
-            vals = vals + 2.0 * np.einsum("ni,ij,nj->n", x, cost.M2, a)
-        return vals
-
-    def g(x, mu):
-        mbar = mean(mu)
-        vals = np.einsum("ni,ij,nj->n", x, cost.P2, x)
-        return vals + float(mbar @ cost.P2bar @ mbar)
-
-    return DynamicsSpec(d=dyn.d, n=1, m0=1, m=dyn.m, T=float(T),
-                        b=b, sigma=sigma, sigma0=sigma0, f=f, g=g, lq=(dyn, cost))
+def lq_dynamics_spec(dyn: LqDynamics, cost: LqCost, T) -> LqModel:
+    """The LQ model on [0, T] (one idiosyncratic, one common noise)."""
+    return LqModel(dyn, cost, float(T))
 
 
 class AffineControl:
@@ -137,13 +98,6 @@ class AffineControl:
 
     def __init__(self, amap: AffineMap):
         self.amap = amap
-
-    @property
-    def m(self):
-        return self.amap.dim_out
-
-    def values(self, t, x, mubar):
-        return np.atleast_2d(self.amap(x))
 
     def grid_gains(self, t0, dt, n_steps, offset=0):
         A, b = self.amap.A, self.amap.b
@@ -158,13 +112,6 @@ class FeedbackControl:
     def __init__(self, policy):
         self.policy = policy
 
-    @property
-    def m(self):
-        return self.policy.qv.dyn.m
-
-    def values(self, t, x, mubar):
-        return np.atleast_2d(self.policy(t, x, mubar))
-
     def grid_gains(self, t0, dt, n_steps, offset=0):
         return self.policy.grid_gains(t0, dt, n_steps, offset)
 
@@ -175,13 +122,6 @@ class ShiftedControl:
     def __init__(self, base, shift):
         self.base = base
         self.shift = np.atleast_1d(np.asarray(shift, dtype=np.float64))
-
-    @property
-    def m(self):
-        return self.base.m
-
-    def values(self, t, x, mubar):
-        return self.base.values(t, x, mubar) + self.shift
 
     def grid_gains(self, t0, dt, n_steps, offset=0):
         K1, K2, kk = self.base.grid_gains(t0, dt, n_steps, offset)
@@ -210,7 +150,7 @@ class ParticleTrajectory:
     seed: int
     path_index: int
     step_offset: int
-    model: DynamicsSpec
+    model: LqModel
     control: object
 
     @property
@@ -245,13 +185,6 @@ def _control_grid(control, base_t0, dt, n_steps, offset, d, m):
     return K1, K2, kk
 
 
-def _fast_eligible(model, control, force_generic):
-    return (not force_generic
-            and model.lq is not None
-            and model.d == 1 and model.n == 1 and model.m0 == 1 and model.m == 1
-            and hasattr(control, "grid_gains"))
-
-
 def _run_fast_scalar(dyn, states2, means1, K1, K2, kk, dt, dw0, db, backend):
     """Scalar LQ Euler loop; numpy twin of the compiled kernel."""
     coef = (float(dyn.b0[0]), float(dyn.B[0, 0]), float(dyn.Bbar[0, 0]), float(dyn.C[0, 0]),
@@ -280,56 +213,46 @@ def _run_fast_scalar(dyn, states2, means1, K1, K2, kk, dt, dw0, db, backend):
     return -1
 
 
-def _run_generic(model, control, times, states, means, dt, dw0, db):
+def _run_generic(dyn, states, means, K1, K2, kk, dt, dw0, db):
+    """Affine Euler loop for any (d, m); returns the failing step or -1."""
     n_steps = states.shape[0] - 1
     for k in range(n_steps):
         x = states[k]
-        cloud = EmpiricalMeasure._wrap(x)
-        mbar = mean(cloud)
+        mbar = tree_mean(x, axis=0)
         means[k] = mbar
-        t_k = float(times[k])
-        a = np.atleast_2d(np.asarray(control.values(t_k, x, mbar), dtype=np.float64))
-        bv = np.asarray(model.b(x, cloud, a), dtype=np.float64)
-        sv = np.asarray(model.sigma(x, cloud, a), dtype=np.float64)
-        s0v = np.asarray(model.sigma0(x, cloud, a), dtype=np.float64)
-        if not (np.all(np.isfinite(bv)) and np.all(np.isfinite(sv)) and np.all(np.isfinite(s0v))):
-            raise NumericalBlowup(f"t={t_k:.6g}", "coefficients returned non-finite values")
-        x1 = x + bv * dt + np.einsum("idn,in->id", sv, db[k]) + np.einsum("idm,m->id", s0v, dw0[k])
+        a = affine_feedback(K1[k], K2[k], kk[k], x, mbar)
+        bv, sv, s0v = coefficient_values(dyn, x, mbar, a)
+        x1 = x + bv * dt + sv * db[k] + s0v * dw0[k]
         states[k + 1] = x1
         if not np.all(np.abs(x1) <= BLOWUP_LIMIT):
-            raise NumericalBlowup(f"t={float(times[k + 1]):.6g}",
-                                  "particle state exceeded 1e12 or is NaN")
+            return k
     means[n_steps] = tree_mean(states[n_steps], axis=0)
+    return -1
 
 
-def _simulate(model, control, base_t0, x0, n_steps, dt, seed, path_index, step_offset,
-              force_generic=False):
+def _simulate(model, control, base_t0, x0, n_steps, dt, seed, path_index, step_offset):
     n_particles, d = x0.shape
     sqrt_dt = float(np.sqrt(dt))
-    dw0, db = _gen_noise(seed, path_index, step_offset, n_steps, n_particles,
-                         model.n, model.m0, sqrt_dt)
+    dw0, db = _gen_noise(seed, path_index, step_offset, n_steps, n_particles, 1, 1, sqrt_dt)
     states = np.empty((n_steps + 1, n_particles, d))
     states[0] = x0
     means = np.empty((n_steps + 1, d))
     # node times come from the base origin and an absolute step index, so a
     # continuation reproduces them (and the gains built from them) bitwise
     times = base_t0 + dt * np.arange(step_offset, step_offset + n_steps + 1)
-
-    if _fast_eligible(model, control, force_generic):
-        dyn, _ = model.lq
-        K1, K2, kk = _control_grid(control, base_t0, dt, n_steps, step_offset, d, model.m)
-        backend = backends.resolve()
+    K1, K2, kk = _control_grid(control, base_t0, dt, n_steps, step_offset, d, model.m)
+    if d == 1 and model.m == 1:
         bad = _run_fast_scalar(
-            dyn, states[:, :, 0], means[:, 0],
+            model.dyn, states[:, :, 0], means[:, 0],
             np.ascontiguousarray(K1[:, 0, 0]), np.ascontiguousarray(K2[:, 0, 0]),
             np.ascontiguousarray(kk[:, 0]),
             float(dt), np.ascontiguousarray(dw0[:, 0]),
-            np.ascontiguousarray(db[:, :, 0]), backend)
-        if bad >= 0:
-            raise NumericalBlowup(f"t={float(times[bad + 1]):.6g}",
-                                  "particle state exceeded 1e12 or is NaN")
+            np.ascontiguousarray(db[:, :, 0]), backends.resolve())
     else:
-        _run_generic(model, control, times, states, means, dt, dw0, db)
+        bad = _run_generic(model.dyn, states, means, K1, K2, kk, float(dt), dw0, db)
+    if bad >= 0:
+        raise NumericalBlowup(f"t={float(times[bad + 1]):.6g}",
+                              "particle state exceeded 1e12 or is NaN")
 
     for arr in (times, states, means, dw0):
         arr.setflags(write=False)
@@ -340,8 +263,7 @@ def _simulate(model, control, base_t0, x0, n_steps, dt, seed, path_index, step_o
                               model=model, control=control)
 
 
-def simulate_path(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed,
-                  path_index=0, force_generic=False):
+def simulate_path(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, path_index=0):
     """Simulate one scenario of the controlled particle system on [t0, T].
 
     dt must divide T - t0 into an integral number of steps.  All randomness
@@ -359,7 +281,7 @@ def simulate_path(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed,
     if mu0.dim != model.d:
         raise ValueError("initial cloud dimension does not match the model")
     return _simulate(model, control, float(t0), mu0.points.copy(), n_steps,
-                     float(dt), seed, path_index, 0, force_generic=force_generic)
+                     float(dt), seed, path_index, 0)
 
 
 def restart_continuation(traj: ParticleTrajectory, theta):
@@ -375,50 +297,15 @@ def restart_continuation(traj: ParticleTrajectory, theta):
                      traj.seed, traj.path_index, traj.step_offset + j)
 
 
-def control_values_on_grid(control, traj, k, grid=None):
-    """Control values at node k, identical to those used inside the step loop."""
-    x = traj.states[k]
-    if hasattr(control, "grid_gains") and k < traj.n_steps:
-        if grid is None:
-            grid = _control_grid(control, traj.base_t0, traj.dt, traj.n_steps,
-                                 traj.step_offset, traj.model.d, traj.model.m)
-        K1, K2, kk = grid
-        mbar = traj.means[k]
-        return (x - mbar) @ K1[k].T + mbar @ K2[k].T + kk[k]
-    return np.atleast_2d(np.asarray(
-        control.values(traj.times[k], x, traj.means[k]), dtype=np.float64))
+def _trajectory_grid(control, traj):
+    return _control_grid(control, traj.base_t0, traj.dt, traj.n_steps,
+                         traj.step_offset, traj.model.d, traj.model.m)
 
 
-def _lq_cost_values(cost, x, means, avals):
-    """Pointwise LQ running cost on stacked steps: x (K,N,d), avals (K,N,m)."""
-    vals = np.einsum("kni,ij,knj->kn", x, cost.Q2, x)
-    vals = vals + np.einsum("kd,de,ke->k", means, cost.Q2bar, means)[:, None]
-    vals = vals + np.einsum("kni,ij,knj->kn", avals, cost.R2, avals)
-    if np.any(cost.M2):
-        vals = vals + 2.0 * np.einsum("kni,ij,knj->kn", x, cost.M2, avals)
-    return vals
-
-
-def _pathwise_cost_lq(traj, cost, grid, end, include_terminal):
-    total = 0.0
-    if end:
-        K1, K2, kk = grid
-        x = traj.states[:end]
-        means = traj.means[:end]
-        centered = x - means[:, None, :]
-        avals = (np.einsum("knd,kmd->knm", centered, K1[:end])
-                 + np.einsum("kd,kmd->km", means, K2[:end])[:, None, :]
-                 + kk[:end, None, :])
-        fvals = _lq_cost_values(cost, x, means, avals)
-        fhat = tree_mean(fvals, axis=1)
-        for k in range(end):
-            total += float(fhat[k]) * traj.dt
-    if include_terminal:
-        xT = traj.states[end]
-        mT = traj.means[end]
-        gvals = np.einsum("ni,ij,nj->n", xT, cost.P2, xT) + float(mT @ cost.P2bar @ mT)
-        total += float(tree_mean(gvals))
-    return total
+def control_values_on_grid(control, traj, k):
+    """Control values at node k < n_steps, identical to those used inside the step loop."""
+    K1, K2, kk = _trajectory_grid(control, traj)
+    return affine_feedback(K1[k], K2[k], kk[k], traj.states[k], traj.means[k])
 
 
 def pathwise_cost(traj: ParticleTrajectory, model, control, end_step=None,
@@ -431,22 +318,18 @@ def pathwise_cost(traj: ParticleTrajectory, model, control, end_step=None,
     end = traj.n_steps if end_step is None else int(end_step)
     if end < 0 or end > traj.n_steps:
         raise ValueError("end_step outside the trajectory grid")
-    grid = None
-    if hasattr(control, "grid_gains") and traj.n_steps:
-        grid = _control_grid(control, traj.base_t0, traj.dt, traj.n_steps,
-                             traj.step_offset, traj.model.d, traj.model.m)
-    if model.lq is not None and (grid is not None or end == 0):
-        return _pathwise_cost_lq(traj, model.lq[1], grid, end, include_terminal)
     total = 0.0
-    for k in range(end):
-        x = traj.states[k]
-        cloud = traj.cloud(k)
-        a = control_values_on_grid(control, traj, k, grid)
-        fhat = float(tree_mean(np.asarray(model.f(x, cloud, a), dtype=np.float64)))
-        total += fhat * traj.dt
+    if end:
+        K1, K2, kk = _trajectory_grid(control, traj)
+        x = traj.states[:end]
+        means = traj.means[:end]
+        avals = affine_feedback(K1[:end], K2[:end], kk[:end], x, means)
+        fhat = tree_mean(running_cost(model.cost, x, means, avals), axis=1)
+        for k in range(end):
+            total += float(fhat[k]) * traj.dt
     if include_terminal:
-        x = traj.states[end]
-        total += float(tree_mean(np.asarray(model.g(x, traj.cloud(end)), dtype=np.float64)))
+        gvals = terminal_cost(model.cost, traj.states[end], traj.means[end])
+        total += float(tree_mean(gvals))
     return total
 
 

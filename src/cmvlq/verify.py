@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lqmodel import lifted_running_cost
-from .measure import EmpiricalMeasure, mean, tree_mean, variance_form
+from .lqmodel import coefficient_values, lifted_running_cost
+from .measure import EmpiricalMeasure, mean, tree_mean
 from .policy import QuadraticFunctional, QuadraticValue, value
-from .riccati import ode_rhs
-from .simulator import pathwise_cost, sample_initial, simulate_path
+from .simulator import control_values_on_grid, pathwise_cost, sample_initial, simulate_path
 
 
 def _resolve_cloud(mu0, n_particles, seed):
@@ -93,11 +92,10 @@ def generator_apply(phi: QuadraticFunctional, mu, bvals, svals, s0vals):
     return single + double
 
 
-def _lq_coefficient_values(dyn, x, mbar, avals):
-    bvals = dyn.b0 + x @ dyn.B.T + mbar @ dyn.Bbar.T + avals @ dyn.C.T
-    svals = (dyn.theta + x @ dyn.D.T + mbar @ dyn.Dbar.T + avals @ dyn.F.T)[:, :, None]
-    s0vals = (dyn.theta0 + x @ dyn.D0.T + mbar @ dyn.D0bar.T + avals @ dyn.F0.T)[:, :, None]
-    return bvals, svals, s0vals
+def _generator_at(phi, dyn, mu, mbar, avals):
+    """generator_apply with the LQ coefficients at the cloud mu under controls avals."""
+    bvals, svals, s0vals = coefficient_values(dyn, mu.points, mbar, avals)
+    return generator_apply(phi, mu, bvals, svals[:, :, None], s0vals[:, :, None])
 
 
 def bellman_residual(qv: QuadraticValue, t, mu, a, with_terms=False):
@@ -110,16 +108,9 @@ def bellman_residual(qv: QuadraticValue, t, mu, a, with_terms=False):
     t = float(t)
     if not 0.0 <= t < qv.T:
         raise ValueError(f"residual needs t in [0, T); got t={t}")
-    Lam, Gam, gam, chi = qv.sol.eval(t)
-    phi = QuadraticFunctional(Lam, Gam, gam, chi)
-    dLam, dGam, dgam, dchi = ode_rhs(Lam, Gam, gam, qv.dyn, qv.cost, t)
-    mbar = mean(mu)
-    d_t = (variance_form(mu, dLam) + float(mbar @ dGam @ mbar)
-           + float(dgam @ mbar) + dchi)
+    d_t = qv.dt_at(t)(mu)
     fhat = lifted_running_cost(mu, a, qv.cost)
-    avals = np.atleast_2d(a(mu.points))
-    bvals, svals, s0vals = _lq_coefficient_values(qv.dyn, mu.points, mbar, avals)
-    gen = generator_apply(phi, mu, bvals, svals, s0vals)
+    gen = _generator_at(qv.at(t), qv.dyn, mu, mean(mu), np.atleast_2d(a(mu.points)))
     residual = d_t + fhat + gen
     if with_terms:
         return residual, {"d_t": d_t, "running_cost": fhat, "generator": gen}
@@ -190,13 +181,10 @@ def ito_generator_check(model, control, t, mu0, phi: QuadraticFunctional,
     lhs = (float(tree_mean(ends)) - phi0) / delta
     stderr = float(np.std(ends, ddof=1) / np.sqrt(M)) / delta
 
-    x = cloud0.points
-    mbar = mean(cloud0)
-    avals = np.atleast_2d(np.asarray(control.values(float(t), x, mbar), dtype=np.float64))
-    bvals = np.asarray(model.b(x, cloud0, avals), dtype=np.float64)
-    svals = np.asarray(model.sigma(x, cloud0, avals), dtype=np.float64)
-    s0vals = np.asarray(model.sigma0(x, cloud0, avals), dtype=np.float64)
-    rhs = generator_apply(phi, cloud0, bvals, svals, s0vals)
+    # every path starts from cloud0 at t, so the step loop's first controls
+    # are the control's values at the initial cloud
+    avals = control_values_on_grid(control, traj, 0)
+    rhs = _generator_at(phi, model.dyn, cloud0, traj.means[0], avals)
     return ItoCheckResult(lhs=lhs, rhs=rhs, stderr=stderr, delta=delta)
 
 
@@ -274,6 +262,7 @@ def make_report(check, passed, statistic, tolerance, stderr, config):
 
 
 def save_report(path, report):
+    """Write a JSON report: sorted keys, two-space indent, trailing newline."""
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -173,6 +173,26 @@ class TestConfigFile:
                        "--out", str(tmp_path), "--seed", "1") == 2
 
 
+class TestSeedRange:
+    @pytest.mark.parametrize("flags,config", [
+        (["--seed", "-1"], None),
+        (["--seed", str(2**64)], None),
+        ([], "seed = -5\n"),
+    ])
+    def test_out_of_range_seed_is_config_error(self, model_file, tmp_path, capsys,
+                                               flags, config):
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            flags = flags + ["--config", str(cfg)]
+        code = run_cli("cost", "--model", model_file, "--out", str(tmp_path),
+                       "--particles", "4", "--paths", "2", *flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "seed must be in [0, 2**64)" in err
+        assert "Traceback" not in err
+
+
 class TestNumericalFailure:
     def test_blowup_exits_three(self, tmp_path):
         from cmvlq.lqmodel import LqCost, LqDynamics

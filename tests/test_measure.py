@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -137,64 +136,6 @@ class TestPushforward:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             measure.pushforward(cloud(1.0), AffineMap.identity(2))
-
-
-class TestW2:
-    def test_identical(self):
-        mu = cloud(0.3, -1.2, 4.0)
-        assert measure.w2_1d(mu, mu) == 0.0
-
-    def test_order_invariant(self):
-        assert measure.w2_1d(cloud(0.0, 1.0), cloud(1.0, 0.0)) == 0.0
-
-    def test_brute_force_assignment(self):
-        # optimal coupling over all 3! pairings
-        xs = [0.0, 0.0, 0.0]
-        ys = [1.0, 2.0, 3.0]
-        best = min(
-            math.sqrt(sum((x - y) ** 2 for x, y in zip(xs, perm)) / 3)
-            for perm in itertools.permutations(ys)
-        )
-        assert measure.w2_1d(cloud(*xs), cloud(*ys)) == pytest.approx(best, abs=1e-15)
-
-    def test_brute_force_random(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            xs = rng.standard_normal(4)
-            ys = rng.standard_normal(4)
-            best = min(
-                math.sqrt(np.mean((xs - np.asarray(perm)) ** 2))
-                for perm in itertools.permutations(ys)
-            )
-            got = measure.w2_1d(EmpiricalMeasure(xs), EmpiricalMeasure(ys))
-            assert got == pytest.approx(best, abs=1e-12)
-
-    def test_metric_properties(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            a = EmpiricalMeasure(rng.standard_normal(6))
-            b = EmpiricalMeasure(rng.standard_normal(6))
-            c = EmpiricalMeasure(rng.standard_normal(6))
-            dab = measure.w2_1d(a, b)
-            assert dab == pytest.approx(measure.w2_1d(b, a), abs=0)
-            assert dab <= measure.w2_1d(a, c) + measure.w2_1d(c, b) + 1e-12
-
-    def test_translation_shift(self):
-        rng = np.random.default_rng(10)
-        pts = rng.standard_normal(11)
-        shift = 2.75
-        mu = EmpiricalMeasure(pts)
-        nu = EmpiricalMeasure(pts + shift)
-        assert measure.w2_1d(mu, nu) == pytest.approx(shift, rel=1e-12)
-
-    def test_rejects_high_dim(self):
-        mu = EmpiricalMeasure(np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            measure.w2_1d(mu, mu)
-
-    def test_rejects_unequal_counts(self):
-        with pytest.raises(ValueError):
-            measure.w2_1d(cloud(0.0), cloud(0.0, 1.0))
 
 
 class TestL2Norm:

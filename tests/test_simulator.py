@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from cmvlq.errors import NumericalBlowup
-from cmvlq.lqmodel import LqCost, LqDynamics
+from cmvlq.lqmodel import LqCost, LqDynamics, affine_feedback, running_cost
 from cmvlq.measure import AffineMap, EmpiricalMeasure, tree_mean
-from cmvlq.policy import FeedbackPolicy, QuadraticValue
+from cmvlq.policy import FeedbackPolicy, QuadraticValue, optimal_feedback
 from cmvlq.riccati import solve_riccati
 from cmvlq.simulator import (
     AffineControl,
-    DynamicsSpec,
     FeedbackControl,
     ShiftedControl,
+    _gen_noise,
+    _run_fast_scalar,
+    _run_generic,
+    control_values_on_grid,
     lq_dynamics_spec,
     pathwise_cost,
     restart_continuation,
@@ -29,13 +32,17 @@ def interbank_setup(sigma1=0.3, rho=0.5, q=0.5, h=1e-3, x0=1.0):
     return p, dyn, cost, sol, qv, model, control
 
 
-def zero_spec(d=1, T=1.0):
-    zeros = lambda x, mu, a: np.zeros_like(x)
-    zeros3 = lambda x, mu, a: np.zeros((x.shape[0], x.shape[1], 1))
-    return DynamicsSpec(d=d, n=1, m0=1, m=1, T=T, b=zeros,
-                        sigma=zeros3, sigma0=zeros3,
-                        f=lambda x, mu, a: np.zeros(x.shape[0]),
-                        g=lambda x, mu: np.zeros(x.shape[0]))
+def lq_model(d=2, B=0.0, R2=0.0, T=1.0):
+    """B I drift, no noise, no control loading; running cost a'R2 a only (m = 1)."""
+    z, zv, zc = np.zeros((d, d)), np.zeros(d), np.zeros((d, 1))
+    dyn = LqDynamics(b0=zv, B=B * np.eye(d), Bbar=z, C=zc, theta=zv, D=z, Dbar=z, F=zc,
+                     theta0=zv, D0=z, D0bar=z, F0=zc)
+    cost = LqCost(Q2=z, Q2bar=z, R2=R2, P2=z, P2bar=z)
+    return lq_dynamics_spec(dyn, cost, T)
+
+
+def zero_control(d=2):
+    return AffineControl(AffineMap.zero(1, d))
 
 
 class TestSampleInitial:
@@ -100,8 +107,6 @@ class TestNoise:
         assert np.array_equal(z250, z4000)
 
     def test_gen_noise_matches_step_normals(self):
-        from cmvlq.simulator import _gen_noise
-
         dw0, db = _gen_noise(21, 4, 7, 5, 13, 1, 1, 1.0)
         for j in range(5):
             z0, zb = step_normals(21, 4, 7 + j, 13, 1, 1)
@@ -111,9 +116,9 @@ class TestNoise:
 
 class TestSimulate:
     def test_frozen_dynamics(self):
-        mu0 = sample_initial({"kind": "gaussian", "mean": [0.5], "cov": 1.0}, 30, 5)
-        traj = simulate_path(zero_spec(), AffineControl(AffineMap.zero(1, 1)),
-                             0.0, mu0, 1.0, 0.05, 5, 0)
+        # the zero model at d = 2 steps on the affine loop
+        mu0 = sample_initial({"kind": "gaussian", "mean": [0.5, -0.5], "cov": 1.0}, 30, 5)
+        traj = simulate_path(lq_model(), zero_control(), 0.0, mu0, 1.0, 0.05, 5, 0)
         for k in range(traj.n_steps + 1):
             assert np.array_equal(traj.states[k], mu0.points)
 
@@ -129,12 +134,48 @@ class TestSimulate:
         assert not np.array_equal(a.states, c.states)
 
     def test_fast_and_generic_paths_agree(self):
-        _, _, _, _, _, model, control = interbank_setup(h=0.01)
-        mu0 = sample_initial({"kind": "point", "x0": 1.0}, 50, 9)
-        fast = simulate_path(model, control, 0.0, mu0, 1.0, 0.01, 9, 0)
-        gen = simulate_path(model, control, 0.0, mu0, 1.0, 0.01, 9, 0,
-                            force_generic=True)
-        assert np.allclose(fast.states, gen.states, rtol=1e-12, atol=1e-12)
+        # at d = m = 1 the affine loop and the scalar numpy twin agree bitwise
+        _, dyn, _, _, _, _, control = interbank_setup(h=0.01)
+        n, n_steps, dt = 50, 100, 0.01
+        mu0 = sample_initial({"kind": "gaussian", "mean": [1.0], "cov": 0.3}, n, 9)
+        dw0, db = _gen_noise(9, 0, 0, n_steps, n, 1, 1, np.sqrt(dt))
+        K1, K2, kk = control.grid_gains(0.0, dt, n_steps)
+        runs = []
+        for scalar in (True, False):
+            states = np.empty((n_steps + 1, n, 1))
+            states[0] = mu0.points
+            means = np.empty((n_steps + 1, 1))
+            if scalar:
+                bad = _run_fast_scalar(dyn, states[:, :, 0], means[:, 0], K1[:, 0, 0].copy(),
+                                       K2[:, 0, 0].copy(), kk[:, 0].copy(), dt,
+                                       dw0[:, 0].copy(), db[:, :, 0].copy(), "python")
+            else:
+                bad = _run_generic(dyn, states, means, K1, K2, kk, dt, dw0, db)
+            assert bad == -1
+            runs.append((states, means))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
+
+    def test_d3_matches_per_step_feedback(self):
+        # reference: the optimal feedback solved afresh at every node time
+        dyn, cost = random_lq(82, d=3, m=2, with_m2=True)
+        sol = solve_riccati(dyn, cost, 1.0, 0.02)
+        qv = QuadraticValue(sol, dyn, cost)
+        control = FeedbackControl(FeedbackPolicy(qv))
+        n, dt = 40, 0.02
+        mu0 = sample_initial({"kind": "gaussian", "mean": np.ones(3), "cov": 0.5}, n, 4)
+        traj = simulate_path(lq_dynamics_spec(dyn, cost, 1.0), control, 0.0, mu0, 1.0, dt, 4, 0)
+        _, db = _gen_noise(4, 0, 0, traj.n_steps, n, 1, 1, np.sqrt(dt))
+        x = mu0.points.copy()
+        for k in range(traj.n_steps):
+            mbar = tree_mean(x, axis=0)
+            fb = optimal_feedback(qv, float(traj.times[k]))
+            a = (x - mbar) @ fb.K1.T + mbar @ fb.K2.T + fb.k
+            b = dyn.b0 + x @ dyn.B.T + mbar @ dyn.Bbar.T + a @ dyn.C.T
+            s = dyn.theta + x @ dyn.D.T + mbar @ dyn.Dbar.T + a @ dyn.F.T
+            s0 = dyn.theta0 + x @ dyn.D0.T + mbar @ dyn.D0bar.T + a @ dyn.F0.T
+            x = x + b * dt + s * db[k] + s0 * traj.dw0[k]
+            np.testing.assert_allclose(traj.states[k + 1], x, rtol=1e-12, atol=1e-12)
 
     def test_grid_validation(self):
         _, _, _, _, _, model, control = interbank_setup(h=0.01)
@@ -155,24 +196,16 @@ class TestSimulate:
                           0.0, mu0, 1.0, 0.01, 0, 0)
 
     def test_blowup_generic_path(self):
-        spec = zero_spec()
-        spec = DynamicsSpec(d=1, n=1, m0=1, m=1, T=1.0,
-                            b=lambda x, mu, a: 40.0 * x,
-                            sigma=spec.sigma, sigma0=spec.sigma0, f=spec.f, g=spec.g)
-        mu0 = sample_initial({"kind": "point", "x0": 10.0}, 8, 0)
+        mu0 = sample_initial({"kind": "point", "x0": [10.0, -10.0]}, 8, 0)
         with pytest.raises(NumericalBlowup):
-            simulate_path(spec, AffineControl(AffineMap.zero(1, 1)),
-                          0.0, mu0, 1.0, 0.01, 0, 0)
+            simulate_path(lq_model(B=40.0), zero_control(), 0.0, mu0, 1.0, 0.01, 0, 0)
 
     def test_nonfinite_coefficients_detected(self):
-        spec = zero_spec()
-        spec = DynamicsSpec(d=1, n=1, m0=1, m=1, T=1.0,
-                            b=lambda x, mu, a: np.full_like(x, np.nan),
-                            sigma=spec.sigma, sigma0=spec.sigma0, f=spec.f, g=spec.g)
-        mu0 = sample_initial({"kind": "point", "x0": 0.0}, 4, 0)
-        with pytest.raises(NumericalBlowup, match="non-finite"):
-            simulate_path(spec, AffineControl(AffineMap.zero(1, 1)),
-                          0.0, mu0, 1.0, 0.5, 0, 0)
+        # the drift overflows to inf at the first step; the state check catches it
+        mu0 = sample_initial({"kind": "point", "x0": [10.0, -10.0]}, 4, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalBlowup, match="t=0.5"):
+                simulate_path(lq_model(B=1e308), zero_control(), 0.0, mu0, 1.0, 0.5, 0, 0)
 
 
 class TestFlowProperty:
@@ -226,13 +259,11 @@ class TestConditionalMean:
         p, dyn, cost, sol, qv, model, control = interbank_setup(h=2e-3)
         mu0 = sample_initial({"kind": "point", "x0": p.x0}, 200, 31)
         traj = simulate_path(model, control, 0.0, mu0, 1.0, 2e-3, 31, 0)
-        from cmvlq.simulator import _gen_noise
-
         _, db = _gen_noise(31, 0, 0, traj.n_steps, 200, 1, 1, np.sqrt(traj.dt))
         for k in range(0, traj.n_steps, 97):
             x = traj.states[k][:, 0]
             m = traj.means[k, 0]
-            a = control.values(traj.times[k], traj.states[k], traj.means[k])[:, 0]
+            a = control_values_on_grid(control, traj, k)[:, 0]
             b = dyn.b0[0] + dyn.B[0, 0] * x + dyn.Bbar[0, 0] * m + dyn.C[0, 0] * a
             sig = dyn.theta[0] + dyn.D[0, 0] * x
             sig0 = dyn.theta0[0] + dyn.D0[0, 0] * x
@@ -281,21 +312,17 @@ class TestConditionalMean:
 
 class TestPathwiseCost:
     def test_zero_cost(self):
-        mu0 = sample_initial({"kind": "point", "x0": 0.3}, 16, 1)
-        traj = simulate_path(zero_spec(), AffineControl(AffineMap.zero(1, 1)),
-                             0.0, mu0, 1.0, 0.125, 1, 0)
+        mu0 = sample_initial({"kind": "point", "x0": [0.3, 0.3]}, 16, 1)
+        traj = simulate_path(lq_model(), zero_control(), 0.0, mu0, 1.0, 0.125, 1, 0)
         assert pathwise_cost(traj, traj.model, traj.control) == 0.0
 
     def test_unit_running_cost_integrates_exactly(self):
-        spec = zero_spec()
-        spec = DynamicsSpec(d=1, n=1, m0=1, m=1, T=1.0, b=spec.b, sigma=spec.sigma,
-                            sigma0=spec.sigma0,
-                            f=lambda x, mu, a: np.ones(x.shape[0]),
-                            g=lambda x, mu: np.zeros(x.shape[0]))
-        mu0 = sample_initial({"kind": "point", "x0": 0.0}, 8, 1)
-        traj = simulate_path(spec, AffineControl(AffineMap.zero(1, 1)),
-                             0.0, mu0, 1.0, 2.0 ** -6, 1, 0)
-        assert pathwise_cost(traj, spec, traj.control) == 1.0
+        # R2 = 1 under the constant control 1: running cost 1 at every particle
+        model = lq_model(R2=1.0)
+        control = AffineControl(AffineMap.constant([1.0], 2))
+        mu0 = sample_initial({"kind": "point", "x0": [0.0, 0.0]}, 8, 1)
+        traj = simulate_path(model, control, 0.0, mu0, 1.0, 2.0 ** -6, 1, 0)
+        assert pathwise_cost(traj, model, control) == 1.0
 
     def test_transformed_equals_original_integrand(self):
         # square-completion identity holds stepwise along simulated paths
@@ -306,7 +333,7 @@ class TestPathwiseCost:
         for k in range(0, traj.n_steps, 211):
             x = traj.states[k][:, 0]
             m = traj.means[k, 0]
-            a_t = control.values(traj.times[k], traj.states[k], traj.means[k])[:, 0]
+            a_t = control_values_on_grid(control, traj, k)[:, 0]
             alpha = a_t - p.q * (x - m)  # original borrowing/lending control
             orig = (0.5 * alpha ** 2 - p.q * alpha * (m - x)
                     + 0.5 * p.eta * (m - x) ** 2)
@@ -319,16 +346,20 @@ class TestPathwiseCost:
         mu0 = sample_initial({"kind": "point", "x0": 1.0}, 40, 2)
         traj = simulate_path(model, control, 0.0, mu0, 1.0, 0.01, 2, 0)
         fast = pathwise_cost(traj, model, control)
-        # reference: step loop through the coefficient callables
-        from cmvlq.simulator import _control_grid, control_values_on_grid
 
-        grid = _control_grid(control, traj.base_t0, traj.dt, traj.n_steps,
-                             traj.step_offset, 1, 1)
+        # reference: a step loop through per-particle cost callables
+        def f(x, mbar, a):
+            return (cost.Q2[0, 0] * x ** 2 + cost.Q2bar[0, 0] * mbar ** 2
+                    + cost.R2[0, 0] * a ** 2 + 2.0 * cost.M2[0, 0] * x * a)
+
+        def g(x, mbar):
+            return cost.P2[0, 0] * x ** 2 + cost.P2bar[0, 0] * mbar ** 2
+
         ref = 0.0
         for k in range(traj.n_steps):
-            a = control_values_on_grid(control, traj, k, grid)
-            ref += float(tree_mean(model.f(traj.states[k], traj.cloud(k), a))) * traj.dt
-        ref += float(tree_mean(model.g(traj.states[-1], traj.cloud(traj.n_steps))))
+            a = control_values_on_grid(control, traj, k)[:, 0]
+            ref += float(tree_mean(f(traj.states[k, :, 0], traj.means[k, 0], a))) * traj.dt
+        ref += float(tree_mean(g(traj.states[-1, :, 0], traj.means[-1, 0])))
         assert fast == pytest.approx(ref, rel=1e-12, abs=1e-13)
 
     def test_partial_cost_end_step(self):
@@ -338,9 +369,8 @@ class TestPathwiseCost:
         full_running = pathwise_cost(traj, model, control, include_terminal=False)
         half = pathwise_cost(traj, model, control, end_step=50, include_terminal=False)
         rest = sum(
-            float(tree_mean(model.f(
-                traj.states[k], traj.cloud(k),
-                control.values(traj.times[k], traj.states[k], traj.means[k])))) * traj.dt
+            float(tree_mean(running_cost(model.cost, traj.states[k], traj.means[k],
+                                         control_values_on_grid(control, traj, k)))) * traj.dt
             for k in range(50, traj.n_steps))
         assert half + rest == pytest.approx(full_running, rel=1e-11)
 
@@ -374,12 +404,14 @@ class TestControls:
         _, _, _, _, qv, model, control = interbank_setup(h=0.01)
         shifted = ShiftedControl(control, 0.25)
         x = np.array([[0.5], [1.5]])
-        base = control.values(0.3, x, np.array([1.0]))
-        assert np.array_equal(shifted.values(0.3, x, np.array([1.0])), base + 0.25)
+        m = np.array([1.0])
         K1, K2, kk = shifted.grid_gains(0.0, 0.01, 100)
         K1b, K2b, kkb = control.grid_gains(0.0, 0.01, 100)
-        assert np.array_equal(K1, K1b)
+        assert np.array_equal(K1, K1b) and np.array_equal(K2, K2b)
         assert np.array_equal(kk, kkb + 0.25)
+        base = affine_feedback(K1b[30], K2b[30], kkb[30], x, m)
+        assert np.allclose(affine_feedback(K1[30], K2[30], kk[30], x, m), base + 0.25,
+                           rtol=0, atol=1e-14)
 
     def test_affine_control_grid_form_matches_values(self):
         amap = AffineMap(np.array([[0.7]]), np.array([0.2]))
@@ -387,6 +419,6 @@ class TestControls:
         K1, K2, kk = ctrl.grid_gains(0.0, 0.1, 3)
         x = np.array([[0.5], [-1.0]])
         m = np.array([0.4])
-        direct = ctrl.values(0.0, x, m)
-        via_gains = (x - m) @ K1[0].T + m @ K2[0].T + kk[0]
+        direct = amap(x)
+        via_gains = affine_feedback(K1[0], K2[0], kk[0], x, m)
         assert np.allclose(direct, via_gains, atol=1e-15)
