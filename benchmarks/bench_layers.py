@@ -1,0 +1,155 @@
+"""Per-layer timings of the simulation stack, written to BENCH_layers.json.
+
+Times, on the interbank model at the acceptance parameters (N = 2000
+particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios):
+
+- noise: ``_gen_noise`` for one path (2M normals, per-step Philox re-key);
+- step_cost: ``estimate_cost`` with every path's noise served from a cache,
+  i.e. the step loop plus the cost reduction and the drivers around them;
+- tree_sum on (32, 2000) and (1000, 2000) along axis 1, and on (2000,);
+- writer: ``cli._write_trajectories`` for 4 paths at stride 10, including
+  the simulation of those paths;
+- estimate_cost: the whole Monte Carlo estimate.
+
+Each row is the minimum wall time of --repeats runs after one warm-up run.
+The Riccati solve and the gain grid are built before any timing.  Results
+go under --label ("before" or "after") in the output file, next to the git
+SHA (marked -dirty for uncommitted changes), the backend actually resolved, the Python and numpy versions and the
+CPU count; other labels already in the file are kept.  The script uses
+only names that the per-path engine also has, so the same file can time
+an earlier checkout:
+
+    PYTHONPATH=src python benchmarks/bench_layers.py --label after
+"""
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import tempfile
+import time
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+from cmvlq import backends, cli, measure, simulator, verify  # noqa: E402
+from cmvlq.policy import FeedbackPolicy, QuadraticValue  # noqa: E402
+from cmvlq.riccati import SystemicRiskParams, solve_riccati, systemic_risk_model  # noqa: E402
+
+N, DT, M, SEED = 2000, 1e-3, 32, 1
+
+
+def best_of(fn, repeats):
+    fn()
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def git_sha():
+    """HEAD's SHA, with a -dirty suffix when tracked files differ from it."""
+    try:
+        sha = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+                             check=True).stdout.strip()
+        dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                               capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return sha + "-dirty" if dirty else sha
+
+
+def cached_noise(k_max, n):
+    """A _gen_noise stand-in serving one pre-drawn path to every request."""
+    dw0, db = simulator._gen_noise(SEED, 0, 0, k_max, n, 1, 1, float(np.sqrt(DT)))
+
+    def gen(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, sqrt_dt):
+        g = slice(step_offset, step_offset + n_steps)
+        return dw0[g], db[g]
+
+    return gen
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--label", default="after", help="key to store the figures under")
+    ap.add_argument("--out", default="BENCH_layers.json")
+    ap.add_argument("--repeats", type=int, default=5)
+    args = ap.parse_args()
+
+    p = SystemicRiskParams(kappa=1.0, q=0.5, eta=1.0, c=1.0, sigma0=1.0,
+                           sigma1=0.3, rho=0.5, T=1.0, x0=1.0)
+    dyn, cost = systemic_risk_model(p)
+    model = simulator.lq_dynamics_spec(dyn, cost, p.T)
+    qv = QuadraticValue(solve_riccati(dyn, cost, p.T, DT), dyn, cost)
+    control = simulator.FeedbackControl(FeedbackPolicy(qv))
+    mu0 = simulator.sample_initial({"kind": "point", "x0": p.x0}, N, SEED)
+    K = int(round(p.T / DT))
+    steps = K * N * M
+    rows = {}
+
+    def row(name, seconds, work=None, unit=None):
+        rows[name] = {"min_s": seconds}
+        if work is not None:
+            rows[name][unit] = work / seconds
+        print(f"{name:28s} {seconds * 1e3:10.2f} ms"
+              + (f"   {work / seconds:.3e} {unit}" if work is not None else ""))
+
+    def estimate():
+        verify.estimate_cost(model, control, 0.0, mu0, N, M, DT, SEED)
+
+    sqrt_dt = float(np.sqrt(DT))
+    row("noise_path", best_of(lambda: simulator._gen_noise(SEED, 0, 0, K, N, 1, 1, sqrt_dt),
+                              args.repeats), K * N, "normals_per_s")
+
+    real_noise = simulator._gen_noise
+    simulator._gen_noise = cached_noise(K, N)
+    try:
+        row("step_cost_estimate", best_of(estimate, args.repeats), steps, "particle_steps_per_s")
+    finally:
+        simulator._gen_noise = real_noise
+
+    rng = np.random.default_rng(0)
+    for shape, axis in (((32, N), 1), ((K, N), 1), ((N,), 0)):
+        a = rng.standard_normal(shape)
+        reps = 200
+        sec = best_of(lambda: [measure.tree_sum(a, axis) for _ in range(reps)], args.repeats)
+        row("tree_sum_" + "x".join(map(str, shape)), sec / reps)
+
+    with tempfile.TemporaryDirectory() as out_dir:
+        cfg = {"paths": 4, "stride": 10, "t0": 0.0, "dt": DT, "seed": SEED}
+        sec = best_of(lambda: cli._write_trajectories(cfg, model, control, mu0, p.T, out_dir),
+                      args.repeats)
+        mb = sum(os.path.getsize(os.path.join(out_dir, f)) for f in os.listdir(out_dir)) / 1e6
+        row("writer_4_paths_stride_10", sec, mb, "mb_per_s")
+
+    row("estimate_cost", best_of(estimate, args.repeats), steps, "particle_steps_per_s")
+
+    report = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            report = json.load(fh)
+    report["workload"] = {"model": "interbank, acceptance parameters", "N": N, "dt": DT,
+                          "K": K, "M": M, "seed": SEED, "repeats": args.repeats,
+                          "statistic": "minimum wall time after one warm-up run"}
+    report[args.label] = {
+        "git_sha": git_sha(),
+        "backend": backends.resolve(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        "rows": rows,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

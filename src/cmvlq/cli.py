@@ -220,6 +220,7 @@ def _write_trajectories(cfg, model, control, mu0, T, out_dir):
     stride = cfg["stride"]
     traj_path = os.path.join(out_dir, "trajectory.csv")
     mean_path = os.path.join(out_dir, "means.csv")
+    fields = [f",{i}," for i in range(mu0.n)]
     with open(traj_path, "w") as ft, open(mean_path, "w") as fm:
         ft.write("path,t,particle," + ",".join(f"x{j}" for j in range(d)) + "\n")
         fm.write("path,t," + ",".join(f"mean_{j}" for j in range(d)) + ",W0_cum\n")
@@ -229,9 +230,11 @@ def _write_trajectories(cfg, model, control, mu0, T, out_dir):
             w0 = traj.w0_cumulative()
             for k in range(0, traj.n_steps + 1, stride):
                 t = float(traj.times[k])
-                for i in range(traj.n_particles):
-                    ft.write(f"{p},{t!r},{i}," +
-                             ",".join(repr(float(v)) for v in traj.states[k, i]) + "\n")
+                head = f"{p},{t!r}"
+                # repr of every coordinate, grouped d at a time into particle rows
+                vals = map(repr, traj.states[k].ravel().tolist())
+                rows = map(",".join, zip(*[vals] * d))
+                ft.write("".join([head + field + row + "\n" for field, row in zip(fields, rows)]))
                 fm.write(f"{p},{t!r}," +
                          ",".join(repr(float(v)) for v in traj.means[k]) +
                          f",{float(w0[k, 0])!r}\n")

@@ -375,6 +375,9 @@ def parse_kv_file(path):
 def load_model(path):
     """Parse a model file into (LqDynamics, LqCost, T)."""
     kv = parse_kv_file(path)
+    unknown = [k for k in kv if k not in MODEL_KEYS]
+    if unknown:
+        raise ValueError(f"model file {path} has unknown keys: {', '.join(unknown)}")
     missing = [k for k in MODEL_KEYS if k not in kv and k != "M2"]
     if missing:
         raise ValueError(f"model file {path} missing keys: {', '.join(missing)}")

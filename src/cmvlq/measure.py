@@ -22,16 +22,24 @@ def tree_sum(a, axis=0):
     At level s the element at index i+s is added into index i for
     i = 0, 2s, 4s, ...; elements without a partner pass through.  The
     compiled simulation kernel implements the same reduction, so both
-    backends produce bit-identical means.
+    backends produce bit-identical means.  Each level is computed by
+    compaction: neighbours 2j and 2j+1 of the previous level are added
+    into slot j and an odd tail moves to the last slot, which is the same
+    tree with the operands laid out contiguously.
     """
-    w = np.array(np.moveaxis(np.asarray(a, dtype=np.float64), axis, 0))
-    n = w.shape[0]
-    s = 1
-    while s < n:
-        head = w[0 : n - s : 2 * s]
-        head += w[s : n : 2 * s]
-        s *= 2
-    return w[0]
+    w = np.asarray(a, dtype=np.float64)
+    if axis not in (-1, w.ndim - 1):
+        w = np.moveaxis(w, axis, -1)
+    n = w.shape[-1]
+    if n == 1:
+        w = w.copy()
+    while n > 1:
+        h = n // 2
+        nxt = w[..., 0 : 2 * h : 2] + w[..., 1 : 2 * h : 2]
+        if n % 2:
+            nxt = np.concatenate((nxt, w[..., 2 * h :]), axis=-1)
+        w, n = nxt, n - h
+    return w[..., 0] if w.ndim > 1 else w[0]
 
 
 def tree_mean(a, axis=0):

@@ -14,10 +14,19 @@ counter block, so paths are independent streams and a step's noise can be
 regenerated without replaying the stream.
 
 Every control is an affine feedback a = K1(t)(x - mbar) + K2(t) mbar + k(t)
-given by its gains on the step grid.  Scalar models (d = m = 1) step on a
-compiled kernel when available, or on its pure-numpy twin, which performs
-the identical sequence of floating-point operations; every other shape
-steps on one vectorized affine Euler loop.
+given by its gains on the step grid.  Two step loops carry a leading axis of
+P scenarios: the scalar loop (d = m = 1) and one vectorized affine Euler
+loop for every other shape, which at d = 1 is bitwise the scalar one.
+
+Two engines drive them.  simulate_path runs one scenario (P = 1) and keeps
+its whole trajectory, for replay, restarts and the trajectory writer; at
+d = m = 1 it steps on the compiled kernel when available, which performs
+the same floating-point operations as the numpy loop.  stream_scenarios
+runs the Monte Carlo scenarios in batches on numpy: it keeps only the
+batch's current state, draws each path's noise in chunks of steps (the
+Philox counter is the step index, so chunking leaves the draws unchanged)
+and adds the running cost inside the step.  Per scenario it reproduces
+simulate_path and pathwise_cost bit for bit.
 """
 
 from __future__ import annotations
@@ -65,23 +74,26 @@ def _gen_noise(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, 
     """Increments (already scaled by sqrt(dt)) for steps offset..offset+K-1.
 
     Re-keys a single Philox per step by resetting its counter block, which
-    draws exactly what a fresh generator keyed at that step would.
+    draws exactly what a fresh generator keyed at that step would.  The
+    normals are drawn straight into the output blocks, which are scaled
+    once at the end.
     """
     key = np.array([np.uint64(seed), np.uint64(path_index)], dtype=np.uint64)
     bg = Philox(key=key)
     gen = Generator(bg)
     dw0 = np.empty((n_steps, m0))
     db = np.empty((n_steps, n_particles, n_idio))
+    st = bg.state
+    st["buffer_pos"] = 4
+    st["has_uint32"] = 0
+    st["uinteger"] = 0
     for j in range(n_steps):
-        st = bg.state
         st["state"]["counter"] = np.array([0, 0, step_offset + j, 0], dtype=np.uint64)
-        st["state"]["key"] = key
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
         bg.state = st
-        dw0[j] = gen.standard_normal(m0) * sqrt_dt
-        db[j] = gen.standard_normal((n_particles, n_idio)) * sqrt_dt
+        gen.standard_normal(out=dw0[j])
+        gen.standard_normal(out=db[j])
+    dw0 *= sqrt_dt
+    db *= sqrt_dt
     return dw0, db
 
 
@@ -185,49 +197,103 @@ def _control_grid(control, base_t0, dt, n_steps, offset, d, m):
     return K1, K2, kk
 
 
-def _run_fast_scalar(dyn, states2, means1, K1, K2, kk, dt, dw0, db, backend):
-    """Scalar LQ Euler loop; numpy twin of the compiled kernel."""
+def _run_fast_scalar(model, x, K1, K2, kk, dt, dw0, db, backend="python",
+                     states=None, means=None, running=None):
+    """Scalar (d = m = 1) Euler loop over P scenarios; numpy twin of the kernel.
+
+    x (P, N) holds the particles at the first node; dw0 (K, P) and db
+    (K, P, N) are the scaled increments of K steps.  With `states`
+    (K+1, P, N) and `means` (K+1, P) every node is kept (states[0] is x);
+    with `running` (P,) each step adds dt times its particle-mean running
+    cost.  The compiled kernel serves a single scenario with a states
+    buffer.  Returns (k, x): the failing step and the state it produced,
+    or -1 and the state after the last step.
+    """
+    dyn = model.dyn
     coef = (float(dyn.b0[0]), float(dyn.B[0, 0]), float(dyn.Bbar[0, 0]), float(dyn.C[0, 0]),
             float(dyn.theta[0]), float(dyn.D[0, 0]), float(dyn.Dbar[0, 0]), float(dyn.F[0, 0]),
             float(dyn.theta0[0]), float(dyn.D0[0, 0]), float(dyn.D0bar[0, 0]), float(dyn.F0[0, 0]))
-    n_steps = states2.shape[0] - 1
-    n = states2.shape[1]
+    n_steps = dw0.shape[0]
+    n = x.shape[1]
     if backend == "cython":
-        bad = backends.kernels().em_scalar_path(
-            states2, means1, K1, K2, kk, *coef, dt, dw0, db, np.empty(n))
-        return int(bad)
+        bad = int(backends.kernels().em_scalar_path(
+            states[:, 0], means[:, 0], K1, K2, kk, *coef, dt, dw0[:, 0], db[:, 0], np.empty(n)))
+        return bad, states[bad + 1 if bad >= 0 else n_steps]
     b0, B, Bbar, C, th, D, Dbar, F, th0, D0, D0bar, F0 = coef
+    tmp = np.empty_like(x)
     for k in range(n_steps):
-        x = states2[k]
-        m = float(tree_sum(x) / n)
-        means1[k] = m
-        a = K1[k] * (x - m) + K2[k] * m + kk[k]
-        bv = b0 + B * x + Bbar * m + C * a
-        sv = th + D * x + Dbar * m + F * a
-        s0v = th0 + D0 * x + D0bar * m + F0 * a
-        x1 = x + bv * dt + sv * db[k] + s0v * dw0[k]
-        states2[k + 1] = x1
-        if not np.all(np.abs(x1) <= BLOWUP_LIMIT):
-            return k
-    means1[n_steps] = float(tree_sum(states2[n_steps]) / n)
-    return -1
+        m = tree_sum(x, axis=1) / n
+        if means is not None:
+            means[k] = m
+        m = m[:, None]
+        # the kernel's sums, each accumulated in place into its first
+        # product; u + v is v + u bit for bit, so the results are the same:
+        # a = K1 (x - m) + K2 m + kk
+        a = x - m
+        a *= K1[k]
+        a += K2[k] * m
+        a += kk[k]
+        if running is not None:
+            fhat = tree_mean(running_cost(model.cost, x[:, :, None], m, a[:, :, None]), axis=1)
+            running += fhat * dt
+        # drift b0 + B x + Bbar m + C a, volatilities likewise
+        bv, sv, s0v = B * x, D * x, D0 * x
+        for v, c0, cm, ca in ((bv, b0, Bbar, C), (sv, th, Dbar, F), (s0v, th0, D0bar, F0)):
+            v += c0
+            v += cm * m
+            v += np.multiply(ca, a, out=tmp)
+        # x + bv dt + sv db + s0v dw0
+        bv *= dt
+        bv += x
+        sv *= db[k]
+        bv += sv
+        s0v *= dw0[k][:, None]
+        bv += s0v
+        x = bv
+        if states is not None:
+            states[k + 1] = x
+        if not np.all(np.abs(x, out=tmp) <= BLOWUP_LIMIT):
+            return k, x
+    if means is not None:
+        means[n_steps] = tree_sum(x, axis=1) / n
+    return -1, x
 
 
-def _run_generic(dyn, states, means, K1, K2, kk, dt, dw0, db):
-    """Affine Euler loop for any (d, m); returns the failing step or -1."""
-    n_steps = states.shape[0] - 1
+def _run_generic(model, x, K1, K2, kk, dt, dw0, db, states=None, means=None, running=None):
+    """Affine Euler loop for any (d, m) over P scenarios.
+
+    x (P, N, d) holds the particles at the first node; dw0 (K, P, 1) and
+    db (K, P, N, 1) are the scaled increments of K steps.  `states`
+    (K+1, P, N, d), `means` (K+1, P, d) and `running` (P,) and the return
+    value are as in _run_fast_scalar.
+    """
+    n_steps = dw0.shape[0]
     for k in range(n_steps):
-        x = states[k]
-        mbar = tree_mean(x, axis=0)
-        means[k] = mbar
+        mbar = tree_mean(x, axis=1)
+        if means is not None:
+            means[k] = mbar
         a = affine_feedback(K1[k], K2[k], kk[k], x, mbar)
-        bv, sv, s0v = coefficient_values(dyn, x, mbar, a)
-        x1 = x + bv * dt + sv * db[k] + s0v * dw0[k]
-        states[k + 1] = x1
-        if not np.all(np.abs(x1) <= BLOWUP_LIMIT):
-            return k
-    means[n_steps] = tree_mean(states[n_steps], axis=0)
-    return -1
+        if running is not None:
+            running += tree_mean(running_cost(model.cost, x, mbar, a), axis=1) * dt
+        # the mean enters as one (1, d) row per scenario, as in a single path
+        bv, sv, s0v = coefficient_values(model.dyn, x, mbar[:, None, :], a)
+        x = x + bv * dt + sv * db[k] + s0v * dw0[k][:, None, :]
+        if states is not None:
+            states[k + 1] = x
+        if not np.all(np.abs(x) <= BLOWUP_LIMIT):
+            return k, x
+    if means is not None:
+        means[n_steps] = tree_mean(x, axis=1)
+    return -1, x
+
+
+def _blowup(t, paths, step, x):
+    """NumericalBlowup at the first bad entry of x (P, N[, d]): lowest path, then particle."""
+    flat = x.reshape(x.shape[0], x.shape[1], -1)
+    p, i, j = np.argwhere(~(np.abs(flat) <= BLOWUP_LIMIT))[0]
+    return NumericalBlowup(
+        f"t={float(t):.6g}, path {paths[p]}, step {step}, particle {i}",
+        f"value {float(flat[p, i, j])!r} exceeded 1e12 or is NaN")
 
 
 def _simulate(model, control, base_t0, x0, n_steps, dt, seed, path_index, step_offset):
@@ -241,18 +307,19 @@ def _simulate(model, control, base_t0, x0, n_steps, dt, seed, path_index, step_o
     # continuation reproduces them (and the gains built from them) bitwise
     times = base_t0 + dt * np.arange(step_offset, step_offset + n_steps + 1)
     K1, K2, kk = _control_grid(control, base_t0, dt, n_steps, step_offset, d, model.m)
+    # one scenario: the loops see P = 1
     if d == 1 and model.m == 1:
-        bad = _run_fast_scalar(
-            model.dyn, states[:, :, 0], means[:, 0],
-            np.ascontiguousarray(K1[:, 0, 0]), np.ascontiguousarray(K2[:, 0, 0]),
-            np.ascontiguousarray(kk[:, 0]),
-            float(dt), np.ascontiguousarray(dw0[:, 0]),
-            np.ascontiguousarray(db[:, :, 0]), backends.resolve())
+        s = states[:, None, :, 0]
+        bad, x = _run_fast_scalar(
+            model, s[0], np.ascontiguousarray(K1[:, 0, 0]), np.ascontiguousarray(K2[:, 0, 0]),
+            np.ascontiguousarray(kk[:, 0]), float(dt), dw0,
+            np.ascontiguousarray(db[:, :, 0])[:, None, :], backends.resolve(),
+            states=s, means=means)
     else:
-        bad = _run_generic(model.dyn, states, means, K1, K2, kk, float(dt), dw0, db)
+        bad, x = _run_generic(model, states[0][None], K1, K2, kk, float(dt), dw0[:, None, :],
+                              db[:, None], states=states[:, None], means=means[:, None])
     if bad >= 0:
-        raise NumericalBlowup(f"t={float(times[bad + 1]):.6g}",
-                              "particle state exceeded 1e12 or is NaN")
+        raise _blowup(times[bad + 1], (path_index,), step_offset + bad + 1, x)
 
     for arr in (times, states, means, dw0):
         arr.setflags(write=False)
@@ -263,13 +330,8 @@ def _simulate(model, control, base_t0, x0, n_steps, dt, seed, path_index, step_o
                               model=model, control=control)
 
 
-def simulate_path(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, path_index=0):
-    """Simulate one scenario of the controlled particle system on [t0, T].
-
-    dt must divide T - t0 into an integral number of steps.  All randomness
-    is a function of (seed, path_index, particle, step); reruns with the
-    same arguments are bitwise identical.
-    """
+def _step_count(model, t0, mu0, T, dt):
+    """Number of steps dt from t0 to T, checked to be whole, for a cloud of the model's dimension."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     span = float(T) - float(t0)
@@ -280,8 +342,77 @@ def simulate_path(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, path_i
         raise ValueError(f"dt={dt} must divide T - t0 = {span} into whole steps")
     if mu0.dim != model.d:
         raise ValueError("initial cloud dimension does not match the model")
+    return n_steps
+
+
+def simulate_path(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, path_index=0):
+    """Simulate one scenario of the controlled particle system on [t0, T].
+
+    dt must divide T - t0 into an integral number of steps.  All randomness
+    is a function of (seed, path_index, particle, step); reruns with the
+    same arguments are bitwise identical.
+    """
+    n_steps = _step_count(model, t0, mu0, T, dt)
     return _simulate(model, control, float(t0), mu0.points.copy(), n_steps,
                      float(dt), seed, path_index, 0)
+
+
+# Memory budget of the streamed engine, in doubles.  The state of one batch
+# of P scenarios (P * N * d values) stays within _BATCH_DOUBLES (125 kB, so
+# P = 8 at N = 2000, d = 1): each step's temporaries then stay below the
+# 128 KiB from which glibc malloc maps fresh pages for every array, and in
+# cache.  One chunk of idiosyncratic increments (steps * P * N values) stays
+# within _CHUNK_DOUBLES (4 MiB, 32 steps of that batch).
+_BATCH_DOUBLES = 16000
+_CHUNK_DOUBLES = 2**19
+
+
+def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, n_paths,
+                     with_cost=True):
+    """Step scenarios 0..n_paths-1 on [t0, T] in batches, keeping only their current state.
+
+    Yields (paths, running, ends) per batch: the range of path indices, the
+    left-endpoint Riemann sums of the particle-averaged running cost (P,)
+    (None without `with_cost`) and the end clouds (P, N, d).  Scenario p
+    is the one simulate_path(..., path_index=p) steps: its noise is drawn
+    with the same counters in chunks of steps, and its end cloud and cost
+    sum equal that path's and pathwise_cost's.  A blowup names the
+    earliest failing step of a batch and, at that step, its lowest path.
+    """
+    n_steps = _step_count(model, t0, mu0, T, dt)
+    t0, dt = float(t0), float(dt)
+    n, d = mu0.points.shape
+    scalar = d == 1 and model.m == 1
+    sqrt_dt = float(np.sqrt(dt))
+    K1, K2, kk = _control_grid(control, t0, dt, n_steps, 0, d, model.m)
+    if scalar:
+        K1, K2, kk = (np.ascontiguousarray(g.reshape(n_steps)) for g in (K1, K2, kk))
+    width = max(1, _BATCH_DOUBLES // (n * d))
+    for start in range(0, n_paths, width):
+        paths = range(start, min(n_paths, start + width))
+        P = len(paths)
+        x = np.repeat(mu0.points[None], P, axis=0)
+        if scalar:
+            x = x[:, :, 0]
+        running = np.zeros(P) if with_cost else None
+        chunk = max(1, min(n_steps, _CHUNK_DOUBLES // (P * n)))
+        dw0_buf = np.empty((chunk, P, 1))
+        db_buf = np.empty((chunk, P, n, 1))
+        for k0 in range(0, n_steps, chunk):
+            c = min(chunk, n_steps - k0)
+            dw0, db = dw0_buf[:c], db_buf[:c]
+            for j, p in enumerate(paths):
+                dw0[:, j], db[:, j] = _gen_noise(seed, p, k0, c, n, 1, 1, sqrt_dt)
+            g = slice(k0, k0 + c)
+            if scalar:
+                bad, x = _run_fast_scalar(model, x, K1[g], K2[g], kk[g], dt,
+                                          dw0[:, :, 0], db[:, :, :, 0], running=running)
+            else:
+                bad, x = _run_generic(model, x, K1[g], K2[g], kk[g], dt, dw0, db,
+                                      running=running)
+            if bad >= 0:
+                raise _blowup(t0 + dt * (k0 + bad + 1), paths, k0 + bad + 1, x)
+        yield paths, running, x.reshape(P, n, d)
 
 
 def restart_continuation(traj: ParticleTrajectory, theta):
@@ -303,7 +434,11 @@ def _trajectory_grid(control, traj):
 
 
 def control_values_on_grid(control, traj, k):
-    """Control values at node k < n_steps, identical to those used inside the step loop."""
+    """Control values at node k < n_steps, identical to those used inside the step loop.
+
+    Reads the controls back from a stored trajectory, for analysis of a
+    simulated path; the test suite checks the mean recursion with it.
+    """
     K1, K2, kk = _trajectory_grid(control, traj)
     return affine_feedback(K1[k], K2[k], kk[k], traj.states[k], traj.means[k])
 

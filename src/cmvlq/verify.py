@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lqmodel import coefficient_values, lifted_running_cost
+from .lqmodel import affine_feedback, coefficient_values, lifted_running_cost, terminal_cost
 from .measure import EmpiricalMeasure, mean, tree_mean
 from .policy import QuadraticFunctional, QuadraticValue, value
-from .simulator import control_values_on_grid, pathwise_cost, sample_initial, simulate_path
+from .simulator import sample_initial, stream_scenarios
 
 
 def _resolve_cloud(mu0, n_particles, seed):
@@ -52,15 +52,17 @@ def estimate_cost(model, control, t0, mu0, N, M, dt, seed) -> CostEstimate:
 
     mu0 is an initial-cloud spec (or a ready cloud of N particles) shared by
     all scenarios; the scenario index enters only the noise keying, so the
-    estimate is deterministic in seed.
+    estimate is deterministic in seed.  Scenario p's cost equals
+    pathwise_cost of simulate_path(..., path_index=p) bit for bit.
     """
     if M < 2:
         raise ValueError("cost estimation needs M >= 2 scenarios")
     cloud0 = _resolve_cloud(mu0, N, seed)
     costs = np.empty(M)
-    for p in range(M):
-        traj = simulate_path(model, control, t0, cloud0, model.T, dt, seed, path_index=p)
-        costs[p] = pathwise_cost(traj, model, control)
+    for paths, running, ends in stream_scenarios(model, control, t0, cloud0, model.T, dt,
+                                                 seed, M):
+        gvals = terminal_cost(model.cost, ends, tree_mean(ends, axis=1))
+        costs[paths.start:paths.stop] = running + tree_mean(gvals, axis=1)
     m = float(tree_mean(costs))
     stderr = float(np.std(costs, ddof=1) / np.sqrt(M))
     return CostEstimate(mean=m, stderr=stderr, M=M, N=N, dt=float(dt), seed=int(seed))
@@ -142,11 +144,11 @@ def dpp_check(qv: QuadraticValue, model, t, mu0, theta, control, N, M, dt, seed)
     cloud0 = _resolve_cloud(mu0, N, seed)
     w_t = value(qv, t, cloud0)
     gaps = np.empty(M)
-    for p in range(M):
-        traj = simulate_path(model, control, t, cloud0, theta, dt, seed, path_index=p)
-        partial = pathwise_cost(traj, model, control, include_terminal=False)
-        v_theta = value(qv, theta, traj.cloud(traj.n_steps))
-        gaps[p] = partial + v_theta - w_t
+    for paths, running, ends in stream_scenarios(model, control, t, cloud0, theta, dt,
+                                                 seed, M):
+        for j, p in enumerate(paths):
+            v_theta = value(qv, theta, EmpiricalMeasure._wrap(ends[j]))
+            gaps[p] = running[j] + v_theta - w_t
     gap = float(tree_mean(gaps))
     stderr = float(np.std(gaps, ddof=1) / np.sqrt(M))
     return DppResult(gap=gap, stderr=stderr, theta=theta, t=t, M=M)
@@ -175,16 +177,18 @@ def ito_generator_check(model, control, t, mu0, phi: QuadraticFunctional,
     cloud0 = _resolve_cloud(mu0, N, seed)
     phi0 = phi(cloud0)
     ends = np.empty(M)
-    for p in range(M):
-        traj = simulate_path(model, control, t, cloud0, t + delta, dt, seed, path_index=p)
-        ends[p] = phi(traj.cloud(traj.n_steps))
+    for paths, _, clouds in stream_scenarios(model, control, t, cloud0, t + delta, dt,
+                                             seed, M, with_cost=False):
+        for j, p in enumerate(paths):
+            ends[p] = phi(EmpiricalMeasure._wrap(clouds[j]))
     lhs = (float(tree_mean(ends)) - phi0) / delta
     stderr = float(np.std(ends, ddof=1) / np.sqrt(M)) / delta
 
     # every path starts from cloud0 at t, so the step loop's first controls
     # are the control's values at the initial cloud
-    avals = control_values_on_grid(control, traj, 0)
-    rhs = _generator_at(phi, model.dyn, cloud0, traj.means[0], avals)
+    K1, K2, kk = control.grid_gains(t, dt, steps)
+    avals = affine_feedback(K1[0], K2[0], kk[0], cloud0.points, mean(cloud0))
+    rhs = _generator_at(phi, model.dyn, cloud0, mean(cloud0), avals)
     return ItoCheckResult(lhs=lhs, rhs=rhs, stderr=stderr, delta=delta)
 
 

@@ -173,6 +173,24 @@ class TestConfigFile:
                        "--out", str(tmp_path), "--seed", "1") == 2
 
 
+class TestModelKeys:
+    @pytest.mark.parametrize("line, key", [
+        ("F0bar = 0.0\n", "F0bar"),       # a misspelt coefficient
+        ("q2 = 1.0\n", "q2"),             # keys are case-sensitive
+        ("seed = 3\n", "seed"),           # a run setting, not model data
+    ])
+    def test_unknown_model_key_is_config_error(self, model_file, tmp_path, capsys,
+                                                line, key):
+        path = tmp_path / "model.txt"
+        path.write_text(open(model_file).read() + line)
+        code = run_cli("cost", "--model", str(path), "--out", str(tmp_path / "out"),
+                       "--seed", "1", "--particles", "4", "--paths", "2")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"unknown keys: {key}" in err
+        assert "Traceback" not in err
+
+
 class TestSeedRange:
     @pytest.mark.parametrize("flags,config", [
         (["--seed", "-1"], None),
@@ -206,6 +224,25 @@ class TestNumericalFailure:
                        "--seed", "1", "--particles", "8", "--paths", "2",
                        "--dt", "0.01", "--init", "point:10.0",
                        "--control", "zero") == 3
+
+    @pytest.mark.parametrize("command", [["cost"], ["simulate"], ["verify", "dpp"]])
+    def test_particle_blowup_names_where(self, tmp_path, capsys, command):
+        from cmvlq.lqmodel import LqCost, LqDynamics
+
+        # zero state costs keep the Riccati solution at zero; the state explodes
+        dyn = LqDynamics(b0=0.0, B=40.0, Bbar=0.0, C=0.0, theta=0.0, D=0.0,
+                         Dbar=0.0, F=0.0, theta0=0.0, D0=0.0, D0bar=0.0, F0=0.0)
+        cost = LqCost(Q2=0.0, Q2bar=0.0, R2=1.0, P2=0.0, P2bar=0.0)
+        path = tmp_path / "explosive.txt"
+        save_model(path, dyn, cost, 1.0)
+        assert run_cli(*command, "--model", str(path), "--out", str(tmp_path),
+                       "--seed", "1", "--particles", "8", "--paths", "2",
+                       "--dt", "0.01", "--init", "point:10.0", "--theta", "1.0",
+                       "--control", "zero") == 3
+        err = capsys.readouterr().err
+        # 10 * 1.4^76 is the first state past 1e12; every particle and path is alike
+        assert err == ("numerical failure: numerical blowup at t=0.76, path 0, step 76, "
+                       "particle 0: value 1275647586028.0374 exceeded 1e12 or is NaN\n")
 
 
 def test_console_script_help():

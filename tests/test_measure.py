@@ -43,6 +43,33 @@ class TestTreeSum:
             assert col[j] == tree_sum(a[:, j])
 
 
+def strided_tree_sum(a, axis=0):
+    """The earlier in-place strided implementation of the same tree."""
+    w = np.array(np.moveaxis(np.asarray(a, dtype=np.float64), axis, 0))
+    n = w.shape[0]
+    s = 1
+    while s < n:
+        head = w[0 : n - s : 2 * s]
+        head += w[s : n : 2 * s]
+        s *= 2
+    return w[0]
+
+
+def test_tree_sum_matches_strided_loop_bitwise():
+    rng = np.random.default_rng(5)
+    layouts = [((1,), 0), ((1, 3), 0), ((2, 1), 1), ((2, 1), -1),
+               ((2, 1, 3), 1), ((1, 2, 2), 0), ((2, 3, 1), -1)]
+    for n in range(1, 2050):
+        for shape, axis in layouts:
+            shape = tuple(n if s == 1 and i == axis % len(shape) else s
+                          for i, s in enumerate(shape))
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+            got, want = tree_sum(a, axis), strided_tree_sum(a, axis)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64)), (shape, axis)
+
+
 class TestMean:
     def test_point_mass(self):
         assert measure.mean(cloud(0.0)) == 0.0

@@ -10,6 +10,7 @@ from cmvlq.simulator import (
     AffineControl,
     FeedbackControl,
     ShiftedControl,
+    _blowup,
     _gen_noise,
     _run_fast_scalar,
     _run_generic,
@@ -20,6 +21,7 @@ from cmvlq.simulator import (
     sample_initial,
     simulate_path,
     step_normals,
+    stream_scenarios,
 )
 
 from conftest import make_interbank, random_lq
@@ -134,27 +136,41 @@ class TestSimulate:
         assert not np.array_equal(a.states, c.states)
 
     def test_fast_and_generic_paths_agree(self):
-        # at d = m = 1 the affine loop and the scalar numpy twin agree bitwise
-        _, dyn, _, _, _, _, control = interbank_setup(h=0.01)
-        n, n_steps, dt = 50, 100, 0.01
+        # at d = m = 1 the affine loop and the scalar numpy twin agree bitwise,
+        # on one stored scenario and on a batch of them with the running cost
+        _, _, _, _, _, model, control = interbank_setup(h=0.01)
+        n, n_steps, dt, P = 50, 100, 0.01, 3
         mu0 = sample_initial({"kind": "gaussian", "mean": [1.0], "cov": 0.3}, n, 9)
-        dw0, db = _gen_noise(9, 0, 0, n_steps, n, 1, 1, np.sqrt(dt))
+        noise = [_gen_noise(9, p, 0, n_steps, n, 1, 1, np.sqrt(dt)) for p in range(P)]
+        dw0 = np.stack([w for w, _ in noise], axis=1)
+        db = np.stack([b for _, b in noise], axis=1)
         K1, K2, kk = control.grid_gains(0.0, dt, n_steps)
         runs = []
         for scalar in (True, False):
-            states = np.empty((n_steps + 1, n, 1))
-            states[0] = mu0.points
-            means = np.empty((n_steps + 1, 1))
+            states = np.empty((n_steps + 1, 1, n, 1))
+            states[0, 0] = mu0.points
+            means = np.empty((n_steps + 1, 1, 1))
+            running = np.zeros(P)
+            x = np.repeat(mu0.points[None], P, axis=0)
             if scalar:
-                bad = _run_fast_scalar(dyn, states[:, :, 0], means[:, 0], K1[:, 0, 0].copy(),
-                                       K2[:, 0, 0].copy(), kk[:, 0].copy(), dt,
-                                       dw0[:, 0].copy(), db[:, :, 0].copy(), "python")
+                bad, _ = _run_fast_scalar(model, states[0, :, :, 0], K1[:, 0, 0].copy(),
+                                          K2[:, 0, 0].copy(), kk[:, 0].copy(), dt,
+                                          dw0[:, :1, 0], db[:, :1, :, 0], "python",
+                                          states=states[..., 0], means=means[..., 0])
+                bad_b, end = _run_fast_scalar(model, x[..., 0], K1[:, 0, 0], K2[:, 0, 0],
+                                              kk[:, 0], dt, dw0[..., 0], db[..., 0],
+                                              running=running)
+                end = end[..., None]
             else:
-                bad = _run_generic(dyn, states, means, K1, K2, kk, dt, dw0, db)
-            assert bad == -1
-            runs.append((states, means))
-        assert np.array_equal(runs[0][0], runs[1][0])
-        assert np.array_equal(runs[0][1], runs[1][1])
+                bad, _ = _run_generic(model, states[0], K1, K2, kk, dt, dw0[:, :1], db[:, :1],
+                                      states=states, means=means)
+                bad_b, end = _run_generic(model, x, K1, K2, kk, dt, dw0, db, running=running)
+            assert bad == bad_b == -1
+            runs.append((states, means, running, end))
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+        # the first scenario of the batch is the stored one
+        assert np.array_equal(runs[0][3][0], runs[0][0][-1, 0])
 
     def test_d3_matches_per_step_feedback(self):
         # reference: the optimal feedback solved afresh at every node time
@@ -191,9 +207,23 @@ class TestSimulate:
         cost = LqCost(Q2=1.0, Q2bar=0.0, R2=1.0, P2=1.0, P2bar=0.0)
         model = lq_dynamics_spec(dyn, cost, 1.0)
         mu0 = sample_initial({"kind": "point", "x0": 10.0}, 8, 0)
-        with pytest.raises(NumericalBlowup):
-            simulate_path(model, AffineControl(AffineMap.zero(1, 1)),
-                          0.0, mu0, 1.0, 0.01, 0, 0)
+        control = AffineControl(AffineMap.zero(1, 1))
+        # 10 * 1.4^76 is the first state past 1e12; every particle and path is alike
+        where = r"t=0\.76, path {}, step 76, particle 0: value 1275647586028\.\d+ exceeded"
+        with pytest.raises(NumericalBlowup, match=where.format(2)):
+            simulate_path(model, control, 0.0, mu0, 1.0, 0.01, 0, 2)
+        # the streamed engine names the lowest path of the failing batch
+        with pytest.raises(NumericalBlowup, match=where.format(0)):
+            list(stream_scenarios(model, control, 0.0, mu0, 1.0, 0.01, 0, 3))
+
+    def test_blowup_names_lowest_path_then_particle(self):
+        x = np.zeros((4, 5, 2))
+        x[3, 0, 0] = np.nan
+        x[1, 2, 1] = -2e12
+        x[1, 4, 0] = np.inf
+        err = _blowup(0.25, range(6, 10), 9, x)
+        assert str(err) == ("numerical blowup at t=0.25, path 7, step 9, particle 2: "
+                            "value -2000000000000.0 exceeded 1e12 or is NaN")
 
     def test_blowup_generic_path(self):
         mu0 = sample_initial({"kind": "point", "x0": [10.0, -10.0]}, 8, 0)

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from cmvlq.lqmodel import LqCost, gains
-from cmvlq.measure import AffineMap, EmpiricalMeasure, mean, pushforward, variance_form
+import tracemalloc
+
+from cmvlq import simulator
+from cmvlq.measure import AffineMap, EmpiricalMeasure, mean, pushforward, tree_mean, variance_form
 from cmvlq.policy import (
     FeedbackPolicy,
     QuadraticFunctional,
@@ -17,7 +20,10 @@ from cmvlq.simulator import (
     FeedbackControl,
     ShiftedControl,
     lq_dynamics_spec,
+    pathwise_cost,
     sample_initial,
+    simulate_path,
+    stream_scenarios,
 )
 from cmvlq.verify import (
     bellman_residual,
@@ -99,6 +105,107 @@ class TestEstimateCost:
         a = estimate_cost(model, control, 0.0, mu0, 100, 4, 0.01, 9)
         b = estimate_cost(model, control, 0.0, mu0, 100, 4, 0.01, 9)
         assert a.mean == b.mean and a.stderr == b.stderr
+
+
+class TestStreamedDrivers:
+    """The batched drivers against the per-path simulate_path + pathwise_cost route."""
+
+    N, M, DT, SEED = 40, 5, 0.02, 17
+
+    def stacks(self, d, monkeypatch):
+        # batches of 2 scenarios and chunks of 3 steps: 5 paths make batches
+        # 2, 2, 1, and each path's noise is drawn in several chunks
+        monkeypatch.setattr(simulator, "_BATCH_DOUBLES", 2 * self.N * d)
+        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 3 * 2 * self.N)
+        if d == 1:
+            _, dyn, cost, _, qv = make_interbank(h=self.DT, sigma1=0.3)
+        else:
+            dyn, cost = random_lq(82, d=3, m=2, with_m2=True)
+            qv = QuadraticValue(solve_riccati(dyn, cost, 1.0, self.DT), dyn, cost)
+        model = lq_dynamics_spec(dyn, cost, 1.0)
+        base = FeedbackControl(FeedbackPolicy(qv))
+        cloud0 = sample_initial({"kind": "gaussian", "mean": np.ones(d), "cov": 0.4},
+                                self.N, self.SEED)
+        return qv, model, cloud0, {"optimal": base,
+                                   "shift": ShiftedControl(base, 0.25 * np.ones(dyn.m))}
+
+    def paths(self, model, control, t0, cloud0, T):
+        return [simulate_path(model, control, t0, cloud0, T, self.DT, self.SEED, path_index=p)
+                for p in range(self.M)]
+
+    def check(self, got, want, d):
+        if d == 1:
+            assert np.array_equal(np.asarray(got), np.asarray(want))
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_each_scenario(self, d, monkeypatch):
+        qv, model, cloud0, controls = self.stacks(d, monkeypatch)
+        control = controls["shift"]
+        trajs = self.paths(model, control, 0.0, cloud0, model.T)
+        seen = []
+        for paths, running, ends in stream_scenarios(model, control, 0.0, cloud0, model.T,
+                                                     self.DT, self.SEED, self.M):
+            for j, p in enumerate(paths):
+                self.check(ends[j], trajs[p].states[-1], d)
+                self.check(running[j], pathwise_cost(trajs[p], model, control,
+                                                     include_terminal=False), d)
+                seen.append(p)
+        assert seen == list(range(self.M))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("name", ["optimal", "shift"])
+    def test_estimate_cost(self, d, name, monkeypatch):
+        qv, model, cloud0, controls = self.stacks(d, monkeypatch)
+        control = controls[name]
+        costs = np.array([pathwise_cost(tr, model, control)
+                          for tr in self.paths(model, control, 0.0, cloud0, model.T)])
+        est = estimate_cost(model, control, 0.0, cloud0, self.N, self.M, self.DT, self.SEED)
+        self.check([est.mean, est.stderr],
+                   [float(tree_mean(costs)), float(np.std(costs, ddof=1) / np.sqrt(self.M))], d)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("name", ["optimal", "shift"])
+    def test_dpp_gaps(self, d, name, monkeypatch):
+        qv, model, cloud0, controls = self.stacks(d, monkeypatch)
+        control = controls[name]
+        w_t = value(qv, 0.2, cloud0)
+        gaps = np.array([pathwise_cost(tr, model, control, include_terminal=False)
+                         + value(qv, 0.6, tr.cloud(tr.n_steps)) - w_t
+                         for tr in self.paths(model, control, 0.2, cloud0, 0.6)])
+        res = dpp_check(qv, model, 0.2, cloud0, 0.6, control, self.N, self.M, self.DT, self.SEED)
+        self.check([res.gap, res.stderr],
+                   [float(tree_mean(gaps)), float(np.std(gaps, ddof=1) / np.sqrt(self.M))], d)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("name", ["optimal", "shift"])
+    def test_ito_end_values(self, d, name, monkeypatch):
+        qv, model, cloud0, controls = self.stacks(d, monkeypatch)
+        control = controls[name]
+        phi = QuadraticFunctional(np.zeros((d, d)), np.eye(d), np.zeros(d), 0.0)
+        delta = 10 * self.DT
+        ends = np.array([phi(tr.cloud(tr.n_steps))
+                         for tr in self.paths(model, control, 0.1, cloud0, 0.1 + delta)])
+        res = ito_generator_check(model, control, 0.1, cloud0, phi, delta, self.N, self.M,
+                                  self.DT, self.SEED)
+        self.check([res.lhs, res.stderr],
+                   [(float(tree_mean(ends)) - phi(cloud0)) / delta,
+                    float(np.std(ends, ddof=1) / np.sqrt(self.M)) / delta], d)
+
+    def test_no_trajectory_allocated(self, monkeypatch):
+        # K = 1000 steps of 500 particles: a stored trajectory is 4 MB
+        _, model, _, controls = self.stacks(1, monkeypatch)
+        monkeypatch.setattr(simulator, "_BATCH_DOUBLES", 2**14)
+        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2**14)
+        cloud0 = sample_initial({"kind": "point", "x0": 1.0}, 500, 0)
+        tracemalloc.start()
+        try:
+            estimate_cost(model, controls["optimal"], 0.0, cloud0, 500, 2, 1e-3, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1001 * 500 * 8 / 4
 
 
 class TestBellmanResidual:
