@@ -1,8 +1,14 @@
-"""Per-layer timings of the simulation stack, written to BENCH_layers.json.
+"""Per-layer timings of the solver and simulation stack, written to BENCH_layers.json.
 
 Times, on the interbank model at the acceptance parameters (N = 2000
-particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios):
+particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
 
+- riccati_solve_d1: ``solve_riccati`` at h = 1e-3 (d = m = 1);
+- riccati_solve_d3: the same on a seeded d = 3, m = 2 model with a cross
+  weight M2, and riccati_solve_grid_d3 that solve plus the gain grid of
+  its 1000 steps;
+- gain_grid_1000: ``FeedbackPolicy.grid_gains`` over the 1000 steps, on a
+  fresh policy each time (the first use per policy);
 - noise: ``_gen_noise`` for one path (2M normals, per-step Philox re-key);
 - step_cost: ``estimate_cost`` with every path's noise served from a cache,
   i.e. the step loop plus the cost reduction and the drivers around them;
@@ -12,7 +18,8 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios):
 - estimate_cost: the whole Monte Carlo estimate.
 
 Each row is the minimum wall time of --repeats runs after one warm-up run.
-The Riccati solve and the gain grid are built before any timing.  Results
+Outside their own rows, the Riccati solve and the gain grid are built
+before any timing.  Results
 go under --label ("before" or "after") in the output file, next to the git
 SHA (marked -dirty for uncommitted changes), the backend actually resolved, the Python and numpy versions and the
 CPU count; other labels already in the file are kept.  The script uses
@@ -37,6 +44,7 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from cmvlq import backends, cli, measure, simulator, verify  # noqa: E402
+from cmvlq.lqmodel import LqCost, LqDynamics  # noqa: E402
 from cmvlq.policy import FeedbackPolicy, QuadraticValue  # noqa: E402
 from cmvlq.riccati import SystemicRiskParams, solve_riccati, systemic_risk_model  # noqa: E402
 
@@ -63,6 +71,27 @@ def git_sha():
     except (OSError, subprocess.CalledProcessError):
         return None
     return sha + "-dirty" if dirty else sha
+
+
+def lq3_model(seed=3, d=3, m=2):
+    """A random d = 3, m = 2 model with a cross weight that meets the positivity condition."""
+    rng = np.random.default_rng(seed)
+
+    def g(shape, scale):
+        return scale * rng.standard_normal(shape)
+
+    def psd(n):
+        a = rng.standard_normal((n, n))
+        return 0.6 * (a @ a.T) / n
+
+    dyn = LqDynamics(b0=g(d, 0.3), B=g((d, d), 0.4), Bbar=g((d, d), 0.3), C=g((d, m), 0.7),
+                     theta=g(d, 0.25), D=g((d, d), 0.3), Dbar=g((d, d), 0.15), F=g((d, m), 0.25),
+                     theta0=g(d, 0.25), D0=g((d, d), 0.25), D0bar=g((d, d), 0.15),
+                     F0=g((d, m), 0.25))
+    Q2, P2 = psd(d), psd(d)
+    cost = LqCost(Q2=Q2, Q2bar=psd(d) - Q2, R2=psd(m) + 0.3 * np.eye(m), P2=P2,
+                  P2bar=psd(d) - P2, M2=g((d, m), 0.1))
+    return dyn, cost
 
 
 def cached_noise(k_max, n):
@@ -103,6 +132,20 @@ def main():
 
     def estimate():
         verify.estimate_cost(model, control, 0.0, mu0, N, M, DT, SEED)
+
+    row("riccati_solve_d1", best_of(lambda: solve_riccati(dyn, cost, p.T, DT), args.repeats),
+        K, "rk4_steps_per_s")
+    dyn3, cost3 = lq3_model()
+    row("riccati_solve_d3", best_of(lambda: solve_riccati(dyn3, cost3, 1.0, DT), args.repeats),
+        K, "rk4_steps_per_s")
+
+    def solve_and_grid_d3():
+        qv3 = QuadraticValue(solve_riccati(dyn3, cost3, 1.0, DT), dyn3, cost3)
+        FeedbackPolicy(qv3).grid_gains(0.0, DT, K)
+
+    row("riccati_solve_grid_d3", best_of(solve_and_grid_d3, args.repeats))
+    row("gain_grid_1000", best_of(lambda: FeedbackPolicy(qv).grid_gains(0.0, DT, K), args.repeats),
+        K, "nodes_per_s")
 
     sqrt_dt = float(np.sqrt(DT))
     row("noise_path", best_of(lambda: simulator._gen_noise(SEED, 0, 0, K, N, 1, 1, sqrt_dt),

@@ -62,7 +62,7 @@ def _build_parser():
                        help="backward-ODE step (default T/1000)")
         p.add_argument("--t0", type=float, help="initial time (default 0)")
         p.add_argument("--theta", type=float, help="intermediate time (default T/2)")
-        p.add_argument("--epsilon", type=float, help="control shift / FD step")
+        p.add_argument("--epsilon", type=float, help="control shift / FD step (default 0.1)")
         p.add_argument("--init", help="point:<v,..> | gaussian:<mean,..>:<var,..> | csv:<path>")
         p.add_argument("--control", help="optimal | zero | const:<v,..> | shift:<eps>")
         p._model_required = model_required
@@ -320,11 +320,10 @@ def _verify_ito(cfg, qv, model, control):
 
 def _verify_grad(cfg, qv):
     count = cfg.get("count") or 100
-    eps = cfg["epsilon"] if cfg.get("epsilon") is not None else 1e-5
     worst = 0.0
     for i in range(count):
         t, cloud = verify_mod.random_clouds(qv, 1, 20, cfg["seed"] + i)[0]
-        worst = max(worst, verify_mod.grad_check(qv, t, cloud, eps))
+        worst = max(worst, verify_mod.grad_check(qv, t, cloud, cfg["epsilon"]))
     tol = 1e-6
     return worst, tol, None, worst <= tol
 

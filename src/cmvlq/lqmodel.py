@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonPositiveGain
 from .measure import mean, tree_mean
 
 SYM_TOL = 1e-12
@@ -71,6 +72,9 @@ class LqDynamics:
     drift      b0 + B x + Bbar mubar + C a(x)
     idio vol   theta + D x + Dbar mubar + F a(x)
     common vol theta0 + D0 x + D0bar mubar + F0 a(x)
+
+    Bs, Ds and D0s hold the sums B + Bbar, D + Dbar and D0 + D0bar, which
+    load the mean in the backward system; they are computed once here.
     """
 
     b0: np.ndarray
@@ -85,6 +89,9 @@ class LqDynamics:
     D0: np.ndarray
     D0bar: np.ndarray
     F0: np.ndarray
+    Bs: np.ndarray = field(init=False, repr=False, compare=False)
+    Ds: np.ndarray = field(init=False, repr=False, compare=False)
+    D0s: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         B = np.atleast_2d(np.asarray(self.B, dtype=np.float64))
@@ -109,6 +116,9 @@ class LqDynamics:
             "D0bar": _as_matrix(self.D0bar, d, d, "D0bar"),
             "F0": _as_matrix(self.F0, d, m, "F0"),
         }
+        norm["Bs"] = norm["B"] + norm["Bbar"]
+        norm["Ds"] = norm["D"] + norm["Dbar"]
+        norm["D0s"] = norm["D0"] + norm["D0bar"]
         for k, v in norm.items():
             v.setflags(write=False)
             object.__setattr__(self, k, v)
@@ -128,7 +138,7 @@ class LqCost:
 
     Pointwise running cost x'Q2 x + mubar'Q2bar mubar + a'R2 a + 2 x'M2 a,
     terminal cost x'P2 x + mubar'P2bar mubar.  M2 defaults to zero, which
-    recovers the cross-term-free form.
+    recovers the cross-term-free form.  Q2s = Q2 + Q2bar is computed once.
     """
 
     Q2: np.ndarray
@@ -137,6 +147,7 @@ class LqCost:
     P2: np.ndarray
     P2bar: np.ndarray
     M2: np.ndarray = None
+    Q2s: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q2 = np.atleast_2d(np.asarray(self.Q2, dtype=np.float64))
@@ -151,6 +162,7 @@ class LqCost:
             "P2bar": _symmetric(self.P2bar, d, "P2bar"),
             "M2": _as_matrix(self.M2 if self.M2 is not None else np.zeros((d, m)), d, m, "M2"),
         }
+        norm["Q2s"] = norm["Q2"] + norm["Q2bar"]
         for k, v in norm.items():
             v.setflags(write=False)
             object.__setattr__(self, k, v)
@@ -187,6 +199,36 @@ class GainMatrices:
         object.__setattr__(self, "pd_ok", bool(self.min_eig_u > PD_THRESHOLD and self.min_eig_v > PD_THRESHOLD))
 
 
+def require_pd(t, min_eig_u, min_eig_v):
+    """NonPositiveGain at t unless both minimum eigenvalues exceed PD_THRESHOLD.
+
+    The error carries the smaller eigenvalue and names U whenever U fails.
+    """
+    if not (min_eig_u > PD_THRESHOLD and min_eig_v > PD_THRESHOLD):
+        which = "U" if min_eig_u <= PD_THRESHOLD else "V"
+        raise NonPositiveGain(t, min(min_eig_u, min_eig_v), which)
+
+
+def gain_terms(Lam, Gam, gam, dyn, cost):
+    """gain_blocks of 2-d Lam, Gam and 1-d gam, with the products the backward system reuses.
+
+    Returns ((U, V, S, Z, Y), (D'Lam, D0'Lam, Ds'Lam, D0s'Gam, Lam theta,
+    Gam theta0)); each product is computed once for both of its uses.
+    """
+    F, F0, C = dyn.F, dyn.F0, dyn.C
+    FtLF = F.T @ Lam @ F
+    DtL, D0tL, DstL, D0stG = dyn.D.T @ Lam, dyn.D0.T @ Lam, dyn.Ds.T @ Lam, dyn.D0s.T @ Gam
+    L_th, G_th0 = Lam @ dyn.theta, Gam @ dyn.theta0
+    U = FtLF + F0.T @ Lam @ F0 + cost.R2
+    V = FtLF + F0.T @ Gam @ F0 + cost.R2
+    U = (U + U.T) / 2.0
+    V = (V + V.T) / 2.0
+    S = DtL @ F + D0tL @ F0 + Lam @ C + cost.M2
+    Z = DstL @ F + D0stG @ F0 + Gam @ C + cost.M2
+    Y = C.T @ gam + 2.0 * F.T @ L_th + 2.0 * F0.T @ G_th0
+    return (U, V, S, Z, Y), (DtL, D0tL, DstL, D0stG, L_th, G_th0)
+
+
 def gain_blocks(Lam, Gam, gam, dyn, cost):
     """Raw (U, V, S, Z, Y) without eigenvalue diagnostics.
 
@@ -197,15 +239,7 @@ def gain_blocks(Lam, Gam, gam, dyn, cost):
     Lam = np.atleast_2d(np.asarray(Lam, dtype=np.float64))
     Gam = np.atleast_2d(np.asarray(Gam, dtype=np.float64))
     gam = np.asarray(gam, dtype=np.float64).reshape(-1)
-    F, F0, C = dyn.F, dyn.F0, dyn.C
-    U = F.T @ Lam @ F + F0.T @ Lam @ F0 + cost.R2
-    V = F.T @ Lam @ F + F0.T @ Gam @ F0 + cost.R2
-    U = (U + U.T) / 2.0
-    V = (V + V.T) / 2.0
-    S = dyn.D.T @ Lam @ F + dyn.D0.T @ Lam @ F0 + Lam @ C + cost.M2
-    Z = (dyn.D + dyn.Dbar).T @ Lam @ F + (dyn.D0 + dyn.D0bar).T @ Gam @ F0 + Gam @ C + cost.M2
-    Y = C.T @ gam + 2.0 * F.T @ (Lam @ dyn.theta) + 2.0 * F0.T @ (Gam @ dyn.theta0)
-    return U, V, S, Z, Y
+    return gain_terms(Lam, Gam, gam, dyn, cost)[0]
 
 
 def gains(t, Lam, Gam, gam, dyn, cost):
@@ -305,7 +339,7 @@ def check_standing_condition(cost, delta):
         "P2": min_eig(cost.P2),
         "P2_plus_P2bar": min_eig(cost.P2 + cost.P2bar),
         "Q2": min_eig(cost.Q2),
-        "Q2_plus_Q2bar": min_eig(cost.Q2 + cost.Q2bar),
+        "Q2_plus_Q2bar": min_eig(cost.Q2s),
         "R2": min_eig(cost.R2),
     }
     checks = {k: bool(v >= 0.0) for k, v in eigs.items() if k != "R2"}

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import riccati as _riccati
-from .errors import NonPositiveGain
-from .lqmodel import PD_THRESHOLD, affine_feedback, gains, lifted_terminal_cost
+from .lqmodel import affine_feedback, gains, lifted_terminal_cost, require_pd
 from .measure import EmpiricalMeasure, mean, variance_form
 
 
@@ -65,7 +64,11 @@ class QuadraticFunctional:
 
 @dataclass(frozen=True)
 class QuadraticValue:
-    """The value function defined by a backward-system solution."""
+    """The value function defined by a backward-system solution.
+
+    sol must be solve_riccati's solution for (dyn, cost): gain grids on its
+    nodes are read from the node gains it carries.
+    """
 
     sol: _riccati.RiccatiSolution
     dyn: object
@@ -136,25 +139,27 @@ def optimal_feedback(qv: QuadraticValue, t) -> FeedbackGains:
 
     Linear systems are solved through Cholesky factors of U and V; a factor
     failure (or an eigenvalue at or below the threshold) raises
-    NonPositiveGain.
+    NonPositiveGain.  At a solver node this equals the node's gains in the
+    solution (RiccatiSolution.K1, K2, k) bit for bit.
     """
     Lam, Gam, gam, _ = qv.sol.eval(t)
     g = gains(t, Lam, Gam, gam, qv.dyn, qv.cost)
-    if not g.pd_ok:
-        which = "U" if g.min_eig_u <= PD_THRESHOLD else "V"
-        raise NonPositiveGain(t, min(g.min_eig_u, g.min_eig_v), which)
-    K1 = -_riccati._solve_pd(g.U, g.S.T, t, "U")
-    K2 = -_riccati._solve_pd(g.V, g.Z.T, t, "V")
-    k = -0.5 * _riccati._solve_pd(g.V, g.Y, t, "V")
+    require_pd(t, g.min_eig_u, g.min_eig_v)
+    U_factor = _riccati._factor_pd(g.U, t, "U")
+    V_factor = _riccati._factor_pd(g.V, t, "V")
+    K1 = -_riccati._solve_factored(U_factor, g.S.T)
+    K2 = -_riccati._solve_factored(V_factor, g.Z.T)
+    k = -0.5 * _riccati._solve_factored(V_factor, g.Y)
     return FeedbackGains(t=float(t), K1=K1, K2=K2, k=k)
 
 
 class FeedbackPolicy:
     """Time-indexed optimal feedback a(t, x, mu) = K1(t)(x - mubar) + K2(t) mubar + k(t).
 
-    Affine in (x, mubar) with Lipschitz constant ||K1(t)|| in x.  Gains on a
-    uniform time grid are cached so repeated simulations do not re-solve
-    the same linear systems.
+    Affine in (x, mubar) with Lipschitz constant ||K1(t)|| in x.  Gain grids
+    whose times are all solver nodes are read from the solution's node
+    gains; other grids are built from optimal_feedback and cached, so
+    repeated simulations do not re-solve the same linear systems.
     """
 
     def __init__(self, qv: QuadraticValue):
@@ -169,8 +174,16 @@ class FeedbackPolicy:
 
         Node times are always computed from the base origin t0 and an
         integer step index, so a continuation started mid-grid sees
-        bit-identical gains to the original run.
+        bit-identical gains to the original run.  When every such time
+        equals a solver node exactly, the gains are that node's (equal bit
+        for bit to optimal_feedback there); otherwise each is computed.
         """
+        sol = self.qv.sol
+        times = t0 + np.arange(offset, offset + n_steps) * dt
+        if sol.K1 is not None:
+            nodes = np.minimum(np.searchsorted(sol.grid, times), sol.n_nodes - 1)
+            if np.array_equal(sol.grid[nodes], times):
+                return sol.K1[nodes], sol.K2[nodes], sol.k[nodes]
         key = (float(t0), float(dt), int(n_steps), int(offset))
         if key not in self._grid_cache:
             d, m = self.qv.dyn.d, self.qv.dyn.m
@@ -212,18 +225,23 @@ def feedback_affine_map(fb: FeedbackGains, mubar):
 def save_policy_csv(qv: QuadraticValue, path):
     """Feedback gains on the solver grid: t, K1 entries, K2 entries, k."""
     d, m = qv.dyn.d, qv.dyn.m
+    sol = qv.sol
+    if sol.K1 is not None:
+        K1, K2, kk = sol.K1, sol.K2, sol.k
+    else:
+        fbs = [optimal_feedback(qv, float(t)) for t in sol.grid]
+        K1, K2, kk = (np.stack([getattr(fb, a) for fb in fbs]) for a in ("K1", "K2", "k"))
     cols = ["t"]
     cols += [f"K1_{i}{j}" for i in range(m) for j in range(d)]
     cols += [f"K2_{i}{j}" for i in range(m) for j in range(d)]
     cols += [f"k_{i}" for i in range(m)]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for t in qv.sol.grid:
-            fb = optimal_feedback(qv, float(t))
+        for j, t in enumerate(sol.grid):
             row = [float(t)]
-            row += list(fb.K1.reshape(-1))
-            row += list(fb.K2.reshape(-1))
-            row += list(fb.k.reshape(-1))
+            row += list(K1[j].reshape(-1))
+            row += list(K2[j].reshape(-1))
+            row += list(kk[j].reshape(-1))
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 

@@ -7,6 +7,19 @@ Riccati equations coupled one-way, a linear vector equation, and a scalar
 quadrature.  This module integrates that system with fixed-step classical
 RK4 (order 4, bit-reproducible) and provides the closed-form solution of
 the scalar interbank-lending example for cross-checking.
+
+One backward sweep yields the solution and its feedback gains.  The first
+RK4 stage of each step evaluates the right-hand side at the node itself,
+and that evaluation already factors U and V and solves for U^-1 S',
+V^-1 Z' and V^-1 Y.  The sweep keeps them as the node's gains
+K1 = -U^-1 S', K2 = -V^-1 Z', k = -V^-1 Y / 2, and the minimum eigenvalues
+of U and V as the node's pd_history; node 0 costs the one extra
+evaluation.  These are bitwise the gains optimal_feedback computes at the
+node.  Scalar models (d = m = 1) are swept on Python floats, operation for
+operation as ode_rhs does on 1x1 arrays, so both give the same bits; every
+other shape runs ode_rhs's array arithmetic, with the model's constant
+sums (B + Bbar, D + Dbar, D0 + D0bar, Q2 + Q2bar) computed once on the
+model and U and V factored once per evaluation by LAPACK's dpotrf.
 """
 
 from __future__ import annotations
@@ -16,38 +29,79 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DomainError, NonPositiveGain, NumericalBlowup
 from .lqmodel import (
     BLOWUP_LIMIT,
     GRID_TOL,
-    PD_THRESHOLD,
     LqCost,
     LqDynamics,
     check_standing_condition,
-    gain_blocks,
-    gains,
+    gain_terms,
+    require_pd,
 )
 
 
-def _solve_pd(M, rhs, t, which):
-    """Solve M x = rhs with M symmetric positive definite (Cholesky).
+def _factor_pd(M, t, which):
+    """Cholesky factor of the symmetric positive definite M, for _solve_factored.
 
     Cholesky failure is the runtime signal that a gain matrix lost
-    positive definiteness.  1x1 systems short-circuit to a positivity
-    check plus division, which is the scalar Cholesky.
+    positive definiteness.  A 1x1 M is its own factor after a positivity
+    check, since the scalar Cholesky solve is a division.  A non-finite M
+    is a numerical blowup at t and is never factored.
     """
     if M.shape == (1, 1):
         if not M[0, 0] > 0.0:
             raise NonPositiveGain(t, float(M[0, 0]), which)
-        return rhs / M[0, 0]
-    try:
-        factor = cho_factor((M + M.T) / 2.0, lower=True)
-    except np.linalg.LinAlgError:
-        min_eig = float(np.min(np.linalg.eigvalsh(M)))
-        raise NonPositiveGain(t, min_eig, which) from None
-    return cho_solve(factor, rhs)
+        return M[0, 0]
+    if not np.isfinite(M).all():
+        raise NumericalBlowup(f"t={t:.6g}", f"gain matrix {which} is not finite")
+    factor, info = dpotrf(M, lower=1, clean=0)
+    if info > 0:
+        raise NonPositiveGain(t, float(np.min(np.linalg.eigvalsh(M))), which)
+    return factor
+
+
+def _solve_factored(factor, rhs):
+    """Solve M x = rhs given M's factor from _factor_pd."""
+    if np.ndim(factor) == 0:
+        return rhs / factor
+    return dpotrs(factor, rhs, lower=1)[0]
+
+
+def _rhs(Lam, Gam, gam, dyn, cost, t, at_node=False):
+    """ode_rhs, plus what the sweep keeps at a node.
+
+    Returns the derivatives (dLam, dGam, dgam, dchi), the minimum
+    eigenvalues (of U, of V) when at_node (else None), and the solves
+    (U^-1 S', V^-1 Z', V^-1 Y).  At a node the eigenvalues are tested
+    against the positivity threshold before U or V is factored.
+    """
+    Lam = (Lam + Lam.T) / 2.0
+    Gam = (Gam + Gam.T) / 2.0
+    (U, V, S, Z, Y), (DtL, D0tL, DstL, D0stG, L_th, G_th0) = gain_terms(Lam, Gam, gam, dyn, cost)
+    eigs = None
+    if at_node:
+        eigs = (float(np.min(np.linalg.eigvalsh(U))), float(np.min(np.linalg.eigvalsh(V))))
+        require_pd(t, *eigs)
+    U_factor = _factor_pd(U, t, "U")
+    V_factor = _factor_pd(V, t, "V")
+    U_inv_St = _solve_factored(U_factor, S.T)
+    V_inv_Zt = _solve_factored(V_factor, Z.T)
+    V_inv_Y = _solve_factored(V_factor, Y)
+
+    B, D, D0 = dyn.B, dyn.D, dyn.D0
+    Bs, Ds, D0s = dyn.Bs, dyn.Ds, dyn.D0s
+    th, th0, b0 = dyn.theta, dyn.theta0, dyn.b0
+
+    dLam = -(cost.Q2 + DtL @ D + D0tL @ D0 + Lam @ B + B.T @ Lam - S @ U_inv_St)
+    dGam = -(cost.Q2s + DstL @ Ds + D0stG @ D0s + Gam @ Bs + Bs.T @ Gam - Z @ V_inv_Zt)
+    dgam = -(Bs.T @ gam - Z @ V_inv_Y + 2.0 * Ds.T @ L_th
+             + 2.0 * D0s.T @ G_th0 + 2.0 * Gam @ b0)
+    dchi = -(-0.25 * float(Y @ V_inv_Y) + float(gam @ b0)
+             + float(th @ Lam @ th) + float(th0 @ Gam @ th0))
+    return (dLam, dGam, dgam, dchi), eigs, (U_inv_St, V_inv_Zt, V_inv_Y)
 
 
 def ode_rhs(Lam, Gam, gam, dyn, cost, t=float("nan")):
@@ -56,28 +110,54 @@ def ode_rhs(Lam, Gam, gam, dyn, cost, t=float("nan")):
     The system is autonomous; t only labels error reports.  Lam and Gam
     inputs are symmetrized so every RK4 stage stays on the symmetric cone.
     """
-    Lam = (Lam + Lam.T) / 2.0
-    Gam = (Gam + Gam.T) / 2.0
-    U, V, S, Z, Y = gain_blocks(Lam, Gam, gam, dyn, cost)
-    U_inv_St = _solve_pd(U, S.T, t, "U")
-    V_inv_Zt = _solve_pd(V, Z.T, t, "V")
-    V_inv_Y = _solve_pd(V, Y, t, "V")
+    return _rhs(Lam, Gam, gam, dyn, cost, t)[0]
 
-    B, Bbar = dyn.B, dyn.Bbar
-    D, Dbar, D0, D0bar = dyn.D, dyn.Dbar, dyn.D0, dyn.D0bar
-    th, th0, b0 = dyn.theta, dyn.theta0, dyn.b0
 
-    dLam = -(cost.Q2 + D.T @ Lam @ D + D0.T @ Lam @ D0 + Lam @ B + B.T @ Lam - S @ U_inv_St)
-    Bs = B + Bbar
-    Ds = D + Dbar
-    D0s = D0 + D0bar
-    dGam = -(cost.Q2 + cost.Q2bar + Ds.T @ Lam @ Ds + D0s.T @ Gam @ D0s
-             + Gam @ Bs + Bs.T @ Gam - Z @ V_inv_Zt)
-    dgam = -(Bs.T @ gam - Z @ V_inv_Y + 2.0 * Ds.T @ (Lam @ th)
-             + 2.0 * D0s.T @ (Gam @ th0) + 2.0 * Gam @ b0)
-    dchi = -(-0.25 * float(Y @ V_inv_Y) + float(gam @ b0)
-             + float(th @ Lam @ th) + float(th0 @ Gam @ th0))
-    return dLam, dGam, dgam, dchi
+def _scalar_rhs(dyn, cost):
+    """_rhs of a d = m = 1 model on Python floats, operation for operation.
+
+    Each 1x1 matrix product of _rhs is written `a * b + 0.0`, because numpy
+    accumulates the single product onto +0.0: a -0.0 product becomes +0.0,
+    and every other value is unchanged.  The minimum eigenvalue of a 1x1
+    matrix is its entry.
+    """
+    b0, th, th0 = (float(v[0]) for v in (dyn.b0, dyn.theta, dyn.theta0))
+    B, C, D, F, D0, F0, Bs, Ds, D0s = (float(a[0, 0]) for a in (
+        dyn.B, dyn.C, dyn.D, dyn.F, dyn.D0, dyn.F0, dyn.Bs, dyn.Ds, dyn.D0s))
+    Q2, Q2s, R2, M2 = (float(a[0, 0]) for a in (cost.Q2, cost.Q2s, cost.R2, cost.M2))
+    F2, F02, Ds2, D0s2 = 2.0 * F, 2.0 * F0, 2.0 * Ds, 2.0 * D0s
+
+    def rhs(Lam, Gam, gam, t, at_node=False):
+        L = (Lam + Lam) / 2.0
+        G = (Gam + Gam) / 2.0
+        # gain_blocks
+        FLF = (F * L + 0.0) * F + 0.0
+        U = FLF + ((F0 * L + 0.0) * F0 + 0.0) + R2
+        V = FLF + ((F0 * G + 0.0) * F0 + 0.0) + R2
+        U = (U + U) / 2.0
+        V = (V + V) / 2.0
+        S = ((D * L + 0.0) * F + 0.0) + ((D0 * L + 0.0) * F0 + 0.0) + (L * C + 0.0) + M2
+        Z = ((Ds * L + 0.0) * F + 0.0) + ((D0s * G + 0.0) * F0 + 0.0) + (G * C + 0.0) + M2
+        Y = (C * gam + 0.0) + (F2 * (L * th + 0.0) + 0.0) + (F02 * (G * th0 + 0.0) + 0.0)
+        if at_node:
+            require_pd(t, U, V)
+        if not U > 0.0:
+            raise NonPositiveGain(t, U, "U")
+        if not V > 0.0:
+            raise NonPositiveGain(t, V, "V")
+        U_inv_St, V_inv_Zt, V_inv_Y = S / U, Z / V, Y / V
+
+        dLam = -(Q2 + ((D * L + 0.0) * D + 0.0) + ((D0 * L + 0.0) * D0 + 0.0)
+                 + (L * B + 0.0) + (B * L + 0.0) - (S * U_inv_St + 0.0))
+        dGam = -(Q2s + ((Ds * L + 0.0) * Ds + 0.0) + ((D0s * G + 0.0) * D0s + 0.0)
+                 + (G * Bs + 0.0) + (Bs * G + 0.0) - (Z * V_inv_Zt + 0.0))
+        dgam = -((Bs * gam + 0.0) - (Z * V_inv_Y + 0.0) + (Ds2 * (L * th + 0.0) + 0.0)
+                 + (D0s2 * (G * th0 + 0.0) + 0.0) + (2.0 * G * b0 + 0.0))
+        dchi = -(-0.25 * (Y * V_inv_Y + 0.0) + (gam * b0 + 0.0)
+                 + ((th * L + 0.0) * th + 0.0) + ((th0 * G + 0.0) * th0 + 0.0))
+        return (dLam, dGam, dgam, dchi), ((U, V) if at_node else None), (U_inv_St, V_inv_Zt, V_inv_Y)
+
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -87,6 +167,9 @@ class RiccatiSolution:
     Terminal node holds (P2, P2+P2bar, 0, 0) exactly.  pd_history records
     the minimum eigenvalues of the control weights U, V at every node; an
     accepted solution has all of them above the positivity threshold.
+    K1 (n, m, d), K2 (n, m, d) and k (n, m) are the optimal feedback gains
+    at every node, as solve_riccati's sweep found them; a solution built
+    without them leaves them None.
     """
 
     grid: np.ndarray
@@ -97,6 +180,9 @@ class RiccatiSolution:
     pd_history: np.ndarray
     h: float
     T: float
+    K1: np.ndarray = None
+    K2: np.ndarray = None
+    k: np.ndarray = None
 
     @property
     def d(self):
@@ -129,18 +215,77 @@ class RiccatiSolution:
 
 def _check_finite(t, arrays):
     for a in arrays:
-        a = np.asarray(a)
-        if not np.all(np.isfinite(a)) or np.max(np.abs(a)) > BLOWUP_LIMIT:
+        # the maximum is NaN when any entry is
+        if not np.abs(a).max() <= BLOWUP_LIMIT:
             raise NumericalBlowup(f"t={t:.6g}", "Riccati state exceeded 1e12 or is NaN")
+
+
+def _check_finite_floats(t, values):
+    if not all(abs(v) <= BLOWUP_LIMIT for v in values):
+        raise NumericalBlowup(f"t={t:.6g}", "Riccati state exceeded 1e12 or is NaN")
+
+
+def _array_kit(dyn, cost):
+    """The sweep on arrays: right-hand side, symmetrization, blowup check, terminal state."""
+    def rhs(Lam, Gam, gam, t, at_node=False):
+        return _rhs(Lam, Gam, gam, dyn, cost, t, at_node)
+
+    terminal = (cost.P2, cost.P2 + cost.P2bar, np.zeros(dyn.d), 0.0)
+    return rhs, lambda a: (a + a.T) / 2.0, _check_finite, terminal
+
+
+def _scalar_kit(dyn, cost):
+    """The sweep of a d = m = 1 model on Python floats; see _array_kit."""
+    terminal = (float(cost.P2[0, 0]), float(cost.P2[0, 0] + cost.P2bar[0, 0]), 0.0, 0.0)
+    return _scalar_rhs(dyn, cost), lambda x: (x + x) / 2.0, _check_finite_floats, terminal
+
+
+def _sweep(kit, d, m, T, K, h):
+    """Integrate from T to 0 in K classical RK4 steps of h; see solve_riccati."""
+    rhs, sym, check_finite, (L0, G0, g0, c0) = kit
+    grid = np.linspace(0.0, T, K + 1)
+    Lam = np.empty((K + 1, d, d))
+    Gam = np.empty((K + 1, d, d))
+    gam = np.empty((K + 1, d))
+    chi = np.empty(K + 1)
+    pd_hist = np.empty((K + 1, 2))
+    K1 = np.empty((K + 1, m, d))
+    K2 = np.empty((K + 1, m, d))
+    kk = np.empty((K + 1, m))
+    Lam[K], Gam[K], gam[K], chi[K] = L0, G0, g0, c0
+
+    for k in range(K, -1, -1):
+        t = grid[k]
+        k1, pd_hist[k], (U_inv_St, V_inv_Zt, V_inv_Y) = rhs(L0, G0, g0, t, at_node=True)
+        K1[k], K2[k], kk[k] = -U_inv_St, -V_inv_Zt, -0.5 * V_inv_Y
+        if k == 0:
+            break
+        k2 = rhs(L0 - 0.5 * h * k1[0], G0 - 0.5 * h * k1[1], g0 - 0.5 * h * k1[2], t - 0.5 * h)[0]
+        k3 = rhs(L0 - 0.5 * h * k2[0], G0 - 0.5 * h * k2[1], g0 - 0.5 * h * k2[2], t - 0.5 * h)[0]
+        k4 = rhs(L0 - h * k3[0], G0 - h * k3[1], g0 - h * k3[2], t - h)[0]
+        L1 = L0 - (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        G1 = G0 - (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        g1 = g0 - (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        c1 = c0 - (h / 6.0) * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+        L0, G0, g0, c0 = sym(L1), sym(G1), g1, c1
+        check_finite(grid[k - 1], (L0, G0, g0, c0))
+        Lam[k - 1], Gam[k - 1], gam[k - 1], chi[k - 1] = L0, G0, g0, c0
+
+    for arr in (grid, Lam, Gam, gam, chi, pd_hist, K1, K2, kk):
+        arr.setflags(write=False)
+    return RiccatiSolution(grid=grid, Lam=Lam, Gam=Gam, gam=gam, chi=chi, pd_history=pd_hist,
+                           h=T / K, T=T, K1=K1, K2=K2, k=kk)
 
 
 def solve_riccati(dyn: LqDynamics, cost: LqCost, T, h):
     """Integrate the backward system from T to 0 with classical RK4.
 
     h must divide T into at least two steps.  Lam and Gam are symmetrized
-    after every stage; at each accepted node the gain matrices are
-    recomputed and their minimum eigenvalues recorded, failing fast with
-    NonPositiveGain below the positive-definiteness threshold.
+    after every stage.  At each accepted node the minimum eigenvalues of
+    the gain matrices U, V are recorded, failing fast with NonPositiveGain
+    at or below the positive-definiteness threshold, and the node's
+    feedback gains are kept from the same evaluation (see the module
+    docstring).  Scalar models run on Python floats, others on arrays.
     """
     T = float(T)
     h = float(h)
@@ -159,51 +304,8 @@ def solve_riccati(dyn: LqDynamics, cost: LqCost, T, h):
             stacklevel=2,
         )
 
-    d = dyn.d
-    grid = np.linspace(0.0, T, K + 1)
-    Lam = np.empty((K + 1, d, d))
-    Gam = np.empty((K + 1, d, d))
-    gam = np.empty((K + 1, d))
-    chi = np.empty(K + 1)
-    pd_hist = np.empty((K + 1, 2))
-
-    Lam[K] = cost.P2
-    Gam[K] = cost.P2 + cost.P2bar
-    gam[K] = 0.0
-    chi[K] = 0.0
-
-    def record(k):
-        g = gains(grid[k], Lam[k], Gam[k], gam[k], dyn, cost)
-        pd_hist[k, 0] = g.min_eig_u
-        pd_hist[k, 1] = g.min_eig_v
-        if not g.pd_ok:
-            which = "U" if g.min_eig_u <= PD_THRESHOLD else "V"
-            raise NonPositiveGain(grid[k], min(g.min_eig_u, g.min_eig_v), which)
-
-    record(K)
-    y = (Lam[K].copy(), Gam[K].copy(), gam[K].copy(), float(chi[K]))
-    for k in range(K, 0, -1):
-        t = grid[k]
-        L0, G0, g0, c0 = y
-        k1 = ode_rhs(L0, G0, g0, dyn, cost, t)
-        k2 = ode_rhs(L0 - 0.5 * h * k1[0], G0 - 0.5 * h * k1[1], g0 - 0.5 * h * k1[2], dyn, cost, t - 0.5 * h)
-        k3 = ode_rhs(L0 - 0.5 * h * k2[0], G0 - 0.5 * h * k2[1], g0 - 0.5 * h * k2[2], dyn, cost, t - 0.5 * h)
-        k4 = ode_rhs(L0 - h * k3[0], G0 - h * k3[1], g0 - h * k3[2], dyn, cost, t - h)
-        L1 = L0 - (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        G1 = G0 - (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        g1 = g0 - (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        c1 = c0 - (h / 6.0) * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        L1 = (L1 + L1.T) / 2.0
-        G1 = (G1 + G1.T) / 2.0
-        _check_finite(grid[k - 1], (L1, G1, g1, np.asarray(c1)))
-        Lam[k - 1], Gam[k - 1], gam[k - 1], chi[k - 1] = L1, G1, g1, c1
-        record(k - 1)
-        y = (L1, G1, g1, c1)
-
-    for arr in (grid, Lam, Gam, gam, chi, pd_hist):
-        arr.setflags(write=False)
-    return RiccatiSolution(grid=grid, Lam=Lam, Gam=Gam, gam=gam, chi=chi,
-                           pd_history=pd_hist, h=T / K, T=T)
+    kit = _scalar_kit(dyn, cost) if dyn.d == 1 and dyn.m == 1 else _array_kit(dyn, cost)
+    return _sweep(kit, dyn.d, dyn.m, T, K, h)
 
 
 def save_riccati_csv(sol: RiccatiSolution, path):

@@ -225,6 +225,22 @@ class TestNumericalFailure:
                        "--dt", "0.01", "--init", "point:10.0",
                        "--control", "zero") == 3
 
+    def test_riccati_stage_overflow_exits_three(self, tmp_path, capsys):
+        from cmvlq.lqmodel import LqCost, LqDynamics
+
+        # d = m = 2, B = 1e150 I: an RK4 stage of the first step overflows to inf
+        I, Z, z = np.eye(2), np.zeros((2, 2)), np.zeros(2)
+        dyn = LqDynamics(b0=z, B=1e150 * I, Bbar=Z, C=I, theta=z, D=Z, Dbar=Z,
+                         F=0.1 * I, theta0=z, D0=Z, D0bar=Z, F0=Z)
+        cost = LqCost(Q2=I, Q2bar=Z, R2=I, P2=I, P2bar=Z)
+        path = tmp_path / "overflow.txt"
+        save_model(path, dyn, cost, 1.0)
+        assert run_cli("solve", "--model", str(path), "--out", str(tmp_path),
+                       "--riccati-step", "0.01") == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: numerical blowup at t=0.99: "
+                       "gain matrix U is not finite\n")
+
     @pytest.mark.parametrize("command", [["cost"], ["simulate"], ["verify", "dpp"]])
     def test_particle_blowup_names_where(self, tmp_path, capsys, command):
         from cmvlq.lqmodel import LqCost, LqDynamics

@@ -156,6 +156,48 @@ class TestOptimalFeedback:
         assert len(lines) == sol.n_nodes + 1
 
 
+class TestGridGains:
+    @staticmethod
+    def per_node(qv, t0, dt, n_steps, offset=0):
+        fbs = [optimal_feedback(qv, t0 + (offset + j) * dt) for j in range(n_steps)]
+        return tuple(np.stack([getattr(fb, a) for fb in fbs]) for a in ("K1", "K2", "k"))
+
+    @pytest.mark.parametrize("case", ["interbank", "d2"])
+    def test_node_grids_are_sliced(self, case, interbank, random_qv):
+        # dt = h, dt = 2h and a restart offset read the node gains: equal to
+        # the per-node route bit for bit, with nothing cached
+        qv = interbank[4] if case == "interbank" else random_qv
+        h, n = qv.sol.h, qv.sol.n_nodes - 1
+        pol = FeedbackPolicy(qv)
+        for dt, n_steps, offset in ((h, n, 0), (2 * h, n // 2, 0), (h, n - 137, 137),
+                                    (2 * h, n // 2 - 40, 40)):
+            got = pol.grid_gains(0.0, dt, n_steps, offset)
+            want = self.per_node(qv, 0.0, dt, n_steps, offset)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert pol._grid_cache == {}
+
+    def test_off_grid_dt_is_computed_and_cached(self, random_qv):
+        dt = 0.75 * random_qv.sol.h
+        pol = FeedbackPolicy(random_qv)
+        got = pol.grid_gains(0.0, dt, 40, 3)
+        want = self.per_node(random_qv, 0.0, dt, 40, 3)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert len(pol._grid_cache) == 1
+        assert pol.grid_gains(0.0, dt, 40, 3) is got
+
+    def test_policy_csv_is_node_gains(self, interbank, tmp_path):
+        _, _, _, sol, qv = interbank
+        path = tmp_path / "policy.csv"
+        policy.save_policy_csv(qv, path)
+        rows = path.read_text().strip().split("\n")[1:]
+        for k in (0, 1, 500, sol.n_nodes - 1):
+            fb = optimal_feedback(qv, float(sol.grid[k]))
+            expect = [float(sol.grid[k]), fb.K1[0, 0], fb.K2[0, 0], fb.k[0]]
+            assert rows[k] == ",".join(repr(float(v)) for v in expect)
+
+
 class TestRecoverOriginal:
     def test_centered_state(self, interbank):
         p, _, _, sol, qv = interbank

@@ -215,8 +215,144 @@ class TestSolve:
                          Dbar=0.0, F=0.0, theta0=0.0, D0=0.0, D0bar=0.0, F0=0.0)
         bad = LqCost(Q2=0.0, Q2bar=0.0, R2=0.5, P2=-5.0, P2bar=0.0)
         with pytest.warns(RuntimeWarning):
-            with pytest.raises(NumericalBlowup):
+            with pytest.raises(NumericalBlowup) as exc:
                 solve_riccati(dyn, bad, 1.0, 1e-3)
+        assert exc.value.where == "t=0.899"
+
+    def test_blowup_d2(self):
+        # the same escape on the diagonal of a d = m = 2 model, through the array sweep
+        I, Z, z = np.eye(2), np.zeros((2, 2)), np.zeros(2)
+        dyn = LqDynamics(b0=z, B=Z, Bbar=Z, C=I, theta=z, D=Z, Dbar=Z, F=Z,
+                         theta0=z, D0=Z, D0bar=Z, F0=Z)
+        bad = LqCost(Q2=Z, Q2bar=Z, R2=0.5 * I, P2=-5.0 * I, P2bar=Z)
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(NumericalBlowup) as exc:
+                solve_riccati(dyn, bad, 1.0, 1e-3)
+        assert exc.value.where == "t=0.899"
+
+    def test_stage_overflow_is_blowup(self):
+        # B = 1e150 I overflows an RK4 stage to inf within the first step; the
+        # non-finite gain matrix is reported, never factored
+        I, Z, z = np.eye(2), np.zeros((2, 2)), np.zeros(2)
+        dyn = LqDynamics(b0=z, B=1e150 * I, Bbar=Z, C=I, theta=z, D=Z, Dbar=Z,
+                         F=0.1 * I, theta0=z, D0=Z, D0bar=Z, F0=Z)
+        cost = LqCost(Q2=I, Q2bar=Z, R2=I, P2=I, P2bar=Z)
+        with pytest.raises(NumericalBlowup) as exc:
+            solve_riccati(dyn, cost, 1.0, 0.01)
+        assert exc.value.where == "t=0.99"
+        assert "gain matrix U is not finite" in str(exc.value)
+
+
+def falling_gain_model(d, which, r, p2bar=0.0):
+    """A model whose U (which="U") or V (which="V") falls by 1 per unit time back from T.
+
+    Only entry (0, 0) moves: Lam_00 (through Q2 = -1) or Gam_00 (through
+    Q2bar = -1) falls linearly, and U_00 = Lam_00 + r or V_00 = Gam_00 + r;
+    every other direction keeps weight 1.
+    """
+    e = np.zeros((d, d))
+    e[0, 0] = 1.0
+    rest = np.eye(d) - e
+    Z, z = np.zeros((d, d)), np.zeros(d)
+    F, F0, Q2bar = (e, Z, Z) if which == "U" else (Z, e, -e)
+    Q2 = -e + 0.5 * rest if which == "U" else 0.5 * rest
+    dyn = LqDynamics(b0=z, B=Z, Bbar=Z, C=Z, theta=z, D=Z, Dbar=Z, F=F,
+                     theta0=z, D0=Z, D0bar=Z, F0=F0)
+    return dyn, LqCost(Q2=Q2, Q2bar=Q2bar, R2=r * e + rest, P2=Z, P2bar=p2bar * e)
+
+
+class TestFailureSemantics:
+    """NonPositiveGain names the node or stage, eigenvalue and matrix that fail first.
+
+    The expected triples are those of the solver that checked every node
+    with gains() before its first RK4 stage; h = 1/8, so the nodes are
+    exact binary fractions.
+    """
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("which, r, p2bar, expect", [
+        ("U", -0.1, 0.0, (1.0, -0.1, "U")),                            # U <= 0 at T
+        ("U", 0.4275, 0.0, (0.5625, -0.010000000000000009, "U")),      # at a half-step stage
+        ("U", 0.5, 0.0, (0.5, 0.0, "U")),                              # U = 0 exactly
+        ("V", 0.5, -0.6, (1.0, -0.09999999999999998, "V")),            # V <= 0 < U at T
+        ("V", 0.4275, 0.0, (0.5625, -0.010000000000000009, "V")),      # at a half-step stage
+        ("U", 0.5 + 3e-11, 0.0, (0.5, 3.000000248221113e-11, "U")),    # 0 < eig <= 1e-10
+        ("V", 0.5 + 3e-11, 0.0, (0.5, 3.000000248221113e-11, "V")),
+    ])
+    def test_first_failure(self, d, which, r, p2bar, expect):
+        dyn, cost = falling_gain_model(d, which, r, p2bar)
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(NonPositiveGain) as exc:
+                solve_riccati(dyn, cost, 1.0, 0.125)
+        assert (float(exc.value.t), exc.value.min_eig, exc.value.which) == expect
+
+
+def random_scalar_model(seed):
+    """A random d = m = 1 model: F, F0, M2 and b0 nonzero, three other coefficients exactly 0."""
+    rng = np.random.default_rng([seed, 11])
+    dyn_keys = ["b0", "B", "Bbar", "C", "theta", "D", "Dbar", "F", "theta0", "D0", "D0bar", "F0"]
+    vals = {k: float(rng.normal(0.0, 0.5)) for k in dyn_keys + ["M2"]}
+    for k in rng.choice(["Bbar", "C", "theta", "D", "Dbar", "theta0", "D0", "D0bar"], 3, replace=False):
+        vals[k] = 0.0
+    q2, p2 = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
+    cost = LqCost(Q2=q2, Q2bar=float(rng.uniform(-q2, 1)) if seed % 4 else 0.0,
+                  R2=float(rng.uniform(0.3, 1.5)), P2=p2,
+                  P2bar=-p2 if seed % 5 == 0 else float(rng.uniform(-p2, 1)), M2=vals.pop("M2"))
+    return LqDynamics(**vals), cost
+
+
+def sweep_outcome(kit, d, m, T, K, h):
+    """Every array of the sweep's solution as bytes, or the error it raised."""
+    try:
+        sol = riccati._sweep(kit, d, m, T, K, h)
+    except (NonPositiveGain, NumericalBlowup) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "min_eig", None)
+    return {name: getattr(sol, name).tobytes()
+            for name in ("grid", "Lam", "Gam", "gam", "chi", "pd_history", "K1", "K2", "k")}
+
+
+class TestSweep:
+    def test_scalar_floats_equal_arrays(self):
+        # the float sweep against the array sweep forced at d = 1, bit for bit
+        outcomes = []
+        for seed in range(24):
+            dyn, cost = random_scalar_model(seed)
+            scalar = sweep_outcome(riccati._scalar_kit(dyn, cost), 1, 1, 1.0, 100, 0.01)
+            arrays = sweep_outcome(riccati._array_kit(dyn, cost), 1, 1, 1.0, 100, 0.01)
+            assert scalar == arrays, seed
+            outcomes.append(isinstance(scalar, dict))
+        assert sum(outcomes) >= 20
+
+    def test_interbank_floats_equal_arrays(self, interbank):
+        _, dyn, cost, sol, _ = interbank
+        arrays = sweep_outcome(riccati._array_kit(dyn, cost), 1, 1, 1.0, 1000, 1e-3)
+        assert arrays == {name: getattr(sol, name).tobytes()
+                          for name in ("grid", "Lam", "Gam", "gam", "chi", "pd_history",
+                                       "K1", "K2", "k")}
+
+    @pytest.mark.parametrize("case", ["interbank", "d3"])
+    def test_node_gains_equal_optimal_feedback(self, case, interbank):
+        from cmvlq.policy import QuadraticValue, optimal_feedback
+
+        if case == "interbank":
+            qv = interbank[4]
+        else:
+            dyn, cost = random_lq(47, d=3, m=2, with_m2=True)
+            qv = QuadraticValue(solve_riccati(dyn, cost, 1.0, 0.01), dyn, cost)
+        sol = qv.sol
+        fbs = [optimal_feedback(qv, float(t)) for t in sol.grid]
+        assert np.stack([fb.K1 for fb in fbs]).tobytes() == sol.K1.tobytes()
+        assert np.stack([fb.K2 for fb in fbs]).tobytes() == sol.K2.tobytes()
+        assert np.stack([fb.k for fb in fbs]).tobytes() == sol.k.tobytes()
+
+    def test_pd_history_is_gains_eigenvalues(self):
+        from cmvlq.lqmodel import gains
+
+        dyn, cost = random_lq(48, d=3, m=2, with_m2=True)
+        sol = solve_riccati(dyn, cost, 1.0, 0.05)
+        for k in range(sol.n_nodes):
+            g = gains(sol.grid[k], sol.Lam[k], sol.Gam[k], sol.gam[k], dyn, cost)
+            assert (sol.pd_history[k, 0], sol.pd_history[k, 1]) == (g.min_eig_u, g.min_eig_v)
 
 
 class TestEval:
