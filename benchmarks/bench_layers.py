@@ -3,7 +3,10 @@
 Times, on the interbank model at the acceptance parameters (N = 2000
 particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
 
-- riccati_solve_d1: ``solve_riccati`` at h = 1e-3 (d = m = 1);
+- riccati_solve_d1: ``solve_riccati`` at h = 1e-3 (d = m = 1), which
+  sweeps on Python floats, and riccati_sweep_array_d1 the same sweep on
+  1x1 arrays, the route every other shape takes (only where the checkout
+  has both routes);
 - riccati_solve_d3: the same on a seeded d = 3, m = 2 model with a cross
   weight M2, and riccati_solve_grid_d3 that solve plus the gain grid of
   its 1000 steps;
@@ -43,7 +46,7 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from cmvlq import backends, cli, measure, simulator, verify  # noqa: E402
+from cmvlq import backends, cli, measure, riccati, simulator, verify  # noqa: E402
 from cmvlq.lqmodel import LqCost, LqDynamics  # noqa: E402
 from cmvlq.policy import FeedbackPolicy, QuadraticValue  # noqa: E402
 from cmvlq.riccati import SystemicRiskParams, solve_riccati, systemic_risk_model  # noqa: E402
@@ -135,6 +138,10 @@ def main():
 
     row("riccati_solve_d1", best_of(lambda: solve_riccati(dyn, cost, p.T, DT), args.repeats),
         K, "rk4_steps_per_s")
+    if hasattr(riccati, "_array_kit"):
+        row("riccati_sweep_array_d1",
+            best_of(lambda: riccati._sweep(riccati._array_kit(dyn, cost), dyn, cost, p.T, K, DT),
+                    args.repeats), K, "rk4_steps_per_s")
     dyn3, cost3 = lq3_model()
     row("riccati_solve_d3", best_of(lambda: solve_riccati(dyn3, cost3, 1.0, DT), args.repeats),
         K, "rk4_steps_per_s")

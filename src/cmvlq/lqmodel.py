@@ -196,15 +196,20 @@ class GainMatrices:
     pd_ok: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pd_ok", bool(self.min_eig_u > PD_THRESHOLD and self.min_eig_v > PD_THRESHOLD))
+        object.__setattr__(self, "pd_ok", pd_holds(self.min_eig_u, self.min_eig_v))
+
+
+def pd_holds(min_eig_u, min_eig_v):
+    """Whether both minimum eigenvalues exceed PD_THRESHOLD (False on NaN)."""
+    return bool(min_eig_u > PD_THRESHOLD and min_eig_v > PD_THRESHOLD)
 
 
 def require_pd(t, min_eig_u, min_eig_v):
-    """NonPositiveGain at t unless both minimum eigenvalues exceed PD_THRESHOLD.
+    """NonPositiveGain at t unless pd_holds.
 
     The error carries the smaller eigenvalue and names U whenever U fails.
     """
-    if not (min_eig_u > PD_THRESHOLD and min_eig_v > PD_THRESHOLD):
+    if not pd_holds(min_eig_u, min_eig_v):
         which = "U" if min_eig_u <= PD_THRESHOLD else "V"
         raise NonPositiveGain(t, min(min_eig_u, min_eig_v), which)
 

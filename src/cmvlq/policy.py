@@ -66,8 +66,8 @@ class QuadraticFunctional:
 class QuadraticValue:
     """The value function defined by a backward-system solution.
 
-    sol must be solve_riccati's solution for (dyn, cost): gain grids on its
-    nodes are read from the node gains it carries.
+    When sol is solve_riccati's solution for this very (dyn, cost), its
+    node gains are this value's optimal feedback at the solver nodes.
     """
 
     sol: _riccati.RiccatiSolution
@@ -91,6 +91,13 @@ class QuadraticValue:
         """
         Lam, Gam, gam, _ = self.sol.eval(t)
         return QuadraticFunctional(*_riccati.ode_rhs(Lam, Gam, gam, self.dyn, self.cost, t))
+
+    def node_gains(self):
+        """(K1, K2, k) at every solver node, or None unless sol was solved for (dyn, cost)."""
+        sol = self.sol
+        if sol.dyn is self.dyn and sol.cost is self.cost:
+            return sol.K1, sol.K2, sol.k
+        return None
 
 
 def value(qv: QuadraticValue, t, mu):
@@ -157,9 +164,10 @@ class FeedbackPolicy:
     """Time-indexed optimal feedback a(t, x, mu) = K1(t)(x - mubar) + K2(t) mubar + k(t).
 
     Affine in (x, mubar) with Lipschitz constant ||K1(t)|| in x.  Gain grids
-    whose times are all solver nodes are read from the solution's node
-    gains; other grids are built from optimal_feedback and cached, so
-    repeated simulations do not re-solve the same linear systems.
+    whose times are all solver nodes are read from the value's node gains
+    (QuadraticValue.node_gains); other grids are built from
+    optimal_feedback and cached, so repeated simulations do not re-solve
+    the same linear systems.
     """
 
     def __init__(self, qv: QuadraticValue):
@@ -175,15 +183,17 @@ class FeedbackPolicy:
         Node times are always computed from the base origin t0 and an
         integer step index, so a continuation started mid-grid sees
         bit-identical gains to the original run.  When every such time
-        equals a solver node exactly, the gains are that node's (equal bit
-        for bit to optimal_feedback there); otherwise each is computed.
+        equals a solver node exactly and the value has node gains, the
+        gains are those nodes' (equal bit for bit to optimal_feedback
+        there); otherwise each is computed.
         """
-        sol = self.qv.sol
-        times = t0 + np.arange(offset, offset + n_steps) * dt
-        if sol.K1 is not None:
-            nodes = np.minimum(np.searchsorted(sol.grid, times), sol.n_nodes - 1)
-            if np.array_equal(sol.grid[nodes], times):
-                return sol.K1[nodes], sol.K2[nodes], sol.k[nodes]
+        node_gains = self.qv.node_gains()
+        if node_gains is not None:
+            grid = self.qv.sol.grid
+            times = t0 + np.arange(offset, offset + n_steps) * dt
+            nodes = np.minimum(np.searchsorted(grid, times), grid.shape[0] - 1)
+            if np.array_equal(grid[nodes], times):
+                return tuple(a[nodes] for a in node_gains)
         key = (float(t0), float(dt), int(n_steps), int(offset))
         if key not in self._grid_cache:
             d, m = self.qv.dyn.d, self.qv.dyn.m
@@ -223,14 +233,17 @@ def feedback_affine_map(fb: FeedbackGains, mubar):
 
 
 def save_policy_csv(qv: QuadraticValue, path):
-    """Feedback gains on the solver grid: t, K1 entries, K2 entries, k."""
+    """Feedback gains on the solver grid: t, K1 entries, K2 entries, k.
+
+    The gains are the node gains, so qv.sol must be solve_riccati's
+    solution for qv's own model.
+    """
+    node_gains = qv.node_gains()
+    if node_gains is None:
+        raise ValueError("policy.csv needs the solution solve_riccati found for this model")
+    K1, K2, kk = node_gains
     d, m = qv.dyn.d, qv.dyn.m
     sol = qv.sol
-    if sol.K1 is not None:
-        K1, K2, kk = sol.K1, sol.K2, sol.k
-    else:
-        fbs = [optimal_feedback(qv, float(t)) for t in sol.grid]
-        K1, K2, kk = (np.stack([getattr(fb, a) for fb in fbs]) for a in ("K1", "K2", "k"))
     cols = ["t"]
     cols += [f"K1_{i}{j}" for i in range(m) for j in range(d)]
     cols += [f"K2_{i}{j}" for i in range(m) for j in range(d)]

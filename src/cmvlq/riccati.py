@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -168,8 +168,9 @@ class RiccatiSolution:
     the minimum eigenvalues of the control weights U, V at every node; an
     accepted solution has all of them above the positivity threshold.
     K1 (n, m, d), K2 (n, m, d) and k (n, m) are the optimal feedback gains
-    at every node, as solve_riccati's sweep found them; a solution built
-    without them leaves them None.
+    at every node.  dyn and cost name the model whose gains these are:
+    solve_riccati records the model it solved, and a solution built by
+    hand without one leaves them None.
     """
 
     grid: np.ndarray
@@ -180,9 +181,11 @@ class RiccatiSolution:
     pd_history: np.ndarray
     h: float
     T: float
-    K1: np.ndarray = None
-    K2: np.ndarray = None
-    k: np.ndarray = None
+    K1: np.ndarray
+    K2: np.ndarray
+    k: np.ndarray
+    dyn: LqDynamics = field(default=None, repr=False, compare=False)
+    cost: LqCost = field(default=None, repr=False, compare=False)
 
     @property
     def d(self):
@@ -240,9 +243,10 @@ def _scalar_kit(dyn, cost):
     return _scalar_rhs(dyn, cost), lambda x: (x + x) / 2.0, _check_finite_floats, terminal
 
 
-def _sweep(kit, d, m, T, K, h):
+def _sweep(kit, dyn, cost, T, K, h):
     """Integrate from T to 0 in K classical RK4 steps of h; see solve_riccati."""
     rhs, sym, check_finite, (L0, G0, g0, c0) = kit
+    d, m = dyn.d, dyn.m
     grid = np.linspace(0.0, T, K + 1)
     Lam = np.empty((K + 1, d, d))
     Gam = np.empty((K + 1, d, d))
@@ -274,7 +278,7 @@ def _sweep(kit, d, m, T, K, h):
     for arr in (grid, Lam, Gam, gam, chi, pd_hist, K1, K2, kk):
         arr.setflags(write=False)
     return RiccatiSolution(grid=grid, Lam=Lam, Gam=Gam, gam=gam, chi=chi, pd_history=pd_hist,
-                           h=T / K, T=T, K1=K1, K2=K2, k=kk)
+                           h=T / K, T=T, K1=K1, K2=K2, k=kk, dyn=dyn, cost=cost)
 
 
 def solve_riccati(dyn: LqDynamics, cost: LqCost, T, h):
@@ -305,7 +309,7 @@ def solve_riccati(dyn: LqDynamics, cost: LqCost, T, h):
         )
 
     kit = _scalar_kit(dyn, cost) if dyn.d == 1 and dyn.m == 1 else _array_kit(dyn, cost)
-    return _sweep(kit, dyn.d, dyn.m, T, K, h)
+    return _sweep(kit, dyn, cost, T, K, h)
 
 
 def save_riccati_csv(sol: RiccatiSolution, path):

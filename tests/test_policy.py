@@ -187,6 +187,27 @@ class TestGridGains:
         assert len(pol._grid_cache) == 1
         assert pol.grid_gains(0.0, dt, 40, 3) is got
 
+    def test_other_model_is_computed(self, interbank, tmp_path):
+        # a solution paired with a model it was not solved for has no node
+        # gains: node-aligned grids are computed for the paired model
+        _, dyn, cost, sol, _ = interbank
+        other = LqCost(Q2=cost.Q2, Q2bar=cost.Q2bar, R2=1.0, P2=cost.P2, P2bar=cost.P2bar)
+        qv = QuadraticValue(sol, dyn, other)
+        assert qv.node_gains() is None
+        pol = FeedbackPolicy(qv)
+        got = pol.grid_gains(0.0, sol.h, 50, 20)
+        want = self.per_node(qv, 0.0, sol.h, 50, 20)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert got[0].tobytes() != sol.K1[20:70].tobytes()
+        assert len(pol._grid_cache) == 1
+        with pytest.raises(ValueError):
+            policy.save_policy_csv(qv, tmp_path / "policy.csv")
+
+        broken = LqCost(Q2=cost.Q2, Q2bar=cost.Q2bar, R2=0.0, P2=cost.P2, P2bar=cost.P2bar)
+        with pytest.raises(NonPositiveGain):
+            FeedbackPolicy(QuadraticValue(sol, dyn, broken)).grid_gains(0.0, sol.h, 10)
+
     def test_policy_csv_is_node_gains(self, interbank, tmp_path):
         _, _, _, sol, qv = interbank
         path = tmp_path / "policy.csv"

@@ -301,10 +301,10 @@ def random_scalar_model(seed):
     return LqDynamics(**vals), cost
 
 
-def sweep_outcome(kit, d, m, T, K, h):
+def sweep_outcome(kit, dyn, cost, T, K, h):
     """Every array of the sweep's solution as bytes, or the error it raised."""
     try:
-        sol = riccati._sweep(kit, d, m, T, K, h)
+        sol = riccati._sweep(kit, dyn, cost, T, K, h)
     except (NonPositiveGain, NumericalBlowup) as exc:
         return type(exc).__name__, str(exc), getattr(exc, "min_eig", None)
     return {name: getattr(sol, name).tobytes()
@@ -317,15 +317,15 @@ class TestSweep:
         outcomes = []
         for seed in range(24):
             dyn, cost = random_scalar_model(seed)
-            scalar = sweep_outcome(riccati._scalar_kit(dyn, cost), 1, 1, 1.0, 100, 0.01)
-            arrays = sweep_outcome(riccati._array_kit(dyn, cost), 1, 1, 1.0, 100, 0.01)
+            scalar = sweep_outcome(riccati._scalar_kit(dyn, cost), dyn, cost, 1.0, 100, 0.01)
+            arrays = sweep_outcome(riccati._array_kit(dyn, cost), dyn, cost, 1.0, 100, 0.01)
             assert scalar == arrays, seed
             outcomes.append(isinstance(scalar, dict))
         assert sum(outcomes) >= 20
 
     def test_interbank_floats_equal_arrays(self, interbank):
         _, dyn, cost, sol, _ = interbank
-        arrays = sweep_outcome(riccati._array_kit(dyn, cost), 1, 1, 1.0, 1000, 1e-3)
+        arrays = sweep_outcome(riccati._array_kit(dyn, cost), dyn, cost, 1.0, 1000, 1e-3)
         assert arrays == {name: getattr(sol, name).tobytes()
                           for name in ("grid", "Lam", "Gam", "gam", "chi", "pd_history",
                                        "K1", "K2", "k")}

@@ -378,7 +378,8 @@ class TestGradCheck:
         z = np.zeros((2, 1, 1))
         sol = RiccatiSolution(grid=grid, Lam=z, Gam=z.copy(),
                               gam=np.full((2, 1), 0.8), chi=np.zeros(2),
-                              pd_history=np.ones((2, 2)), h=1.0, T=1.0)
+                              pd_history=np.ones((2, 2)), h=1.0, T=1.0,
+                              K1=z.copy(), K2=z.copy(), k=np.zeros((2, 1)))
         dyn, cost = random_lq(206, d=1, m=1)
         qv = QuadraticValue(sol, dyn, cost)
         rng = np.random.default_rng(131)
