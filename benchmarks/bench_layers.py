@@ -14,15 +14,20 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
   fresh policy each time (the first use per policy);
 - noise: ``_gen_noise`` for one path (2M normals, per-step Philox re-key);
 - step_cost: ``estimate_cost`` with every path's noise served from a cache,
-  i.e. the step loop plus the cost reduction and the drivers around them;
+  i.e. the step loop plus the cost reduction and the drivers around them
+  (where the engine draws noise in a forked process, the copies out of
+  the cache run there);
 - tree_sum on (32, 2000) and (1000, 2000) along axis 1, and on (2000,);
 - writer: ``cli._write_trajectories`` for 4 paths at stride 10, including
   the simulation of those paths;
 - estimate_cost: the whole Monte Carlo estimate.
 
-Each row is the minimum wall time of --repeats runs after one warm-up run.
-Outside their own rows, the Riccati solve and the gain grid are built
-before any timing.  Results
+Each row is the minimum wall time (min_s) and the minimum CPU time
+(cpu_s: this process's, plus that of the noise drawing processes it
+forked and reaped) of --repeats runs after one warm-up run; where the
+streamed engine draws its noise in a second process, CPU time exceeds
+wall time by the overlap.  Outside their own rows, the Riccati solve and
+the gain grid are built before any timing.  Results
 go under --label ("before" or "after") in the output file, next to the git
 SHA (marked -dirty for uncommitted changes), the backend actually resolved, the Python and numpy versions and the
 CPU count; other labels already in the file are kept.  The script uses
@@ -36,6 +41,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import tempfile
 import time
@@ -54,14 +60,22 @@ from cmvlq.riccati import SystemicRiskParams, solve_riccati, systemic_risk_model
 N, DT, M, SEED = 2000, 1e-3, 32, 1
 
 
+def cpu_seconds():
+    """CPU seconds of this process and of its reaped child processes."""
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + kids.ru_utime + kids.ru_stime
+
+
 def best_of(fn, repeats):
+    """(minimum wall seconds, minimum CPU seconds) of fn over repeats runs after a warm-up."""
     fn()
-    times = []
+    wall, cpu = [], []
     for _ in range(repeats):
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), cpu_seconds()
         fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
+        wall.append(time.perf_counter() - t0)
+        cpu.append(cpu_seconds() - c0)
+    return min(wall), min(cpu)
 
 
 def git_sha():
@@ -98,12 +112,21 @@ def lq3_model(seed=3, d=3, m=2):
 
 
 def cached_noise(k_max, n):
-    """A _gen_noise stand-in serving one pre-drawn path to every request."""
+    """A _gen_noise stand-in serving one pre-drawn path to every request.
+
+    With `out` it copies the steps into the caller's views, as _gen_noise
+    draws into them; without, it returns views of the pre-drawn path.
+    """
     dw0, db = simulator._gen_noise(SEED, 0, 0, k_max, n, 1, 1, float(np.sqrt(DT)))
 
-    def gen(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, sqrt_dt):
+    def gen(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, sqrt_dt,
+            out=None):
         g = slice(step_offset, step_offset + n_steps)
-        return dw0[g], db[g]
+        if out is None:
+            return dw0[g], db[g]
+        out[0][...] = dw0[g]
+        out[1][...] = db[g]
+        return out
 
     return gen
 
@@ -126,11 +149,12 @@ def main():
     steps = K * N * M
     rows = {}
 
-    def row(name, seconds, work=None, unit=None):
-        rows[name] = {"min_s": seconds}
+    def row(name, timing, work=None, unit=None):
+        seconds, cpu = timing
+        rows[name] = {"min_s": seconds, "cpu_s": cpu}
         if work is not None:
             rows[name][unit] = work / seconds
-        print(f"{name:28s} {seconds * 1e3:10.2f} ms"
+        print(f"{name:28s} {seconds * 1e3:10.2f} ms  cpu {cpu * 1e3:10.2f} ms"
               + (f"   {work / seconds:.3e} {unit}" if work is not None else ""))
 
     def estimate():
@@ -169,15 +193,16 @@ def main():
     for shape, axis in (((32, N), 1), ((K, N), 1), ((N,), 0)):
         a = rng.standard_normal(shape)
         reps = 200
-        sec = best_of(lambda: [measure.tree_sum(a, axis) for _ in range(reps)], args.repeats)
-        row("tree_sum_" + "x".join(map(str, shape)), sec / reps)
+        wall, cpu = best_of(lambda: [measure.tree_sum(a, axis) for _ in range(reps)],
+                            args.repeats)
+        row("tree_sum_" + "x".join(map(str, shape)), (wall / reps, cpu / reps))
 
     with tempfile.TemporaryDirectory() as out_dir:
         cfg = {"paths": 4, "stride": 10, "t0": 0.0, "dt": DT, "seed": SEED}
-        sec = best_of(lambda: cli._write_trajectories(cfg, model, control, mu0, p.T, out_dir),
-                      args.repeats)
+        timing = best_of(lambda: cli._write_trajectories(cfg, model, control, mu0, p.T, out_dir),
+                         args.repeats)
         mb = sum(os.path.getsize(os.path.join(out_dir, f)) for f in os.listdir(out_dir)) / 1e6
-        row("writer_4_paths_stride_10", sec, mb, "mb_per_s")
+        row("writer_4_paths_stride_10", timing, mb, "mb_per_s")
 
     row("estimate_cost", best_of(estimate, args.repeats), steps, "particle_steps_per_s")
 
@@ -187,7 +212,8 @@ def main():
             report = json.load(fh)
     report["workload"] = {"model": "interbank, acceptance parameters", "N": N, "dt": DT,
                           "K": K, "M": M, "seed": SEED, "repeats": args.repeats,
-                          "statistic": "minimum wall time after one warm-up run"}
+                          "statistic": "minimum wall time (min_s) and minimum CPU time, children "
+                                       "included (cpu_s), after one warm-up run"}
     report[args.label] = {
         "git_sha": git_sha(),
         "backend": backends.resolve(),

@@ -129,11 +129,12 @@ def _defaults(cfg, T):
         cfg["control"] = "optimal"
     if cfg.get("stride") is None:
         cfg["stride"] = 1
-    for knob in ("particles", "paths", "stride"):
-        if cfg[knob] < 1:
+    # count and delta have per-check defaults, set where the check runs
+    for knob in ("particles", "paths", "stride", "count"):
+        if cfg.get(knob) is not None and cfg[knob] < 1:
             raise ValueError(f"{knob} must be >= 1")
-    for knob in ("dt", "riccati_step"):
-        if cfg[knob] <= 0:
+    for knob in ("dt", "riccati_step", "delta"):
+        if cfg.get(knob) is not None and cfg[knob] <= 0:
             raise ValueError(f"{knob} must be positive")
     return cfg
 
@@ -278,7 +279,7 @@ def cmd_cost(cfg):
 
 
 def _verify_bellman(cfg, qv):
-    count = cfg.get("count") or 100
+    count = 100 if cfg.get("count") is None else cfg["count"]
     worst = 0.0
     for i in range(count):
         t, cloud = verify_mod.random_clouds(qv, 1, 50, cfg["seed"] + i)[0]
@@ -305,7 +306,7 @@ def _verify_dpp(cfg, qv, model, control):
 
 
 def _verify_ito(cfg, qv, model, control):
-    delta = cfg.get("delta") or 0.01
+    delta = 0.01 if cfg.get("delta") is None else cfg["delta"]
     init = _parse_init(cfg["init"], qv.dyn.d)
     phi = policy_mod.QuadraticFunctional(
         np.zeros((qv.dyn.d, qv.dyn.d)), np.eye(qv.dyn.d), np.zeros(qv.dyn.d), 0.0)
@@ -319,7 +320,7 @@ def _verify_ito(cfg, qv, model, control):
 
 
 def _verify_grad(cfg, qv):
-    count = cfg.get("count") or 100
+    count = 100 if cfg.get("count") is None else cfg["count"]
     worst = 0.0
     for i in range(count):
         t, cloud = verify_mod.random_clouds(qv, 1, 20, cfg["seed"] + i)[0]
@@ -347,7 +348,7 @@ def _verify_chaos(cfg, qv, model, control):
 
 
 def _verify_flow(cfg, qv, model, control):
-    count = cfg.get("count") or 10
+    count = 10 if cfg.get("count") is None else cfg["count"]
     init = _parse_init(cfg["init"], qv.dyn.d)
     mu0 = sample_initial(init, cfg["particles"], cfg["seed"])
     rng = np.random.Generator(np.random.Philox(key=cfg["seed"]))

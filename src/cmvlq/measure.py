@@ -177,16 +177,6 @@ def l2_norm(mu):
     return float(np.sqrt(tree_mean(sq)))
 
 
-def save_csv(mu, path):
-    """One row per particle, header x0,...,x{d-1}, full-precision floats."""
-    header = ",".join(f"x{j}" for j in range(mu.dim))
-    lines = [header]
-    for row in mu.points:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def load_csv(path):
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]

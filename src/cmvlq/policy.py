@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import riccati as _riccati
-from .lqmodel import affine_feedback, gains, lifted_terminal_cost, require_pd
+from .lqmodel import affine_feedback, gains, require_pd
 from .measure import EmpiricalMeasure, mean, variance_form
 
 
@@ -257,7 +257,3 @@ def save_policy_csv(qv: QuadraticValue, path):
             row += list(kk[j].reshape(-1))
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
-
-def terminal_consistency_gap(qv: QuadraticValue, mu):
-    """|value(T, mu) - lifted terminal cost(mu)|, zero up to rounding."""
-    return abs(value(qv, qv.T, mu) - lifted_terminal_cost(mu, qv.cost))

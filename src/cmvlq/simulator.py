@@ -27,10 +27,29 @@ batch's current state, draws each path's noise in chunks of steps (the
 Philox counter is the step index, so chunking leaves the draws unchanged)
 and adds the running cost inside the step.  Per scenario it reproduces
 simulate_path and pathwise_cost bit for bit.
+
+The streamed engine's noise comes from a double-buffered producer: two
+chunk buffers of 2^18 doubles each are allocated once per call in one
+anonymous shared mapping, and while the caller steps the chunk in one, a
+forked drawing process draws the next chunk, of the same batch or of the
+next one, into the other.  The two processes hand buffers over with one
+pipe message per chunk and share no interpreter lock, so on two CPUs the
+draws and the step loop overlap: wall time falls while the CPU time of
+both processes together stays about that of drawing inline.  On one CPU
+the two take turns.  A chunk's draws depend only on (seed, path, step), so
+drawing ahead changes no bit.  Where the OS cannot fork, or the
+interpreter runs other threads, the same draw function runs inline
+instead.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import pickle
+import signal
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,27 +81,24 @@ def _philox(seed, path_index, step):
     return Generator(Philox(key=key, counter=int(step) << 128))
 
 
-def step_normals(seed, path_index, step, n_particles, n_idio, m0):
-    """Standard normals for one step: common block first, then idiosyncratic."""
-    gen = _philox(seed, path_index, step)
-    z0 = gen.standard_normal(m0)
-    zb = gen.standard_normal((n_particles, n_idio))
-    return z0, zb
-
-
-def _gen_noise(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, sqrt_dt):
+def _gen_noise(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, sqrt_dt,
+               *, out=None):
     """Increments (already scaled by sqrt(dt)) for steps offset..offset+K-1.
 
     Re-keys a single Philox per step by resetting its counter block, which
-    draws exactly what a fresh generator keyed at that step would.  The
-    normals are drawn straight into the output blocks, which are scaled
-    once at the end.
+    draws exactly what a fresh generator keyed at that step would.  Each
+    step's common block is drawn before its idiosyncratic block.  The
+    normals are drawn straight into the output blocks, dw0 (K, m0) and db
+    (K, n_particles, n_idio), which are scaled once at the end; `out` gives
+    them as the caller's views (each step's block contiguous), else they
+    are allocated.  Returns (dw0, db).
     """
     key = np.array([np.uint64(seed), np.uint64(path_index)], dtype=np.uint64)
     bg = Philox(key=key)
     gen = Generator(bg)
-    dw0 = np.empty((n_steps, m0))
-    db = np.empty((n_steps, n_particles, n_idio))
+    if out is None:
+        out = np.empty((n_steps, m0)), np.empty((n_steps, n_particles, n_idio))
+    dw0, db = out
     st = bg.state
     st["buffer_pos"] = 4
     st["has_uint32"] = 0
@@ -361,10 +377,140 @@ def simulate_path(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, path_i
 # of P scenarios (P * N * d values) stays within _BATCH_DOUBLES (125 kB, so
 # P = 8 at N = 2000, d = 1): each step's temporaries then stay below the
 # 128 KiB from which glibc malloc maps fresh pages for every array, and in
-# cache.  One chunk of idiosyncratic increments (steps * P * N values) stays
-# within _CHUNK_DOUBLES (4 MiB, 32 steps of that batch).
+# cache.  The two noise-chunk buffers share _CHUNK_DOUBLES: one chunk of
+# idiosyncratic increments (steps * P * N values) stays within half of it
+# (2 MiB, 16 steps of that batch).
 _BATCH_DOUBLES = 16000
 _CHUNK_DOUBLES = 2**19
+
+
+def _chunk_steps(P, n, n_steps):
+    """Steps per noise chunk of a batch of P scenarios of n particles."""
+    return max(1, min(n_steps, _CHUNK_DOUBLES // 2 // (P * n)))
+
+
+def _noise_chunks(seed, batches, n, n_steps, sqrt_dt):
+    """Scaled increments of every batch's noise chunks, in stepping order.
+
+    Yields dw0 (c, P, 1) and db (c, P, n, 1) for the next c steps of the
+    batch of paths at hand; each batch's chunks cover its steps 0..n_steps-1
+    in order.  Every chunk is a view of one of two buffers allocated here,
+    so it is valid only until the next one is requested.  While the caller
+    steps a chunk, a forked drawing process draws the next, crossing batch
+    boundaries, into the other buffer; the two share the buffers through
+    one anonymous mapping and hand buffers over with one pipe message per
+    chunk.  Where the OS cannot fork, other threads run, or there is a
+    single chunk, the same draws run inline.  A draw's exception reaches
+    the caller, with its type and message, when it requests that chunk.
+    Closing the generator ends and reaps the drawing process, so none
+    outlives it.
+    """
+    blocks = [(paths, k0, min(chunk, n_steps - k0))
+              for paths in batches
+              for chunk in [_chunk_steps(len(paths), n, n_steps)]
+              for k0 in range(0, n_steps, chunk)]
+    size = max((c * len(paths) for paths, _, c in blocks), default=0)
+    # one anonymous shared mapping holds both buffers: the drawing process
+    # writes into the parent's pages, and they go back to the OS when the
+    # call ends
+    shared = mmap.mmap(-1, max(1, 16 * size * (n + 1)))
+    bufs = np.frombuffer(shared, np.float64, count=2 * size * (n + 1)).reshape(2, -1)
+    dw0_buf, db_buf = bufs[:, :size], bufs[:, size:]
+
+    def views(i, paths, c):
+        P = len(paths)
+        return (dw0_buf[i % 2, :c * P].reshape(c, P, 1),
+                db_buf[i % 2, :c * P * n].reshape(c, P, n, 1))
+
+    def draw(i, paths, k0, c):
+        dw0, db = views(i, paths, c)
+        for j, p in enumerate(paths):
+            _gen_noise(seed, p, k0, c, n, 1, 1, sqrt_dt, out=(dw0[:, j], db[:, j]))
+        return dw0, db
+
+    pid = -1
+    # the forked process inherits every lock in the state other threads
+    # left it in.  It takes none that native BLAS threads hold, but other
+    # Python threads may hold any, so only a single-threaded interpreter
+    # forks
+    if len(blocks) > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        ready_r, ready_w = os.pipe()
+        free_r, free_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (ready_r, ready_w, free_r, free_w):
+                os.close(fd)
+        if pid == 0:
+            os.close(ready_r)
+            os.close(free_w)
+            _draw_ahead(draw, blocks, ready_w, free_r)
+    if pid < 0:
+        for i, block in enumerate(blocks):
+            yield draw(i, *block)
+        return
+    owner = os.getpid()
+    os.close(ready_w)
+    os.close(free_r)
+    try:
+        for i, (paths, k0, c) in enumerate(blocks):
+            if 0 < i < len(blocks) - 1:
+                # the caller is done with chunk i-1: its buffer takes chunk i+1
+                try:
+                    os.write(free_w, b"\0")
+                except BrokenPipeError:
+                    pass  # the drawing process failed; _await_chunk reports why
+            _await_chunk(ready_r)
+            yield views(i, paths, c)
+    finally:
+        os.close(free_w)
+        os.close(ready_r)
+        # a process forked from this one later must not reap our child
+        if os.getpid() == owner:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+
+def _draw_ahead(draw, blocks, ready, free):
+    """Body of the drawing process: draws every chunk, then exits, never returning.
+
+    Before chunk i >= 2 it waits for the parent's word that chunk i-1 is
+    taken, so that chunk i-2's buffer is free.  After each chunk it sends
+    one zero byte; on an exception, a one byte and the pickled exception.
+    """
+    try:
+        try:
+            for i, block in enumerate(blocks):
+                if i >= 2 and not os.read(free, 1):
+                    break
+                draw(i, *block)
+                os.write(ready, b"\0")
+        except Exception as exc:  # noqa: BLE001 - handed to the parent as is
+            try:
+                payload = pickle.dumps(exc)
+            except Exception:  # noqa: BLE001
+                payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            data = b"\1" + payload
+            while data:
+                data = data[os.write(ready, data):]
+    finally:
+        os._exit(0)
+
+
+def _await_chunk(ready):
+    """Waits for the drawing process's next chunk; raises what a draw raised."""
+    word = os.read(ready, 1)
+    if word == b"\0":
+        return
+    if not word:
+        raise RuntimeError("the noise drawing process ended early")
+    payload = []
+    while chunk := os.read(ready, 1 << 16):
+        payload.append(chunk)
+    raise pickle.loads(b"".join(payload))
 
 
 def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, n_paths,
@@ -378,41 +524,40 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, n_p
     with the same counters in chunks of steps, and its end cloud and cost
     sum equal that path's and pathwise_cost's.  A blowup names the
     earliest failing step of a batch and, at that step, its lowest path.
+    The noise of the next chunk is drawn while the current one steps (see
+    _noise_chunks); close the generator, or run it to the end, to end and
+    reap the process that draws it.
     """
     n_steps = _step_count(model, t0, mu0, T, dt)
     t0, dt = float(t0), float(dt)
     n, d = mu0.points.shape
     scalar = d == 1 and model.m == 1
-    sqrt_dt = float(np.sqrt(dt))
     K1, K2, kk = _control_grid(control, t0, dt, n_steps, 0, d, model.m)
     if scalar:
         K1, K2, kk = (np.ascontiguousarray(g.reshape(n_steps)) for g in (K1, K2, kk))
     width = max(1, _BATCH_DOUBLES // (n * d))
-    for start in range(0, n_paths, width):
-        paths = range(start, min(n_paths, start + width))
-        P = len(paths)
-        x = np.repeat(mu0.points[None], P, axis=0)
-        if scalar:
-            x = x[:, :, 0]
-        running = np.zeros(P) if with_cost else None
-        chunk = max(1, min(n_steps, _CHUNK_DOUBLES // (P * n)))
-        dw0_buf = np.empty((chunk, P, 1))
-        db_buf = np.empty((chunk, P, n, 1))
-        for k0 in range(0, n_steps, chunk):
-            c = min(chunk, n_steps - k0)
-            dw0, db = dw0_buf[:c], db_buf[:c]
-            for j, p in enumerate(paths):
-                dw0[:, j], db[:, j] = _gen_noise(seed, p, k0, c, n, 1, 1, sqrt_dt)
-            g = slice(k0, k0 + c)
+    batches = [range(s, min(n_paths, s + width)) for s in range(0, n_paths, width)]
+    with closing(_noise_chunks(seed, batches, n, n_steps, float(np.sqrt(dt)))) as noise:
+        for paths in batches:
+            P = len(paths)
+            x = np.repeat(mu0.points[None], P, axis=0)
             if scalar:
-                bad, x = _run_fast_scalar(model, x, K1[g], K2[g], kk[g], dt,
-                                          dw0[:, :, 0], db[:, :, :, 0], running=running)
-            else:
-                bad, x = _run_generic(model, x, K1[g], K2[g], kk[g], dt, dw0, db,
-                                      running=running)
-            if bad >= 0:
-                raise _blowup(t0 + dt * (k0 + bad + 1), paths, k0 + bad + 1, x)
-        yield paths, running, x.reshape(P, n, d)
+                x = x[:, :, 0]
+            running = np.zeros(P) if with_cost else None
+            k0 = 0
+            while k0 < n_steps:
+                dw0, db = next(noise)
+                g = slice(k0, k0 + dw0.shape[0])
+                if scalar:
+                    bad, x = _run_fast_scalar(model, x, K1[g], K2[g], kk[g], dt,
+                                              dw0[:, :, 0], db[:, :, :, 0], running=running)
+                else:
+                    bad, x = _run_generic(model, x, K1[g], K2[g], kk[g], dt, dw0, db,
+                                          running=running)
+                if bad >= 0:
+                    raise _blowup(t0 + dt * (k0 + bad + 1), paths, k0 + bad + 1, x)
+                k0 = g.stop
+            yield paths, running, x.reshape(P, n, d)
 
 
 def restart_continuation(traj: ParticleTrajectory, theta):
@@ -428,34 +573,22 @@ def restart_continuation(traj: ParticleTrajectory, theta):
                      traj.seed, traj.path_index, traj.step_offset + j)
 
 
-def _trajectory_grid(control, traj):
-    return _control_grid(control, traj.base_t0, traj.dt, traj.n_steps,
-                         traj.step_offset, traj.model.d, traj.model.m)
-
-
-def control_values_on_grid(control, traj, k):
-    """Control values at node k < n_steps, identical to those used inside the step loop.
-
-    Reads the controls back from a stored trajectory, for analysis of a
-    simulated path; the test suite checks the mean recursion with it.
-    """
-    K1, K2, kk = _trajectory_grid(control, traj)
-    return affine_feedback(K1[k], K2[k], kk[k], traj.states[k], traj.means[k])
-
-
 def pathwise_cost(traj: ParticleTrajectory, model, control, end_step=None,
                   include_terminal=True):
     """Realized lifted cost along one trajectory.
 
     Left-endpoint Riemann sum of the particle-averaged running cost plus the
-    particle-averaged terminal cost at the end node.
+    particle-averaged terminal cost at the end node.  The Monte Carlo drivers
+    fuse this sum into the step loop; this is the public per-path
+    reference that their per-scenario costs equal bit for bit.
     """
     end = traj.n_steps if end_step is None else int(end_step)
     if end < 0 or end > traj.n_steps:
         raise ValueError("end_step outside the trajectory grid")
     total = 0.0
     if end:
-        K1, K2, kk = _trajectory_grid(control, traj)
+        K1, K2, kk = _control_grid(control, traj.base_t0, traj.dt, traj.n_steps,
+                                   traj.step_offset, traj.model.d, traj.model.m)
         x = traj.states[:end]
         means = traj.means[:end]
         avals = affine_feedback(K1[:end], K2[:end], kk[:end], x, means)

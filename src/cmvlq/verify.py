@@ -13,6 +13,7 @@ harness calibrates them by Richardson extrapolation).
 from __future__ import annotations
 
 import json
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,10 @@ def estimate_cost(model, control, t0, mu0, N, M, dt, seed) -> CostEstimate:
         raise ValueError("cost estimation needs M >= 2 scenarios")
     cloud0 = _resolve_cloud(mu0, N, seed)
     costs = np.empty(M)
-    for paths, running, ends in stream_scenarios(model, control, t0, cloud0, model.T, dt,
-                                                 seed, M):
-        gvals = terminal_cost(model.cost, ends, tree_mean(ends, axis=1))
-        costs[paths.start:paths.stop] = running + tree_mean(gvals, axis=1)
+    with closing(stream_scenarios(model, control, t0, cloud0, model.T, dt, seed, M)) as stream:
+        for paths, running, ends in stream:
+            gvals = terminal_cost(model.cost, ends, tree_mean(ends, axis=1))
+            costs[paths.start:paths.stop] = running + tree_mean(gvals, axis=1)
     m = float(tree_mean(costs))
     stderr = float(np.std(costs, ddof=1) / np.sqrt(M))
     return CostEstimate(mean=m, stderr=stderr, M=M, N=N, dt=float(dt), seed=int(seed))
@@ -144,11 +145,11 @@ def dpp_check(qv: QuadraticValue, model, t, mu0, theta, control, N, M, dt, seed)
     cloud0 = _resolve_cloud(mu0, N, seed)
     w_t = value(qv, t, cloud0)
     gaps = np.empty(M)
-    for paths, running, ends in stream_scenarios(model, control, t, cloud0, theta, dt,
-                                                 seed, M):
-        for j, p in enumerate(paths):
-            v_theta = value(qv, theta, EmpiricalMeasure._wrap(ends[j]))
-            gaps[p] = running[j] + v_theta - w_t
+    with closing(stream_scenarios(model, control, t, cloud0, theta, dt, seed, M)) as stream:
+        for paths, running, ends in stream:
+            for j, p in enumerate(paths):
+                v_theta = value(qv, theta, EmpiricalMeasure._wrap(ends[j]))
+                gaps[p] = running[j] + v_theta - w_t
     gap = float(tree_mean(gaps))
     stderr = float(np.std(gaps, ddof=1) / np.sqrt(M))
     return DppResult(gap=gap, stderr=stderr, theta=theta, t=t, M=M)
@@ -177,10 +178,11 @@ def ito_generator_check(model, control, t, mu0, phi: QuadraticFunctional,
     cloud0 = _resolve_cloud(mu0, N, seed)
     phi0 = phi(cloud0)
     ends = np.empty(M)
-    for paths, _, clouds in stream_scenarios(model, control, t, cloud0, t + delta, dt,
-                                             seed, M, with_cost=False):
-        for j, p in enumerate(paths):
-            ends[p] = phi(EmpiricalMeasure._wrap(clouds[j]))
+    with closing(stream_scenarios(model, control, t, cloud0, t + delta, dt, seed, M,
+                                  with_cost=False)) as stream:
+        for paths, _, clouds in stream:
+            for j, p in enumerate(paths):
+                ends[p] = phi(EmpiricalMeasure._wrap(clouds[j]))
     lhs = (float(tree_mean(ends)) - phi0) / delta
     stderr = float(np.std(ends, ddof=1) / np.sqrt(M)) / delta
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -71,3 +73,33 @@ def random_cloud(rng, n, d, spread=1.0):
 
     center = rng.uniform(-2.0, 2.0, size=d)
     return EmpiricalMeasure(center + spread * rng.standard_normal((n, d)))
+
+
+def inline_noise(monkeypatch):
+    """Makes the process unable to fork, so the streamed engine draws its
+    noise inline instead of in a drawing process, overlapped."""
+    monkeypatch.delattr(os, "fork")
+
+
+def forked_pids(monkeypatch):
+    """Records the pid of every process forked from here on."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def reaped(pid):
+    """Whether pid has exited and been waited for (it is no child of ours)."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

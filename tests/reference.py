@@ -1,0 +1,48 @@
+"""Reference implementations the tests compare the program against.
+
+None of these has a caller in the package: each recomputes, the plain way,
+something the program computes inside a faster or fused route.
+"""
+
+import numpy as np
+
+from cmvlq.lqmodel import affine_feedback, lifted_terminal_cost
+from cmvlq.policy import value
+from cmvlq.simulator import _control_grid, _philox
+
+
+def step_normals(seed, path_index, step, n_particles, n_idio, m0):
+    """Standard normals for one step from a fresh Philox keyed at that step.
+
+    The common block comes first, then the idiosyncratic one; the noise
+    routes of the simulator draw these, scaled by sqrt(dt).
+    """
+    gen = _philox(seed, path_index, step)
+    z0 = gen.standard_normal(m0)
+    zb = gen.standard_normal((n_particles, n_idio))
+    return z0, zb
+
+
+def control_values_on_grid(control, traj, k):
+    """Control values at node k < n_steps of a stored trajectory, as the step loop used them."""
+    K1, K2, kk = _control_grid(control, traj.base_t0, traj.dt, traj.n_steps,
+                               traj.step_offset, traj.model.d, traj.model.m)
+    return affine_feedback(K1[k], K2[k], kk[k], traj.states[k], traj.means[k])
+
+
+def save_csv(mu, path):
+    """One row per particle, header x0,...,x{d-1}, full-precision floats.
+
+    The format measure.load_csv and the csv initial condition read.
+    """
+    header = ",".join(f"x{j}" for j in range(mu.dim))
+    lines = [header]
+    for row in mu.points:
+        lines.append(",".join(repr(float(v)) for v in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def terminal_consistency_gap(qv, mu):
+    """|value(T, mu) - lifted terminal cost(mu)|, zero up to rounding."""
+    return abs(value(qv, qv.T, mu) - lifted_terminal_cost(mu, qv.cost))

@@ -62,10 +62,6 @@ class TestSystemicRisk:
         assert (out / "lambda_compare.csv").exists()
         assert (out / "means.csv").exists()
 
-    def test_negative_parameter_rejected(self, tmp_path):
-        assert run_cli("systemic-risk", "--out", str(tmp_path), "--seed", "1",
-                       "--eta", "-1") == 2
-
 
 class TestCost:
     def test_reruns_byte_identical(self, model_file, tmp_path):
@@ -191,24 +187,67 @@ class TestModelKeys:
         assert "Traceback" not in err
 
 
-class TestSeedRange:
-    @pytest.mark.parametrize("flags,config", [
-        (["--seed", "-1"], None),
-        (["--seed", str(2**64)], None),
-        ([], "seed = -5\n"),
+class TestBadNumbers:
+    """An out-of-range value of any numeric flag is a configuration error.
+
+    Each row exits 2 with its message and no traceback, and writes no
+    report; systemic-risk takes no model file.
+    """
+
+    @pytest.mark.parametrize("argv, config, message", [
+        pytest.param(["cost", "--seed", "-1"], None, "seed must be in [0, 2**64)", id="seed=-1"),
+        pytest.param(["cost", "--seed", str(2**64)], None,
+                     "seed must be in [0, 2**64)", id="seed=2^64"),
+        pytest.param(["cost"], "seed = -5\n", "seed must be in [0, 2**64)", id="config-seed=-5"),
+        pytest.param(["cost", "--seed", "1", "--particles", "0"], None,
+                     "particles must be >= 1", id="particles=0"),
+        pytest.param(["cost", "--seed", "1", "--paths", "0"], None,
+                     "paths must be >= 1", id="paths=0"),
+        pytest.param(["cost", "--seed", "1", "--dt", "0"], None, "dt must be positive", id="dt=0"),
+        pytest.param(["cost", "--seed", "1", "--dt", "0.3"], None,
+                     "must divide T - t0", id="dt=0.3"),
+        pytest.param(["cost", "--seed", "1", "--t0", "2.0"], None, "T must be >= t0", id="t0=2"),
+        pytest.param(["solve", "--riccati-step", "-0.01"], None,
+                     "riccati_step must be positive", id="riccati-step=-0.01"),
+        pytest.param(["simulate", "--seed", "1", "--stride", "0"], None,
+                     "stride must be >= 1", id="stride=0"),
+        pytest.param(["verify", "bellman", "--seed", "1", "--count", "0"], None,
+                     "count must be >= 1", id="bellman-count=0"),
+        pytest.param(["verify", "grad", "--seed", "1", "--count", "-1"], None,
+                     "count must be >= 1", id="grad-count=-1"),
+        pytest.param(["verify", "flow", "--seed", "1", "--count", "-1"], None,
+                     "count must be >= 1", id="flow-count=-1"),
+        pytest.param(["verify", "flow"], "seed = 1\ncount = 0\n",
+                     "count must be >= 1", id="config-count=0"),
+        pytest.param(["verify", "ito", "--seed", "1", "--delta", "0"], None,
+                     "delta must be positive", id="delta=0"),
+        pytest.param(["verify", "ito", "--seed", "1", "--delta", "-0.01"], None,
+                     "delta must be positive", id="delta=-0.01"),
+        pytest.param(["verify", "grad", "--seed", "1", "--epsilon", "0"], None,
+                     "epsilon must be positive", id="epsilon=0"),
+        pytest.param(["verify", "dpp", "--seed", "1", "--theta", "2.0"], None,
+                     "need t <= theta <= T", id="theta=2"),
+        pytest.param(["verify", "chaos", "--seed", "1", "--chaos-ns", "40,20"], None,
+                     "Ns must be >= 2 ascending", id="chaos-ns=40,20"),
+        pytest.param(["systemic-risk", "--seed", "1", "--eta", "-1"], None, "eta", id="eta=-1"),
     ])
-    def test_out_of_range_seed_is_config_error(self, model_file, tmp_path, capsys,
-                                               flags, config):
+    def test_exits_two(self, model_file, tmp_path, capsys, argv, config, message):
+        out = tmp_path / "out"
+        # small sizes first, so that a row's own flag overrides them
+        cut = 2 if argv[0] == "verify" else 1
+        argv = argv[:cut] + ["--particles", "4", "--paths", "2", "--out", str(out)] + argv[cut:]
+        if argv[0] != "systemic-risk":
+            argv += ["--model", model_file]
         if config is not None:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(config)
-            flags = flags + ["--config", str(cfg)]
-        code = run_cli("cost", "--model", model_file, "--out", str(tmp_path),
-                       "--particles", "4", "--paths", "2", *flags)
+            argv += ["--config", str(cfg)]
+        code = run_cli(*argv)
         err = capsys.readouterr().err
         assert code == 2
-        assert "seed must be in [0, 2**64)" in err
+        assert err.startswith("configuration error: ") and message in err
         assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestNumericalFailure:

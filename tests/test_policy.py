@@ -18,6 +18,7 @@ from cmvlq.policy import (
 from cmvlq.riccati import solve_riccati
 
 from conftest import make_interbank, random_cloud, random_lq
+from reference import terminal_consistency_gap
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +43,7 @@ class TestValue:
         rng = np.random.default_rng(62)
         for _ in range(30):
             mu = random_cloud(rng, int(rng.integers(1, 25)), 2)
-            assert policy.terminal_consistency_gap(random_qv, mu) <= 1e-12 * (
+            assert terminal_consistency_gap(random_qv, mu) <= 1e-12 * (
                 1.0 + abs(lifted_terminal_cost(mu, random_qv.cost)))
 
     def test_interbank_value_is_lambda_quadrature(self, interbank_sigma1_zero):

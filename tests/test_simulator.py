@@ -1,6 +1,10 @@
+import threading
+from contextlib import closing
+
 import numpy as np
 import pytest
 
+from cmvlq import simulator
 from cmvlq.errors import NumericalBlowup
 from cmvlq.lqmodel import LqCost, LqDynamics, affine_feedback, running_cost
 from cmvlq.measure import AffineMap, EmpiricalMeasure, tree_mean
@@ -14,17 +18,16 @@ from cmvlq.simulator import (
     _gen_noise,
     _run_fast_scalar,
     _run_generic,
-    control_values_on_grid,
     lq_dynamics_spec,
     pathwise_cost,
     restart_continuation,
     sample_initial,
     simulate_path,
-    step_normals,
     stream_scenarios,
 )
 
-from conftest import make_interbank, random_lq
+from conftest import forked_pids, inline_noise, make_interbank, random_lq, reaped
+from reference import control_values_on_grid, save_csv, step_normals
 
 
 def interbank_setup(sigma1=0.3, rho=0.5, q=0.5, h=1e-3, x0=1.0):
@@ -69,8 +72,6 @@ class TestSampleInitial:
         assert not np.array_equal(a.points, c.points)
 
     def test_csv(self, tmp_path):
-        from cmvlq.measure import save_csv
-
         mu = EmpiricalMeasure(np.arange(6.0).reshape(3, 2))
         path = tmp_path / "init.csv"
         save_csv(mu, path)
@@ -114,6 +115,86 @@ class TestNoise:
             z0, zb = step_normals(21, 4, 7 + j, 13, 1, 1)
             assert np.array_equal(dw0[j], z0)
             assert np.array_equal(db[j], zb)
+
+
+class TestNoiseProducer:
+    """The streamed engine's double-buffered noise, drawn inline and overlapped."""
+
+    SEED, N, DT = 5, 6, 0.01
+
+    @pytest.mark.parametrize("route", ["inline", "overlapped", "other thread"])
+    def test_chunks_match_step_normals(self, route, monkeypatch):
+        # each buffer holds 3 steps of a batch of 2 paths; the ragged last
+        # batch of 1 path takes chunks of 6 steps, longer than the first's
+        pids = forked_pids(monkeypatch)
+        if route == "inline":
+            inline_noise(monkeypatch)
+        overlapped = route == "overlapped"
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,), daemon=True)
+        if route == "other thread":
+            other.start()
+        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * 3 * 2 * self.N)
+        drawn_here = []
+        gen_noise = simulator._gen_noise
+
+        def traced(*args, **kwargs):
+            drawn_here.append(args[:4])
+            return gen_noise(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_gen_noise", traced)
+        n_steps, sqrt_dt = 10, float(np.sqrt(self.DT))
+        batches = [range(0, 2), range(2, 4), range(4, 5)]
+        chunks = []
+        with closing(simulator._noise_chunks(self.SEED, batches, self.N, n_steps,
+                                             sqrt_dt)) as noise:
+            for paths in batches:
+                k0 = 0
+                while k0 < n_steps:
+                    dw0, db = next(noise)
+                    c = dw0.shape[0]
+                    assert db.shape == (c, len(paths), self.N, 1)
+                    for j, p in enumerate(paths):
+                        for i in range(c):
+                            z0, zb = step_normals(self.SEED, p, k0 + i, self.N, 1, 1)
+                            assert np.array_equal(dw0[i, j], z0 * sqrt_dt)
+                            assert np.array_equal(db[i, j], zb * sqrt_dt)
+                    chunks.append((paths.start, k0, c))
+                    k0 += c
+            assert next(noise, None) is None
+        release.set()
+        if route == "other thread":
+            other.join(60)
+            assert not other.is_alive()
+        assert chunks == [(0, 0, 3), (0, 3, 3), (0, 6, 3), (0, 9, 1),
+                          (2, 0, 3), (2, 3, 3), (2, 6, 3), (2, 9, 1), (4, 0, 6), (4, 6, 4)]
+        # the overlapped route draws every chunk in its one drawing process,
+        # which is reaped by the time the stream closes; with another thread
+        # running, the interpreter does not fork
+        assert len(pids) == overlapped and all(reaped(pid) for pid in pids)
+        assert len(drawn_here) == (0 if overlapped else 18)
+
+    def test_single_chunk_is_drawn_inline(self, monkeypatch):
+        pids = forked_pids(monkeypatch)
+        with closing(simulator._noise_chunks(self.SEED, [range(0, 2)], self.N, 3, 0.1)) as noise:
+            assert next(noise)[1].shape == (3, 2, self.N, 1)
+            assert next(noise, None) is None
+        assert pids == []
+
+    def test_bad_seed_same_error_on_both_routes(self, monkeypatch):
+        _, _, _, _, _, model, control = interbank_setup(h=0.01)
+        mu0 = sample_initial({"kind": "point", "x0": 1.0}, 4, 0)
+        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * 3 * 4)
+        pids = forked_pids(monkeypatch)
+        errors = []
+        for overlapped in (True, False):
+            if not overlapped:
+                inline_noise(monkeypatch)
+            with pytest.raises(OverflowError) as info:
+                list(stream_scenarios(model, control, 0.0, mu0, 1.0, 0.01, -1, 3))
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert len(pids) == 1 and reaped(pids[0])
 
 
 class TestSimulate:

@@ -1,10 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cmvlq.lqmodel import LqCost, gains
-import tracemalloc
-
 from cmvlq import simulator
+from cmvlq.errors import NumericalBlowup
+from cmvlq.lqmodel import LqCost, LqDynamics, gains
 from cmvlq.measure import AffineMap, EmpiricalMeasure, mean, pushforward, tree_mean, variance_form
 from cmvlq.policy import (
     FeedbackPolicy,
@@ -37,7 +38,7 @@ from cmvlq.verify import (
     save_report,
 )
 
-from conftest import make_interbank, random_cloud, random_lq
+from conftest import forked_pids, inline_noise, make_interbank, random_cloud, random_lq, reaped
 
 
 def interbank_stack(sigma1=0.0, **kw):
@@ -113,10 +114,11 @@ class TestStreamedDrivers:
     N, M, DT, SEED = 40, 5, 0.02, 17
 
     def stacks(self, d, monkeypatch):
-        # batches of 2 scenarios and chunks of 3 steps: 5 paths make batches
-        # 2, 2, 1, and each path's noise is drawn in several chunks
+        # batches of 2 scenarios and chunk buffers of 3 steps of them: 5 paths
+        # make batches 2, 2, 1, each path's noise is drawn in several chunks,
+        # and the last batch's chunks (6 steps) are longer than the others'
         monkeypatch.setattr(simulator, "_BATCH_DOUBLES", 2 * self.N * d)
-        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 3 * 2 * self.N)
+        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * 3 * 2 * self.N)
         if d == 1:
             _, dyn, cost, _, qv = make_interbank(h=self.DT, sigma1=0.3)
         else:
@@ -193,6 +195,38 @@ class TestStreamedDrivers:
                    [(float(tree_mean(ends)) - phi(cloud0)) / delta,
                     float(np.std(ends, ddof=1) / np.sqrt(self.M)) / delta], d)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_noise_routes_agree(self, d, monkeypatch):
+        # the overlapped and the inline noise route, on a ragged last batch
+        # and on spans of several chunks, one chunk and no step at all
+        qv, model, cloud0, controls = self.stacks(d, monkeypatch)
+        control = controls["shift"]
+        phi = QuadraticFunctional(np.zeros((d, d)), np.eye(d), np.zeros(d), 0.0)
+        pids = forked_pids(monkeypatch)
+        results = []
+        for overlapped in (True, False):
+            if not overlapped:
+                inline_noise(monkeypatch)
+            out = []
+            for t0, T in ((0.0, model.T), (0.2, 0.6), (0.9, 0.96), (model.T, model.T)):
+                for paths, running, ends in stream_scenarios(model, control, t0, cloud0, T,
+                                                             self.DT, self.SEED, self.M):
+                    out += [running.tobytes(), ends.tobytes()]
+            for t0 in (0.0, model.T):
+                est = estimate_cost(model, control, t0, cloud0, self.N, self.M, self.DT,
+                                    self.SEED)
+                out += [est.mean.hex(), est.stderr.hex()]
+            for t, theta in ((0.2, 0.6), (0.6, 0.6)):
+                res = dpp_check(qv, model, t, cloud0, theta, control, self.N, self.M, self.DT,
+                                self.SEED)
+                out += [res.gap.hex(), res.stderr.hex()]
+            res = ito_generator_check(model, control, 0.1, cloud0, phi, 10 * self.DT, self.N,
+                                      self.M, self.DT, self.SEED)
+            out += [res.lhs.hex(), res.stderr.hex()]
+            results.append(out)
+        assert results[0] == results[1]
+        assert pids and all(reaped(pid) for pid in pids)
+
     def test_no_trajectory_allocated(self, monkeypatch):
         # K = 1000 steps of 500 particles: a stored trajectory is 4 MB
         _, model, _, controls = self.stacks(1, monkeypatch)
@@ -206,6 +240,61 @@ class TestStreamedDrivers:
         finally:
             tracemalloc.stop()
         assert peak < 1001 * 500 * 8 / 4
+
+
+class TestNoProcessOutlivesACall:
+    """The overlapped noise route's drawing process is reaped when a driver or stream ends."""
+
+    def explosive(self):
+        # 10 * 1.4^76 is the first state past 1e12, at step 76 of 100
+        dyn = LqDynamics(b0=0.0, B=40.0, Bbar=0.0, C=0.0, theta=0.0, D=0.0,
+                         Dbar=0.0, F=0.0, theta0=0.0, D0=0.0, D0bar=0.0, F0=0.0)
+        cost = LqCost(Q2=1.0, Q2bar=0.0, R2=1.0, P2=1.0, P2bar=0.0)
+        return lq_dynamics_spec(dyn, cost, 1.0)
+
+    @pytest.fixture(autouse=True)
+    def overlapped(self, monkeypatch):
+        # batches of 2 paths of 8 particles and chunks of 4 steps, so the
+        # drawing process is drawing ahead whenever the caller stops
+        monkeypatch.setattr(simulator, "_BATCH_DOUBLES", 16)
+        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * 4 * 16)
+        self.pids = forked_pids(monkeypatch)
+
+    def test_blowup(self):
+        mu0 = sample_initial({"kind": "point", "x0": 10.0}, 8, 0)
+        with pytest.raises(NumericalBlowup, match="step 76"):
+            estimate_cost(self.explosive(), AffineControl(AffineMap.zero(1, 1)), 0.0, mu0,
+                          8, 6, 0.01, 0)
+        assert len(self.pids) == 1 and reaped(self.pids[0])
+
+    def test_consumer_raises_after_first_batch(self):
+        _, _, _, _, _, model, control = interbank_stack(h=0.01)
+        mu0 = sample_initial({"kind": "point", "x0": 1.0}, 8, 0)
+        phi = QuadraticFunctional(np.zeros((1, 1)), np.eye(1), np.zeros(1), 0.0)
+        calls = []
+
+        def failing(mu):
+            # the initial cloud, then the end clouds of the first batch
+            calls.append(mu)
+            if len(calls) > 3:
+                raise RuntimeError("consumer failed")
+            return phi(mu)
+
+        # `info` holds the traceback and with it the driver's frame and its
+        # stream, so only the driver's own close can have reaped the process
+        with pytest.raises(RuntimeError, match="consumer failed") as info:
+            ito_generator_check(model, control, 0.0, mu0, failing, 0.5, 8, 6, 0.01, 0)
+        assert len(calls) == 4 and info.value.__traceback__ is not None
+        assert len(self.pids) == 1 and reaped(self.pids[0])
+
+    def test_abandoned_generator(self):
+        _, _, _, _, _, model, control = interbank_stack(h=0.01)
+        mu0 = sample_initial({"kind": "point", "x0": 1.0}, 8, 0)
+        stream = stream_scenarios(model, control, 0.0, mu0, 1.0, 0.01, 0, 6)
+        next(stream)
+        assert len(self.pids) == 1 and not reaped(self.pids[0])
+        del stream
+        assert reaped(self.pids[0])
 
 
 class TestBellmanResidual:
