@@ -18,8 +18,10 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
   (where the engine draws noise in a forked process, the copies out of
   the cache run there);
 - tree_sum on (32, 2000) and (1000, 2000) along axis 1, and on (2000,);
-- writer: ``cli._write_trajectories`` for 4 paths at stride 10, including
-  the simulation of those paths;
+- writer: ``cli._write_trajectories`` formatting the nodes of 4 paths
+  recorded at stride 10 into trajectory.csv and means.csv (the recording
+  itself is stepped once, untimed: systemic-risk records these paths from
+  its cost estimate's own batches);
 - estimate_cost: the whole Monte Carlo estimate.
 
 Each row is the minimum wall time (min_s) and the minimum CPU time
@@ -29,10 +31,11 @@ streamed engine draws its noise in a second process, CPU time exceeds
 wall time by the overlap.  Outside their own rows, the Riccati solve and
 the gain grid are built before any timing.  Results
 go under --label ("before" or "after") in the output file, next to the git
-SHA (marked -dirty for uncommitted changes), the backend actually resolved, the Python and numpy versions and the
-CPU count; other labels already in the file are kept.  The script uses
-only names that the per-path engine also has, so the same file can time
-an earlier checkout:
+SHA (marked -dirty for uncommitted changes), the backend (``cmvlq.backend()``),
+the Python and numpy versions and the CPU count; other labels already in the
+file are kept.  The writer row needs the recorder (``simulator.Recorder``)
+and is left out on a checkout without it; the other rows use only names
+that earlier checkouts also have:
 
     PYTHONPATH=src python benchmarks/bench_layers.py --label after
 """
@@ -52,7 +55,8 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from cmvlq import backends, cli, measure, riccati, simulator, verify  # noqa: E402
+import cmvlq  # noqa: E402
+from cmvlq import cli, measure, riccati, simulator, verify  # noqa: E402
 from cmvlq.lqmodel import LqCost, LqDynamics  # noqa: E402
 from cmvlq.policy import FeedbackPolicy, QuadraticValue  # noqa: E402
 from cmvlq.riccati import SystemicRiskParams, solve_riccati, systemic_risk_model  # noqa: E402
@@ -197,11 +201,20 @@ def main():
                             args.repeats)
         row("tree_sum_" + "x".join(map(str, shape)), (wall / reps, cpu / reps))
 
-    with tempfile.TemporaryDirectory() as out_dir:
-        cfg = {"paths": 4, "stride": 10, "t0": 0.0, "dt": DT, "seed": SEED}
-        timing = best_of(lambda: cli._write_trajectories(cfg, model, control, mu0, p.T, out_dir),
-                         args.repeats)
-        mb = sum(os.path.getsize(os.path.join(out_dir, f)) for f in os.listdir(out_dir)) / 1e6
+    if hasattr(simulator, "Recorder"):
+        recs = []
+        for _ in simulator.stream_scenarios(model, control, 0.0, mu0, p.T, DT, SEED, 4,
+                                            with_cost=False,
+                                            record=simulator.Recorder(4, 10, recs.append)):
+            pass
+        with tempfile.TemporaryDirectory() as out_dir:
+            def write():
+                with cli._trajectory_files(out_dir, 1) as sink:
+                    for rec in recs:
+                        sink(rec)
+
+            timing = best_of(write, args.repeats)
+            mb = sum(os.path.getsize(os.path.join(out_dir, f)) for f in os.listdir(out_dir)) / 1e6
         row("writer_4_paths_stride_10", timing, mb, "mb_per_s")
 
     row("estimate_cost", best_of(estimate, args.repeats), steps, "particle_steps_per_s")
@@ -216,7 +229,7 @@ def main():
                                        "included (cpu_s), after one warm-up run"}
     report[args.label] = {
         "git_sha": git_sha(),
-        "backend": backends.resolve(),
+        "backend": cmvlq.backend(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": os.cpu_count(),

@@ -6,7 +6,6 @@ noise, and numerical certification of the dynamic-programming structure
 (Bellman residual, DPP inequality, generator identity, flow property).
 """
 
-from .backends import HAVE_KERNELS, resolve as backend
 from .errors import DomainError, NonPositiveGain, NumericalBlowup
 from .lqmodel import (
     GainMatrices,
@@ -61,3 +60,8 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+
+def backend():
+    """Always "python" (numpy step loops); its one caller is the manifest of perfbench/run.py."""
+    return "python"

@@ -14,8 +14,10 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -29,11 +31,13 @@ from .policy import FeedbackPolicy, QuadraticValue, feedback_affine_map, optimal
 from .simulator import (
     AffineControl,
     FeedbackControl,
+    Recorder,
     ShiftedControl,
     lq_dynamics_spec,
     restart_continuation,
     sample_initial,
     simulate_path,
+    stream_scenarios,
 )
 
 CONFIG_KEYS = {
@@ -134,8 +138,8 @@ def _defaults(cfg, T):
         if cfg.get(knob) is not None and cfg[knob] < 1:
             raise ValueError(f"{knob} must be >= 1")
     for knob in ("dt", "riccati_step", "delta"):
-        if cfg.get(knob) is not None and cfg[knob] <= 0:
-            raise ValueError(f"{knob} must be positive")
+        if cfg.get(knob) is not None and not 0 < cfg[knob] < math.inf:
+            raise ValueError(f"{knob} must be positive and finite")
     return cfg
 
 
@@ -196,6 +200,15 @@ def _solved(dyn, cost, T, cfg):
     return sol, QuadraticValue(sol, dyn, cost)
 
 
+def _controlled(cfg):
+    """The model file's value, model and --control, after the defaults and the seed are checked."""
+    dyn, cost, T = _prepare(cfg)
+    _defaults(cfg, T)
+    _require_seed(cfg)
+    sol, qv = _solved(dyn, cost, T, cfg)
+    return qv, lq_dynamics_spec(dyn, cost, T), _build_control(cfg["control"], qv)
+
+
 def _public_config(cfg):
     drop = {"command", "config"}
     return {k: v for k, v in sorted(cfg.items())
@@ -216,53 +229,48 @@ def cmd_solve(cfg):
     return 0
 
 
-def _write_trajectories(cfg, model, control, mu0, T, out_dir):
-    d = model.d
-    stride = cfg["stride"]
-    traj_path = os.path.join(out_dir, "trajectory.csv")
-    mean_path = os.path.join(out_dir, "means.csv")
-    fields = [f",{i}," for i in range(mu0.n)]
-    with open(traj_path, "w") as ft, open(mean_path, "w") as fm:
+@contextmanager
+def _trajectory_files(out_dir, d):
+    """Opens trajectory.csv and means.csv under out_dir; yields a Recorder sink that fills them."""
+    with open(os.path.join(out_dir, "trajectory.csv"), "w") as ft, \
+            open(os.path.join(out_dir, "means.csv"), "w") as fm:
         ft.write("path,t,particle," + ",".join(f"x{j}" for j in range(d)) + "\n")
         fm.write("path,t," + ",".join(f"mean_{j}" for j in range(d)) + ",W0_cum\n")
-        for p in range(cfg["paths"]):
-            traj = simulate_path(model, control, cfg["t0"], mu0, T, cfg["dt"],
-                                 cfg["seed"], path_index=p)
-            w0 = traj.w0_cumulative()
-            for k in range(0, traj.n_steps + 1, stride):
-                t = float(traj.times[k])
-                head = f"{p},{t!r}"
-                # repr of every coordinate, grouped d at a time into particle rows
-                vals = map(repr, traj.states[k].ravel().tolist())
-                rows = map(",".join, zip(*[vals] * d))
-                ft.write("".join([head + field + row + "\n" for field, row in zip(fields, rows)]))
-                fm.write(f"{p},{t!r}," +
-                         ",".join(repr(float(v)) for v in traj.means[k]) +
-                         f",{float(w0[k, 0])!r}\n")
-    return traj_path, mean_path
+        yield lambda rec: _write_trajectories(ft, fm, rec)
+
+
+def _write_trajectories(ft, fm, rec):
+    """Appends the recorded nodes of one batch (a Recording) to the trajectory and means files."""
+    _, P, n, d = rec.states.shape
+    fields = [f",{i}," for i in range(n)]
+    w0 = np.zeros((rec.dw0.shape[0] + 1, P))
+    np.cumsum(rec.dw0[:, :, 0], axis=0, out=w0[1:])
+    for j, p in enumerate(rec.paths):
+        for i, (k, t) in enumerate(zip(rec.nodes.tolist(), rec.times.tolist())):
+            head = f"{p},{t!r}"
+            # repr of every coordinate, grouped d at a time into particle rows
+            vals = map(repr, rec.states[i, j].ravel().tolist())
+            rows = map(",".join, zip(*[vals] * d))
+            ft.write("".join([head + field + row + "\n" for field, row in zip(fields, rows)]))
+            fm.write(f"{head}," + ",".join(map(repr, rec.means[i, j].tolist())) +
+                     f",{float(w0[k, j])!r}\n")
 
 
 def cmd_simulate(cfg):
-    dyn, cost, T = _prepare(cfg)
-    _defaults(cfg, T)
-    _require_seed(cfg)
-    sol, qv = _solved(dyn, cost, T, cfg)
-    model = lq_dynamics_spec(dyn, cost, T)
-    control = _build_control(cfg["control"], qv)
-    mu0 = sample_initial(_parse_init(cfg["init"], dyn.d), cfg["particles"], cfg["seed"])
-    _write_trajectories(cfg, model, control, mu0, T, cfg["out"])
+    qv, model, control = _controlled(cfg)
+    mu0 = sample_initial(_parse_init(cfg["init"], model.d), cfg["particles"], cfg["seed"])
+    with _trajectory_files(cfg["out"], model.d) as sink:
+        for _ in stream_scenarios(model, control, cfg["t0"], mu0, model.T, cfg["dt"], cfg["seed"],
+                                  cfg["paths"], with_cost=False,
+                                  record=Recorder(cfg["paths"], cfg["stride"], sink)):
+            pass
     print(f"simulated {cfg['paths']} path(s); wrote trajectory.csv, means.csv")
     return 0
 
 
 def cmd_cost(cfg):
-    dyn, cost, T = _prepare(cfg)
-    _defaults(cfg, T)
-    _require_seed(cfg)
-    sol, qv = _solved(dyn, cost, T, cfg)
-    model = lq_dynamics_spec(dyn, cost, T)
-    control = _build_control(cfg["control"], qv)
-    init = _parse_init(cfg["init"], dyn.d)
+    qv, model, control = _controlled(cfg)
+    init = _parse_init(cfg["init"], model.d)
     est = verify_mod.estimate_cost(model, control, cfg["t0"], init,
                                    cfg["particles"], cfg["paths"], cfg["dt"], cfg["seed"])
     cloud0 = sample_initial(init, cfg["particles"], cfg["seed"])
@@ -365,12 +373,7 @@ def _verify_flow(cfg, qv, model, control):
 
 
 def cmd_verify(cfg):
-    dyn, cost, T = _prepare(cfg)
-    _defaults(cfg, T)
-    _require_seed(cfg)
-    sol, qv = _solved(dyn, cost, T, cfg)
-    model = lq_dynamics_spec(dyn, cost, T)
-    control = _build_control(cfg["control"], qv)
+    qv, model, control = _controlled(cfg)
     check = cfg["check"]
     if check == "bellman":
         stat, tol, stderr, passed = _verify_bellman(cfg, qv)
@@ -398,6 +401,10 @@ def cmd_systemic_risk(cfg):
         for k, default in SYSTEMIC_RISK_DEFAULTS.items()})
     _defaults(cfg, params.T)
     _require_seed(cfg)
+    # the trajectories are recorded from the cost estimate's own scenarios,
+    # which start at 0
+    if cfg["t0"] != 0.0:
+        raise ValueError("systemic-risk runs from t0 = 0")
     cfg["init"] = f"point:{params.x0!r}"
     dyn, cost = riccati_mod.systemic_risk_model(params)
     out = cfg["out"]
@@ -417,10 +424,10 @@ def cmd_systemic_risk(cfg):
     model = lq_dynamics_spec(dyn, cost, params.T)
     control = FeedbackControl(FeedbackPolicy(qv))
     mu0 = sample_initial(_parse_init(cfg["init"], 1), cfg["particles"], cfg["seed"])
-    _write_trajectories(dict(cfg, paths=min(cfg["paths"], 4), stride=max(cfg["stride"], 10)),
-                        model, control, mu0, params.T, out)
-    est = verify_mod.estimate_cost(model, control, 0.0, mu0, cfg["particles"],
-                                   cfg["paths"], cfg["dt"], cfg["seed"])
+    with _trajectory_files(out, 1) as sink:
+        record = Recorder(min(cfg["paths"], 4), max(cfg["stride"], 10), sink)
+        est = verify_mod.estimate_cost(model, control, 0.0, mu0, cfg["particles"],
+                                       cfg["paths"], cfg["dt"], cfg["seed"], record=record)
     w0 = value(qv, 0.0, mu0)
     dp, dm = riccati_mod.delta_pm(params)
     report = {

@@ -20,9 +20,9 @@ def tree_sum(a, axis=0):
     """Sum along `axis` with a fixed index-ascending pairwise tree.
 
     At level s the element at index i+s is added into index i for
-    i = 0, 2s, 4s, ...; elements without a partner pass through.  The
-    compiled simulation kernel implements the same reduction, so both
-    backends produce bit-identical means.  Each level is computed by
+    i = 0, 2s, 4s, ...; elements without a partner pass through.  Each
+    row of a batch is reduced alone, so a scenario's means are the same
+    bits whatever batch it is stepped in.  Each level is computed by
     compaction: neighbours 2j and 2j+1 of the previous level are added
     into slot j and an odd tail moves to the last slot, which is the same
     tree with the operands laid out contiguously.

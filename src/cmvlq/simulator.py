@@ -18,28 +18,20 @@ given by its gains on the step grid.  Two step loops carry a leading axis of
 P scenarios: the scalar loop (d = m = 1) and one vectorized affine Euler
 loop for every other shape, which at d = 1 is bitwise the scalar one.
 
-Two engines drive them.  simulate_path runs one scenario (P = 1) and keeps
-its whole trajectory, for replay, restarts and the trajectory writer; at
-d = m = 1 it steps on the compiled kernel when available, which performs
-the same floating-point operations as the numpy loop.  stream_scenarios
-runs the Monte Carlo scenarios in batches on numpy: it keeps only the
-batch's current state, draws each path's noise in chunks of steps (the
-Philox counter is the step index, so chunking leaves the draws unchanged)
-and adds the running cost inside the step.  Per scenario it reproduces
-simulate_path and pathwise_cost bit for bit.
+One function, stream_scenarios, steps them: it runs scenarios in batches of
+P, keeps only the batch's current state, draws each path's noise in
+chunks of steps and adds the running cost inside the step.  A run may
+start at any node of its grid, so a run from a stored node replays the
+rest of a trajectory bit for bit.  An optional Recorder keeps nodes of the
+first scenarios: every node of one scenario (simulate_path, the P = 1
+case, and restart_continuation), or strided nodes of the first paths (the
+trajectory writer).
 
-The streamed engine's noise comes from a double-buffered producer: two
-chunk buffers of 2^18 doubles each are allocated once per call in one
-anonymous shared mapping, and while the caller steps the chunk in one, a
-forked drawing process draws the next chunk, of the same batch or of the
-next one, into the other.  The two processes hand buffers over with one
-pipe message per chunk and share no interpreter lock, so on two CPUs the
-draws and the step loop overlap: wall time falls while the CPU time of
-both processes together stays about that of drawing inline.  On one CPU
-the two take turns.  A chunk's draws depend only on (seed, path, step), so
-drawing ahead changes no bit.  Where the OS cannot fork, or the
-interpreter runs other threads, the same draw function runs inline
-instead.
+The noise comes from a double-buffered producer (_noise_chunks): while
+the caller steps one chunk of steps, a forked drawing process draws the
+next into a second buffer they share, so on two CPUs the draws and the
+step loop overlap.  A chunk's draws depend only on (seed, path, step), so
+drawing ahead changes no bit.
 """
 
 from __future__ import annotations
@@ -51,11 +43,12 @@ import signal
 import threading
 from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from . import backends
 from .errors import NumericalBlowup
 from .lqmodel import (
     BLOWUP_LIMIT,
@@ -185,10 +178,6 @@ class ParticleTrajectory:
     def n_steps(self):
         return self.states.shape[0] - 1
 
-    @property
-    def n_particles(self):
-        return self.states.shape[1]
-
     def cloud(self, k) -> EmpiricalMeasure:
         return EmpiricalMeasure._wrap(self.states[k])
 
@@ -213,37 +202,31 @@ def _control_grid(control, base_t0, dt, n_steps, offset, d, m):
     return K1, K2, kk
 
 
-def _run_fast_scalar(model, x, K1, K2, kk, dt, dw0, db, backend="python",
-                     states=None, means=None, running=None):
-    """Scalar (d = m = 1) Euler loop over P scenarios; numpy twin of the kernel.
+def _run_fast_scalar(model, x, K1, K2, kk, dt, dw0, db, running=None, keep=None):
+    """Scalar (d = m = 1) Euler loop over P scenarios.
 
     x (P, N) holds the particles at the first node; dw0 (K, P) and db
-    (K, P, N) are the scaled increments of K steps.  With `states`
-    (K+1, P, N) and `means` (K+1, P) every node is kept (states[0] is x);
-    with `running` (P,) each step adds dt times its particle-mean running
-    cost.  The compiled kernel serves a single scenario with a states
-    buffer.  Returns (k, x): the failing step and the state it produced,
-    or -1 and the state after the last step.
+    (K, P, N) are the scaled increments of K steps.  With `keep`, step k
+    first calls keep(k, x, m) with its node's state and particle means
+    (P,); with `running` (P,) each step adds dt times its particle-mean
+    running cost.  Returns (k, x): the failing step and the state it
+    produced, or -1 and the state after the last step.
     """
     dyn = model.dyn
-    coef = (float(dyn.b0[0]), float(dyn.B[0, 0]), float(dyn.Bbar[0, 0]), float(dyn.C[0, 0]),
-            float(dyn.theta[0]), float(dyn.D[0, 0]), float(dyn.Dbar[0, 0]), float(dyn.F[0, 0]),
-            float(dyn.theta0[0]), float(dyn.D0[0, 0]), float(dyn.D0bar[0, 0]), float(dyn.F0[0, 0]))
+    b0, B, Bbar, C, th, D, Dbar, F, th0, D0, D0bar, F0 = (
+        float(dyn.b0[0]), float(dyn.B[0, 0]), float(dyn.Bbar[0, 0]), float(dyn.C[0, 0]),
+        float(dyn.theta[0]), float(dyn.D[0, 0]), float(dyn.Dbar[0, 0]), float(dyn.F[0, 0]),
+        float(dyn.theta0[0]), float(dyn.D0[0, 0]), float(dyn.D0bar[0, 0]), float(dyn.F0[0, 0]))
     n_steps = dw0.shape[0]
     n = x.shape[1]
-    if backend == "cython":
-        bad = int(backends.kernels().em_scalar_path(
-            states[:, 0], means[:, 0], K1, K2, kk, *coef, dt, dw0[:, 0], db[:, 0], np.empty(n)))
-        return bad, states[bad + 1 if bad >= 0 else n_steps]
-    b0, B, Bbar, C, th, D, Dbar, F, th0, D0, D0bar, F0 = coef
     tmp = np.empty_like(x)
     for k in range(n_steps):
         m = tree_sum(x, axis=1) / n
-        if means is not None:
-            means[k] = m
+        if keep is not None:
+            keep(k, x, m)
         m = m[:, None]
-        # the kernel's sums, each accumulated in place into its first
-        # product; u + v is v + u bit for bit, so the results are the same:
+        # each sum is accumulated in place into its first product; u + v is
+        # v + u bit for bit, so these are the affine loop's sums:
         # a = K1 (x - m) + K2 m + kk
         a = x - m
         a *= K1[k]
@@ -266,40 +249,32 @@ def _run_fast_scalar(model, x, K1, K2, kk, dt, dw0, db, backend="python",
         s0v *= dw0[k][:, None]
         bv += s0v
         x = bv
-        if states is not None:
-            states[k + 1] = x
         if not np.all(np.abs(x, out=tmp) <= BLOWUP_LIMIT):
             return k, x
-    if means is not None:
-        means[n_steps] = tree_sum(x, axis=1) / n
     return -1, x
 
 
-def _run_generic(model, x, K1, K2, kk, dt, dw0, db, states=None, means=None, running=None):
+def _run_generic(model, x, K1, K2, kk, dt, dw0, db, running=None, keep=None):
     """Affine Euler loop for any (d, m) over P scenarios.
 
     x (P, N, d) holds the particles at the first node; dw0 (K, P, 1) and
-    db (K, P, N, 1) are the scaled increments of K steps.  `states`
-    (K+1, P, N, d), `means` (K+1, P, d) and `running` (P,) and the return
-    value are as in _run_fast_scalar.
+    db (K, P, N, 1) are the scaled increments of K steps.  `keep` (called
+    with means (P, d)), `running` (P,) and the return value are as in
+    _run_fast_scalar.
     """
     n_steps = dw0.shape[0]
     for k in range(n_steps):
         mbar = tree_mean(x, axis=1)
-        if means is not None:
-            means[k] = mbar
+        if keep is not None:
+            keep(k, x, mbar)
         a = affine_feedback(K1[k], K2[k], kk[k], x, mbar)
         if running is not None:
             running += tree_mean(running_cost(model.cost, x, mbar, a), axis=1) * dt
         # the mean enters as one (1, d) row per scenario, as in a single path
         bv, sv, s0v = coefficient_values(model.dyn, x, mbar[:, None, :], a)
         x = x + bv * dt + sv * db[k] + s0v * dw0[k][:, None, :]
-        if states is not None:
-            states[k + 1] = x
         if not np.all(np.abs(x) <= BLOWUP_LIMIT):
             return k, x
-    if means is not None:
-        means[n_steps] = tree_mean(x, axis=1)
     return -1, x
 
 
@@ -310,40 +285,6 @@ def _blowup(t, paths, step, x):
     return NumericalBlowup(
         f"t={float(t):.6g}, path {paths[p]}, step {step}, particle {i}",
         f"value {float(flat[p, i, j])!r} exceeded 1e12 or is NaN")
-
-
-def _simulate(model, control, base_t0, x0, n_steps, dt, seed, path_index, step_offset):
-    n_particles, d = x0.shape
-    sqrt_dt = float(np.sqrt(dt))
-    dw0, db = _gen_noise(seed, path_index, step_offset, n_steps, n_particles, 1, 1, sqrt_dt)
-    states = np.empty((n_steps + 1, n_particles, d))
-    states[0] = x0
-    means = np.empty((n_steps + 1, d))
-    # node times come from the base origin and an absolute step index, so a
-    # continuation reproduces them (and the gains built from them) bitwise
-    times = base_t0 + dt * np.arange(step_offset, step_offset + n_steps + 1)
-    K1, K2, kk = _control_grid(control, base_t0, dt, n_steps, step_offset, d, model.m)
-    # one scenario: the loops see P = 1
-    if d == 1 and model.m == 1:
-        s = states[:, None, :, 0]
-        bad, x = _run_fast_scalar(
-            model, s[0], np.ascontiguousarray(K1[:, 0, 0]), np.ascontiguousarray(K2[:, 0, 0]),
-            np.ascontiguousarray(kk[:, 0]), float(dt), dw0,
-            np.ascontiguousarray(db[:, :, 0])[:, None, :], backends.resolve(),
-            states=s, means=means)
-    else:
-        bad, x = _run_generic(model, states[0][None], K1, K2, kk, float(dt), dw0[:, None, :],
-                              db[:, None], states=states[:, None], means=means[:, None])
-    if bad >= 0:
-        raise _blowup(times[bad + 1], (path_index,), step_offset + bad + 1, x)
-
-    for arr in (times, states, means, dw0):
-        arr.setflags(write=False)
-    return ParticleTrajectory(times=times, states=states, means=means, dw0=dw0,
-                              t0=float(times[0]), base_t0=float(base_t0),
-                              dt=float(dt), seed=int(seed),
-                              path_index=int(path_index), step_offset=int(step_offset),
-                              model=model, control=control)
 
 
 def _step_count(model, t0, mu0, T, dt):
@@ -361,6 +302,49 @@ def _step_count(model, t0, mu0, T, dt):
     return n_steps
 
 
+class Recording(NamedTuple):
+    """What a Recorder kept of one batch's first scenarios, `paths`.
+
+    nodes (0, stride, ...) count steps from the run's first node, and times
+    are their times; states (nodes, P, N, d) and means (nodes, P, d) are the
+    clouds there, and dw0 (K, P, 1) every step's scaled common increment.
+    """
+
+    paths: range
+    nodes: np.ndarray
+    times: np.ndarray
+    states: np.ndarray
+    means: np.ndarray
+    dw0: np.ndarray
+
+
+class Recorder(NamedTuple):
+    """Keep nodes 0, stride, ... of the first n_paths scenarios; sink gets a Recording per batch."""
+
+    n_paths: int
+    stride: int
+    sink: object
+
+
+def _simulate(model, control, base_t0, x0, n_steps, dt, seed, path_index, step_offset):
+    """Scenario path_index from x0 at node step_offset of the grid from base_t0, every node kept."""
+    kept = []
+    for _ in stream_scenarios(model, control, base_t0, EmpiricalMeasure._wrap(x0),
+                              base_t0 + dt * (step_offset + n_steps), dt, seed,
+                              range(path_index, path_index + 1), with_cost=False,
+                              step_offset=step_offset, record=Recorder(1, 1, kept.append)):
+        pass
+    rec = kept[0]
+    times, states, means, dw0 = rec.times, rec.states[:, 0], rec.means[:, 0], rec.dw0[:, 0]
+    for arr in (times, states, means, dw0):
+        arr.setflags(write=False)
+    return ParticleTrajectory(times=times, states=states, means=means, dw0=dw0,
+                              t0=float(times[0]), base_t0=float(base_t0),
+                              dt=float(dt), seed=int(seed),
+                              path_index=int(path_index), step_offset=int(step_offset),
+                              model=model, control=control)
+
+
 def simulate_path(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, path_index=0):
     """Simulate one scenario of the controlled particle system on [t0, T].
 
@@ -373,13 +357,16 @@ def simulate_path(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, path_i
                      float(dt), seed, path_index, 0)
 
 
-# Memory budget of the streamed engine, in doubles.  The state of one batch
-# of P scenarios (P * N * d values) stays within _BATCH_DOUBLES (125 kB, so
-# P = 8 at N = 2000, d = 1): each step's temporaries then stay below the
-# 128 KiB from which glibc malloc maps fresh pages for every array, and in
-# cache.  The two noise-chunk buffers share _CHUNK_DOUBLES: one chunk of
+# Memory budget of stream_scenarios, in doubles.  The state of a batch of P
+# scenarios (P * N * d values) stays within _BATCH_DOUBLES (125 kB, so P = 8
+# at N = 2000, d = 1): each step's temporaries then stay below the 128 KiB
+# from which glibc malloc maps fresh pages for every array, and in cache.
+# The two noise-chunk buffers share _CHUNK_DOUBLES: one chunk of
 # idiosyncratic increments (steps * P * N values) stays within half of it
-# (2 MiB, 16 steps of that batch).
+# (2 MiB, 16 steps of that batch).  The nodes a Recorder keeps of one batch
+# stay within 4 * _CHUNK_DOUBLES (16 MiB: every node and every common
+# increment of one scenario at N = 2000 and K = 1000), unless one
+# scenario's alone exceed it.
 _BATCH_DOUBLES = 16000
 _CHUNK_DOUBLES = 2**19
 
@@ -389,21 +376,20 @@ def _chunk_steps(P, n, n_steps):
     return max(1, min(n_steps, _CHUNK_DOUBLES // 2 // (P * n)))
 
 
-def _noise_chunks(seed, batches, n, n_steps, sqrt_dt):
+def _noise_chunks(seed, batches, n, n_steps, sqrt_dt, step_offset=0):
     """Scaled increments of every batch's noise chunks, in stepping order.
 
     Yields dw0 (c, P, 1) and db (c, P, n, 1) for the next c steps of the
-    batch of paths at hand; each batch's chunks cover its steps 0..n_steps-1
-    in order.  Every chunk is a view of one of two buffers allocated here,
-    so it is valid only until the next one is requested.  While the caller
-    steps a chunk, a forked drawing process draws the next, crossing batch
-    boundaries, into the other buffer; the two share the buffers through
-    one anonymous mapping and hand buffers over with one pipe message per
-    chunk.  Where the OS cannot fork, other threads run, or there is a
-    single chunk, the same draws run inline.  A draw's exception reaches
-    the caller, with its type and message, when it requests that chunk.
-    Closing the generator ends and reaps the drawing process, so none
-    outlives it.
+    batch at hand; each batch's chunks cover its steps step_offset ..
+    step_offset + n_steps - 1 in order.  A chunk is a view of one of two
+    buffers in one anonymous shared mapping, valid until the next is
+    requested.  While the caller steps a chunk, a forked drawing process
+    draws the next, across batches, into the other buffer; the two hand
+    buffers over with one pipe message per chunk.  Where the OS cannot
+    fork, other threads run, or there is a single chunk, the same draws run
+    inline.  A draw's exception reaches the caller, with its type and
+    message, when it requests that chunk.  Closing the generator ends and
+    reaps the drawing process, so none outlives it.
     """
     blocks = [(paths, k0, min(chunk, n_steps - k0))
               for paths in batches
@@ -425,7 +411,8 @@ def _noise_chunks(seed, batches, n, n_steps, sqrt_dt):
     def draw(i, paths, k0, c):
         dw0, db = views(i, paths, c)
         for j, p in enumerate(paths):
-            _gen_noise(seed, p, k0, c, n, 1, 1, sqrt_dt, out=(dw0[:, j], db[:, j]))
+            _gen_noise(seed, p, step_offset + k0, c, n, 1, 1, sqrt_dt,
+                       out=(dw0[:, j], db[:, j]))
         return dw0, db
 
     pid = -1
@@ -513,51 +500,85 @@ def _await_chunk(ready):
     raise pickle.loads(b"".join(payload))
 
 
-def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, n_paths,
-                     with_cost=True):
-    """Step scenarios 0..n_paths-1 on [t0, T] in batches, keeping only their current state.
+def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, paths,
+                     with_cost=True, *, step_offset=0, record=None):
+    """Step scenarios on the grid t0, t0 + dt, ..., T from node step_offset to T, in batches.
 
-    Yields (paths, running, ends) per batch: the range of path indices, the
-    left-endpoint Riemann sums of the particle-averaged running cost (P,)
-    (None without `with_cost`) and the end clouds (P, N, d).  Scenario p
-    is the one simulate_path(..., path_index=p) steps: its noise is drawn
-    with the same counters in chunks of steps, and its end cloud and cost
-    sum equal that path's and pathwise_cost's.  A blowup names the
-    earliest failing step of a batch and, at that step, its lowest path.
-    The noise of the next chunk is drawn while the current one steps (see
-    _noise_chunks); close the generator, or run it to the end, to end and
-    reap the process that draws it.
+    The one function that steps scenarios.  `paths` is a count n (the
+    scenarios 0..n-1) or a range of path indices; each starts from the cloud
+    mu0.  Step k uses the time, gains and noise counters of grid node k
+    whatever node the run starts at, so a run from a stored node replays
+    the rest of the original bit for bit.  Yields (paths, running, ends)
+    per batch: the range of path indices, the left-endpoint Riemann sums of
+    the particle-averaged running cost (P,) (None without `with_cost`) and
+    the end clouds (P, N, d).  Only the batch's current state is kept, plus
+    what `record` (a Recorder) asks for.  Per scenario, ends and running
+    equal simulate_path's last node and pathwise_cost bit for bit.  A
+    blowup names the earliest failing step of a batch and, at that step,
+    its lowest path.  Close the generator, or run it to the end, to reap
+    the process that draws the noise (see _noise_chunks).
     """
-    n_steps = _step_count(model, t0, mu0, T, dt)
+    n_steps = _step_count(model, t0, mu0, T, dt) - step_offset
     t0, dt = float(t0), float(dt)
+    paths = range(paths) if isinstance(paths, int) else paths
     n, d = mu0.points.shape
     scalar = d == 1 and model.m == 1
-    K1, K2, kk = _control_grid(control, t0, dt, n_steps, 0, d, model.m)
+    K1, K2, kk = _control_grid(control, t0, dt, n_steps, step_offset, d, model.m)
     if scalar:
         K1, K2, kk = (np.ascontiguousarray(g.reshape(n_steps)) for g in (K1, K2, kk))
     width = max(1, _BATCH_DOUBLES // (n * d))
-    batches = [range(s, min(n_paths, s + width)) for s in range(0, n_paths, width)]
-    with closing(_noise_chunks(seed, batches, n, n_steps, float(np.sqrt(dt)))) as noise:
-        for paths in batches:
-            P = len(paths)
+    n_rec, rec_width = 0, width
+    if record is not None:
+        n_rec, stride = min(record.n_paths, len(paths)), record.stride
+        nodes = np.arange(0, n_steps + 1, stride)
+        rec_width = max(1, min(width, 4 * _CHUNK_DOUBLES // (len(nodes) * n * d + n_steps)))
+    # batches of rec_width until every recorded scenario is in one, then of
+    # width; each batch records its first `kept` scenarios
+    rec_end = -(-n_rec // rec_width) * rec_width
+    cuts = [*range(0, rec_end, rec_width), *range(rec_end, len(paths), width), len(paths)]
+    batches = [paths[a:b] for a, b in zip(cuts, cuts[1:])]
+    with closing(_noise_chunks(seed, batches, n, n_steps, float(np.sqrt(dt)),
+                               step_offset)) as noise:
+        for batch in batches:
+            P = len(batch)
             x = np.repeat(mu0.points[None], P, axis=0)
             if scalar:
                 x = x[:, :, 0]
             running = np.zeros(P) if with_cost else None
+            kept = min(P, n_rec - (batch.start - paths.start))
+            if kept > 0:
+                states = np.empty((len(nodes), kept) + x.shape[1:])
+                means = np.empty((len(nodes), kept) + x.shape[2:])
+                dw0_kept = np.empty((n_steps, kept, 1))
+
+                def keep(k0, k, x, m):
+                    if (k0 + k) % stride == 0:
+                        states[(k0 + k) // stride] = x[:kept]
+                        means[(k0 + k) // stride] = m[:kept]
             k0 = 0
             while k0 < n_steps:
                 dw0, db = next(noise)
                 g = slice(k0, k0 + dw0.shape[0])
+                at = None
+                if kept > 0:
+                    dw0_kept[g] = dw0[:, :kept]
+                    at = partial(keep, k0)
                 if scalar:
-                    bad, x = _run_fast_scalar(model, x, K1[g], K2[g], kk[g], dt,
-                                              dw0[:, :, 0], db[:, :, :, 0], running=running)
+                    bad, x = _run_fast_scalar(model, x, K1[g], K2[g], kk[g], dt, dw0[:, :, 0],
+                                              db[:, :, :, 0], running=running, keep=at)
                 else:
                     bad, x = _run_generic(model, x, K1[g], K2[g], kk[g], dt, dw0, db,
-                                          running=running)
+                                          running=running, keep=at)
                 if bad >= 0:
-                    raise _blowup(t0 + dt * (k0 + bad + 1), paths, k0 + bad + 1, x)
+                    step = step_offset + k0 + bad + 1
+                    raise _blowup(t0 + dt * step, batch, step, x)
                 k0 = g.stop
-            yield paths, running, x.reshape(P, n, d)
+            if kept > 0:
+                keep(n_steps, 0, x, tree_sum(x, axis=1) / n)
+                record.sink(Recording(batch[:kept], nodes, t0 + dt * (step_offset + nodes),
+                                      states.reshape(len(nodes), kept, n, d),
+                                      means.reshape(len(nodes), kept, d), dw0_kept))
+            yield batch, running, x.reshape(P, n, d)
 
 
 def restart_continuation(traj: ParticleTrajectory, theta):

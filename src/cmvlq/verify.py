@@ -43,24 +43,23 @@ class CostEstimate:
     dt: float
     seed: int
 
-    def __post_init__(self):
-        if self.M < 2:
-            raise ValueError("cost estimation needs M >= 2 scenarios")
 
-
-def estimate_cost(model, control, t0, mu0, N, M, dt, seed) -> CostEstimate:
+def estimate_cost(model, control, t0, mu0, N, M, dt, seed, record=None) -> CostEstimate:
     """Average pathwise cost over M independent common-noise scenarios.
 
     mu0 is an initial-cloud spec (or a ready cloud of N particles) shared by
     all scenarios; the scenario index enters only the noise keying, so the
     estimate is deterministic in seed.  Scenario p's cost equals
-    pathwise_cost of simulate_path(..., path_index=p) bit for bit.
+    pathwise_cost of simulate_path(..., path_index=p) bit for bit.  A
+    Recorder `record` keeps nodes of the stepped scenarios (see
+    stream_scenarios).
     """
     if M < 2:
         raise ValueError("cost estimation needs M >= 2 scenarios")
     cloud0 = _resolve_cloud(mu0, N, seed)
     costs = np.empty(M)
-    with closing(stream_scenarios(model, control, t0, cloud0, model.T, dt, seed, M)) as stream:
+    with closing(stream_scenarios(model, control, t0, cloud0, model.T, dt, seed, M,
+                                  record=record)) as stream:
         for paths, running, ends in stream:
             gvals = terminal_cost(model.cost, ends, tree_mean(ends, axis=1))
             costs[paths.start:paths.stop] = running + tree_mean(gvals, axis=1)
@@ -75,10 +74,11 @@ def estimate_cost(model, control, t0, mu0, N, M, dt, seed) -> CostEstimate:
 def generator_apply(phi: QuadraticFunctional, mu, bvals, svals, s0vals):
     """mu(L^a phi) + (mu x mu)(M^a phi) for a quadratic measure functional.
 
-    The first-order and trace parts are a single sum over particles; the
-    common-noise part is a full double sum over particle pairs.
+    The first-order and trace parts are a single sum over particles.  The
+    common-noise part is the mean over particle pairs (i, j) of
+    s0_i' d2 s0_j / 2, which factors into mean(s0)' d2 mean(s0) / 2, one
+    sum over particles.
     """
-    n = mu.n
     dmu = np.atleast_2d(phi.d_mu(mu, mu.points))
     dxdmu = phi.dx_dmu()
     first = np.einsum("nd,nd->n", dmu, bvals)
@@ -87,11 +87,8 @@ def generator_apply(phi: QuadraticFunctional, mu, bvals, svals, s0vals):
     single = float(tree_mean(first + trace))
 
     d2 = phi.d2_mu()
-    pair = np.zeros((n, n))
-    for c in range(s0vals.shape[2]):
-        block = s0vals[:, :, c]
-        pair += block @ d2 @ block.T
-    double = float(tree_mean(tree_mean(0.5 * pair, axis=0)))
+    s0bar = tree_mean(s0vals, axis=0)
+    double = sum(0.5 * float(s0bar[:, c] @ d2 @ s0bar[:, c]) for c in range(s0bar.shape[1]))
     return single + double
 
 
@@ -142,6 +139,8 @@ def dpp_check(qv: QuadraticValue, model, t, mu0, theta, control, N, M, dt, seed)
     t, theta = float(t), float(theta)
     if theta < t or theta > model.T * (1 + 1e-12):
         raise ValueError("need t <= theta <= T")
+    if M < 2:
+        raise ValueError("the dpp check needs M >= 2 scenarios")
     cloud0 = _resolve_cloud(mu0, N, seed)
     w_t = value(qv, t, cloud0)
     gaps = np.empty(M)
@@ -175,6 +174,8 @@ def ito_generator_check(model, control, t, mu0, phi: QuadraticFunctional,
     steps = int(round(delta / dt))
     if steps < 1 or abs(steps * dt - delta) > 1e-9 * max(1.0, delta):
         raise ValueError("delta must be a positive multiple of dt")
+    if M < 2:
+        raise ValueError("the ito check needs M >= 2 scenarios")
     cloud0 = _resolve_cloud(mu0, N, seed)
     phi0 = phi(cloud0)
     ends = np.empty(M)

@@ -7,6 +7,7 @@ something the program computes inside a faster or fused route.
 import numpy as np
 
 from cmvlq.lqmodel import affine_feedback, lifted_terminal_cost
+from cmvlq.measure import tree_mean
 from cmvlq.policy import value
 from cmvlq.simulator import _control_grid, _philox
 
@@ -46,3 +47,18 @@ def save_csv(mu, path):
 def terminal_consistency_gap(qv, mu):
     """|value(T, mu) - lifted terminal cost(mu)|, zero up to rounding."""
     return abs(value(qv, qv.T, mu) - lifted_terminal_cost(mu, qv.cost))
+
+
+def generator_pair_sum(phi, s0vals):
+    """(mu x mu)(M^a phi) as the double sum over particle pairs.
+
+    The mean over all pairs (i, j) of s0_i' d2 s0_j / 2, built as the n x n
+    matrix of pairs; verify.generator_apply factors it into means of s0.
+    """
+    n = s0vals.shape[0]
+    d2 = phi.d2_mu()
+    pair = np.zeros((n, n))
+    for c in range(s0vals.shape[2]):
+        block = s0vals[:, :, c]
+        pair += block @ d2 @ block.T
+    return float(tree_mean(tree_mean(0.5 * pair, axis=0)))

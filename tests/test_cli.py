@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from cmvlq import cli
+from cmvlq import cli, simulator
 from cmvlq.lqmodel import save_model
 
 from conftest import make_interbank
@@ -61,6 +61,31 @@ class TestSystemicRisk:
         assert (out / "model.txt").exists()
         assert (out / "lambda_compare.csv").exists()
         assert (out / "means.csv").exists()
+
+
+    MC = ["--seed", "5", "--particles", "50", "--paths", "6", "--dt", "0.01"]
+
+    def test_trajectories_are_simulate_output(self, tmp_path):
+        # paths 0-3 at stride 10, recorded from the cost estimate's scenarios
+        sr, sim = tmp_path / "sr", tmp_path / "sim"
+        assert run_cli("systemic-risk", "--out", str(sr), "--sigma1", "0.3", *self.MC) == 0
+        assert run_cli("simulate", "--model", str(sr / "model.txt"), "--out", str(sim),
+                       "--init", "point:1.0", *self.MC, "--paths", "4", "--stride", "10") == 0
+        for name in ("trajectory.csv", "means.csv"):
+            assert (sr / name).read_bytes() == (sim / name).read_bytes()
+
+    def test_steps_each_scenario_once(self, tmp_path, monkeypatch):
+        steps = []
+        loop = simulator._run_fast_scalar
+
+        def counting(model, x, K1, K2, kk, dt, dw0, db, **kw):
+            steps.append(x.shape[0] * dw0.shape[0])
+            return loop(model, x, K1, K2, kk, dt, dw0, db, **kw)
+
+        monkeypatch.setattr(simulator, "_run_fast_scalar", counting)
+        assert run_cli("systemic-risk", "--out", str(tmp_path), *self.MC) == 0
+        # M = 6 scenarios of K = 100 steps, the 4 recorded ones among them
+        assert sum(steps) == 6 * 100
 
 
 class TestCost:
@@ -230,6 +255,24 @@ class TestBadNumbers:
         pytest.param(["verify", "chaos", "--seed", "1", "--chaos-ns", "40,20"], None,
                      "Ns must be >= 2 ascending", id="chaos-ns=40,20"),
         pytest.param(["systemic-risk", "--seed", "1", "--eta", "-1"], None, "eta", id="eta=-1"),
+        pytest.param(["cost", "--seed", "1", "--dt", "inf"], None,
+                     "dt must be positive and finite", id="dt=inf"),
+        pytest.param(["cost", "--seed", "1", "--dt", "nan"], None,
+                     "dt must be positive and finite", id="dt=nan"),
+        pytest.param(["verify", "dpp", "--seed", "1", "--dt", "inf"], None,
+                     "dt must be positive and finite", id="dpp-dt=inf"),
+        pytest.param(["solve", "--riccati-step", "inf"], None,
+                     "riccati_step must be positive and finite", id="riccati-step=inf"),
+        pytest.param(["verify", "ito", "--seed", "1", "--delta", "inf"], None,
+                     "delta must be positive and finite", id="delta=inf"),
+        pytest.param(["verify", "dpp", "--seed", "1", "--paths", "1"], None,
+                     "the dpp check needs M >= 2 scenarios", id="dpp-paths=1"),
+        pytest.param(["verify", "ito", "--seed", "1", "--paths", "1"], None,
+                     "the ito check needs M >= 2 scenarios", id="ito-paths=1"),
+        pytest.param(["cost", "--seed", "1", "--paths", "1"], None,
+                     "cost estimation needs M >= 2 scenarios", id="cost-paths=1"),
+        pytest.param(["systemic-risk", "--seed", "1", "--t0", "0.5"], None,
+                     "systemic-risk runs from t0 = 0", id="systemic-risk-t0=0.5"),
     ])
     def test_exits_two(self, model_file, tmp_path, capsys, argv, config, message):
         out = tmp_path / "out"

@@ -217,8 +217,9 @@ class TestSimulate:
         assert not np.array_equal(a.states, c.states)
 
     def test_fast_and_generic_paths_agree(self):
-        # at d = m = 1 the affine loop and the scalar numpy twin agree bitwise,
-        # on one stored scenario and on a batch of them with the running cost
+        # at d = m = 1 the affine loop and the scalar loop agree bitwise on a
+        # batch of scenarios: the state and means each step keeps, the
+        # running cost and the end state
         _, _, _, _, _, model, control = interbank_setup(h=0.01)
         n, n_steps, dt, P = 50, 100, 0.01, 3
         mu0 = sample_initial({"kind": "gaussian", "mean": [1.0], "cov": 0.3}, n, 9)
@@ -228,30 +229,25 @@ class TestSimulate:
         K1, K2, kk = control.grid_gains(0.0, dt, n_steps)
         runs = []
         for scalar in (True, False):
-            states = np.empty((n_steps + 1, 1, n, 1))
-            states[0, 0] = mu0.points
-            means = np.empty((n_steps + 1, 1, 1))
+            kept = []
+
+            def keep(k, x, m):
+                kept.append((k, x.reshape(P, n).copy(), m.reshape(P).copy()))
+
             running = np.zeros(P)
             x = np.repeat(mu0.points[None], P, axis=0)
             if scalar:
-                bad, _ = _run_fast_scalar(model, states[0, :, :, 0], K1[:, 0, 0].copy(),
-                                          K2[:, 0, 0].copy(), kk[:, 0].copy(), dt,
-                                          dw0[:, :1, 0], db[:, :1, :, 0], "python",
-                                          states=states[..., 0], means=means[..., 0])
-                bad_b, end = _run_fast_scalar(model, x[..., 0], K1[:, 0, 0], K2[:, 0, 0],
-                                              kk[:, 0], dt, dw0[..., 0], db[..., 0],
-                                              running=running)
-                end = end[..., None]
+                bad, end = _run_fast_scalar(model, x[..., 0], K1[:, 0, 0], K2[:, 0, 0], kk[:, 0],
+                                            dt, dw0[..., 0], db[..., 0], running=running,
+                                            keep=keep)
             else:
-                bad, _ = _run_generic(model, states[0], K1, K2, kk, dt, dw0[:, :1], db[:, :1],
-                                      states=states, means=means)
-                bad_b, end = _run_generic(model, x, K1, K2, kk, dt, dw0, db, running=running)
-            assert bad == bad_b == -1
-            runs.append((states, means, running, end))
+                bad, end = _run_generic(model, x, K1, K2, kk, dt, dw0, db, running=running,
+                                        keep=keep)
+            assert bad == -1 and [k for k, _, _ in kept] == list(range(n_steps))
+            runs.append((np.array([x for _, x, _ in kept]), np.array([m for _, _, m in kept]),
+                         running, end.reshape(P, n)))
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
-        # the first scenario of the batch is the stored one
-        assert np.array_equal(runs[0][3][0], runs[0][0][-1, 0])
 
     def test_d3_matches_per_step_feedback(self):
         # reference: the optimal feedback solved afresh at every node time

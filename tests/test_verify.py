@@ -19,6 +19,7 @@ from cmvlq.riccati import RiccatiSolution, solve_riccati
 from cmvlq.simulator import (
     AffineControl,
     FeedbackControl,
+    Recorder,
     ShiftedControl,
     lq_dynamics_spec,
     pathwise_cost,
@@ -31,6 +32,7 @@ from cmvlq.verify import (
     chaos_convergence,
     dpp_check,
     estimate_cost,
+    generator_apply,
     grad_check,
     ito_generator_check,
     make_report,
@@ -39,6 +41,7 @@ from cmvlq.verify import (
 )
 
 from conftest import forked_pids, inline_noise, make_interbank, random_cloud, random_lq, reaped
+from reference import generator_pair_sum
 
 
 def interbank_stack(sigma1=0.0, **kw):
@@ -227,6 +230,37 @@ class TestStreamedDrivers:
         assert results[0] == results[1]
         assert pids and all(reaped(pid) for pid in pids)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n_rec, stride, batches, recorded", [
+        (8, 1, [range(0, 8)], [range(0, 8)]),
+        (3, 4, [range(0, 2), range(2, 4), range(4, 8)], [range(0, 2), range(2, 3)]),
+    ])
+    def test_recorded_scenarios(self, d, n_rec, stride, batches, recorded, monkeypatch):
+        # a batch of 8 scenarios stepped in chunks of 25 steps records nodes
+        # 0, stride, ... of its first n_rec, equal to simulate_path's P = 1
+        # runs at every recorded node; with a budget for only two recorded
+        # scenarios, the recorded batches are two wide
+        qv, model, cloud0, controls = self.stacks(d, monkeypatch)
+        control = controls["shift"]
+        monkeypatch.setattr(simulator, "_BATCH_DOUBLES", 8 * self.N * d)
+        # 4 * _CHUNK_DOUBLES holds the kept nodes and increments of 8, or of 2, scenarios
+        per_path = (50 // stride + 1) * self.N * d + 50
+        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2**14 if n_rec == 8 else per_path // 2 + 1)
+        recs = []
+        stream = stream_scenarios(model, control, 0.0, cloud0, model.T, self.DT, self.SEED, 8,
+                                  record=Recorder(n_rec, stride, recs.append))
+        assert [paths for paths, _, _ in stream] == batches
+        assert [rec.paths for rec in recs] == recorded
+        for rec in recs:
+            assert np.array_equal(rec.nodes, np.arange(0, 51, stride))
+            for j, p in enumerate(rec.paths):
+                traj = simulate_path(model, control, 0.0, cloud0, model.T, self.DT, self.SEED,
+                                     path_index=p)
+                assert np.array_equal(rec.times, traj.times[::stride])
+                assert np.array_equal(rec.dw0[:, j], traj.dw0)
+                self.check(rec.states[:, j], traj.states[::stride], d)
+                self.check(rec.means[:, j], traj.means[::stride], d)
+
     def test_no_trajectory_allocated(self, monkeypatch):
         # K = 1000 steps of 500 particles: a stored trajectory is 4 MB
         _, model, _, controls = self.stacks(1, monkeypatch)
@@ -295,6 +329,20 @@ class TestNoProcessOutlivesACall:
         assert len(self.pids) == 1 and not reaped(self.pids[0])
         del stream
         assert reaped(self.pids[0])
+
+
+class TestGeneratorApply:
+    @pytest.mark.parametrize("n, d, c", [(2000, 3, 1), (300, 2, 2)])
+    def test_common_noise_term_is_the_pair_sum(self, n, d, c):
+        # with L = 0 and no drift or idiosyncratic noise, only the common
+        # noise term is left
+        rng = np.random.default_rng(n)
+        G = rng.standard_normal((d, d))
+        phi = QuadraticFunctional(np.zeros((d, d)), G + G.T, rng.standard_normal(d), 0.0)
+        mu = EmpiricalMeasure(rng.standard_normal((n, d)))
+        s0 = rng.standard_normal((n, d, c)) + rng.standard_normal((d, c))
+        got = generator_apply(phi, mu, np.zeros((n, d)), np.zeros((n, d, 1)), s0)
+        np.testing.assert_allclose(got, generator_pair_sum(phi, s0), rtol=1e-12, atol=0.0)
 
 
 class TestBellmanResidual:
