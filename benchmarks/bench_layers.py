@@ -22,7 +22,12 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
   recorded at stride 10 into trajectory.csv and means.csv (the recording
   itself is stepped once, untimed: systemic-risk records these paths from
   its cost estimate's own batches);
-- estimate_cost: the whole Monte Carlo estimate.
+- estimate_cost: the whole Monte Carlo estimate;
+- bellman_residual_<model>_50: one draw of ``verify bellman`` (the optimal
+  feedback at a random time, then ``bellman_residual`` on a 50-particle
+  cloud), and grad_check_<model>_20 one draw of ``verify grad``
+  (``grad_check`` on a 20-particle cloud, epsilon 0.1), on the interbank
+  and the d = 3 model; each row is the mean over 20 seeded draws.
 
 Each row is the minimum wall time (min_s) and the minimum CPU time
 (cpu_s: this process's, plus that of the noise drawing processes it
@@ -58,7 +63,12 @@ import numpy as np  # noqa: E402
 import cmvlq  # noqa: E402
 from cmvlq import cli, measure, riccati, simulator, verify  # noqa: E402
 from cmvlq.lqmodel import LqCost, LqDynamics  # noqa: E402
-from cmvlq.policy import FeedbackPolicy, QuadraticValue  # noqa: E402
+from cmvlq.policy import (  # noqa: E402
+    FeedbackPolicy,
+    QuadraticValue,
+    feedback_affine_map,
+    optimal_feedback,
+)
 from cmvlq.riccati import SystemicRiskParams, solve_riccati, systemic_risk_model  # noqa: E402
 
 N, DT, M, SEED = 2000, 1e-3, 32, 1
@@ -218,6 +228,27 @@ def main():
         row("writer_4_paths_stride_10", timing, mb, "mb_per_s")
 
     row("estimate_cost", best_of(estimate, args.repeats), steps, "particle_steps_per_s")
+
+    draws = 20
+    qv3 = QuadraticValue(solve_riccati(dyn3, cost3, 1.0, DT), dyn3, cost3)
+    for name, value_fn in (("interbank", qv), ("lq3", qv3)):
+        bellman_draws = verify.random_clouds(value_fn, draws, 50, SEED)
+        grad_draws = verify.random_clouds(value_fn, draws, 20, SEED)
+
+        def bellman(value_fn=value_fn, bellman_draws=bellman_draws):
+            for t, cloud in bellman_draws:
+                fb = optimal_feedback(value_fn, t)
+                a_star = feedback_affine_map(fb, measure.tree_mean(cloud.points, axis=0))
+                verify.bellman_residual(value_fn, t, cloud, a_star, with_terms=True)
+
+        def grad(value_fn=value_fn, grad_draws=grad_draws):
+            for t, cloud in grad_draws:
+                verify.grad_check(value_fn, t, cloud, 0.1)
+
+        for label, fn in ((f"bellman_residual_{name}_50", bellman),
+                          (f"grad_check_{name}_20", grad)):
+            wall, cpu = best_of(fn, args.repeats)
+            row(label, (wall / draws, cpu / draws))
 
     report = {}
     if os.path.exists(args.out):

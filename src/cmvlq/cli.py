@@ -67,7 +67,8 @@ def _build_parser():
         p.add_argument("--t0", type=float, help="initial time (default 0)")
         p.add_argument("--theta", type=float, help="intermediate time (default T/2)")
         p.add_argument("--epsilon", type=float, help="control shift / FD step (default 0.1)")
-        p.add_argument("--init", help="point:<v,..> | gaussian:<mean,..>:<var,..> | csv:<path>")
+        p.add_argument("--init", help="point:<v,..> (one v: every coordinate) | "
+                       "gaussian:<mean,..>:<var,..> | csv:<path>")
         p.add_argument("--control", help="optimal | zero | const:<v,..> | shift:<eps>")
         p._model_required = model_required
         p._needs_seed = needs_seed
@@ -140,14 +141,20 @@ def _defaults(cfg, T):
     for knob in ("dt", "riccati_step", "delta"):
         if cfg.get(knob) is not None and not 0 < cfg[knob] < math.inf:
             raise ValueError(f"{knob} must be positive and finite")
+    for knob in ("t0", "theta", "epsilon"):
+        if not math.isfinite(cfg[knob]):
+            raise ValueError(f"{knob} must be finite")
     return cfg
 
 
 def _parse_init(text, d):
     kind, _, rest = text.partition(":")
     if kind == "point":
-        vals = [float(v) for v in rest.split(",")] if rest else [0.0] * d
-        return {"kind": "point", "x0": np.asarray(vals)}
+        # one value is that value in every coordinate
+        vals = [float(v) for v in rest.split(",")] if rest else [0.0]
+        if len(vals) not in (1, d):
+            raise ValueError(f"point:{rest} has {len(vals)} coordinates, expected 1 or {d}")
+        return {"kind": "point", "x0": np.asarray(vals * (d // len(vals)))}
     if kind == "gaussian":
         mean_txt, _, var_txt = rest.partition(":")
         mean = np.asarray([float(v) for v in mean_txt.split(",")])

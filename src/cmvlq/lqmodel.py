@@ -13,9 +13,10 @@ are R^d-valued.  All cost matrices are symmetrized on construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.lapack import dsyev
 
 from .errors import NonPositiveGain
 from .measure import mean, tree_mean
@@ -199,6 +200,11 @@ class GainMatrices:
         object.__setattr__(self, "pd_ok", pd_holds(self.min_eig_u, self.min_eig_v))
 
 
+def min_eigenvalue(M):
+    """Smallest eigenvalue of the symmetric matrix M (LAPACK dsyev; the entry itself at 1 x 1)."""
+    return float(dsyev(M, compute_v=0)[0][0])
+
+
 def pd_holds(min_eig_u, min_eig_v):
     """Whether both minimum eigenvalues exceed PD_THRESHOLD (False on NaN)."""
     return bool(min_eig_u > PD_THRESHOLD and min_eig_v > PD_THRESHOLD)
@@ -234,25 +240,166 @@ def gain_terms(Lam, Gam, gam, dyn, cost):
     return (U, V, S, Z, Y), (DtL, D0tL, DstL, D0stG, L_th, G_th0)
 
 
-def gain_blocks(Lam, Gam, gam, dyn, cost):
+def backward_derivatives(Lam, Gam, gam, blocks, products, solves, dyn, cost):
+    """Right-hand side (dLam, dGam, dgam, dchi) of the backward system.
+
+    blocks are (S, Z, Y) and products the reused products of gain_terms at
+    (Lam, Gam, gam); solves are (U^-1 S', V^-1 Z', V^-1 Y).  With zero
+    solves this is the right-hand side's affine part.
+    """
+    S, Z, Y = blocks
+    DtL, D0tL, DstL, D0stG, L_th, G_th0 = products
+    U_inv_St, V_inv_Zt, V_inv_Y = solves
+    B, D, D0 = dyn.B, dyn.D, dyn.D0
+    Bs, Ds, D0s = dyn.Bs, dyn.Ds, dyn.D0s
+    th, th0, b0 = dyn.theta, dyn.theta0, dyn.b0
+
+    dLam = -(cost.Q2 + DtL @ D + D0tL @ D0 + Lam @ B + B.T @ Lam - S @ U_inv_St)
+    dGam = -(cost.Q2s + DstL @ Ds + D0stG @ D0s + Gam @ Bs + Bs.T @ Gam - Z @ V_inv_Zt)
+    dgam = -(Bs.T @ gam - Z @ V_inv_Y + 2.0 * Ds.T @ L_th
+             + 2.0 * D0s.T @ G_th0 + 2.0 * Gam @ b0)
+    dchi = -(-0.25 * float(Y @ V_inv_Y) + float(gam @ b0)
+             + float(th @ Lam @ th) + float(th0 @ Gam @ th0))
+    return dLam, dGam, dgam, dchi
+
+
+class BackwardOperator:
+    """The affine part of the backward system's right-hand side as one matrix.
+
+    The unknowns are stacked as z = (Lam[iu], Gam[iu], gam, chi), with iu
+    the upper triangle, so Lam and Gam are symmetric by construction.  Every
+    term of the right-hand side that is affine in z, namely U, V, S', [Z' | Y]
+    and the affine parts of (dLam, dGam, dgam, dchi), is y = A z + c: by
+    vec(P X Q) = (Q' kron P) vec(X), each is a fixed linear map of z.  A
+    holds the direct formulas (gain_terms, backward_derivatives with zero
+    solves) evaluated on the basis of z, c their value at z = 0.  Rows for
+    the (i, j) and (j, i) entries of the symmetric outputs U, V, dLam and
+    dGam are averaged into one, so those come out exactly symmetric.  The
+    one term left out of A is S's Lam C, added as that product: S is then
+    exactly Lam C, as the direct formula gives it, for a model whose
+    volatilities carry no control and which has no cross weight.
+
+    What is left of the right-hand side is nonlinear: the Cholesky solves
+    U^-1 S' and V^-1 [Z' | Y] and the products S U^-1 S' and
+    [Z' | Y]' V^-1 [Z' | Y], whose entries gather (quadratic, weights) adds
+    to the affine part.  Built once per model, for every model other than
+    d = m = 1 (see backward_operator).
+    """
+
+    def __init__(self, dyn, cost):
+        d, m = dyn.d, dyn.m
+        self.d, self.m = d, m
+        iu, ium = np.triu_indices(d), np.triu_indices(m)
+        nu, mu = iu[0].size, ium[0].size
+        self.n = n = 2 * nu + d
+        self.size = n + 1
+        # unique index of every entry of a symmetric d x d (m x m) matrix, row-major
+        full = _symmetric_index(d, iu)
+        full_m = _symmetric_index(m, ium)
+        self._iu, self._full, self._nu = iu, full, nu
+        self._gam = slice(2 * nu, 2 * nu + d)
+        self._C = dyn.C
+        zeros = (np.zeros((m, d)), np.zeros((m, d)), np.zeros(m))
+        no_drift_loading = replace(dyn, C=np.zeros((d, m)))
+
+        def affine_part(z, cost):
+            Lam, Gam, gam = z[full].reshape(d, d), z[nu + full].reshape(d, d), z[self._gam]
+            (U, V, _, Z, Y), products = gain_terms(Lam, Gam, gam, dyn, cost)
+            S = gain_terms(Lam, Gam, gam, no_drift_loading, cost)[0][2]
+            dLam, dGam, dgam, dchi = backward_derivatives(Lam, Gam, gam, (S, Z, Y), products,
+                                                          zeros, dyn, cost)
+            return np.concatenate((
+                U[ium], V[ium], S.T.ravel(), np.column_stack((Z.T, Y)).ravel(),
+                ((dLam + dLam.T) / 2.0)[iu], ((dGam + dGam.T) / 2.0)[iu], dgam, [dchi]))
+
+        linear = LqCost(Q2=np.zeros((d, d)), Q2bar=np.zeros((d, d)), R2=np.zeros((m, m)),
+                        P2=np.zeros((d, d)), P2bar=np.zeros((d, d)))
+        self.A = np.column_stack([affine_part(np.eye(1, n + 1, j)[0], linear) for j in range(n)])
+        self.c = affine_part(np.zeros(n + 1), cost)
+        # y = (A z + c)[expand] is U and V (m x m), S' (m x d), [Z' | Y] (m x (d+1)) and
+        # the affine part of dz (n + 1), each C-ordered
+        self.expand = np.concatenate((full_m, mu + full_m, np.arange(2 * mu, self.c.size)))
+        bounds = np.cumsum([0, m * m, m * m, m * d, m * (d + 1)])
+        self._u, self._v, self._st, self._w = map(slice, bounds[:-1], bounds[1:])
+        self._lin = slice(bounds[-1], None)
+        # dz adds these entries of (S U^-1 S').ravel() followed by ([Z'|Y]' V^-1 [Z'|Y]).ravel():
+        # S U^-1 S' at Lam's, Z V^-1 Z' at Gam's, Z V^-1 Y at gam's and Y' V^-1 Y / 4 at chi
+        e = d * d
+        self.gather = np.concatenate((iu[0] * d + iu[1], e + iu[0] * (d + 1) + iu[1],
+                                      e + np.arange(d) * (d + 1) + d, [e + (d + 1) ** 2 - 1]))
+        self.weights = np.ones(n + 1)
+        self.weights[-1] = 0.25
+        for a in (self.A, self.c, self.expand, self.gather, self.weights):
+            a.setflags(write=False)
+
+    def stack(self, Lam, Gam, gam):
+        """z of 2-d Lam, Gam (their symmetric parts) and 1-d gam, with chi = 0."""
+        Lam = np.atleast_2d(np.asarray(Lam, dtype=np.float64))
+        Gam = np.atleast_2d(np.asarray(Gam, dtype=np.float64))
+        return np.concatenate((((Lam + Lam.T) / 2.0)[self._iu], ((Gam + Gam.T) / 2.0)[self._iu],
+                               np.asarray(gam, dtype=np.float64).reshape(-1), [0.0]))
+
+    def unstack(self, z):
+        """(Lam, Gam, gam, chi) of z, or of a stack of them along the first axis."""
+        nu, d, lead = self._nu, self.d, z.shape[:-1]
+        return (z[..., self._full].reshape(lead + (d, d)),
+                z[..., nu + self._full].reshape(lead + (d, d)),
+                z[..., self._gam].copy(), z[..., -1].copy())
+
+    def affine(self, z):
+        """(U, V, S', [Z' | Y], affine part of dz) at z."""
+        y = (self.A.dot(z[:self.n]) + self.c)[self.expand]
+        m, d = self.m, self.d
+        St = y[self._st].reshape(m, d)
+        St += (z[self._full].reshape(d, d) @ self._C).T
+        return (y[self._u].reshape(m, m), y[self._v].reshape(m, m), St,
+                y[self._w].reshape(m, d + 1), y[self._lin])
+
+    def gain_blocks(self, Lam, Gam, gam):
+        """(U, V, S, Z, Y) at Lam, Gam, gam; see lqmodel.gain_blocks."""
+        U, V, St, W, _ = self.affine(self.stack(Lam, Gam, gam))
+        return U, V, St.T, W[:, :self.d].T, W[:, self.d]
+
+
+def _symmetric_index(d, iu):
+    """For each entry of a d x d matrix, row-major, its position in the upper triangle iu."""
+    full = np.empty((d, d), dtype=np.intp)
+    full[iu] = full[iu[1], iu[0]] = np.arange(iu[0].size)
+    return full.ravel()
+
+
+def backward_operator(dyn, cost):
+    """The model's BackwardOperator, or None at d = m = 1, which keeps the direct formulas."""
+    return None if dyn.d == 1 and dyn.m == 1 else BackwardOperator(dyn, cost)
+
+
+def gain_blocks(Lam, Gam, gam, dyn, cost, op=None):
     """Raw (U, V, S, Z, Y) without eigenvalue diagnostics.
 
     Note the mean-coupling Z pairs Gam with F0 (the common-noise control
     loading), mirroring how V pairs Gam with F0; this is what makes the
     square-completion identity exact for all coefficient choices.
+
+    A d = m = 1 model evaluates gain_terms; every other model goes through
+    its BackwardOperator op, which reads the symmetric parts of Lam and Gam
+    and is built here when not given.  A caller that evaluates one model
+    many times passes the operator it holds (RiccatiSolution.op,
+    QuadraticValue.op), so the blocks are those the solver used.
     """
+    op = op if op is not None else backward_operator(dyn, cost)
+    if op is not None:
+        return op.gain_blocks(Lam, Gam, gam)
     Lam = np.atleast_2d(np.asarray(Lam, dtype=np.float64))
     Gam = np.atleast_2d(np.asarray(Gam, dtype=np.float64))
     gam = np.asarray(gam, dtype=np.float64).reshape(-1)
     return gain_terms(Lam, Gam, gam, dyn, cost)[0]
 
 
-def gains(t, Lam, Gam, gam, dyn, cost):
-    """Gain matrices at time t, with positive-definiteness diagnostics."""
-    U, V, S, Z, Y = gain_blocks(Lam, Gam, gam, dyn, cost)
-    min_u = float(np.min(np.linalg.eigvalsh(U)))
-    min_v = float(np.min(np.linalg.eigvalsh(V)))
-    return GainMatrices(t=float(t), U=U, V=V, S=S, Z=Z, Y=Y, min_eig_u=min_u, min_eig_v=min_v)
+def gains(t, Lam, Gam, gam, dyn, cost, op=None):
+    """Gain matrices at time t, with positive-definiteness diagnostics; op as in gain_blocks."""
+    U, V, S, Z, Y = gain_blocks(Lam, Gam, gam, dyn, cost, op)
+    return GainMatrices(t=float(t), U=U, V=V, S=S, Z=Z, Y=Y, min_eig_u=min_eigenvalue(U),
+                        min_eig_v=min_eigenvalue(V))
 
 
 @dataclass(frozen=True)

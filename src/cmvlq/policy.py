@@ -8,12 +8,12 @@ no derivative here is ever approximated numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import riccati as _riccati
-from .lqmodel import affine_feedback, gains, require_pd
+from .lqmodel import BackwardOperator, affine_feedback, backward_operator, gains, require_pd
 from .measure import EmpiricalMeasure, mean, variance_form
 
 
@@ -67,12 +67,20 @@ class QuadraticValue:
     """The value function defined by a backward-system solution.
 
     When sol is solve_riccati's solution for this very (dyn, cost), its
-    node gains are this value's optimal feedback at the solver nodes.
+    node gains are this value's optimal feedback at the solver nodes.  op
+    is the model's BackwardOperator (None at d = m = 1): the solution's own
+    for that model, else one built here, once.
     """
 
     sol: _riccati.RiccatiSolution
     dyn: object
     cost: object
+    op: BackwardOperator = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        own = self.sol.dyn is self.dyn and self.sol.cost is self.cost
+        op = self.sol.op if own else backward_operator(self.dyn, self.cost)
+        object.__setattr__(self, "op", op)
 
     @property
     def T(self):
@@ -90,7 +98,8 @@ class QuadraticValue:
         dynamic-programming residuals are exact up to solver error.
         """
         Lam, Gam, gam, _ = self.sol.eval(t)
-        return QuadraticFunctional(*_riccati.ode_rhs(Lam, Gam, gam, self.dyn, self.cost, t))
+        derivatives = _riccati.ode_rhs(Lam, Gam, gam, self.dyn, self.cost, t, self.op)
+        return QuadraticFunctional(*derivatives)
 
     def node_gains(self):
         """(K1, K2, k) at every solver node, or None unless sol was solved for (dyn, cost)."""
@@ -150,14 +159,11 @@ def optimal_feedback(qv: QuadraticValue, t) -> FeedbackGains:
     solution (RiccatiSolution.K1, K2, k) bit for bit.
     """
     Lam, Gam, gam, _ = qv.sol.eval(t)
-    g = gains(t, Lam, Gam, gam, qv.dyn, qv.cost)
+    g = gains(t, Lam, Gam, gam, qv.dyn, qv.cost, qv.op)
     require_pd(t, g.min_eig_u, g.min_eig_v)
-    U_factor = _riccati._factor_pd(g.U, t, "U")
-    V_factor = _riccati._factor_pd(g.V, t, "V")
-    K1 = -_riccati._solve_factored(U_factor, g.S.T)
-    K2 = -_riccati._solve_factored(V_factor, g.Z.T)
-    k = -0.5 * _riccati._solve_factored(V_factor, g.Y)
-    return FeedbackGains(t=float(t), K1=K1, K2=K2, k=k)
+    U_inv_St, V_inv_W = _riccati._gain_solves(g.U, g.V, g.S.T, np.column_stack((g.Z.T, g.Y)), t)
+    d = qv.dyn.d
+    return FeedbackGains(t=float(t), K1=-U_inv_St, K2=-V_inv_W[:, :d], k=-0.5 * V_inv_W[:, d])
 
 
 class FeedbackPolicy:

@@ -15,11 +15,19 @@ V^-1 Z' and V^-1 Y.  The sweep keeps them as the node's gains
 K1 = -U^-1 S', K2 = -V^-1 Z', k = -V^-1 Y / 2, and the minimum eigenvalues
 of U and V as the node's pd_history; node 0 costs the one extra
 evaluation.  These are bitwise the gains optimal_feedback computes at the
-node.  Scalar models (d = m = 1) are swept on Python floats, operation for
-operation as ode_rhs does on 1x1 arrays, so both give the same bits; every
-other shape runs ode_rhs's array arithmetic, with the model's constant
-sums (B + Bbar, D + Dbar, D0 + D0bar, Q2 + Q2bar) computed once on the
-model and U and V factored once per evaluation by LAPACK's dpotrf.
+node.
+
+The sweep takes one of two routes.  Scalar models (d = m = 1) are swept on
+Python floats, operation for operation as the direct array formulas
+(_rhs: lqmodel.gain_terms and lqmodel.backward_derivatives) run on 1x1
+arrays, so both give the same bits.  Every other shape is swept on the
+model's lqmodel.BackwardOperator, built once per solve: the unknowns are
+stacked into one vector, the right-hand side's affine part is one matrix
+product, what remains is the Cholesky solves with U and V (LAPACK dposv)
+and two small products, and each RK4 stage is one vector operation.  The
+direct formulas build that operator and are the reference it is tested
+against; ode_rhs, lqmodel.gains and the policy layer evaluate the same
+operator, so their results agree with the sweep's bit for bit.
 """
 
 from __future__ import annotations
@@ -29,16 +37,20 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs
 
 from .errors import DomainError, NonPositiveGain, NumericalBlowup
 from .lqmodel import (
     BLOWUP_LIMIT,
     GRID_TOL,
+    BackwardOperator,
     LqCost,
     LqDynamics,
+    backward_derivatives,
+    backward_operator,
     check_standing_condition,
     gain_terms,
+    min_eigenvalue,
     require_pd,
 )
 
@@ -55,12 +67,18 @@ def _factor_pd(M, t, which):
         if not M[0, 0] > 0.0:
             raise NonPositiveGain(t, float(M[0, 0]), which)
         return M[0, 0]
-    if not np.isfinite(M).all():
-        raise NumericalBlowup(f"t={t:.6g}", f"gain matrix {which} is not finite")
+    _require_finite(M, t, which)
     factor, info = dpotrf(M, lower=1, clean=0)
     if info > 0:
         raise NonPositiveGain(t, float(np.min(np.linalg.eigvalsh(M))), which)
     return factor
+
+
+def _require_finite(M, t, which):
+    # a finite sum of squares has only finite terms; the elementwise test runs when it is not
+    flat = M.ravel()
+    if not math.isfinite(flat.dot(flat)) and not np.isfinite(M).all():
+        raise NumericalBlowup(f"t={t:.6g}", f"gain matrix {which} is not finite")
 
 
 def _solve_factored(factor, rhs):
@@ -70,8 +88,23 @@ def _solve_factored(factor, rhs):
     return dpotrs(factor, rhs, lower=1)[0]
 
 
+def _solve_pd(M, rhs, t, which):
+    """M^-1 rhs for the symmetric positive definite M, failing as _factor_pd does.
+
+    Larger than 1 x 1, the factorization and the solve are one LAPACK call
+    (dposv, which is dpotrf then dpotrs).
+    """
+    if M.shape == (1, 1):
+        return _solve_factored(_factor_pd(M, t, which), rhs)
+    _require_finite(M, t, which)
+    _, x, info = dposv(M, rhs, lower=1)
+    if info > 0:
+        raise NonPositiveGain(t, float(np.min(np.linalg.eigvalsh(M))), which)
+    return x
+
+
 def _rhs(Lam, Gam, gam, dyn, cost, t, at_node=False):
-    """ode_rhs, plus what the sweep keeps at a node.
+    """ode_rhs by the direct formulas, plus what the sweep keeps at a node.
 
     Returns the derivatives (dLam, dGam, dgam, dchi), the minimum
     eigenvalues (of U, of V) when at_node (else None), and the solves
@@ -80,37 +113,53 @@ def _rhs(Lam, Gam, gam, dyn, cost, t, at_node=False):
     """
     Lam = (Lam + Lam.T) / 2.0
     Gam = (Gam + Gam.T) / 2.0
-    (U, V, S, Z, Y), (DtL, D0tL, DstL, D0stG, L_th, G_th0) = gain_terms(Lam, Gam, gam, dyn, cost)
+    (U, V, S, Z, Y), products = gain_terms(Lam, Gam, gam, dyn, cost)
     eigs = None
     if at_node:
         eigs = (float(np.min(np.linalg.eigvalsh(U))), float(np.min(np.linalg.eigvalsh(V))))
         require_pd(t, *eigs)
     U_factor = _factor_pd(U, t, "U")
     V_factor = _factor_pd(V, t, "V")
-    U_inv_St = _solve_factored(U_factor, S.T)
-    V_inv_Zt = _solve_factored(V_factor, Z.T)
-    V_inv_Y = _solve_factored(V_factor, Y)
-
-    B, D, D0 = dyn.B, dyn.D, dyn.D0
-    Bs, Ds, D0s = dyn.Bs, dyn.Ds, dyn.D0s
-    th, th0, b0 = dyn.theta, dyn.theta0, dyn.b0
-
-    dLam = -(cost.Q2 + DtL @ D + D0tL @ D0 + Lam @ B + B.T @ Lam - S @ U_inv_St)
-    dGam = -(cost.Q2s + DstL @ Ds + D0stG @ D0s + Gam @ Bs + Bs.T @ Gam - Z @ V_inv_Zt)
-    dgam = -(Bs.T @ gam - Z @ V_inv_Y + 2.0 * Ds.T @ L_th
-             + 2.0 * D0s.T @ G_th0 + 2.0 * Gam @ b0)
-    dchi = -(-0.25 * float(Y @ V_inv_Y) + float(gam @ b0)
-             + float(th @ Lam @ th) + float(th0 @ Gam @ th0))
-    return (dLam, dGam, dgam, dchi), eigs, (U_inv_St, V_inv_Zt, V_inv_Y)
+    solves = (_solve_factored(U_factor, S.T), _solve_factored(V_factor, Z.T),
+              _solve_factored(V_factor, Y))
+    return backward_derivatives(Lam, Gam, gam, (S, Z, Y), products, solves, dyn, cost), eigs, solves
 
 
-def ode_rhs(Lam, Gam, gam, dyn, cost, t=float("nan")):
+def _gain_solves(U, V, St, W, t):
+    """U^-1 S' and V^-1 [Z' | Y] through the Cholesky factors of U and V (U first)."""
+    return _solve_pd(U, St, t, "U"), _solve_pd(V, W, t, "V")
+
+
+def _operator_rhs(op, z, t, at_node=False):
+    """_rhs on the stacked unknowns z of a BackwardOperator op.
+
+    Returns dz, the node's minimum eigenvalues as _rhs does, and the solves
+    (U^-1 S', V^-1 [Z' | Y]).  The affine part is one product with op.A;
+    the rest is the two factorizations, the two solves and two products.
+    """
+    U, V, St, W, affine = op.affine(z)
+    eigs = None
+    if at_node:
+        eigs = (min_eigenvalue(U), min_eigenvalue(V))
+        require_pd(t, *eigs)
+    U_inv_St, V_inv_W = _gain_solves(U, V, St, W, t)
+    quadratic = np.concatenate((St.T.dot(U_inv_St).ravel(), W.T.dot(V_inv_W).ravel()))
+    return affine + op.weights * quadratic[op.gather], eigs, (U_inv_St, V_inv_W)
+
+
+def ode_rhs(Lam, Gam, gam, dyn, cost, t=float("nan"), op=None):
     """Time derivatives (dLam, dGam, dgam, dchi) of the backward system.
 
     The system is autonomous; t only labels error reports.  Lam and Gam
     inputs are symmetrized so every RK4 stage stays on the symmetric cone.
+    A d = m = 1 model evaluates the direct formulas; every other model its
+    BackwardOperator op, built here when not given (see lqmodel.gain_blocks).
     """
-    return _rhs(Lam, Gam, gam, dyn, cost, t)[0]
+    op = op if op is not None else backward_operator(dyn, cost)
+    if op is None:
+        return _rhs(Lam, Gam, gam, dyn, cost, t)[0]
+    Lam, Gam, gam, chi = op.unstack(_operator_rhs(op, op.stack(Lam, Gam, gam), t)[0])
+    return Lam, Gam, gam, float(chi)
 
 
 def _scalar_rhs(dyn, cost):
@@ -170,7 +219,8 @@ class RiccatiSolution:
     K1 (n, m, d), K2 (n, m, d) and k (n, m) are the optimal feedback gains
     at every node.  dyn and cost name the model whose gains these are:
     solve_riccati records the model it solved, and a solution built by
-    hand without one leaves them None.
+    hand without one leaves them None.  op is the BackwardOperator the
+    solve used (None at d = m = 1 and on a hand-built solution).
     """
 
     grid: np.ndarray
@@ -186,6 +236,7 @@ class RiccatiSolution:
     k: np.ndarray
     dyn: LqDynamics = field(default=None, repr=False, compare=False)
     cost: LqCost = field(default=None, repr=False, compare=False)
+    op: BackwardOperator = field(default=None, repr=False, compare=False)
 
     @property
     def d(self):
@@ -198,6 +249,8 @@ class RiccatiSolution:
     def eval(self, t):
         """Piecewise-linear interpolation; exact (bitwise) at grid nodes."""
         t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"t={t} is not finite")
         if t < -GRID_TOL * max(1.0, self.T) or t > self.T * (1.0 + GRID_TOL) + GRID_TOL:
             raise ValueError(f"t={t} outside [0, {self.T}]")
         t = min(max(t, 0.0), self.T)
@@ -229,7 +282,12 @@ def _check_finite_floats(t, values):
 
 
 def _array_kit(dyn, cost):
-    """The sweep on arrays: right-hand side, symmetrization, blowup check, terminal state."""
+    """The sweep on arrays by the direct formulas (_rhs).
+
+    Right-hand side, symmetrization, blowup check, terminal state.  No solve
+    takes this route: it is the array form of the d = m = 1 float sweep, and
+    the reference the operator sweep is tested against.
+    """
     def rhs(Lam, Gam, gam, t, at_node=False):
         return _rhs(Lam, Gam, gam, dyn, cost, t, at_node)
 
@@ -281,6 +339,36 @@ def _sweep(kit, dyn, cost, T, K, h):
                            h=T / K, T=T, K1=K1, K2=K2, k=kk, dyn=dyn, cost=cost)
 
 
+def _operator_sweep(op, dyn, cost, T, K, h):
+    """_sweep on the stacked unknowns of a BackwardOperator op, one vector operation per stage."""
+    d, m = dyn.d, dyn.m
+    grid = np.linspace(0.0, T, K + 1)
+    states = np.empty((K + 1, op.size))
+    pd_hist = np.empty((K + 1, 2))
+    U_inv_St = np.empty((K + 1, m, d))
+    V_inv_W = np.empty((K + 1, m, d + 1))
+    z = states[K] = op.stack(cost.P2, cost.P2 + cost.P2bar, np.zeros(d))
+
+    for k in range(K, -1, -1):
+        t = grid[k]
+        k1, pd_hist[k], (U_inv_St[k], V_inv_W[k]) = _operator_rhs(op, z, t, at_node=True)
+        if k == 0:
+            break
+        k2 = _operator_rhs(op, z - 0.5 * h * k1, t - 0.5 * h)[0]
+        k3 = _operator_rhs(op, z - 0.5 * h * k2, t - 0.5 * h)[0]
+        k4 = _operator_rhs(op, z - h * k3, t - h)[0]
+        z = z - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _check_finite(grid[k - 1], (z,))
+        states[k - 1] = z
+
+    Lam, Gam, gam, chi = op.unstack(states)
+    K1, K2, kk = -U_inv_St, -V_inv_W[:, :, :d], -0.5 * V_inv_W[:, :, d]
+    for arr in (grid, Lam, Gam, gam, chi, pd_hist, K1, K2, kk):
+        arr.setflags(write=False)
+    return RiccatiSolution(grid=grid, Lam=Lam, Gam=Gam, gam=gam, chi=chi, pd_history=pd_hist,
+                           h=T / K, T=T, K1=K1, K2=K2, k=kk, dyn=dyn, cost=cost, op=op)
+
+
 def solve_riccati(dyn: LqDynamics, cost: LqCost, T, h):
     """Integrate the backward system from T to 0 with classical RK4.
 
@@ -289,7 +377,8 @@ def solve_riccati(dyn: LqDynamics, cost: LqCost, T, h):
     the gain matrices U, V are recorded, failing fast with NonPositiveGain
     at or below the positive-definiteness threshold, and the node's
     feedback gains are kept from the same evaluation (see the module
-    docstring).  Scalar models run on Python floats, others on arrays.
+    docstring).  Scalar models run on Python floats, others on the model's
+    BackwardOperator, built here once and kept as the solution's op.
     """
     T = float(T)
     h = float(h)
@@ -308,8 +397,10 @@ def solve_riccati(dyn: LqDynamics, cost: LqCost, T, h):
             stacklevel=2,
         )
 
-    kit = _scalar_kit(dyn, cost) if dyn.d == 1 and dyn.m == 1 else _array_kit(dyn, cost)
-    return _sweep(kit, dyn, cost, T, K, h)
+    op = backward_operator(dyn, cost)
+    if op is None:
+        return _sweep(_scalar_kit(dyn, cost), dyn, cost, T, K, h)
+    return _operator_sweep(op, dyn, cost, T, K, h)
 
 
 def save_riccati_csv(sol: RiccatiSolution, path):

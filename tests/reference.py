@@ -6,6 +6,7 @@ something the program computes inside a faster or fused route.
 
 import numpy as np
 
+from cmvlq import riccati
 from cmvlq.lqmodel import affine_feedback, lifted_terminal_cost
 from cmvlq.measure import tree_mean
 from cmvlq.policy import value
@@ -62,3 +63,13 @@ def generator_pair_sum(phi, s0vals):
         block = s0vals[:, :, c]
         pair += block @ d2 @ block.T
     return float(tree_mean(tree_mean(0.5 * pair, axis=0)))
+
+
+def array_sweep(dyn, cost, T, h):
+    """solve_riccati on the direct array formulas (riccati._rhs) at any d and m.
+
+    The route every model other than d = m = 1 took before the sweep went
+    through the model's BackwardOperator; T and h as solve_riccati takes them.
+    """
+    K = int(round(T / h))
+    return riccati._sweep(riccati._array_kit(dyn, cost), dyn, cost, float(T), K, float(h))

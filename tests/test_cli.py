@@ -8,7 +8,7 @@ import pytest
 from cmvlq import cli, simulator
 from cmvlq.lqmodel import save_model
 
-from conftest import make_interbank
+from conftest import make_interbank, random_lq
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +273,16 @@ class TestBadNumbers:
                      "cost estimation needs M >= 2 scenarios", id="cost-paths=1"),
         pytest.param(["systemic-risk", "--seed", "1", "--t0", "0.5"], None,
                      "systemic-risk runs from t0 = 0", id="systemic-risk-t0=0.5"),
+        pytest.param(["verify", "dpp", "--seed", "1", "--t0", "nan"], None,
+                     "t0 must be finite", id="dpp-t0=nan"),
+        pytest.param(["cost", "--seed", "1", "--t0", "nan"], None,
+                     "t0 must be finite", id="cost-t0=nan"),
+        pytest.param(["verify", "dpp", "--seed", "1", "--theta", "nan"], None,
+                     "theta must be finite", id="dpp-theta=nan"),
+        pytest.param(["verify", "grad", "--seed", "1", "--epsilon", "nan"], None,
+                     "epsilon must be finite", id="grad-epsilon=nan"),
+        pytest.param(["verify", "grad", "--seed", "1", "--epsilon", "inf"], None,
+                     "epsilon must be finite", id="grad-epsilon=inf"),
     ])
     def test_exits_two(self, model_file, tmp_path, capsys, argv, config, message):
         out = tmp_path / "out"
@@ -291,6 +301,41 @@ class TestBadNumbers:
         assert err.startswith("configuration error: ") and message in err
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestPointInit:
+    """A one-value point: spec, the default point:0.0 included, fills every coordinate."""
+
+    @pytest.fixture(scope="class")
+    def model3(self, tmp_path_factory):
+        dyn, cost = random_lq(61, d=3, m=2, with_m2=True)
+        path = tmp_path_factory.mktemp("model3") / "lq3.txt"
+        save_model(path, dyn, cost, 1.0)
+        return str(path)
+
+    SMALL = ["--seed", "1", "--particles", "4", "--paths", "2", "--dt", "0.05",
+             "--riccati-step", "0.01"]
+
+    @pytest.mark.parametrize("command", [["cost"], ["simulate"], ["verify", "dpp"],
+                                         ["verify", "ito"], ["verify", "flow"],
+                                         ["verify", "chaos"]])
+    def test_default_init_on_d3(self, model3, tmp_path, capsys, command):
+        extra = {"chaos": ["--chaos-ns", "2,4"], "ito": ["--delta", "0.1"]}.get(command[-1], [])
+        code = run_cli(*command, "--model", model3, "--out", str(tmp_path), *self.SMALL, *extra)
+        err = capsys.readouterr().err
+        assert code in (0, 1) and "configuration error" not in err, err
+
+    def test_one_value_fills_every_coordinate(self, model3, tmp_path):
+        assert run_cli("simulate", "--model", model3, "--out", str(tmp_path), *self.SMALL,
+                       "--init", "point:0.5") == 0
+        rows = (tmp_path / "trajectory.csv").read_text().split("\n")
+        assert rows[0] == "path,t,particle,x0,x1,x2"
+        assert rows[1] == "0,0.0,0,0.5,0.5,0.5"
+
+    def test_other_counts_exit_two(self, model3, tmp_path, capsys):
+        assert run_cli("cost", "--model", model3, "--out", str(tmp_path), *self.SMALL,
+                       "--init", "point:1.0,2.0") == 2
+        assert "has 2 coordinates, expected 1 or 3" in capsys.readouterr().err
 
 
 class TestNumericalFailure:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from cmvlq.riccati import (
 )
 
 from conftest import make_interbank, random_lq
+from reference import array_sweep
 
 # independent RK4 integration of the scalar Riccati ODE at h = 1e-6,
 # kappa=1, q=0, eta=1, c=1, sigma1=0, T=1, evaluated at t = 0
@@ -387,6 +390,13 @@ class TestEval:
         with pytest.raises(ValueError):
             sol.eval(sol.T + 0.2)
 
+    def test_non_finite_t(self):
+        dyn, cost = random_lq(49, d=3, m=2)
+        sol = solve_riccati(dyn, cost, 1.0, 0.05)
+        for t in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="not finite"):
+                sol.eval(t)
+
     def test_continuity(self):
         _, _, _, sol, _ = make_interbank(h=0.05)
         for t in np.linspace(0.0, sol.T, 173):
@@ -438,3 +448,130 @@ class TestParams:
         for root in delta_pm(p):
             assert root ** 2 + 2 * rate * root - (p.eta - p.q ** 2) == pytest.approx(
                 0.0, abs=1e-12)
+
+
+def operator_model(seed):
+    """A random model with d in 2..4 and m != d in 1..4; M2 on even seeds.
+
+    Seeds 1 mod 4 drive Lam and Gam down backward from T (Q2 < 0), seeds
+    3 mod 4 the mean's weight Gam (Q2bar < 0), both with a small R2, so U or
+    V loses positive definiteness at a node or a stage.
+    """
+    rng = np.random.default_rng([seed, 17])
+    d = int(rng.integers(2, 5))
+    m = int(rng.choice([k for k in range(1, 5) if k != d]))
+    dyn, cost = random_lq(500 + seed, d=d, m=m, with_m2=seed % 2 == 0)
+    if seed % 4 == 1:
+        cost = LqCost(Q2=-float(rng.uniform(2, 6)) * np.eye(d), Q2bar=cost.Q2bar,
+                      R2=0.05 * np.eye(m), P2=cost.P2, P2bar=cost.P2bar, M2=cost.M2)
+    elif seed % 4 == 3:
+        cost = LqCost(Q2=cost.Q2, Q2bar=cost.Q2bar - float(rng.uniform(2, 6)) * np.eye(d),
+                      R2=0.05 * np.eye(m), P2=cost.P2, P2bar=cost.P2bar, M2=cost.M2)
+    return dyn, cost
+
+
+def overflow_models():
+    """d = 3, m = 2: an RK4 stage that overflows to inf, and a state that escapes past 1e12."""
+    I3, Z3, z3 = np.eye(3), np.zeros((3, 3)), np.zeros(3)
+    C = np.vstack((np.eye(2), np.zeros((1, 2))))
+    stage = (LqDynamics(b0=z3, B=1e150 * I3, Bbar=Z3, C=C, theta=z3, D=Z3, Dbar=Z3, F=0.1 * C,
+                        theta0=z3, D0=Z3, D0bar=Z3, F0=np.zeros((3, 2))),
+             LqCost(Q2=I3, Q2bar=Z3, R2=np.eye(2), P2=I3, P2bar=Z3))
+    escape = (LqDynamics(b0=z3, B=Z3, Bbar=Z3, C=C, theta=z3, D=Z3, Dbar=Z3, F=np.zeros((3, 2)),
+                         theta0=z3, D0=Z3, D0bar=Z3, F0=np.zeros((3, 2))),
+              LqCost(Q2=Z3, Q2bar=Z3, R2=0.5 * np.eye(2), P2=-5.0 * I3, P2bar=Z3))
+    return [stage, escape]
+
+
+def solve_outcome(solve):
+    """The solution, or the failure as (type, t or where, which)."""
+    try:
+        return solve()
+    except NonPositiveGain as exc:
+        return "NonPositiveGain", float(exc.t), exc.which
+    except NumericalBlowup as exc:
+        return "NumericalBlowup", exc.where, None
+
+
+def assert_close(got, want, tol):
+    """Every entry of got within tol of want, relative to max(1, |want|)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+
+
+MODELS = [operator_model(seed) for seed in range(24)] + overflow_models()
+
+
+class TestOperator:
+    """The d > 1 sweep on the model's BackwardOperator against the direct array formulas."""
+
+    @pytest.mark.parametrize("case", range(24))
+    def test_rhs_matches_direct_formulas(self, case):
+        dyn, cost = MODELS[case]
+        op = riccati.BackwardOperator(dyn, cost)
+        rng = np.random.default_rng([case, 5])
+        d = dyn.d
+        for _ in range(5):
+            a, b = 0.2 * rng.standard_normal((2, d, d))
+            Lam, Gam = cost.P2 + a + a.T, cost.P2 + cost.P2bar + b + b.T
+            gam = 0.3 * rng.standard_normal(d)
+            want = solve_outcome(lambda: riccati._rhs(Lam, Gam, gam, dyn, cost, 0.5)[0])
+            got = solve_outcome(lambda: riccati.ode_rhs(Lam, Gam, gam, dyn, cost, 0.5, op))
+            if isinstance(want[0], str):
+                assert got == want
+                continue
+            for g, w in zip(got, want):
+                assert_close(g, w, 1e-13)
+            assert np.array_equal(got[0], got[0].T) and np.array_equal(got[1], got[1].T)
+
+    @pytest.mark.parametrize("case", range(len(MODELS)))
+    def test_sweep_matches_array_sweep(self, case):
+        dyn, cost = MODELS[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = solve_outcome(lambda: solve_riccati(dyn, cost, 1.0, 0.01))
+            want = solve_outcome(lambda: array_sweep(dyn, cost, 1.0, 0.01))
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert got.op is not None
+        for name in ("grid", "Lam", "Gam", "gam", "chi", "pd_history", "K1", "K2", "k"):
+            assert_close(getattr(got, name), getattr(want, name), 1e-12)
+
+    def test_models_cover_every_outcome(self):
+        outcomes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for dyn, cost in MODELS:
+                res = solve_outcome(lambda: array_sweep(dyn, cost, 1.0, 0.01))
+                outcomes.append(res[0] + (res[2] or "") if isinstance(res, tuple) else "ok")
+        assert {"ok", "NonPositiveGainU", "NonPositiveGainV", "NumericalBlowup"} <= set(outcomes)
+        assert outcomes.count("ok") >= 10
+        assert all(dyn.m != dyn.d for dyn, _ in MODELS[:24])
+
+    def test_one_operator_per_model(self):
+        from cmvlq.lqmodel import gains
+        from cmvlq.policy import QuadraticValue
+
+        dyn, cost = random_lq(47, d=3, m=2, with_m2=True)
+        sol = solve_riccati(dyn, cost, 1.0, 0.05)
+        assert QuadraticValue(sol, dyn, cost).op is sol.op
+        other = LqCost(Q2=cost.Q2, Q2bar=cost.Q2bar, R2=2.0 * cost.R2, P2=cost.P2,
+                       P2bar=cost.P2bar, M2=cost.M2)
+        qv = QuadraticValue(sol, dyn, other)
+        assert qv.op is not sol.op and qv.op is not None
+        # a rebuilt operator gives the same bits as the one the solve kept
+        k = 7
+        args = (sol.grid[k], sol.Lam[k], sol.Gam[k], sol.gam[k], dyn, cost)
+        for a, b in zip(astuple_gains(gains(*args)), astuple_gains(gains(*args, sol.op))):
+            assert a.tobytes() == b.tobytes()
+
+    def test_scalar_model_has_no_operator(self, interbank):
+        _, _, _, sol, qv = interbank
+        assert sol.op is None and qv.op is None
+
+
+def astuple_gains(g):
+    return (g.U, g.V, np.ascontiguousarray(g.S), np.ascontiguousarray(g.Z), g.Y,
+            np.array([g.min_eig_u, g.min_eig_v]))
