@@ -114,27 +114,13 @@ def _merge_config(args):
 
 
 def _defaults(cfg, T):
-    if cfg.get("particles") is None:
-        cfg["particles"] = 2000
-    if cfg.get("paths") is None:
-        cfg["paths"] = 100
-    if cfg.get("dt") is None:
-        cfg["dt"] = 1e-3
-    if cfg.get("riccati_step") is None:
-        cfg["riccati_step"] = T / 1000.0
-    if cfg.get("t0") is None:
-        cfg["t0"] = 0.0
-    if cfg.get("theta") is None:
-        cfg["theta"] = T / 2.0
-    if cfg.get("epsilon") is None:
-        cfg["epsilon"] = 0.1
-    if cfg.get("init") is None:
-        cfg["init"] = "point:0.0"
-    if cfg.get("control") is None:
-        cfg["control"] = "optimal"
-    if cfg.get("stride") is None:
-        cfg["stride"] = 1
     # count and delta have per-check defaults, set where the check runs
+    for knob, default in (("particles", 2000), ("paths", 100), ("dt", 1e-3),
+                          ("riccati_step", T / 1000.0), ("t0", 0.0), ("theta", T / 2.0),
+                          ("epsilon", 0.1), ("init", "point:0.0"), ("control", "optimal"),
+                          ("stride", 1)):
+        if cfg.get(knob) is None:
+            cfg[knob] = default
     for knob in ("particles", "paths", "stride", "count"):
         if cfg.get(knob) is not None and cfg[knob] < 1:
             raise ValueError(f"{knob} must be >= 1")
@@ -147,14 +133,20 @@ def _defaults(cfg, T):
     return cfg
 
 
+def _spec_values(text, rest, n, noun):
+    """The finite comma-separated numbers of a spec; one value fills all n."""
+    vals = [float(v) for v in rest.split(",")]
+    if len(vals) not in (1, n):
+        raise ValueError(f"{text} has {len(vals)} {noun}, expected 1 or {n}")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"{text}: values must be finite")
+    return np.asarray(vals * (n // len(vals)))
+
+
 def _parse_init(text, d):
     kind, _, rest = text.partition(":")
     if kind == "point":
-        # one value is that value in every coordinate
-        vals = [float(v) for v in rest.split(",")] if rest else [0.0]
-        if len(vals) not in (1, d):
-            raise ValueError(f"point:{rest} has {len(vals)} coordinates, expected 1 or {d}")
-        return {"kind": "point", "x0": np.asarray(vals * (d // len(vals)))}
+        return {"kind": "point", "x0": _spec_values(text, rest or "0.0", d, "coordinates")}
     if kind == "gaussian":
         mean_txt, _, var_txt = rest.partition(":")
         mean = np.asarray([float(v) for v in mean_txt.split(",")])
@@ -172,10 +164,10 @@ def _build_control(text, qv):
         return AffineControl(AffineMap.zero(qv.dyn.m, qv.dyn.d))
     kind, _, rest = text.partition(":")
     if kind == "const":
-        vals = np.asarray([float(v) for v in rest.split(",")])
+        vals = _spec_values(text, rest, qv.dyn.m, "values")
         return AffineControl(AffineMap.constant(vals, qv.dyn.d))
     if kind == "shift":
-        eps = np.asarray([float(v) for v in rest.split(",")])
+        eps = _spec_values(text, rest, qv.dyn.m, "values")
         return ShiftedControl(FeedbackControl(FeedbackPolicy(qv)), eps)
     raise ValueError(f"cannot parse control {text!r}")
 
@@ -199,7 +191,6 @@ def _require_seed(cfg):
         raise ValueError("--seed is mandatory (reproducibility contract)")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64); got {seed}")
-    return seed
 
 
 def _solved(dyn, cost, T, cfg):
@@ -293,112 +284,59 @@ def cmd_cost(cfg):
     return 0
 
 
-def _verify_bellman(cfg, qv):
-    count = 100 if cfg.get("count") is None else cfg["count"]
-    worst = 0.0
-    for i in range(count):
-        t, cloud = verify_mod.random_clouds(qv, 1, 50, cfg["seed"] + i)[0]
-        fb = optimal_feedback(qv, t)
-        a_star = feedback_affine_map(fb, tree_mean(cloud.points, axis=0))
-        res, terms = verify_mod.bellman_residual(qv, t, cloud, a_star, with_terms=True)
-        scale = max(max(abs(v) for v in terms.values()), 1.0)
-        worst = max(worst, abs(res) / scale)
-    tol = 1e-8
-    return worst, tol, None, worst <= tol
-
-
-def _verify_dpp(cfg, qv, model, control):
-    init = _parse_init(cfg["init"], qv.dyn.d)
-    res = verify_mod.dpp_check(qv, model, cfg["t0"], init, cfg["theta"], control,
-                               cfg["particles"], cfg["paths"], cfg["dt"], cfg["seed"])
-    coarse = verify_mod.dpp_check(qv, model, cfg["t0"], init, cfg["theta"], control,
-                                  cfg["particles"], cfg["paths"], 2 * cfg["dt"], cfg["seed"])
-    c_dt = max(1.0, abs(coarse.gap - res.gap) / cfg["dt"])
-    tol = 3.0 * res.stderr + c_dt * cfg["dt"]
-    optimal = cfg["control"] == "optimal"
-    passed = abs(res.gap) <= tol if optimal else res.gap >= -tol
-    return res.gap, tol, res.stderr, passed
-
-
-def _verify_ito(cfg, qv, model, control):
-    delta = 0.01 if cfg.get("delta") is None else cfg["delta"]
-    init = _parse_init(cfg["init"], qv.dyn.d)
-    phi = policy_mod.QuadraticFunctional(
-        np.zeros((qv.dyn.d, qv.dyn.d)), np.eye(qv.dyn.d), np.zeros(qv.dyn.d), 0.0)
-    res = verify_mod.ito_generator_check(model, control, cfg["t0"], init, phi,
-                                         delta, cfg["particles"], cfg["paths"],
-                                         cfg["dt"], cfg["seed"])
-    c_bias = max(1.0, abs(res.rhs))
-    tol = 3.0 * res.stderr + c_bias * (delta + cfg["dt"])
-    gap = abs(res.lhs - res.rhs)
-    return gap, tol, res.stderr, gap <= tol
-
-
-def _verify_grad(cfg, qv):
-    count = 100 if cfg.get("count") is None else cfg["count"]
-    worst = 0.0
-    for i in range(count):
-        t, cloud = verify_mod.random_clouds(qv, 1, 20, cfg["seed"] + i)[0]
-        worst = max(worst, verify_mod.grad_check(qv, t, cloud, cfg["epsilon"]))
-    tol = 1e-6
-    return worst, tol, None, worst <= tol
-
-
-def _verify_chaos(cfg, qv, model, control):
-    ns = [int(v) for v in (cfg.get("chaos_ns") or "250,1000,4000").split(",")]
-    init = _parse_init(cfg["init"], qv.dyn.d)
-    rows = verify_mod.chaos_convergence(model, control, cfg["t0"], init, ns,
-                                        cfg["paths"], cfg["dt"], cfg["seed"])
-    diffs = [abs(rows[i]["mean"] - rows[i + 1]["mean"]) for i in range(len(rows) - 1)]
-    inversions = 0
-    worst_excess = 0.0
-    for i in range(len(diffs) - 1):
-        if diffs[i + 1] > diffs[i]:
-            inversions += 1
-            slack = 2.0 * (rows[i + 1]["stderr"] + rows[i + 2]["stderr"])
-            worst_excess = max(worst_excess, diffs[i + 1] - diffs[i] - slack)
-    passed = inversions <= 1 and worst_excess <= 0.0
-    stat = diffs[-1] if diffs else 0.0
-    return stat, max(diffs[0], 1e-30) if diffs else 0.0, rows[-1]["stderr"], passed
-
-
-def _verify_flow(cfg, qv, model, control):
-    count = 10 if cfg.get("count") is None else cfg["count"]
-    init = _parse_init(cfg["init"], qv.dyn.d)
-    mu0 = sample_initial(init, cfg["particles"], cfg["seed"])
-    rng = np.random.Generator(np.random.Philox(key=cfg["seed"]))
-    failures = 0
-    for i in range(count):
-        traj = simulate_path(model, control, cfg["t0"], mu0, model.T, cfg["dt"],
-                             cfg["seed"], path_index=i)
-        j = int(rng.integers(0, traj.n_steps + 1))
-        cont = restart_continuation(traj, traj.times[j])
-        if not (np.array_equal(cont.states, traj.states[j:])
-                and np.array_equal(cont.means, traj.means[j:])):
-            failures += 1
-    return float(failures), 0.0, None, failures == 0
-
-
 def cmd_verify(cfg):
     qv, model, control = _controlled(cfg)
-    check = cfg["check"]
+    check, seed, dt, t0 = cfg["check"], cfg["seed"], cfg["dt"], cfg["t0"]
+    n, m = cfg["particles"], cfg["paths"]
+    count = cfg.get("count") or (10 if check == "flow" else 100)
+    init = None if check in ("bellman", "grad") else _parse_init(cfg["init"], model.d)
     if check == "bellman":
-        stat, tol, stderr, passed = _verify_bellman(cfg, qv)
-    elif check == "dpp":
-        stat, tol, stderr, passed = _verify_dpp(cfg, qv, model, control)
-    elif check == "ito":
-        stat, tol, stderr, passed = _verify_ito(cfg, qv, model, control)
+        draws = []
+        for i in range(count):
+            t, cloud = verify_mod.random_clouds(qv, 1, 50, seed + i)[0]
+            a_star = feedback_affine_map(optimal_feedback(qv, t), tree_mean(cloud.points, axis=0))
+            draws.append((t, *verify_mod.bellman_residual(qv, t, cloud, a_star, with_terms=True)))
+        result = verify_mod.bellman_rule(draws)
     elif check == "grad":
-        stat, tol, stderr, passed = _verify_grad(cfg, qv)
+        clouds = (verify_mod.random_clouds(qv, 1, 20, seed + i)[0] for i in range(count))
+        result = verify_mod.grad_rule([(t, verify_mod.grad_check(qv, t, cloud, cfg["epsilon"]))
+                                       for t, cloud in clouds])
+    elif check == "dpp":
+        # the step constant from a fine and a coarse run on the same scenarios
+        fine, coarse = (verify_mod.dpp_check(qv, model, t0, init, cfg["theta"], control,
+                                             n, m, h, seed) for h in (dt, 2 * dt))
+        c_dt = max(1.0, abs(coarse.gap - fine.gap) / dt)
+        result = verify_mod.dpp_rule(fine, dt, c_dt, cfg["control"] == "optimal", coarse)
+    elif check == "ito":
+        d = model.d
+        phi = policy_mod.QuadraticFunctional(np.zeros((d, d)), np.eye(d), np.zeros(d), 0.0)
+        res = verify_mod.ito_generator_check(model, control, t0, init, phi,
+                                             cfg.get("delta") or 0.01, n, m, dt, seed)
+        result = verify_mod.ito_rule(res, dt, bias_factor=1.0)
     elif check == "chaos":
-        stat, tol, stderr, passed = _verify_chaos(cfg, qv, model, control)
+        # only along the optimal feedback is the value the cost's large-N limit
+        if cfg["control"] != "optimal":
+            raise ValueError(f"verify chaos needs --control optimal, not {cfg['control']!r}: "
+                             "no closed-form limit to converge to")
+        ns = [int(v) for v in (cfg.get("chaos_ns") or "250,1000,4000").split(",")]
+        rows = verify_mod.chaos_convergence(model, control, t0, init, ns, m, dt, seed)
+        values = [value(qv, t0, sample_initial(init, r["N"], seed)) for r in rows]
+        result = verify_mod.chaos_rule(rows, values)
     else:
-        stat, tol, stderr, passed = _verify_flow(cfg, qv, model, control)
-    report = verify_mod.make_report(check, passed, stat, tol, stderr, _public_config(cfg))
-    verify_mod.save_report(os.path.join(cfg["out"], f"verify_{check}.json"), report)
-    print(f"verify {check}: {'PASS' if passed else 'FAIL'} "
-          f"(statistic {stat:.6e}, tolerance {tol:.6e})")
-    return 0 if passed else 1
+        mu0 = sample_initial(init, n, seed)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+
+        def restarts():
+            for i in range(count):
+                traj = simulate_path(model, control, t0, mu0, model.T, dt, seed, path_index=i)
+                j = int(rng.integers(0, traj.n_steps + 1))
+                yield i, j, traj, restart_continuation(traj, traj.times[j])
+        result = verify_mod.flow_rule(restarts())
+    verify_mod.save_report(os.path.join(cfg["out"], f"verify_{check}.json"),
+                           result.report(_public_config(cfg)))
+    print(f"verify {check}: {'PASS' if result.passed else 'FAIL'} "
+          f"(statistic {result.statistic:.6e}, tolerance {result.tolerance:.6e})")
+    return 0 if result.passed else 1
 
 
 def cmd_systemic_risk(cfg):
@@ -463,16 +401,11 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         cfg = _merge_config(args)
-        command = cfg["command"]
-        if command == "solve":
-            return cmd_solve(cfg)
-        if command == "simulate":
-            return cmd_simulate(cfg)
-        if command == "cost":
-            return cmd_cost(cfg)
-        if command == "verify":
-            return cmd_verify(cfg)
-        return cmd_systemic_risk(cfg)
+        command = {"solve": cmd_solve, "simulate": cmd_simulate, "cost": cmd_cost,
+                   "verify": cmd_verify}.get(cfg["command"], cmd_systemic_risk)
+        # every non-finite value already exits 3; numpy's FP warnings would only repeat it
+        with np.errstate(all="ignore"):
+            return command(cfg)
     except (NonPositiveGain, NumericalBlowup) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -5,9 +5,11 @@ Bellman residual evaluated by exact particle sums, the dynamic-programming
 inequality at intermediate times, the generator identity along conditional
 flows, lifted-gradient finite differences, and particle-count convergence.
 
-Statistical tolerances use three standard errors; deterministic tolerances
-carry explicit discretization constants supplied by the caller (the test
-harness calibrates them by Richardson extrapolation).
+Each check's pass rule is written once here and shared by `cmvlq verify`
+and the acceptance suite.  A rule takes what was measured plus the caller's
+constants (dpp's step constant, ito's bias factor) and returns a
+CheckResult whose constituents let a report be re-decided from its JSON
+alone.  Statistical tolerances are three standard errors plus a bias.
 """
 
 from __future__ import annotations
@@ -237,11 +239,11 @@ def chaos_convergence(model, control, t0, mu0spec, Ns, M, dt, seed):
     return rows
 
 
-def random_clouds(qv, count, n_particles, seed, spread=1.0):
+def random_clouds(qv, count, n_particles, seed):
     """Seeded random (t, cloud) draws for residual and gradient sweeps.
 
-    Times are uniform on [0, T); clouds are Gaussian around a random center
-    with the given spread.
+    Times are uniform on [0, T); clouds are standard Gaussian around a
+    random center.
     """
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     d = qv.dyn.d
@@ -249,23 +251,106 @@ def random_clouds(qv, count, n_particles, seed, spread=1.0):
     for _ in range(count):
         t = float(gen.uniform(0.0, qv.T * (1.0 - 1e-6)))
         center = gen.uniform(-2.0, 2.0, size=d)
-        pts = center + spread * gen.standard_normal((n_particles, d))
+        pts = center + gen.standard_normal((n_particles, d))
         out.append((t, EmpiricalMeasure(pts)))
     return out
 
 
 # ---------------------------------------------------------------------------
-# reports
+# pass rules and reports
 
-def make_report(check, passed, statistic, tolerance, stderr, config):
-    return {
-        "check": str(check),
-        "pass": bool(passed),
-        "statistic": float(statistic),
-        "tolerance": float(tolerance),
-        "stderr": None if stderr is None else float(stderr),
-        "config": config,
-    }
+BELLMAN_TOL = 1e-8
+GRAD_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """A check's decision, the numbers it compared and what they are made of."""
+
+    check: str
+    passed: bool
+    statistic: float
+    tolerance: float
+    stderr: float | None
+    constituents: dict
+
+    def report(self, config):
+        """The JSON report of the check under the run's config."""
+        return {"check": self.check, "pass": bool(self.passed),
+                "statistic": float(self.statistic), "tolerance": float(self.tolerance),
+                "stderr": None if self.stderr is None else float(self.stderr),
+                "constituents": self.constituents, "config": config}
+
+
+def statistical_tolerance(stderr, bias):
+    """Three standard errors of a Monte Carlo mean plus a deterministic bias bound."""
+    return 3.0 * stderr + bias
+
+
+def bellman_rule(draws):
+    """Worst |residual| / max(1, largest |term|) over (t, residual, terms) draws at a*."""
+    ratios = [abs(r) / max(max(abs(v) for v in terms.values()), 1.0) for _, r, terms in draws]
+    i = int(np.argmax(ratios))
+    t, r, terms = draws[i]
+    worst = {"draw": i, "t": float(t), "residual": float(r),
+             **{k: float(v) for k, v in terms.items()}}
+    return CheckResult("bellman", ratios[i] <= BELLMAN_TOL, ratios[i], BELLMAN_TOL, None, worst)
+
+
+def grad_rule(draws):
+    """Worst relative gradient error over (t, error) draws; passes at <= GRAD_TOL."""
+    i = int(np.argmax([e for _, e in draws]))
+    t, error = draws[i]
+    return CheckResult("grad", error <= GRAD_TOL, error, GRAD_TOL, None, {"draw": i, "t": float(t)})
+
+
+def dpp_rule(fine: DppResult, dt, c_dt, two_sided, coarse: DppResult | None = None):
+    """DPP gap within 3 stderr + c_dt dt: two-sided for the optimal feedback, else from below.
+
+    coarse, a run at 2 dt that the caller took c_dt from, is only reported.
+    """
+    tol = statistical_tolerance(fine.stderr, c_dt * dt)
+    passed = abs(fine.gap) <= tol if two_sided else fine.gap >= -tol
+    return CheckResult("dpp", passed, fine.gap, tol, fine.stderr, {
+        "fine_gap": fine.gap, "coarse_gap": None if coarse is None else coarse.gap,
+        "c_dt": float(c_dt), "dt": float(dt), "two_sided": bool(two_sided)})
+
+
+def ito_rule(res: ItoCheckResult, dt, bias_factor):
+    """|lhs - rhs| against 3 stderr + bias_factor max(1, |rhs|) (delta + dt)."""
+    bias = bias_factor * max(1.0, abs(res.rhs)) * (res.delta + dt)
+    tol = statistical_tolerance(res.stderr, bias)
+    stat = abs(res.lhs - res.rhs)
+    return CheckResult("ito", stat <= tol, stat, tol, res.stderr,
+                       {"lhs": float(res.lhs), "rhs": float(res.rhs), "bias": float(bias)})
+
+
+def chaos_rule(rows, values):
+    """Deviations of chaos_convergence rows from the values at their own initial clouds.
+
+    Passes with at most one rise from one N to the next, none above 2 (se_i + se_{i+1}); the
+    statistic is the change with the largest excess over its slack, the tolerance that slack.
+    """
+    table = [dict(row, value=float(v), deviation=float(abs(row["mean"] - v)))
+             for row, v in zip(rows, values)]
+    changes = [(b["deviation"] - a["deviation"], 2.0 * (a["stderr"] + b["stderr"]))
+               for a, b in zip(table, table[1:])]
+    rises = sum(1 for change, _ in changes if change > 0.0)
+    stat, tol = max(changes, key=lambda cs: cs[0] - cs[1])
+    return CheckResult("chaos", rises <= 1 and stat <= tol, stat, tol, None,
+                       {"rows": table, "rises": rises})
+
+
+def flow_rule(restarts):
+    """(path, node, trajectory, continuation) restarts: all four arrays replay bitwise."""
+    count, failures = 0, []
+    for path, j, traj, cont in restarts:
+        count += 1
+        if not all(np.array_equal(getattr(cont, k), getattr(traj, k)[j:])
+                   for k in ("states", "means", "dw0", "times")):
+            failures.append([int(path), int(j)])
+    return CheckResult("flow", not failures, float(len(failures)), 0.0, None,
+                       {"restarts": count, "failures": failures})
 
 
 def save_report(path, report):

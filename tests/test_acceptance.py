@@ -33,11 +33,18 @@ from cmvlq.simulator import (
 )
 from cmvlq.verify import (
     bellman_residual,
+    bellman_rule,
     chaos_convergence,
+    chaos_rule,
     dpp_check,
+    dpp_rule,
     estimate_cost,
+    flow_rule,
     grad_check,
+    grad_rule,
     ito_generator_check,
+    ito_rule,
+    statistical_tolerance,
 )
 
 from conftest import make_interbank, random_cloud, random_lq
@@ -151,10 +158,8 @@ def test_criterion_2_sigma1_zero_degeneration(ib0):
 def test_criterion_3_bellman_residual_identity():
     t_start = time.perf_counter()
     rng = np.random.default_rng(333)
-    worst_star = 0.0
+    draws = []
     worst_identity = 0.0
-    n_measures = 0
-    n_perturbations = 0
     for seed in (500, 501, 502, 503, 504):
         dyn, cost = random_lq(seed, d=int(rng.integers(1, 4)),
                               with_m2=(seed % 2 == 0))
@@ -166,9 +171,7 @@ def test_criterion_3_bellman_residual_identity():
             mu = random_cloud(rng, 50, d)
             a_star = feedback_affine_map(optimal_feedback(qv, t), mean(mu))
             r_star, terms = bellman_residual(qv, t, mu, a_star, with_terms=True)
-            scale = max(max(abs(v) for v in terms.values()), 1.0)
-            worst_star = max(worst_star, abs(r_star) / scale)
-            n_measures += 1
+            draws.append((t, r_star, terms))
 
             a = AffineMap(a_star.A + 0.5 * rng.standard_normal((m, d)),
                           a_star.b + 0.5 * rng.standard_normal(m))
@@ -179,11 +182,11 @@ def test_criterion_3_bellman_residual_identity():
             predicted = variance_form(diff, g.U) + float(dbar @ g.V @ dbar)
             rel = abs((r - r_star) - predicted) / max(abs(predicted), 1.0)
             worst_identity = max(worst_identity, rel)
-            n_perturbations += 1
     elapsed = time.perf_counter() - t_start
-    ok = (n_measures == 100 and n_perturbations == 100
-          and worst_star <= 1e-8 and worst_identity <= 1e-10 and elapsed < 10.0)
-    report(3, ok, f"{n_measures} draws: |residual(a*)| <= {worst_star:.1e} (1e-8); "
+    star = bellman_rule(draws)
+    ok = len(draws) == 100 and star.passed and worst_identity <= 1e-10 and elapsed < 10.0
+    report(3, ok, f"{len(draws)} draws: |residual(a*)| <= {star.statistic:.1e} "
+                  f"({star.tolerance:g}); "
                   f"excess identity <= {worst_identity:.1e} (1e-10); "
                   f"runtime {elapsed:.1f}s (< 10s)")
 
@@ -194,7 +197,7 @@ def test_criterion_4_verification_gap(ib, richardson):
     est = ests[1e-3]
     w0 = value(qv, 0.0, sample_initial(mu0, 2000, 2024))
     gap = abs(est.mean - w0)
-    tol = 3.0 * est.stderr + C * 1e-3
+    tol = statistical_tolerance(est.stderr, C * 1e-3)
     ok = gap <= tol
 
     lines = [f"|cost - value| = {gap:.4f} <= {tol:.4f} (C = {C:.1f})"]
@@ -220,25 +223,20 @@ def test_criterion_5_dpp_inequality(ib, richardson):
         "affine": AffineControl(AffineMap(np.array([[-0.3]]), np.array([0.1]))),
     }
     dt = 2e-3
-    ok = True
     worst = ""
     for name, ctrl in controls.items():
         for theta in (0.25, 0.5, 0.75):
-            res = dpp_check(qv, model, 0.0, mu0, theta, ctrl, 1000, 64, dt, 77)
-            tol = 3.0 * res.stderr + C * dt
-            lower_ok = res.gap >= -tol
-            equal_ok = name != "optimal" or abs(res.gap) <= tol
-            if not (lower_ok and equal_ok):
-                ok = False
-                worst = f"{name}@theta={theta}: gap={res.gap:.4f} tol={tol:.4f}"
-    report(5, ok, worst or f"15 (control, theta) pairs: gap >= -(3 stderr + {C:.1f} dt), "
-                           "optimal gap within tolerance")
+            res = dpp_rule(dpp_check(qv, model, 0.0, mu0, theta, ctrl, 1000, 64, dt, 77),
+                           dt, C, two_sided=name == "optimal")
+            if not res.passed:
+                worst = f"{name}@theta={theta}: gap={res.statistic:.4f} tol={res.tolerance:.4f}"
+    report(5, not worst, worst or f"15 (control, theta) pairs: gap >= -(3 stderr + {C:.1f} dt), "
+                                 "optimal gap within tolerance")
 
 
 def test_criterion_6_flow_property():
     rng = np.random.default_rng(666)
-    checked = 0
-    ok = True
+    restarts = []
     setups = []
     for sigma1, rho in ((0.3, 0.5), (0.0, 1.0)):
         p, dyn, cost, sol, qv = make_interbank(h=0.02, sigma1=sigma1, rho=rho)
@@ -254,18 +252,13 @@ def test_criterion_6_flow_property():
         mu0 = sample_initial({"kind": "gaussian", "mean": np.zeros(d), "cov": 0.5},
                              64, 6)
         traj = simulate_path(model, control, 0.0, mu0, 1.0, 0.02, 6,
-                             path_index=checked)
+                             path_index=len(restarts))
         for _ in range(2):
             j = int(rng.integers(0, traj.n_steps + 1))
-            cont = restart_continuation(traj, float(traj.times[j]))
-            same = (np.array_equal(cont.states, traj.states[j:])
-                    and np.array_equal(cont.means, traj.means[j:])
-                    and np.array_equal(cont.dw0, traj.dw0[j:])
-                    and np.array_equal(cont.times, traj.times[j:]))
-            ok = ok and same
-            checked += 1
-    report(6, ok and checked == 10,
-           f"{checked} random (model, theta) restarts bitwise equal (zero tolerance)")
+            restarts.append((traj.path_index, j, traj,
+                             restart_continuation(traj, float(traj.times[j]))))
+    report(6, flow_rule(restarts).passed and len(restarts) == 10,
+           f"{len(restarts)} random (model, theta) restarts bitwise equal (zero tolerance)")
 
 
 def test_criterion_7_ito_generator(ib0):
@@ -278,11 +271,10 @@ def test_criterion_7_ito_generator(ib0):
     exact = (p.sigma0 * p.rho) ** 2
     rhs_exact = res.rhs == pytest.approx(exact, abs=1e-14)
     # bias constant ~ second flow derivative of E[phi]; order-of-magnitude 2|rhs|
-    tol = 3.0 * res.stderr + 2.0 * max(1.0, abs(res.rhs)) * (delta + dt)
-    fd_ok = abs(res.lhs - res.rhs) <= tol
-    report(7, bool(rhs_exact and fd_ok),
+    fd = ito_rule(res, dt, bias_factor=2.0)
+    report(7, bool(rhs_exact and fd.passed),
            f"generator side {res.rhs:.6f} == (sigma0 rho)^2 = {exact:.6f} exactly; "
-           f"|lhs - rhs| = {abs(res.lhs - res.rhs):.5f} <= {tol:.5f}")
+           f"|lhs - rhs| = {fd.statistic:.5f} <= {fd.tolerance:.5f}")
 
 
 def test_criterion_8_lifted_gradient(ib):
@@ -290,17 +282,17 @@ def test_criterion_8_lifted_gradient(ib):
     rng = np.random.default_rng(888)
     dyn2, cost2 = random_lq(777, d=2, m=2, with_m2=True)
     qv2 = QuadraticValue(solve_riccati(dyn2, cost2, 1.0, 5e-3), dyn2, cost2)
-    worst = 0.0
-    count = 0
+    draws = []
     for qv_k, d in ((qv, 1), (qv2, 2)):
         for _ in range(50):
             t = float(rng.uniform(0, 1))
             mu = random_cloud(rng, int(rng.integers(2, 25)), d,
                               spread=float(rng.uniform(0.2, 2.0)))
-            worst = max(worst, grad_check(qv_k, t, mu, 1e-5))
-            count += 1
-    ok = count == 100 and worst <= 1e-6
-    report(8, ok, f"max relative gradient error over {count} draws: {worst:.2e} (<= 1e-6)")
+            draws.append((t, grad_check(qv_k, t, mu, 1e-5)))
+    res = grad_rule(draws)
+    report(8, len(draws) == 100 and res.passed,
+           f"max relative gradient error over {len(draws)} draws: {res.statistic:.2e} "
+           f"(<= {res.tolerance:g})")
 
 
 def test_criterion_9_propagation_of_chaos(ib0):
@@ -308,18 +300,8 @@ def test_criterion_9_propagation_of_chaos(ib0):
     mu0 = {"kind": "point", "x0": p.x0}
     rows = chaos_convergence(model, control, 0.0, mu0, [250, 1000, 4000],
                              64, 2e-3, 99)
-    w0 = value(qv, 0.0, sample_initial(mu0, 250, 99))
-    devs = [abs(r["mean"] - w0) for r in rows]
-    inversions = 0
-    hard_fail = False
-    for i in range(len(devs) - 1):
-        if devs[i + 1] > devs[i]:
-            inversions += 1
-            slack = 2.0 * (rows[i]["stderr"] + rows[i + 1]["stderr"])
-            if devs[i + 1] - devs[i] > slack:
-                hard_fail = True
-    ok = not hard_fail and inversions <= 1
-    detail = ", ".join(f"N={r['N']}: dev {d:.2e} (se {r['stderr']:.1e})"
-                       for r, d in zip(rows, devs))
-    report(9, ok, f"deviation from closed-form value decreasing ({detail}); "
-                  f"{inversions} inversion(s) allowed <= 1")
+    res = chaos_rule(rows, [value(qv, 0.0, sample_initial(mu0, r["N"], 99)) for r in rows])
+    detail = ", ".join(f"N={r['N']}: dev {r['deviation']:.2e} (se {r['stderr']:.1e})"
+                       for r in res.constituents["rows"])
+    report(9, res.passed, f"deviation from closed-form value decreasing ({detail}); "
+                          f"{res.constituents['rises']} inversion(s) allowed <= 1")

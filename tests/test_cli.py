@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from cmvlq import cli, simulator
+from cmvlq import cli, simulator, verify
 from cmvlq.lqmodel import save_model
 
 from conftest import make_interbank, random_lq
@@ -166,10 +167,30 @@ class TestVerify:
                        "--dt", "0.002", "--delta", "0.01", "--init", "point:0.0") == 0
 
     def test_failure_exits_one(self, model_file, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_verify_bellman",
-                            lambda cfg, qv: (1.0, 1e-8, None, False))
+        monkeypatch.setattr(verify, "bellman_rule",
+                            lambda draws: verify.CheckResult("bellman", False, 1.0, 1e-8, None, {}))
         assert run_cli("verify", "bellman", "--model", model_file,
                        "--out", str(tmp_path), "--seed", "1") == 1
+
+    @pytest.mark.parametrize("seed, passed", [(2, False), (3, True)])
+    def test_chaos_report_decides_from_its_json(self, model_file, tmp_path, seed, passed):
+        code = run_cli("verify", "chaos", "--model", model_file, "--out", str(tmp_path),
+                       "--seed", str(seed), "--chaos-ns", "100,200,400,800", "--paths", "2",
+                       "--dt", "0.05", "--init", "point:1.0")
+        report = json.loads((tmp_path / "verify_chaos.json").read_text())
+        assert code == (0 if passed else 1) and report["pass"] is passed
+        # the decision again, from the report's rows alone
+        rows = report["constituents"]["rows"]
+        devs = [abs(r["mean"] - r["value"]) for r in rows]
+        assert devs == [r["deviation"] for r in rows]
+        changes = [(b - a, 2.0 * (ra["stderr"] + rb["stderr"]))
+                   for a, b, ra, rb in zip(devs, devs[1:], rows, rows[1:])]
+        rises = sum(change > 0 for change, _ in changes)
+        assert rises == report["constituents"]["rises"]
+        assert (report["statistic"], report["tolerance"]) in changes
+        assert max(change - slack for change, slack in changes) == \
+            report["statistic"] - report["tolerance"]
+        assert (rises <= 1 and report["statistic"] <= report["tolerance"]) is passed
 
 
 class TestConfigFile:
@@ -283,6 +304,20 @@ class TestBadNumbers:
                      "epsilon must be finite", id="grad-epsilon=nan"),
         pytest.param(["verify", "grad", "--seed", "1", "--epsilon", "inf"], None,
                      "epsilon must be finite", id="grad-epsilon=inf"),
+        pytest.param(["cost", "--seed", "1", "--control", "shift:nan"], None,
+                     "shift:nan: values must be finite", id="shift=nan"),
+        pytest.param(["cost", "--seed", "1", "--control", "shift:inf"], None,
+                     "shift:inf: values must be finite", id="shift=inf"),
+        pytest.param(["cost", "--seed", "1", "--control", "const:-inf"], None,
+                     "const:-inf: values must be finite", id="const=-inf"),
+        pytest.param(["cost", "--seed", "1", "--control", "const:1,2"], None,
+                     "const:1,2 has 2 values, expected 1 or 1", id="const=1,2"),
+        pytest.param(["cost", "--seed", "1", "--control", "shift:1,2,3"], None,
+                     "shift:1,2,3 has 3 values, expected 1 or 1", id="shift=1,2,3"),
+        pytest.param(["cost", "--seed", "1", "--init", "point:nan"], None,
+                     "point:nan: values must be finite", id="point=nan"),
+        pytest.param(["verify", "chaos", "--seed", "1", "--control", "zero"], None,
+                     "verify chaos needs --control optimal", id="chaos-control=zero"),
     ])
     def test_exits_two(self, model_file, tmp_path, capsys, argv, config, message):
         out = tmp_path / "out"
@@ -304,7 +339,7 @@ class TestBadNumbers:
 
 
 class TestPointInit:
-    """A one-value point: spec, the default point:0.0 included, fills every coordinate."""
+    """A one-value point:, const: or shift: spec (point:0.0 by default) fills every coordinate."""
 
     @pytest.fixture(scope="class")
     def model3(self, tmp_path_factory):
@@ -337,6 +372,22 @@ class TestPointInit:
                        "--init", "point:1.0,2.0") == 2
         assert "has 2 coordinates, expected 1 or 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("one, both", [("const:0.5", "const:0.5,0.5"),
+                                           ("shift:0.5", "shift:0.5,0.5")])
+    def test_one_control_value_fills_every_coordinate(self, model3, tmp_path, one, both):
+        for spec in (one, both):
+            assert run_cli("simulate", "--model", model3, "--out", str(tmp_path / spec),
+                           *self.SMALL, "--control", spec) == 0
+        a, b = ((tmp_path / spec / "trajectory.csv").read_bytes() for spec in (one, both))
+        assert a == b
+
+    @pytest.mark.parametrize("spec", ["const:1,2,3", "shift:1,2,3"])
+    def test_other_control_counts_exit_two(self, model3, tmp_path, capsys, spec):
+        assert run_cli("cost", "--model", model3, "--out", str(tmp_path), *self.SMALL,
+                       "--control", spec) == 2
+        err = capsys.readouterr().err
+        assert f"{spec} has 3 values, expected 1 or 2" in err and "Traceback" not in err
+
 
 class TestNumericalFailure:
     def test_blowup_exits_three(self, tmp_path):
@@ -352,7 +403,10 @@ class TestNumericalFailure:
                        "--dt", "0.01", "--init", "point:10.0",
                        "--control", "zero") == 3
 
-    def test_riccati_stage_overflow_exits_three(self, tmp_path, capsys):
+    OVERFLOW_ERR = "numerical failure: numerical blowup at t=0.99: gain matrix U is not finite\n"
+
+    @staticmethod
+    def overflow_model(tmp_path):
         from cmvlq.lqmodel import LqCost, LqDynamics
 
         # d = m = 2, B = 1e150 I: an RK4 stage of the first step overflows to inf
@@ -362,11 +416,22 @@ class TestNumericalFailure:
         cost = LqCost(Q2=I, Q2bar=Z, R2=I, P2=I, P2bar=Z)
         path = tmp_path / "overflow.txt"
         save_model(path, dyn, cost, 1.0)
-        assert run_cli("solve", "--model", str(path), "--out", str(tmp_path),
+        return str(path)
+
+    def test_riccati_stage_overflow_exits_three(self, tmp_path, capsys):
+        assert run_cli("solve", "--model", self.overflow_model(tmp_path), "--out", str(tmp_path),
                        "--riccati-step", "0.01") == 3
-        err = capsys.readouterr().err
-        assert err == ("numerical failure: numerical blowup at t=0.99: "
-                       "gain matrix U is not finite\n")
+        assert capsys.readouterr().err == self.OVERFLOW_ERR
+
+    def test_one_stderr_line_in_a_fresh_process(self, tmp_path):
+        # outside pytest's capture a numpy RuntimeWarning would reach stderr
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "cmvlq.cli", "solve", "--model",
+                               self.overflow_model(tmp_path), "--out", str(tmp_path),
+                               "--riccati-step", "0.01"], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"))
+        assert proc.returncode == 3
+        assert proc.stderr == self.OVERFLOW_ERR
 
     @pytest.mark.parametrize("command", [["cost"], ["simulate"], ["verify", "dpp"]])
     def test_particle_blowup_names_where(self, tmp_path, capsys, command):

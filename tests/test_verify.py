@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,14 +29,24 @@ from cmvlq.simulator import (
     stream_scenarios,
 )
 from cmvlq.verify import (
+    BELLMAN_TOL,
+    GRAD_TOL,
+    CheckResult,
+    DppResult,
+    ItoCheckResult,
     bellman_residual,
+    bellman_rule,
     chaos_convergence,
+    chaos_rule,
     dpp_check,
+    dpp_rule,
     estimate_cost,
+    flow_rule,
     generator_apply,
     grad_check,
+    grad_rule,
     ito_generator_check,
-    make_report,
+    ito_rule,
     random_clouds,
     save_report,
 )
@@ -594,9 +605,109 @@ class TestHelpers:
     def test_report_roundtrip(self, tmp_path):
         import json
 
-        rep = make_report("bellman", True, 1.5e-9, 1e-8, None, {"seed": 1})
         path = tmp_path / "report.json"
-        save_report(path, rep)
-        back = json.loads(path.read_text())
-        assert back["check"] == "bellman" and back["pass"] is True
-        assert back["tolerance"] == 1e-8 and back["stderr"] is None
+        for result in (
+                bellman_rule([(0.25, 1.5e-9, {"d_t": -0.5, "running_cost": 0.25,
+                                              "generator": 0.25})]),
+                dpp_rule(DppResult(gap=-0.1, stderr=0.02, theta=0.5, t=0.0, M=8), 0.01, 3.0,
+                         False)):
+            save_report(path, result.report({"seed": 1}))
+            back = json.loads(path.read_text())
+            assert back.pop("config") == {"seed": 1}
+            assert CheckResult(back["check"], back["pass"], back["statistic"], back["tolerance"],
+                               back["stderr"], back["constituents"]) == result
+
+
+def _up(x):
+    return float(np.nextafter(x, np.inf))
+
+
+def _down(x):
+    return float(np.nextafter(x, -np.inf))
+
+
+# |residual| is scaled by max(1, largest |term|) = 4
+TERMS = {"d_t": 4.0, "running_cost": -1.0, "generator": -3.0}
+# stderr 0.25: 3 stderr = 0.75
+DPP = dict(stderr=0.25, theta=0.5, t=0.0, M=8)
+
+
+def _dpp(gap, two_sided):
+    # c_dt dt = 2 * 0.125, so the tolerance is 1.0
+    return dpp_rule(DppResult(gap=gap, **DPP), 0.125, 2.0, two_sided)
+
+
+def _ito(lhs, rhs, bias_factor):
+    # delta + dt = 0.5
+    return ito_rule(ItoCheckResult(lhs=lhs, rhs=rhs, stderr=0.25, delta=0.375), 0.125, bias_factor)
+
+
+def _chaos(means):
+    # value 0 at every cloud, se 0.0625 per row: the slack of every rise is 0.25
+    rows = [{"N": 10 * 2 ** i, "mean": m, "stderr": 0.0625} for i, m in enumerate(means)]
+    return chaos_rule(rows, [0.0] * len(rows))
+
+
+def _flow(broken):
+    arrays = {k: np.linspace(0.0, 1.0, 6) for k in ("states", "means", "dw0", "times")}
+    traj = SimpleNamespace(**arrays)
+    conts = [SimpleNamespace(**{k: v[j:].copy() for k, v in arrays.items()}) for j in (1, 4)]
+    for k in broken:
+        getattr(conts[1], k)[-1] = _up(1.0)
+    return flow_rule([(0, 1, traj, conts[0]), (3, 4, traj, conts[1])])
+
+
+class TestPassRules:
+    """One boundary table over the six rules: statistic == tolerance passes, one ulp more fails."""
+
+    @pytest.mark.parametrize("decide, passed", [
+        pytest.param(lambda: bellman_rule([(0.5, 4 * BELLMAN_TOL, TERMS)]), True, id="bellman-at"),
+        pytest.param(lambda: bellman_rule([(0.5, -4 * BELLMAN_TOL, TERMS)]), True,
+                     id="bellman-at-negative"),
+        pytest.param(lambda: bellman_rule([(0.5, 0.0, TERMS), (0.7, _up(4 * BELLMAN_TOL), TERMS)]),
+                     False, id="bellman-above"),
+        pytest.param(lambda: grad_rule([(0.1, 0.0), (0.2, GRAD_TOL)]), True, id="grad-at"),
+        pytest.param(lambda: grad_rule([(0.1, _up(GRAD_TOL))]), False, id="grad-above"),
+        pytest.param(lambda: _dpp(1.0, True), True, id="dpp-two-sided-at"),
+        pytest.param(lambda: _dpp(_up(1.0), True), False, id="dpp-two-sided-above"),
+        pytest.param(lambda: _dpp(-1.0, True), True, id="dpp-two-sided-at-below"),
+        pytest.param(lambda: _dpp(_down(-1.0), True), False, id="dpp-two-sided-beyond-below"),
+        pytest.param(lambda: _dpp(1e9, False), True, id="dpp-one-sided-large-gap"),
+        pytest.param(lambda: _dpp(-1.0, False), True, id="dpp-one-sided-at"),
+        pytest.param(lambda: _dpp(_down(-1.0), False), False, id="dpp-one-sided-beyond"),
+        # |rhs| < 1: bias 2 * 1 * 0.5, tolerance 0.75 + 1 = 1.75
+        pytest.param(lambda: _ito(2.25, 0.5, 2.0), True, id="ito-at"),
+        pytest.param(lambda: _ito(_up(2.25), 0.5, 2.0), False, id="ito-above"),
+        # |rhs| = 4: bias 1 * 4 * 0.5, tolerance 0.75 + 2 = 2.75
+        pytest.param(lambda: _ito(1.25, 4.0, 1.0), True, id="ito-at-large-rhs"),
+        pytest.param(lambda: _ito(4.0 - _up(2.75), 4.0, 1.0), False, id="ito-above-large-rhs"),
+        pytest.param(lambda: _chaos([0.5, 0.25, 0.125]), True, id="chaos-no-rise"),
+        pytest.param(lambda: _chaos([0.5, 0.25, 0.5]), True, id="chaos-one-rise-at-slack"),
+        pytest.param(lambda: _chaos([0.5, 0.25, _up(0.5)]), False, id="chaos-rise-beyond-slack"),
+        pytest.param(lambda: _chaos([-0.25, 0.375, -0.5]), False, id="chaos-two-rises"),
+        pytest.param(lambda: _flow(()), True, id="flow-at"),
+        pytest.param(lambda: _flow(("times",)), False, id="flow-times-one-ulp"),
+        pytest.param(lambda: _flow(("dw0",)), False, id="flow-dw0-one-ulp"),
+    ])
+    def test_boundary(self, decide, passed):
+        result = decide()
+        assert bool(result.passed) is passed
+
+    def test_boundary_rows_sit_on_the_tolerance(self):
+        for result in (bellman_rule([(0.5, 4 * BELLMAN_TOL, TERMS)]), _ito(2.25, 0.5, 2.0),
+                       _dpp(1.0, True), _chaos([0.5, 0.25, 0.5])):
+            assert result.statistic == result.tolerance
+        assert _dpp(-1.0, False).statistic == -_dpp(-1.0, False).tolerance
+
+    def test_constituents(self):
+        bellman = bellman_rule([(0.1, 0.0, TERMS), (0.7, 4e-9, TERMS), (0.9, 1e-9, TERMS)])
+        assert bellman.constituents == {"draw": 1, "t": 0.7, "residual": 4e-9, **TERMS}
+        assert grad_rule([(0.1, 1e-9), (0.3, 2e-9)]).constituents == {"draw": 1, "t": 0.3}
+        assert _dpp(0.5, True).constituents == {"fine_gap": 0.5, "coarse_gap": None, "c_dt": 2.0,
+                                                "dt": 0.125, "two_sided": True}
+        assert _ito(2.25, 0.5, 2.0).constituents == {"lhs": 2.25, "rhs": 0.5, "bias": 1.0}
+        chaos = _chaos([0.5, -0.25, 0.5])
+        assert [r["deviation"] for r in chaos.constituents["rows"]] == [0.5, 0.25, 0.5]
+        assert chaos.constituents["rises"] == 1
+        flow = _flow(("states", "means"))
+        assert flow.statistic == 1.0 and flow.constituents == {"restarts": 2, "failures": [[3, 4]]}
