@@ -17,6 +17,8 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
   i.e. the step loop plus the cost reduction and the drivers around them
   (where the engine draws noise in a forked process, the copies out of
   the cache run there);
+- step_cost_d3: the same on the d = 3, m = 2 model (N = 250, M = 8,
+  K = 1000, one batch of 8 scenarios), which steps the generic affine loop;
 - tree_sum on (32, 2000) and (1000, 2000) along axis 1, and on (2000,);
 - writer: ``cli._write_trajectories`` formatting the nodes of 4 paths
   recorded at stride 10 into trajectory.csv and means.csv (the recording
@@ -72,6 +74,7 @@ from cmvlq.policy import (  # noqa: E402
 from cmvlq.riccati import SystemicRiskParams, solve_riccati, systemic_risk_model  # noqa: E402
 
 N, DT, M, SEED = 2000, 1e-3, 32, 1
+N3, M3 = 250, 8
 
 
 def cpu_seconds():
@@ -196,10 +199,22 @@ def main():
     row("noise_path", best_of(lambda: simulator._gen_noise(SEED, 0, 0, K, N, 1, 1, sqrt_dt),
                               args.repeats), K * N, "normals_per_s")
 
+    qv3 = QuadraticValue(solve_riccati(dyn3, cost3, 1.0, DT), dyn3, cost3)
+    model3 = simulator.lq_dynamics_spec(dyn3, cost3, 1.0)
+    control3 = simulator.FeedbackControl(FeedbackPolicy(qv3))
+    mu3 = simulator.sample_initial({"kind": "point", "x0": [0.5, -0.25, 0.75]}, N3, SEED)
+
+    def estimate_d3():
+        verify.estimate_cost(model3, control3, 0.0, mu3, N3, M3, DT, SEED)
+
     real_noise = simulator._gen_noise
-    simulator._gen_noise = cached_noise(K, N)
+    noise, noise3 = cached_noise(K, N), cached_noise(K, N3)
     try:
+        simulator._gen_noise = noise
         row("step_cost_estimate", best_of(estimate, args.repeats), steps, "particle_steps_per_s")
+        simulator._gen_noise = noise3
+        row("step_cost_d3", best_of(estimate_d3, args.repeats), K * N3 * M3,
+            "particle_steps_per_s")
     finally:
         simulator._gen_noise = real_noise
 
@@ -230,7 +245,6 @@ def main():
     row("estimate_cost", best_of(estimate, args.repeats), steps, "particle_steps_per_s")
 
     draws = 20
-    qv3 = QuadraticValue(solve_riccati(dyn3, cost3, 1.0, DT), dyn3, cost3)
     for name, value_fn in (("interbank", qv), ("lq3", qv3)):
         bellman_draws = verify.random_clouds(value_fn, draws, 50, SEED)
         grad_draws = verify.random_clouds(value_fn, draws, 20, SEED)
@@ -256,6 +270,7 @@ def main():
             report = json.load(fh)
     report["workload"] = {"model": "interbank, acceptance parameters", "N": N, "dt": DT,
                           "K": K, "M": M, "seed": SEED, "repeats": args.repeats,
+                          "d3_rows": {"d": 3, "m": 2, "N": N3, "M": M3},
                           "statistic": "minimum wall time (min_s) and minimum CPU time, children "
                                        "included (cpu_s), after one warm-up run"}
     report[args.label] = {

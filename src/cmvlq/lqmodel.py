@@ -75,7 +75,11 @@ class LqDynamics:
     common vol theta0 + D0 x + D0bar mubar + F0 a(x)
 
     Bs, Ds and D0s hold the sums B + Bbar, D + Dbar and D0 + D0bar, which
-    load the mean in the backward system; they are computed once here.
+    load the mean in the backward system.  Gx = [B' D' D0'], Gm = [Bbar'
+    Dbar' D0bar'] and Ga = [C' F' F0'], 3d columns each, with g0 = [b0,
+    theta, theta0], stack the three coefficients' loadings of the state,
+    the mean and the control, so coefficient_values makes one product per
+    operand.  All are computed once here.
     """
 
     b0: np.ndarray
@@ -93,6 +97,10 @@ class LqDynamics:
     Bs: np.ndarray = field(init=False, repr=False, compare=False)
     Ds: np.ndarray = field(init=False, repr=False, compare=False)
     D0s: np.ndarray = field(init=False, repr=False, compare=False)
+    Gx: np.ndarray = field(init=False, repr=False, compare=False)
+    Gm: np.ndarray = field(init=False, repr=False, compare=False)
+    Ga: np.ndarray = field(init=False, repr=False, compare=False)
+    g0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         B = np.atleast_2d(np.asarray(self.B, dtype=np.float64))
@@ -120,6 +128,10 @@ class LqDynamics:
         norm["Bs"] = norm["B"] + norm["Bbar"]
         norm["Ds"] = norm["D"] + norm["Dbar"]
         norm["D0s"] = norm["D0"] + norm["D0bar"]
+        for stacked, names in (("Gx", ("B", "D", "D0")), ("Gm", ("Bbar", "Dbar", "D0bar")),
+                               ("Ga", ("C", "F", "F0"))):
+            norm[stacked] = np.concatenate([norm[k].T for k in names], axis=1)
+        norm["g0"] = np.concatenate((norm["b0"], norm["theta"], norm["theta0"]))
         for k, v in norm.items():
             v.setflags(write=False)
             object.__setattr__(self, k, v)
@@ -139,7 +151,8 @@ class LqCost:
 
     Pointwise running cost x'Q2 x + mubar'Q2bar mubar + a'R2 a + 2 x'M2 a,
     terminal cost x'P2 x + mubar'P2bar mubar.  M2 defaults to zero, which
-    recovers the cross-term-free form.  Q2s = Q2 + Q2bar is computed once.
+    recovers the cross-term-free form.  Q2s = Q2 + Q2bar, and cross, whether
+    M2 has a nonzero entry, are computed once.
     """
 
     Q2: np.ndarray
@@ -149,6 +162,7 @@ class LqCost:
     P2bar: np.ndarray
     M2: np.ndarray = None
     Q2s: np.ndarray = field(init=False, repr=False, compare=False)
+    cross: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q2 = np.atleast_2d(np.asarray(self.Q2, dtype=np.float64))
@@ -167,6 +181,7 @@ class LqCost:
         for k, v in norm.items():
             v.setflags(write=False)
             object.__setattr__(self, k, v)
+        object.__setattr__(self, "cross", bool(np.any(self.M2)))
 
     @property
     def d(self):
@@ -425,19 +440,39 @@ class LqModel:
 def affine_feedback(K1, K2, k, x, mbar):
     """Controls K1 (x - mbar) + K2 mbar + k; gains (..., m, d) and k (..., m)."""
     mbar = mbar[..., None, :]
-    return (x - mbar) @ np.swapaxes(K1, -1, -2) + mbar @ np.swapaxes(K2, -1, -2) + k[..., None, :]
+    # a contiguous K1': the product with the transposed view takes twice as long
+    a = (x - mbar) @ np.swapaxes(K1, -1, -2).copy()
+    a += mbar @ np.swapaxes(K2, -1, -2)
+    a += k[..., None, :]
+    return a
 
 
 def coefficient_values(dyn, x, mbar, a):
-    """Drift, idiosyncratic and common volatility at each particle, each (..., N, d)."""
-    b = dyn.b0 + x @ dyn.B.T + mbar @ dyn.Bbar.T + a @ dyn.C.T
-    s = dyn.theta + x @ dyn.D.T + mbar @ dyn.Dbar.T + a @ dyn.F.T
-    s0 = dyn.theta0 + x @ dyn.D0.T + mbar @ dyn.D0bar.T + a @ dyn.F0.T
-    return b, s, s0
+    """Drift, idiosyncratic and common volatility at each particle, each (..., N, d).
+
+    One product per operand on the stacked loadings (LqDynamics), summed
+    as ((x Gx + g0) + mbar Gm) + a Ga, the order in which the scalar step
+    loop sums each coefficient; the three are views of that (..., N, 3d)
+    result.
+    """
+    y = x @ dyn.Gx
+    y += dyn.g0
+    y += mbar @ dyn.Gm
+    y += a @ dyn.Ga
+    d = dyn.d
+    return y[..., :d], y[..., d:2 * d], y[..., 2 * d:]
 
 
 def _forms(x, L, y):
-    return np.einsum("...ni,ij,...nj->...n", x, L, y)
+    """x_n' L y_n at each particle.
+
+    Any L larger than 1 x 1 is one product x L and a two-operand reduction.
+    A 1 x 1 L, every form of a d = m = 1 model, keeps the three-operand
+    einsum: there the product and the reduction take 3-4 times as long.
+    """
+    if L.size == 1:
+        return np.einsum("...ni,ij,...nj->...n", x, L, y)
+    return np.einsum("...ni,...ni->...n", x @ L, y)
 
 
 def _mean_form(mbar, L):
@@ -447,7 +482,7 @@ def _mean_form(mbar, L):
 def running_cost(cost, x, mbar, a):
     """Running cost x'Q2 x + mbar'Q2bar mbar + a'R2 a + 2 x'M2 a at each particle."""
     vals = _forms(x, cost.Q2, x) + _mean_form(mbar, cost.Q2bar) + _forms(a, cost.R2, a)
-    if np.any(cost.M2):
+    if cost.cross:
         vals = vals + 2.0 * _forms(x, cost.M2, a)
     return vals
 

@@ -29,7 +29,9 @@ def tree_sum(a, axis=0):
     """
     w = np.asarray(a, dtype=np.float64)
     if axis not in (-1, w.ndim - 1):
-        w = np.moveaxis(w, axis, -1)
+        # a contiguous copy, whose levels read memory in order: on the step
+        # loop's (8, 250, 3) clouds it halves the time of the sum
+        w = np.ascontiguousarray(np.moveaxis(w, axis, -1))
     n = w.shape[-1]
     if n == 1:
         w = w.copy()

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lqmodel import affine_feedback, coefficient_values, lifted_running_cost, terminal_cost
+from .lqmodel import (
+    GRID_TOL,
+    affine_feedback,
+    coefficient_values,
+    lifted_running_cost,
+    terminal_cost,
+)
 from .measure import EmpiricalMeasure, mean, tree_mean
 from .policy import QuadraticFunctional, QuadraticValue, value
 from .simulator import sample_initial, stream_scenarios
@@ -170,12 +176,14 @@ def ito_generator_check(model, control, t, mu0, phi: QuadraticFunctional,
 
     lhs: Monte Carlo difference quotient (E[phi(rho_{t+delta})] - phi(mu))/delta.
     rhs: mu(L^a phi) + (mu x mu)(M^a phi) at the initial cloud, deterministic.
-    delta must be a multiple of dt.
+    delta must be a multiple of dt, and t + delta at most T.
     """
     delta = float(delta)
     steps = int(round(delta / dt))
     if steps < 1 or abs(steps * dt - delta) > 1e-9 * max(1.0, delta):
         raise ValueError("delta must be a positive multiple of dt")
+    if t + delta - model.T > GRID_TOL * max(1.0, model.T):
+        raise ValueError(f"t0 + delta = {t + delta!r} exceeds T = {model.T!r}")
     if M < 2:
         raise ValueError("the ito check needs M >= 2 scenarios")
     cloud0 = _resolve_cloud(mu0, N, seed)

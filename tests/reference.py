@@ -32,6 +32,40 @@ def control_values_on_grid(control, traj, k):
     return affine_feedback(K1[k], K2[k], kk[k], traj.states[k], traj.means[k])
 
 
+def coefficient_values(dyn, x, mbar, a):
+    """lqmodel.coefficient_values one coefficient matrix at a time.
+
+    Each coefficient is summed as ((c0 + x M') + mbar Mbar') + a N', the
+    sums of the stacked loadings taken apart.
+    """
+    b = dyn.b0 + x @ dyn.B.T + mbar @ dyn.Bbar.T + a @ dyn.C.T
+    s = dyn.theta + x @ dyn.D.T + mbar @ dyn.Dbar.T + a @ dyn.F.T
+    s0 = dyn.theta0 + x @ dyn.D0.T + mbar @ dyn.D0bar.T + a @ dyn.F0.T
+    return b, s, s0
+
+
+def forms(x, L, y):
+    """x_n' L y_n at each particle, as one three-operand einsum at every size."""
+    return np.einsum("...ni,ij,...nj->...n", x, L, y)
+
+
+def mean_form(mbar, L):
+    return np.einsum("...i,ij,...j->...", mbar, L, mbar)[..., None]
+
+
+def running_cost(cost, x, mbar, a):
+    """lqmodel.running_cost on the three-operand forms."""
+    vals = forms(x, cost.Q2, x) + mean_form(mbar, cost.Q2bar) + forms(a, cost.R2, a)
+    if np.any(cost.M2):
+        vals = vals + 2.0 * forms(x, cost.M2, a)
+    return vals
+
+
+def terminal_cost(cost, x, mbar):
+    """lqmodel.terminal_cost on the three-operand forms."""
+    return forms(x, cost.P2, x) + mean_form(mbar, cost.P2bar)
+
+
 def save_csv(mu, path):
     """One row per particle, header x0,...,x{d-1}, full-precision floats.
 

@@ -318,6 +318,10 @@ class TestBadNumbers:
                      "point:nan: values must be finite", id="point=nan"),
         pytest.param(["verify", "chaos", "--seed", "1", "--control", "zero"], None,
                      "verify chaos needs --control optimal", id="chaos-control=zero"),
+        pytest.param(["verify", "ito", "--seed", "1", "--delta", "1.5"], None,
+                     "t0 + delta = 1.5 exceeds T = 1.0", id="ito-delta=1.5"),
+        pytest.param(["verify", "ito", "--seed", "1", "--t0", "0.995", "--delta", "0.01"], None,
+                     "t0 + delta = 1.005 exceeds T = 1.0", id="ito-t0=0.995-delta=0.01"),
     ])
     def test_exits_two(self, model_file, tmp_path, capsys, argv, config, message):
         out = tmp_path / "out"

@@ -13,6 +13,7 @@ from cmvlq.lqmodel import (
 )
 from cmvlq.measure import AffineMap, EmpiricalMeasure, mean
 
+import reference
 from conftest import make_interbank, random_cloud, random_lq
 
 
@@ -181,6 +182,81 @@ class TestGains:
         g2 = gains(0.0, Lam, 5.0 * np.eye(2), np.ones(2), dyn, cost)
         assert np.array_equal(g1.S, Lam @ dyn.C)
         assert np.array_equal(g1.S, g2.S)
+
+
+def wide_values(rng, shape):
+    """Signed values of magnitude 1e-8 to 1e8, about a quarter of them exactly zero."""
+    v = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    v[rng.random(shape) < 0.25] = 0.0
+    return v
+
+
+def zero_values(rng, shape):
+    return np.zeros(shape)
+
+
+def normal_values(rng, shape):
+    return rng.standard_normal(shape)
+
+
+class TestPointwiseFormulas:
+    """coefficient_values, running_cost and terminal_cost against their references.
+
+    The references (tests/reference.py) take one coefficient matrix at a
+    time and evaluate every form as a three-operand einsum.  At d = m = 1
+    the two agree bit for bit, which the scalar step loop's parity with the
+    affine one rests on; at d > 1 the stacked products and two-operand
+    forms may round differently, within 1e-14 of max(1, |term|).  Each row
+    runs on a batch (P, N, d) with means (P, 1, d), as the step loop passes
+    them, and on one cloud (N, d) with its mean (d,), as the checks do.
+    """
+
+    @pytest.mark.parametrize("d, m, draw, with_m2", [
+        pytest.param(1, 1, normal_values, False, id="d1m1-normal"),
+        pytest.param(1, 1, normal_values, True, id="d1m1-normal-M2"),
+        pytest.param(1, 1, wide_values, False, id="d1m1-wide"),
+        pytest.param(1, 1, wide_values, True, id="d1m1-wide-M2"),
+        pytest.param(1, 1, zero_values, True, id="d1m1-zeros"),
+        pytest.param(2, 1, normal_values, False, id="d2m1"),
+        pytest.param(2, 3, normal_values, True, id="d2m3-M2"),
+        pytest.param(3, 2, normal_values, False, id="d3m2"),
+        pytest.param(3, 2, normal_values, True, id="d3m2-M2"),
+        pytest.param(4, 1, normal_values, True, id="d4m1-M2"),
+        pytest.param(4, 3, normal_values, False, id="d4m3"),
+    ])
+    def test_matches_reference(self, d, m, draw, with_m2):
+        rng = np.random.default_rng([d, m, int(with_m2)])
+
+        def sym(n):
+            a = draw(rng, (n, n))
+            return a + a.T
+
+        dyn = lqmodel.LqDynamics(
+            b0=draw(rng, d), B=draw(rng, (d, d)), Bbar=draw(rng, (d, d)), C=draw(rng, (d, m)),
+            theta=draw(rng, d), D=draw(rng, (d, d)), Dbar=draw(rng, (d, d)),
+            F=draw(rng, (d, m)), theta0=draw(rng, d), D0=draw(rng, (d, d)),
+            D0bar=draw(rng, (d, d)), F0=draw(rng, (d, m)))
+        # the zeros row's M2 is all zeros: a cost without a cross weight
+        cost = LqCost(Q2=sym(d), Q2bar=sym(d), R2=sym(m), P2=sym(d), P2bar=sym(d),
+                      M2=draw(rng, (d, m)) if with_m2 else None)
+        assert cost.cross == bool(np.any(cost.M2))
+        P, N = 3, 7
+        for x, mbar, a in ((draw(rng, (P, N, d)), draw(rng, (P, d)), draw(rng, (P, N, m))),
+                           (draw(rng, (N, d)), draw(rng, d), draw(rng, (N, m)))):
+            rows = mbar[..., None, :]
+            pairs = [
+                *zip(lqmodel.coefficient_values(dyn, x, rows, a),
+                     reference.coefficient_values(dyn, x, rows, a)),
+                (lqmodel.running_cost(cost, x, mbar, a),
+                 reference.running_cost(cost, x, mbar, a)),
+                (lqmodel.terminal_cost(cost, x, mbar), reference.terminal_cost(cost, x, mbar)),
+            ]
+            for got, want in pairs:
+                assert got.shape == want.shape
+                if d == m == 1:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
 
 class TestStandingCondition:

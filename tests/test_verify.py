@@ -272,6 +272,25 @@ class TestStreamedDrivers:
                 self.check(rec.states[:, j], traj.states[::stride], d)
                 self.check(rec.means[:, j], traj.means[::stride], d)
 
+    @pytest.mark.parametrize("name", ["optimal", "shift"])
+    def test_batch_width_keeps_bits(self, name, monkeypatch):
+        # at d = 3 a scenario's end cloud and running cost are the same bits
+        # whether it is stepped alone or in a batch of 3 or 8: no product
+        # of the step loop or the cost depends on the batch's row count
+        qv, model, cloud0, controls = self.stacks(3, monkeypatch)
+        runs = []
+        for width in (1, 3, 8):
+            monkeypatch.setattr(simulator, "_BATCH_DOUBLES", width * self.N * 3)
+            out = {}
+            for paths, running, ends in stream_scenarios(model, controls[name], 0.0, cloud0,
+                                                         model.T, self.DT, self.SEED, 8):
+                assert len(paths) == min(width, 8 - paths.start)
+                for j, p in enumerate(paths):
+                    out[p] = (running[j].tobytes(), ends[j].tobytes())
+            runs.append(out)
+        assert sorted(runs[0]) == list(range(8))
+        assert runs[0] == runs[1] == runs[2]
+
     def test_no_trajectory_allocated(self, monkeypatch):
         # K = 1000 steps of 500 particles: a stored trajectory is 4 MB
         _, model, _, controls = self.stacks(1, monkeypatch)
