@@ -18,7 +18,7 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
   (where the engine draws noise in a forked process, the copies out of
   the cache run there);
 - step_cost_d3: the same on the d = 3, m = 2 model (N = 250, M = 8,
-  K = 1000, one batch of 8 scenarios), which steps the generic affine loop;
+  K = 1000, one batch of 8 scenarios);
 - tree_sum on (32, 2000) and (1000, 2000) along axis 1, and on (2000,);
 - writer: ``cli._write_trajectories`` formatting the nodes of 4 paths
   recorded at stride 10 into trajectory.csv and means.csv (the recording

@@ -398,6 +398,7 @@ def cmd_systemic_risk(cfg):
 
 def main(argv=None):
     parser = _build_parser()
+    cfg = {}
     try:
         args = parser.parse_args(argv)
         cfg = _merge_config(args)
@@ -411,6 +412,10 @@ def main(argv=None):
         return 3
     except (ValueError, KeyError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        sizes = ", ".join(f"{k} = {cfg.get(k)}" for k in ("particles", "paths", "dt"))
+        print(f"configuration error: not enough memory for {sizes}", file=sys.stderr)
         return 2
 
 

@@ -49,6 +49,23 @@ def tree_mean(a, axis=0):
     return tree_sum(a, axis=axis) / n
 
 
+def moments(x):
+    """Mean (..., d) and second moment (..., d(d+1)/2) of the clouds x (..., N, d).
+
+    The second moment is the particle mean of x_i x_j, i <= j, in
+    np.triu_indices(d) order.  One tree_sum of each cloud's rows (x_1, ...,
+    x_d, x_i x_j, ...) gives both, so the mean is tree_mean(x, axis=-2)'s bits.
+    """
+    *lead, n, d = x.shape
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    rows = np.empty((*lead, d + len(pairs), n))
+    rows[..., :d, :] = np.swapaxes(x, -1, -2)
+    for r, (i, j) in enumerate(pairs, d):
+        np.multiply(rows[..., i, :], rows[..., j, :], out=rows[..., r, :])
+    s = tree_sum(rows, axis=-1) / n
+    return s[..., :d], s[..., d:]
+
+
 class AffineMap:
     """Affine map x -> A x + b from R^d to R^m."""
 

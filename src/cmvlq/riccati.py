@@ -168,7 +168,8 @@ def _scalar_rhs(dyn, cost):
     Each 1x1 matrix product of _rhs is written `a * b + 0.0`, because numpy
     accumulates the single product onto +0.0: a -0.0 product becomes +0.0,
     and every other value is unchanged.  The minimum eigenvalue of a 1x1
-    matrix is its entry.
+    matrix is its entry; a U or V that is not finite is a numerical blowup,
+    as _factor_pd reports it for the other shapes.
     """
     b0, th, th0 = (float(v[0]) for v in (dyn.b0, dyn.theta, dyn.theta0))
     B, C, D, F, D0, F0, Bs, Ds, D0s = (float(a[0, 0]) for a in (
@@ -188,6 +189,9 @@ def _scalar_rhs(dyn, cost):
         S = ((D * L + 0.0) * F + 0.0) + ((D0 * L + 0.0) * F0 + 0.0) + (L * C + 0.0) + M2
         Z = ((Ds * L + 0.0) * F + 0.0) + ((D0s * G + 0.0) * F0 + 0.0) + (G * C + 0.0) + M2
         Y = (C * gam + 0.0) + (F2 * (L * th + 0.0) + 0.0) + (F02 * (G * th0 + 0.0) + 0.0)
+        if not (math.isfinite(U) and math.isfinite(V)):
+            which = "V" if math.isfinite(U) else "U"
+            raise NumericalBlowup(f"t={t:.6g}", f"gain matrix {which} is not finite")
         if at_node:
             require_pd(t, U, V)
         if not U > 0.0:

@@ -14,9 +14,11 @@ counter block, so paths are independent streams and a step's noise can be
 regenerated without replaying the stream.
 
 Every control is an affine feedback a = K1(t)(x - mbar) + K2(t) mbar + k(t)
-given by its gains on the step grid.  Two step loops carry a leading axis of
-P scenarios: the scalar loop (d = m = 1) and one vectorized affine Euler
-loop for every other shape, which at d = 1 is bitwise the scalar one.
+given by its gains on the step grid.  One Euler loop steps P scenarios of
+any (d, m): given its mean and common increment, a scenario's particles
+take one affine step, and one tree_sum gives each scenario's mean and
+second moment, which give its running cost (lqmodel.lifted_cost) and
+screen the new state for blowup.
 
 One function, stream_scenarios, steps them: it runs scenarios in batches of
 P, keeps only the batch's current state, draws each path's noise in
@@ -36,10 +38,12 @@ drawing ahead changes no bit.
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import pickle
 import signal
+import sys
 import threading
 from contextlib import closing
 from dataclasses import dataclass
@@ -56,12 +60,10 @@ from .lqmodel import (
     LqCost,
     LqDynamics,
     LqModel,
-    affine_feedback,
-    coefficient_values,
-    running_cost,
-    terminal_cost,
+    lifted_cost,
+    matprod,
 )
-from .measure import AffineMap, EmpiricalMeasure, load_csv, tree_mean, tree_sum
+from .measure import AffineMap, EmpiricalMeasure, load_csv, moments
 
 _INIT_PATH_TAG = 2**64 - 1
 
@@ -202,98 +204,75 @@ def _control_grid(control, base_t0, dt, n_steps, offset, d, m):
     return K1, K2, kk
 
 
-def _run_fast_scalar(model, x, K1, K2, kk, dt, dw0, db, running=None, keep=None):
-    """Scalar (d = m = 1) Euler loop over P scenarios.
-
-    x (P, N) holds the particles at the first node; dw0 (K, P) and db
-    (K, P, N) are the scaled increments of K steps.  With `keep`, step k
-    first calls keep(k, x, m) with its node's state and particle means
-    (P,); with `running` (P,) each step adds dt times its particle-mean
-    running cost.  Returns (k, x): the failing step and the state it
-    produced, or -1 and the state after the last step.
-    """
-    dyn = model.dyn
-    b0, B, Bbar, C, th, D, Dbar, F, th0, D0, D0bar, F0 = (
-        float(dyn.b0[0]), float(dyn.B[0, 0]), float(dyn.Bbar[0, 0]), float(dyn.C[0, 0]),
-        float(dyn.theta[0]), float(dyn.D[0, 0]), float(dyn.Dbar[0, 0]), float(dyn.F[0, 0]),
-        float(dyn.theta0[0]), float(dyn.D0[0, 0]), float(dyn.D0bar[0, 0]), float(dyn.F0[0, 0]))
-    n_steps = dw0.shape[0]
-    n = x.shape[1]
-    tmp = np.empty_like(x)
-    for k in range(n_steps):
-        m = tree_sum(x, axis=1) / n
-        if keep is not None:
-            keep(k, x, m)
-        m = m[:, None]
-        # each sum is accumulated in place into its first product; u + v is
-        # v + u bit for bit, so these are the affine loop's sums:
-        # a = K1 (x - m) + K2 m + kk
-        a = x - m
-        a *= K1[k]
-        a += K2[k] * m
-        a += kk[k]
-        if running is not None:
-            fhat = tree_mean(running_cost(model.cost, x[:, :, None], m, a[:, :, None]), axis=1)
-            running += fhat * dt
-        # drift b0 + B x + Bbar m + C a, volatilities likewise
-        bv, sv, s0v = B * x, D * x, D0 * x
-        for v, c0, cm, ca in ((bv, b0, Bbar, C), (sv, th, Dbar, F), (s0v, th0, D0bar, F0)):
-            v += c0
-            v += cm * m
-            v += np.multiply(ca, a, out=tmp)
-        # x + bv dt + sv db + s0v dw0
-        bv *= dt
-        bv += x
-        sv *= db[k]
-        bv += sv
-        s0v *= dw0[k][:, None]
-        bv += s0v
-        x = bv
-        if not np.all(np.abs(x, out=tmp) <= BLOWUP_LIMIT):
-            return k, x
-    return -1, x
+# A sum of squares of at most 1e24 bounds every |x| by 1e12; the margin
+# covers the rounding of the sum, and NaN fails the comparison
+_SCREEN = BLOWUP_LIMIT ** 2 * (1.0 - 1e-9)
 
 
-def _run_generic(model, x, K1, K2, kk, dt, dw0, db, running=None, keep=None):
+def _run_generic(model, x, mom, K1, K2, kk, dt, dw0, db, running=None, keep=None):
     """Affine Euler loop for any (d, m) over P scenarios.
 
-    x (P, N, d) holds the particles at the first node; dw0 (K, P, 1) and
-    db (K, P, N, 1) are the scaled increments of K steps.  `keep` (called
-    with means (P, d)), `running` (P,) and the return value are as in
-    _run_fast_scalar.
+    x (P, N, d) holds the particles at the first node and mom its moments
+    (measure.moments); dw0 (K, P, 1) and db (K, P, N, 1) are the scaled
+    increments of K steps.  Each scenario's particles take one affine step
+    x' = x A_p + c_p + (x S + s_p) db, A_p = I + (B + C K1)' dt +
+    (D0 + F0 K1)' dw0_p, S = (D + F K1)', c_p and s_p from the mean and k.
+    With `keep`, step k first calls keep(k, x, mean); with `running` (P,),
+    each step adds dt times its node's lifted running cost.  A new state
+    whose sum of squares N trace(second moment) passes _SCREEN has its
+    particles tested one by one.  Returns (k, x, mom): the failing step and
+    its state, or -1, the last state and its moments.
     """
-    n_steps = dw0.shape[0]
-    for k in range(n_steps):
-        mbar = tree_mean(x, axis=1)
+    dyn = model.dyn
+    d, n = dyn.d, x.shape[1]
+    # per step, the loadings of the state, L = Gx + K1' Ga = [(B + C K1)', S, (D0 + F0 K1)'],
+    # and of the mean, G = Gm + (K2 - K1)' Ga, plus g0 + k Ga
+    L = dyn.Gx + matprod(np.swapaxes(K1, 1, 2), dyn.Ga)
+    G = dyn.Gm + matprod(np.swapaxes(K2 - K1, 1, 2), dyn.Ga)
+    g0 = dyn.g0 + matprod(kk[:, None, :], dyn.Ga)
+    Ab = np.eye(d) + L[:, :, :d] * dt
+    S, L0 = L[:, :, d:2 * d], L[:, :, 2 * d:]
+    diag = np.flatnonzero(np.equal(*np.triu_indices(d)))
+    node_moments = []
+    for k in range(dw0.shape[0]):
+        mbar = mom[0]
         if keep is not None:
             keep(k, x, mbar)
-        a = affine_feedback(K1[k], K2[k], kk[k], x, mbar)
-        if running is not None:
-            running += tree_mean(running_cost(model.cost, x, mbar, a), axis=1) * dt
-        # the mean enters as one (1, d) row per scenario, as in a single path
-        bv, sv, s0v = coefficient_values(model.dyn, x, mbar[:, None, :], a)
-        x = x + bv * dt + sv * db[k] + s0v * dw0[k][:, None, :]
-        if not np.all(np.abs(x) <= BLOWUP_LIMIT):
-            return k, x
-    return -1, x
+        node_moments.append(mom)
+        g = matprod(mbar[:, None, :], G[k]) + g0[k]
+        w0 = dw0[k][:, :, None]
+        z = matprod(x, S[k]) + g[:, :, d:2 * d]
+        z *= db[k]
+        x = matprod(x, L0[k] * w0 + Ab[k]) + (g[:, :, :d] * dt + g[:, :, 2 * d:] * w0) + z
+        mom = moments(x)
+        if (not np.all(n * np.sum(mom[1][:, diag], axis=1) <= _SCREEN)
+                and not np.all(np.abs(x) <= BLOWUP_LIMIT)):
+            return k, x, mom
+    if running is not None:
+        fhat = lifted_cost(model.cost, *map(np.stack, zip(*node_moments)),
+                           (K1[:, None], K2[:, None], kk[:, None]))
+        for f in fhat:
+            running += f * dt
+    return -1, x, mom
 
 
 def _blowup(t, paths, step, x):
-    """NumericalBlowup at the first bad entry of x (P, N[, d]): lowest path, then particle."""
-    flat = x.reshape(x.shape[0], x.shape[1], -1)
-    p, i, j = np.argwhere(~(np.abs(flat) <= BLOWUP_LIMIT))[0]
+    """NumericalBlowup at the first bad entry of x (P, N, d): lowest path, then particle."""
+    p, i, j = np.argwhere(~(np.abs(x) <= BLOWUP_LIMIT))[0]
     return NumericalBlowup(
         f"t={float(t):.6g}, path {paths[p]}, step {step}, particle {i}",
-        f"value {float(flat[p, i, j])!r} exceeded 1e12 or is NaN")
+        f"value {float(x[p, i, j])!r} exceeded 1e12 or is NaN")
 
 
 def _step_count(model, t0, mu0, T, dt):
     """Number of steps dt from t0 to T, checked to be whole, for a cloud of the model's dimension."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     span = float(T) - float(t0)
     if span < -GRID_TOL:
         raise ValueError("T must be >= t0")
+    if not span / dt <= sys.maxsize:
+        raise ValueError(f"dt={dt} divides T - t0 = {span} into more than {sys.maxsize} steps")
     n_steps = int(round(span / dt))
     if abs(n_steps * dt - span) > GRID_TOL * max(1.0, span):
         raise ValueError(f"dt={dt} must divide T - t0 = {span} into whole steps")
@@ -522,10 +501,7 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
     t0, dt = float(t0), float(dt)
     paths = range(paths) if isinstance(paths, int) else paths
     n, d = mu0.points.shape
-    scalar = d == 1 and model.m == 1
     K1, K2, kk = _control_grid(control, t0, dt, n_steps, step_offset, d, model.m)
-    if scalar:
-        K1, K2, kk = (np.ascontiguousarray(g.reshape(n_steps)) for g in (K1, K2, kk))
     width = max(1, _BATCH_DOUBLES // (n * d))
     n_rec, rec_width = 0, width
     if record is not None:
@@ -542,13 +518,12 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
         for batch in batches:
             P = len(batch)
             x = np.repeat(mu0.points[None], P, axis=0)
-            if scalar:
-                x = x[:, :, 0]
+            mom = moments(x)
             running = np.zeros(P) if with_cost else None
             kept = min(P, n_rec - (batch.start - paths.start))
             if kept > 0:
-                states = np.empty((len(nodes), kept) + x.shape[1:])
-                means = np.empty((len(nodes), kept) + x.shape[2:])
+                states = np.empty((len(nodes), kept, n, d))
+                means = np.empty((len(nodes), kept, d))
                 dw0_kept = np.empty((n_steps, kept, 1))
 
                 def keep(k0, k, x, m):
@@ -563,22 +538,17 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
                 if kept > 0:
                     dw0_kept[g] = dw0[:, :kept]
                     at = partial(keep, k0)
-                if scalar:
-                    bad, x = _run_fast_scalar(model, x, K1[g], K2[g], kk[g], dt, dw0[:, :, 0],
-                                              db[:, :, :, 0], running=running, keep=at)
-                else:
-                    bad, x = _run_generic(model, x, K1[g], K2[g], kk[g], dt, dw0, db,
-                                          running=running, keep=at)
+                bad, x, mom = _run_generic(model, x, mom, K1[g], K2[g], kk[g], dt, dw0, db,
+                                           running=running, keep=at)
                 if bad >= 0:
                     step = step_offset + k0 + bad + 1
                     raise _blowup(t0 + dt * step, batch, step, x)
                 k0 = g.stop
             if kept > 0:
-                keep(n_steps, 0, x, tree_sum(x, axis=1) / n)
+                keep(n_steps, 0, x, mom[0])
                 record.sink(Recording(batch[:kept], nodes, t0 + dt * (step_offset + nodes),
-                                      states.reshape(len(nodes), kept, n, d),
-                                      means.reshape(len(nodes), kept, d), dw0_kept))
-            yield batch, running, x.reshape(P, n, d)
+                                      states, means, dw0_kept))
+            yield batch, running, x
 
 
 def restart_continuation(traj: ParticleTrajectory, theta):
@@ -599,7 +569,8 @@ def pathwise_cost(traj: ParticleTrajectory, model, control, end_step=None,
     """Realized lifted cost along one trajectory.
 
     Left-endpoint Riemann sum of the particle-averaged running cost plus the
-    particle-averaged terminal cost at the end node.  The Monte Carlo drivers
+    particle-averaged terminal cost at the end node, each from its node's
+    moments (lqmodel.lifted_cost).  The Monte Carlo drivers
     fuse this sum into the step loop; this is the public per-path
     reference that their per-scenario costs equal bit for bit.
     """
@@ -610,15 +581,12 @@ def pathwise_cost(traj: ParticleTrajectory, model, control, end_step=None,
     if end:
         K1, K2, kk = _control_grid(control, traj.base_t0, traj.dt, traj.n_steps,
                                    traj.step_offset, traj.model.d, traj.model.m)
-        x = traj.states[:end]
-        means = traj.means[:end]
-        avals = affine_feedback(K1[:end], K2[:end], kk[:end], x, means)
-        fhat = tree_mean(running_cost(model.cost, x, means, avals), axis=1)
+        fhat = lifted_cost(model.cost, *moments(traj.states[:end]),
+                           (K1[:end], K2[:end], kk[:end]))
         for k in range(end):
             total += float(fhat[k]) * traj.dt
     if include_terminal:
-        gvals = terminal_cost(model.cost, traj.states[end], traj.means[end])
-        total += float(tree_mean(gvals))
+        total += float(lifted_cost(model.cost, *moments(traj.states[end])))
     return total
 
 

@@ -24,10 +24,10 @@ from .lqmodel import (
     GRID_TOL,
     affine_feedback,
     coefficient_values,
+    lifted_cost,
     lifted_running_cost,
-    terminal_cost,
 )
-from .measure import EmpiricalMeasure, mean, tree_mean
+from .measure import EmpiricalMeasure, mean, moments, tree_mean
 from .policy import QuadraticFunctional, QuadraticValue, value
 from .simulator import sample_initial, stream_scenarios
 
@@ -69,8 +69,7 @@ def estimate_cost(model, control, t0, mu0, N, M, dt, seed, record=None) -> CostE
     with closing(stream_scenarios(model, control, t0, cloud0, model.T, dt, seed, M,
                                   record=record)) as stream:
         for paths, running, ends in stream:
-            gvals = terminal_cost(model.cost, ends, tree_mean(ends, axis=1))
-            costs[paths.start:paths.stop] = running + tree_mean(gvals, axis=1)
+            costs[paths.start:paths.stop] = running + lifted_cost(model.cost, *moments(ends))
     m = float(tree_mean(costs))
     stderr = float(np.std(costs, ddof=1) / np.sqrt(M))
     return CostEstimate(mean=m, stderr=stderr, M=M, N=N, dt=float(dt), seed=int(seed))

@@ -54,7 +54,10 @@ def mean_form(mbar, L):
 
 
 def running_cost(cost, x, mbar, a):
-    """lqmodel.running_cost on the three-operand forms."""
+    """Running cost x'Q2 x + mbar'Q2bar mbar + a'R2 a + 2 x'M2 a at each particle.
+
+    Its particle mean under an affine feedback is lqmodel.lifted_cost.
+    """
     vals = forms(x, cost.Q2, x) + mean_form(mbar, cost.Q2bar) + forms(a, cost.R2, a)
     if np.any(cost.M2):
         vals = vals + 2.0 * forms(x, cost.M2, a)
@@ -62,7 +65,7 @@ def running_cost(cost, x, mbar, a):
 
 
 def terminal_cost(cost, x, mbar):
-    """lqmodel.terminal_cost on the three-operand forms."""
+    """Terminal cost x'P2 x + mbar'P2bar mbar at each particle; lqmodel.lifted_cost's particle mean."""
     return forms(x, cost.P2, x) + mean_form(mbar, cost.P2bar)
 
 

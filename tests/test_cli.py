@@ -77,13 +77,13 @@ class TestSystemicRisk:
 
     def test_steps_each_scenario_once(self, tmp_path, monkeypatch):
         steps = []
-        loop = simulator._run_fast_scalar
+        loop = simulator._run_generic
 
-        def counting(model, x, K1, K2, kk, dt, dw0, db, **kw):
+        def counting(model, x, mom, K1, K2, kk, dt, dw0, db, **kw):
             steps.append(x.shape[0] * dw0.shape[0])
-            return loop(model, x, K1, K2, kk, dt, dw0, db, **kw)
+            return loop(model, x, mom, K1, K2, kk, dt, dw0, db, **kw)
 
-        monkeypatch.setattr(simulator, "_run_fast_scalar", counting)
+        monkeypatch.setattr(simulator, "_run_generic", counting)
         assert run_cli("systemic-risk", "--out", str(tmp_path), *self.MC) == 0
         # M = 6 scenarios of K = 100 steps, the 4 recorded ones among them
         assert sum(steps) == 6 * 100
@@ -233,6 +233,25 @@ class TestModelKeys:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda text: text.replace("T = 1.0", "T = nan"),
+                     "T must be positive and finite, got nan", id="T=nan"),
+        pytest.param(lambda text: text.replace("T = 1.0", "T = inf"),
+                     "T must be positive and finite, got inf", id="T=inf"),
+        pytest.param(lambda text: text + "B = 2.0\n",
+                     "key 'B' is given twice, on lines 5 and 22", id="B-twice"),
+    ])
+    def test_bad_model_value_is_config_error(self, model_file, tmp_path, capsys, edit, message):
+        path = tmp_path / "model.txt"
+        path.write_text(edit(open(model_file).read()))
+        code = run_cli("cost", "--model", str(path), "--out", str(tmp_path / "out"),
+                       "--seed", "1", "--particles", "4", "--paths", "2")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error: ") and message in err
+        assert "Traceback" not in err
+
+
 class TestBadNumbers:
     """An out-of-range value of any numeric flag is a configuration error.
 
@@ -252,6 +271,11 @@ class TestBadNumbers:
         pytest.param(["cost", "--seed", "1", "--dt", "0"], None, "dt must be positive", id="dt=0"),
         pytest.param(["cost", "--seed", "1", "--dt", "0.3"], None,
                      "must divide T - t0", id="dt=0.3"),
+        pytest.param(["cost", "--seed", "1", "--dt", "1e-300"], None,
+                     f"dt=1e-300 divides T - t0 = 1.0 into more than {sys.maxsize} steps",
+                     id="dt=1e-300"),
+        pytest.param(["cost", "--seed", "1"], "paths = 2\ndt = 0.1\npaths = 3\n",
+                     "key 'paths' is given twice, on lines 1 and 3", id="config-paths-twice"),
         pytest.param(["cost", "--seed", "1", "--t0", "2.0"], None, "T must be >= t0", id="t0=2"),
         pytest.param(["solve", "--riccati-step", "-0.01"], None,
                      "riccati_step must be positive", id="riccati-step=-0.01"),
@@ -342,6 +366,19 @@ class TestBadNumbers:
         assert not out.exists() or not any(out.iterdir())
 
 
+    def test_out_of_memory_exits_two(self, model_file, tmp_path, capsys, monkeypatch):
+        # the cloud's allocation fails as numpy's would; nothing is allocated
+        def no_memory(*args):
+            raise MemoryError("cannot allocate 745. GiB")
+
+        monkeypatch.setattr(verify, "sample_initial", no_memory)
+        code = run_cli("cost", "--model", model_file, "--out", str(tmp_path), "--seed", "1",
+                       "--particles", "100000000000", "--paths", "4", "--dt", "0.01")
+        assert code == 2
+        assert capsys.readouterr().err == ("configuration error: not enough memory for "
+                                           "particles = 100000000000, paths = 4, dt = 0.01\n")
+
+
 class TestPointInit:
     """A one-value point:, const: or shift: spec (point:0.0 by default) fills every coordinate."""
 
@@ -427,6 +464,20 @@ class TestNumericalFailure:
                        "--riccati-step", "0.01") == 3
         assert capsys.readouterr().err == self.OVERFLOW_ERR
 
+    def test_riccati_stage_overflow_exits_three_d1(self, tmp_path, capsys):
+        from cmvlq.lqmodel import LqCost, LqDynamics
+
+        # the d = m = 1 twin: B = 1e300 overflows U to inf within the first step
+        dyn = LqDynamics(b0=0.0, B=1e300, Bbar=0.0, C=1.0, theta=0.0, D=0.0, Dbar=0.0, F=0.1,
+                         theta0=0.0, D0=0.0, D0bar=0.0, F0=0.0)
+        cost = LqCost(Q2=1.0, Q2bar=0.0, R2=1.0, P2=1.0, P2bar=0.0)
+        path = tmp_path / "overflow1.txt"
+        save_model(path, dyn, cost, 1.0)
+        assert run_cli("solve", "--model", str(path), "--out", str(tmp_path),
+                       "--riccati-step", "0.01") == 3
+        assert capsys.readouterr().err == ("numerical failure: numerical blowup at t=0.995: "
+                                           "gain matrix U is not finite\n")
+
     def test_one_stderr_line_in_a_fresh_process(self, tmp_path):
         # outside pytest's capture a numpy RuntimeWarning would reach stderr
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -454,7 +505,7 @@ class TestNumericalFailure:
         err = capsys.readouterr().err
         # 10 * 1.4^76 is the first state past 1e12; every particle and path is alike
         assert err == ("numerical failure: numerical blowup at t=0.76, path 0, step 76, "
-                       "particle 0: value 1275647586028.0374 exceeded 1e12 or is NaN\n")
+                       "particle 0: value 1275647586028.0315 exceeded 1e12 or is NaN\n")
 
 
 def test_console_script_help():

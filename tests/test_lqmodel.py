@@ -4,6 +4,7 @@ import pytest
 from cmvlq import lqmodel
 from cmvlq.lqmodel import (
     LqCost,
+    affine_feedback,
     check_standing_condition,
     gains,
     lifted_running_cost,
@@ -11,7 +12,7 @@ from cmvlq.lqmodel import (
     load_model,
     save_model,
 )
-from cmvlq.measure import AffineMap, EmpiricalMeasure, mean
+from cmvlq.measure import AffineMap, EmpiricalMeasure, mean, moments, tree_mean
 
 import reference
 from conftest import make_interbank, random_cloud, random_lq
@@ -200,15 +201,18 @@ def normal_values(rng, shape):
 
 
 class TestPointwiseFormulas:
-    """coefficient_values, running_cost and terminal_cost against their references.
+    """coefficient_values and the moment-form lifted costs against their references.
 
-    The references (tests/reference.py) take one coefficient matrix at a
-    time and evaluate every form as a three-operand einsum.  At d = m = 1
-    the two agree bit for bit, which the scalar step loop's parity with the
-    affine one rests on; at d > 1 the stacked products and two-operand
-    forms may round differently, within 1e-14 of max(1, |term|).  Each row
-    runs on a batch (P, N, d) with means (P, 1, d), as the step loop passes
-    them, and on one cloud (N, d) with its mean (d,), as the checks do.
+    The reference coefficients (tests/reference.py) take one coefficient
+    matrix at a time: at d = m = 1 the two agree bit for bit, at d > 1
+    within 1e-14 of max(1, |term|).  lifted_cost, from a cloud's mean and
+    second moment, equals the particle mean of reference.running_cost under
+    the feedback K1 (x - mbar) + K2 mbar + k, and of
+    reference.terminal_cost, within 1e-14 of the size of their terms: the
+    same particle mean with every matrix, gain and coordinate replaced by
+    its absolute value, which bounds each term and each product either form
+    rounds.  Each row runs on a batch of clouds (P, N, d), as the step loop
+    passes them, and on one cloud (N, d), as the checks do.
     """
 
     @pytest.mark.parametrize("d, m, draw, with_m2", [
@@ -219,8 +223,10 @@ class TestPointwiseFormulas:
         pytest.param(1, 1, zero_values, True, id="d1m1-zeros"),
         pytest.param(2, 1, normal_values, False, id="d2m1"),
         pytest.param(2, 3, normal_values, True, id="d2m3-M2"),
+        pytest.param(2, 3, wide_values, True, id="d2m3-wide-M2"),
         pytest.param(3, 2, normal_values, False, id="d3m2"),
         pytest.param(3, 2, normal_values, True, id="d3m2-M2"),
+        pytest.param(3, 2, wide_values, True, id="d3m2-wide-M2"),
         pytest.param(4, 1, normal_values, True, id="d4m1-M2"),
         pytest.param(4, 3, normal_values, False, id="d4m3"),
     ])
@@ -239,24 +245,39 @@ class TestPointwiseFormulas:
         # the zeros row's M2 is all zeros: a cost without a cross weight
         cost = LqCost(Q2=sym(d), Q2bar=sym(d), R2=sym(m), P2=sym(d), P2bar=sym(d),
                       M2=draw(rng, (d, m)) if with_m2 else None)
-        assert cost.cross == bool(np.any(cost.M2))
+        size_cost = LqCost(**{k: np.abs(getattr(cost, k))
+                              for k in ("Q2", "Q2bar", "R2", "P2", "P2bar", "M2")})
         P, N = 3, 7
         for x, mbar, a in ((draw(rng, (P, N, d)), draw(rng, (P, d)), draw(rng, (P, N, m))),
                            (draw(rng, (N, d)), draw(rng, d), draw(rng, (N, m)))):
             rows = mbar[..., None, :]
-            pairs = [
-                *zip(lqmodel.coefficient_values(dyn, x, rows, a),
-                     reference.coefficient_values(dyn, x, rows, a)),
-                (lqmodel.running_cost(cost, x, mbar, a),
-                 reference.running_cost(cost, x, mbar, a)),
-                (lqmodel.terminal_cost(cost, x, mbar), reference.terminal_cost(cost, x, mbar)),
-            ]
-            for got, want in pairs:
+            for got, want in zip(lqmodel.coefficient_values(dyn, x, rows, a),
+                                 reference.coefficient_values(dyn, x, rows, a)):
                 assert got.shape == want.shape
                 if d == m == 1:
                     assert np.array_equal(got, want)
                 else:
                     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+            lead = x.shape[:-2]
+            K1, K2, k = draw(rng, lead + (m, d)), draw(rng, lead + (m, d)), draw(rng, lead + (m,))
+            mbar, second = moments(x)
+            a = affine_feedback(K1, K2, k, x, mbar)
+            ax, am = np.abs(x), np.abs(mbar)
+            # a bound on |a| that keeps every term of its sum
+            size_a = (ax @ np.swapaxes(np.abs(K1), -1, -2)
+                      + (am[..., None, :] @ np.swapaxes(np.abs(K1) + np.abs(K2), -1, -2))
+                      + np.abs(k)[..., None, :])
+            for got, want, size in (
+                    (lqmodel.lifted_cost(cost, mbar, second, (K1, K2, k)),
+                     reference.running_cost(cost, x, mbar, a),
+                     reference.running_cost(size_cost, ax, am, size_a)),
+                    (lqmodel.lifted_cost(cost, mbar, second),
+                     reference.terminal_cost(cost, x, mbar),
+                     reference.terminal_cost(size_cost, ax, am))):
+                want, size = tree_mean(want, axis=-1), tree_mean(size, axis=-1)
+                assert got.shape == want.shape == lead
+                assert np.all(np.abs(got - want) <= 1e-14 * size)
 
 
 class TestStandingCondition:

@@ -6,7 +6,7 @@ import pytest
 
 from cmvlq import simulator
 from cmvlq.errors import NumericalBlowup
-from cmvlq.lqmodel import LqCost, LqDynamics, affine_feedback, running_cost
+from cmvlq.lqmodel import LqCost, LqDynamics, affine_feedback
 from cmvlq.measure import AffineMap, EmpiricalMeasure, tree_mean
 from cmvlq.policy import FeedbackPolicy, QuadraticValue, optimal_feedback
 from cmvlq.riccati import solve_riccati
@@ -16,8 +16,6 @@ from cmvlq.simulator import (
     ShiftedControl,
     _blowup,
     _gen_noise,
-    _run_fast_scalar,
-    _run_generic,
     lq_dynamics_spec,
     pathwise_cost,
     restart_continuation,
@@ -27,7 +25,7 @@ from cmvlq.simulator import (
 )
 
 from conftest import forked_pids, inline_noise, make_interbank, random_lq, reaped
-from reference import control_values_on_grid, save_csv, step_normals
+from reference import control_values_on_grid, running_cost, save_csv, step_normals
 
 
 def interbank_setup(sigma1=0.3, rho=0.5, q=0.5, h=1e-3, x0=1.0):
@@ -216,39 +214,6 @@ class TestSimulate:
         c = simulate_path(model, control, 0.0, mu0, 1.0, 0.01, 3, 3)
         assert not np.array_equal(a.states, c.states)
 
-    def test_fast_and_generic_paths_agree(self):
-        # at d = m = 1 the affine loop and the scalar loop agree bitwise on a
-        # batch of scenarios: the state and means each step keeps, the
-        # running cost and the end state
-        _, _, _, _, _, model, control = interbank_setup(h=0.01)
-        n, n_steps, dt, P = 50, 100, 0.01, 3
-        mu0 = sample_initial({"kind": "gaussian", "mean": [1.0], "cov": 0.3}, n, 9)
-        noise = [_gen_noise(9, p, 0, n_steps, n, 1, 1, np.sqrt(dt)) for p in range(P)]
-        dw0 = np.stack([w for w, _ in noise], axis=1)
-        db = np.stack([b for _, b in noise], axis=1)
-        K1, K2, kk = control.grid_gains(0.0, dt, n_steps)
-        runs = []
-        for scalar in (True, False):
-            kept = []
-
-            def keep(k, x, m):
-                kept.append((k, x.reshape(P, n).copy(), m.reshape(P).copy()))
-
-            running = np.zeros(P)
-            x = np.repeat(mu0.points[None], P, axis=0)
-            if scalar:
-                bad, end = _run_fast_scalar(model, x[..., 0], K1[:, 0, 0], K2[:, 0, 0], kk[:, 0],
-                                            dt, dw0[..., 0], db[..., 0], running=running,
-                                            keep=keep)
-            else:
-                bad, end = _run_generic(model, x, K1, K2, kk, dt, dw0, db, running=running,
-                                        keep=keep)
-            assert bad == -1 and [k for k, _, _ in kept] == list(range(n_steps))
-            runs.append((np.array([x for _, x, _ in kept]), np.array([m for _, _, m in kept]),
-                         running, end.reshape(P, n)))
-        for a, b in zip(*runs):
-            assert np.array_equal(a, b)
-
     def test_d3_matches_per_step_feedback(self):
         # reference: the optimal feedback solved afresh at every node time
         dyn, cost = random_lq(82, d=3, m=2, with_m2=True)
@@ -313,6 +278,57 @@ class TestSimulate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalBlowup, match="t=0.5"):
                 simulate_path(lq_model(B=1e308), zero_control(), 0.0, mu0, 1.0, 0.5, 0, 0)
+
+
+class TestBlowupScreen:
+    """Each new state's moments screen it; a tripped screen tests every particle.
+
+    Only a planted idiosyncratic increment moves the particles of this
+    model: every coefficient is zero but theta = 1, so x' = x + db.
+    """
+
+    @staticmethod
+    def model(d):
+        z, zv, zc = np.zeros((d, d)), np.zeros(d), np.zeros((d, 1))
+        dyn = LqDynamics(b0=zv, B=z, Bbar=z, C=zc, theta=np.ones(d), D=z, Dbar=z, F=zc,
+                         theta0=zv, D0=z, D0bar=z, F0=zc)
+        return lq_dynamics_spec(dyn, LqCost(Q2=z, Q2bar=z, R2=1.0, P2=z, P2bar=z), 1.0)
+
+    @staticmethod
+    def plant(monkeypatch, paths, step, particles, value):
+        def gen(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, sqrt_dt, *,
+                out):
+            dw0, db = out
+            dw0[...] = 0.0
+            db[...] = 0.0
+            if path_index in paths and step_offset <= step < step_offset + n_steps:
+                db[step - step_offset, particles] = value
+            return out
+
+        monkeypatch.setattr(simulator, "_gen_noise", gen)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("value, step", [(np.nan, 0), (np.inf, 36), (2e12, 49)])
+    def test_planted_value_is_named(self, d, value, step, monkeypatch):
+        # step 49 is the last: its state is the end state
+        self.plant(monkeypatch, {5}, step, 4, value)
+        mu0 = sample_initial({"kind": "point", "x0": np.zeros(d)}, 8, 0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NumericalBlowup) as err:
+                list(stream_scenarios(self.model(d), zero_control(d), 0.0, mu0, 1.0, 0.02, 0, 8))
+        assert str(err.value) == (
+            f"numerical blowup at t={0.02 * (step + 1):.6g}, path 5, step {step + 1}, "
+            f"particle 4: value {value!r} exceeded 1e12 or is NaN")
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_sum_of_squares_past_screen_steps_on(self, d, monkeypatch):
+        # every coordinate at 1e12 from step 10 on: the sum of squares, 8 d 1e24,
+        # trips the screen at every later step, and no particle exceeds 1e12
+        self.plant(monkeypatch, range(8), 10, slice(None), 1e12)
+        mu0 = sample_initial({"kind": "point", "x0": np.zeros(d)}, 8, 0)
+        for paths, running, ends in stream_scenarios(self.model(d), zero_control(d), 0.0, mu0,
+                                                     1.0, 0.02, 0, 8):
+            assert np.all(ends == 1e12)
 
 
 class TestFlowProperty:

@@ -272,15 +272,19 @@ class TestStreamedDrivers:
                 self.check(rec.states[:, j], traj.states[::stride], d)
                 self.check(rec.means[:, j], traj.means[::stride], d)
 
-    @pytest.mark.parametrize("name", ["optimal", "shift"])
-    def test_batch_width_keeps_bits(self, name, monkeypatch):
-        # at d = 3 a scenario's end cloud and running cost are the same bits
-        # whether it is stepped alone or in a batch of 3 or 8: no product
-        # of the step loop or the cost depends on the batch's row count
-        qv, model, cloud0, controls = self.stacks(3, monkeypatch)
+    @pytest.mark.parametrize("name, d", [
+        pytest.param("optimal", 3, id="optimal"), pytest.param("shift", 3, id="shift"),
+        pytest.param("optimal", 1, id="d1-optimal"), pytest.param("shift", 1, id="d1-shift"),
+    ])
+    def test_batch_width_keeps_bits(self, name, d, monkeypatch):
+        # a scenario's end cloud and running cost are the same bits whether
+        # it is stepped alone or in a batch of 3 or 8, at d = 3 and on the
+        # interbank model at d = 1: no product of the step loop or the cost
+        # depends on the batch's row count
+        qv, model, cloud0, controls = self.stacks(d, monkeypatch)
         runs = []
         for width in (1, 3, 8):
-            monkeypatch.setattr(simulator, "_BATCH_DOUBLES", width * self.N * 3)
+            monkeypatch.setattr(simulator, "_BATCH_DOUBLES", width * self.N * d)
             out = {}
             for paths, running, ends in stream_scenarios(model, controls[name], 0.0, cloud0,
                                                          model.T, self.DT, self.SEED, 8):
