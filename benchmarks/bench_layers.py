@@ -29,13 +29,18 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
   feedback at a random time, then ``bellman_residual`` on a 50-particle
   cloud), and grad_check_<model>_20 one draw of ``verify grad``
   (``grad_check`` on a 20-particle cloud, epsilon 0.1), on the interbank
-  and the d = 3 model; each row is the mean over 20 seeded draws.
+  and the d = 3 model; each row is the mean over 20 seeded draws;
+- ito_check_interbank: ``ito_generator_check`` at the sizes of the verify
+  benchmark's ito command (phi = mean^2, N = 2000 particles from the point
+  0, M = 2000 scenarios, delta = 10 steps of dt = 1e-3, optimal feedback).
 
-Each row is the minimum wall time (min_s) and the minimum CPU time
-(cpu_s: this process's, plus that of the noise drawing processes it
-forked and reaped) of --repeats runs after one warm-up run; where the
-streamed engine draws its noise in a second process, CPU time exceeds
-wall time by the overlap.  Outside their own rows, the Riccati solve and
+Each row is the minimum (min_s) and the median (median_s) wall time and
+the minimum CPU time (cpu_s: this process's, plus that of the noise
+drawing processes it forked and reaped) of --repeats runs after one
+warm-up run; where the streamed engine draws its noise in a second
+process, CPU time exceeds wall time by the overlap.  Rows the change
+under test does not reach can move by a third between back-to-back runs
+on a shared VM, which the median shows and the minimum hides.  Outside their own rows, the Riccati solve and
 the gain grid are built before any timing.  Results
 go under --label ("before" or "after") in the output file, next to the git
 SHA (marked -dirty for uncommitted changes), the backend (``cmvlq.backend()``),
@@ -52,6 +57,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import tempfile
 import time
@@ -67,6 +73,7 @@ from cmvlq import cli, measure, riccati, simulator, verify  # noqa: E402
 from cmvlq.lqmodel import LqCost, LqDynamics  # noqa: E402
 from cmvlq.policy import (  # noqa: E402
     FeedbackPolicy,
+    QuadraticFunctional,
     QuadraticValue,
     feedback_affine_map,
     optimal_feedback,
@@ -75,6 +82,7 @@ from cmvlq.riccati import SystemicRiskParams, solve_riccati, systemic_risk_model
 
 N, DT, M, SEED = 2000, 1e-3, 32, 1
 N3, M3 = 250, 8
+ITO_M, ITO_DELTA = 2000, 0.01
 
 
 def cpu_seconds():
@@ -83,8 +91,9 @@ def cpu_seconds():
     return time.process_time() + kids.ru_utime + kids.ru_stime
 
 
-def best_of(fn, repeats):
-    """(minimum wall seconds, minimum CPU seconds) of fn over repeats runs after a warm-up."""
+def best_of(fn, repeats, per=1):
+    """(minimum wall, median wall, minimum CPU) seconds of fn over repeats runs after a warm-up,
+    each divided by per."""
     fn()
     wall, cpu = [], []
     for _ in range(repeats):
@@ -92,7 +101,7 @@ def best_of(fn, repeats):
         fn()
         wall.append(time.perf_counter() - t0)
         cpu.append(cpu_seconds() - c0)
-    return min(wall), min(cpu)
+    return min(wall) / per, statistics.median(wall) / per, min(cpu) / per
 
 
 def git_sha():
@@ -167,11 +176,12 @@ def main():
     rows = {}
 
     def row(name, timing, work=None, unit=None):
-        seconds, cpu = timing
-        rows[name] = {"min_s": seconds, "cpu_s": cpu}
+        seconds, median, cpu = timing
+        rows[name] = {"min_s": seconds, "median_s": median, "cpu_s": cpu}
         if work is not None:
             rows[name][unit] = work / seconds
-        print(f"{name:28s} {seconds * 1e3:10.2f} ms  cpu {cpu * 1e3:10.2f} ms"
+        print(f"{name:28s} {seconds * 1e3:10.2f} ms  median {median * 1e3:10.2f} ms  "
+              f"cpu {cpu * 1e3:10.2f} ms"
               + (f"   {work / seconds:.3e} {unit}" if work is not None else ""))
 
     def estimate():
@@ -222,9 +232,8 @@ def main():
     for shape, axis in (((32, N), 1), ((K, N), 1), ((N,), 0)):
         a = rng.standard_normal(shape)
         reps = 200
-        wall, cpu = best_of(lambda: [measure.tree_sum(a, axis) for _ in range(reps)],
-                            args.repeats)
-        row("tree_sum_" + "x".join(map(str, shape)), (wall / reps, cpu / reps))
+        row("tree_sum_" + "x".join(map(str, shape)),
+            best_of(lambda: [measure.tree_sum(a, axis) for _ in range(reps)], args.repeats, reps))
 
     if hasattr(simulator, "Recorder"):
         recs = []
@@ -261,8 +270,13 @@ def main():
 
         for label, fn in ((f"bellman_residual_{name}_50", bellman),
                           (f"grad_check_{name}_20", grad)):
-            wall, cpu = best_of(fn, args.repeats)
-            row(label, (wall / draws, cpu / draws))
+            row(label, best_of(fn, args.repeats, draws))
+
+    phi = QuadraticFunctional(np.zeros((1, 1)), np.eye(1), np.zeros(1), 0.0)
+    mu_ito = simulator.sample_initial({"kind": "point", "x0": 0.0}, N, SEED)
+    row("ito_check_interbank",
+        best_of(lambda: verify.ito_generator_check(model, control, 0.0, mu_ito, phi, ITO_DELTA, N,
+                                                   ITO_M, DT, SEED), args.repeats))
 
     report = {}
     if os.path.exists(args.out):
@@ -271,8 +285,10 @@ def main():
     report["workload"] = {"model": "interbank, acceptance parameters", "N": N, "dt": DT,
                           "K": K, "M": M, "seed": SEED, "repeats": args.repeats,
                           "d3_rows": {"d": 3, "m": 2, "N": N3, "M": M3},
-                          "statistic": "minimum wall time (min_s) and minimum CPU time, children "
-                                       "included (cpu_s), after one warm-up run"}
+                          "ito_rows": {"N": N, "M": ITO_M, "delta": ITO_DELTA},
+                          "statistic": "minimum (min_s) and median (median_s) wall time and "
+                                       "minimum CPU time, children included (cpu_s), of the "
+                                       "repeats after one warm-up run"}
     report[args.label] = {
         "git_sha": git_sha(),
         "backend": cmvlq.backend(),

@@ -19,7 +19,7 @@ from .lqmodel import (
     load_model,
     save_model,
 )
-from .measure import AffineMap, EmpiricalMeasure, l2_norm, mean, pushforward, quad_moment, tree_mean, tree_sum, variance_form
+from .measure import AffineMap, EmpiricalMeasure, mean, tree_mean, tree_sum
 from .policy import (
     FeedbackGains,
     FeedbackPolicy,

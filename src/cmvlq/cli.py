@@ -25,7 +25,7 @@ from . import policy as policy_mod
 from . import riccati as riccati_mod
 from . import verify as verify_mod
 from .errors import NonPositiveGain, NumericalBlowup
-from .lqmodel import load_model, parse_kv_file, save_model
+from .lqmodel import GRID_TOL, load_model, parse_kv_file, save_model
 from .measure import AffineMap, tree_mean
 from .policy import FeedbackPolicy, QuadraticValue, feedback_affine_map, optimal_feedback, value
 from .simulator import (
@@ -302,7 +302,13 @@ def cmd_verify(cfg):
         result = verify_mod.grad_rule([(t, verify_mod.grad_check(qv, t, cloud, cfg["epsilon"]))
                                        for t, cloud in clouds])
     elif check == "dpp":
-        # the step constant from a fine and a coarse run on the same scenarios
+        # the step constant from a fine and a coarse run on the same scenarios,
+        # so theta - t0 must be whole steps of both
+        span = cfg["theta"] - t0
+        if abs(math.remainder(span, 2 * dt)) > GRID_TOL * max(1.0, abs(span)):
+            raise ValueError(f"theta - t0 = {span!r} (theta = {cfg['theta']!r}, t0 = {t0!r}) must "
+                             f"be a whole number of steps 2 dt = {2 * dt!r}: verify dpp compares "
+                             f"runs at dt = {dt!r} and at 2 dt")
         fine, coarse = (verify_mod.dpp_check(qv, model, t0, init, cfg["theta"], control,
                                              n, m, h, seed) for h in (dt, 2 * dt))
         c_dt = max(1.0, abs(coarse.gap - fine.gap) / dt)

@@ -1,14 +1,17 @@
 """Equal-weight particle measures on R^d and the functionals built on them.
 
 A measure is a cloud of N points, each carrying weight 1/N.  Every
-functional used by the LQ theory (mean, quadratic moments, variance forms,
-pushforwards by affine maps) is an exact finite sum over the particles, so
-identity checks downstream carry no quadrature error.
+functional used by the LQ theory (mean, second moment, quadratic forms)
+is an exact finite sum over the particles, so identity checks downstream
+carry no quadrature error.  Functions on raw arrays take a stack of clouds
+(..., N, d) and reduce each cloud alone.
 
 Reductions over the particle index always go through ``tree_sum``, an
 index-ascending pairwise tree whose floating-point result is fixed by the
-data alone (no dependence on threading or chunking).  Sums over the d
-coordinates are plain left-to-right loops; d is small and fixed.
+data alone (no dependence on threading, chunking or the other rows of a
+stack).  Sums over the d coordinates are plain left-to-right loops; d is
+small and fixed.  So a cloud's moments and forms are the same bits
+whatever stack it sits in.
 """
 
 from __future__ import annotations
@@ -64,6 +67,26 @@ def moments(x):
         np.multiply(rows[..., i, :], rows[..., j, :], out=rows[..., r, :])
     s = tree_sum(rows, axis=-1) / n
     return s[..., :d], s[..., d:]
+
+
+def point_forms(x, L):
+    """x' L x at each point of x (..., d), shape (...).
+
+    The d^2 products (x_i L_ij) x_j are added left to right in row-major
+    (i, j) order, one elementwise pass each, so a point's value does not
+    depend on the array around it.  einsum("ni,ij,nj->n") adds them in the
+    same order on an (N, d) cloud when L's rows are its outer axis (every
+    L the package builds), except at d = 2 with N <= 2: einsum picks its
+    order from the operands' shapes and strides.
+    """
+    d = x.shape[-1]
+    if L.shape != (d, d):
+        raise ValueError(f"form has shape {L.shape}, expected ({d}, {d})")
+    vals = np.zeros(x.shape[:-1])
+    for i in range(d):
+        for j in range(d):
+            vals += (x[..., i] * L[i, j]) * x[..., j]
+    return vals
 
 
 class AffineMap:
@@ -155,45 +178,11 @@ class EmpiricalMeasure:
         return self.points.shape[1]
 
 
-def _check_form(mu, L):
-    L = np.atleast_2d(np.asarray(L, dtype=np.float64))
-    if L.shape != (mu.dim, mu.dim):
-        raise ValueError(f"form has shape {L.shape}, expected ({mu.dim}, {mu.dim})")
-    return L
-
-
 def mean(mu):
     """Particle mean, cached on the (immutable) measure."""
     if mu._mean is None:
         mu._mean = tree_mean(mu.points, axis=0)
     return mu._mean
-
-
-def quad_moment(mu, L):
-    """Mean of x^T L x over the cloud."""
-    L = _check_form(mu, L)
-    vals = np.einsum("ni,ij,nj->n", mu.points, L, mu.points)
-    return float(tree_mean(vals))
-
-
-def variance_form(mu, L):
-    """quad_moment(mu, L) minus the same form at the mean."""
-    L = _check_form(mu, L)
-    m = mean(mu)
-    return quad_moment(mu, L) - float(m @ L @ m)
-
-
-def pushforward(mu, a):
-    """Image measure under an affine map: the cloud {a(x_i)}."""
-    if a.dim_in != mu.dim:
-        raise ValueError(f"map expects dimension {a.dim_in}, cloud has {mu.dim}")
-    return EmpiricalMeasure(a(mu.points))
-
-
-def l2_norm(mu):
-    """Square root of the mean squared Euclidean norm of the points."""
-    sq = np.einsum("ni,ni->n", mu.points, mu.points)
-    return float(np.sqrt(tree_mean(sq)))
 
 
 def load_csv(path):

@@ -14,12 +14,16 @@ import numpy as np
 
 from . import riccati as _riccati
 from .lqmodel import BackwardOperator, affine_feedback, backward_operator, gains, require_pd
-from .measure import EmpiricalMeasure, mean, variance_form
+from .measure import EmpiricalMeasure, mean, point_forms, tree_mean
 
 
 @dataclass(frozen=True)
 class QuadraticFunctional:
     """phi(mu) = Var(mu)(L) + mubar'G mubar + g'mubar + c.
+
+    values evaluates phi on a stack of clouds (..., N, d) in one call;
+    __call__ is values on a stack of one.  Var(mu)(L) is the particle mean
+    of x'Lx minus the same form at the mean.
 
     Measure derivatives:
       d_mu  phi(mu)(x)      = 2 L (x - mubar) + 2 G mubar + g
@@ -45,10 +49,25 @@ class QuadraticFunctional:
     def dim(self):
         return self.L.shape[0]
 
+    def values(self, x):
+        """phi at each cloud of the stack x (..., N, d), shape (...).
+
+        Each cloud's mean and particle term are tree means of its own rows,
+        and the forms at a mean m are the products m @ L @ m and g @ m with
+        m as a (1, d) row and a (d, 1) column, one matmul per mean, so a
+        cloud's value is the same bits whatever stack it sits in (numpy
+        picks BLAS or its own loop for each product from L's layout alone,
+        as for the 1-d products float(m @ L @ m)).
+        """
+        x = np.asarray(x, dtype=np.float64)
+        mbar = tree_mean(x, axis=-2)
+        row, col = mbar[..., None, :], mbar[..., :, None]
+        quad = tree_mean(point_forms(x, self.L), axis=-1)
+        return (quad - (row @ self.L @ col)[..., 0, 0] + (row @ self.G @ col)[..., 0, 0]
+                + (self.g @ col)[..., 0] + self.c)
+
     def __call__(self, mu: EmpiricalMeasure):
-        mbar = mean(mu)
-        return (variance_form(mu, self.L) + float(mbar @ self.G @ mbar)
-                + float(self.g @ mbar) + self.c)
+        return float(self.values(mu.points[None])[0])
 
     def d_mu(self, mu, x):
         mbar = mean(mu)

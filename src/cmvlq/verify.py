@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalBlowup
 from .lqmodel import (
     GRID_TOL,
     affine_feedback,
@@ -150,12 +151,11 @@ def dpp_check(qv: QuadraticValue, model, t, mu0, theta, control, N, M, dt, seed)
         raise ValueError("the dpp check needs M >= 2 scenarios")
     cloud0 = _resolve_cloud(mu0, N, seed)
     w_t = value(qv, t, cloud0)
+    w_theta = qv.at(theta)
     gaps = np.empty(M)
     with closing(stream_scenarios(model, control, t, cloud0, theta, dt, seed, M)) as stream:
         for paths, running, ends in stream:
-            for j, p in enumerate(paths):
-                v_theta = value(qv, theta, EmpiricalMeasure._wrap(ends[j]))
-                gaps[p] = running[j] + v_theta - w_t
+            gaps[paths.start:paths.stop] = running + w_theta.values(ends) - w_t
     gap = float(tree_mean(gaps))
     stderr = float(np.std(gaps, ddof=1) / np.sqrt(M))
     return DppResult(gap=gap, stderr=stderr, theta=theta, t=t, M=M)
@@ -191,8 +191,7 @@ def ito_generator_check(model, control, t, mu0, phi: QuadraticFunctional,
     with closing(stream_scenarios(model, control, t, cloud0, t + delta, dt, seed, M,
                                   with_cost=False)) as stream:
         for paths, _, clouds in stream:
-            for j, p in enumerate(paths):
-                ends[p] = phi(EmpiricalMeasure._wrap(clouds[j]))
+            ends[paths.start:paths.stop] = phi.values(clouds)
     lhs = (float(tree_mean(ends)) - phi0) / delta
     stderr = float(np.std(ends, ddof=1) / np.sqrt(M)) / delta
 
@@ -209,24 +208,31 @@ def grad_check(qv: QuadraticValue, t, mu, epsilon) -> float:
 
     Central differences of the value under single-particle perturbations
     against the closed-form measure derivative, normalized by the largest
-    derivative magnitude over the cloud.
+    derivative magnitude over the cloud.  Every perturbed cloud is
+    re-evaluated in full: the 2 N d of them form one (2, N d, N, d) stack,
+    2 (N d)^2 coordinates.  A difference that is not finite raises
+    NumericalBlowup naming epsilon, t, the particle and the coordinate.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     phi = qv.at(t)
-    analytic = np.atleast_2d(phi.d_mu(mu, mu.points)) / mu.n
+    n, d = mu.n, mu.dim
+    analytic = np.atleast_2d(phi.d_mu(mu, mu.points)) / n
     scale = max(float(np.max(np.abs(analytic))), 1e-12)
-    worst = 0.0
-    pts = mu.points
-    for i in range(mu.n):
-        for j in range(mu.dim):
-            up = pts.copy()
-            up[i, j] += epsilon
-            dn = pts.copy()
-            dn[i, j] -= epsilon
-            fd = (phi(EmpiricalMeasure(up)) - phi(EmpiricalMeasure(dn))) / (2.0 * epsilon)
-            worst = max(worst, abs(fd - analytic[i, j]) / scale)
-    return worst
+    # cloud k = i d + j of each half moves particle i's coordinate j up, then down
+    k = np.arange(n * d)
+    moved = np.broadcast_to(mu.points, (2, n * d, n, d)).copy()
+    moved[0, k, k // d, k % d] += epsilon
+    moved[1, k, k // d, k % d] -= epsilon
+    if not np.all(np.isfinite(moved)):
+        raise ValueError("particle cloud contains non-finite coordinates")
+    up, down = phi.values(moved)
+    fd = ((up - down) / (2.0 * epsilon)).reshape(n, d)
+    if not np.all(np.isfinite(fd)):
+        i, j = np.argwhere(~np.isfinite(fd))[0]
+        raise NumericalBlowup(f"t={float(t):.6g}, particle {i}, coordinate {j}", f"finite "
+                              f"difference at epsilon={float(epsilon)!r} is {float(fd[i, j])!r}")
+    return float(np.max(np.abs(fd - analytic) / scale))
 
 
 def chaos_convergence(model, control, t0, mu0spec, Ns, M, dt, seed):

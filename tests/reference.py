@@ -8,7 +8,7 @@ import numpy as np
 
 from cmvlq import riccati
 from cmvlq.lqmodel import affine_feedback, lifted_terminal_cost
-from cmvlq.measure import tree_mean
+from cmvlq.measure import EmpiricalMeasure, mean, tree_mean
 from cmvlq.policy import value
 from cmvlq.simulator import _control_grid, _philox
 
@@ -67,6 +67,66 @@ def running_cost(cost, x, mbar, a):
 def terminal_cost(cost, x, mbar):
     """Terminal cost x'P2 x + mbar'P2bar mbar at each particle; lqmodel.lifted_cost's particle mean."""
     return forms(x, cost.P2, x) + mean_form(mbar, cost.P2bar)
+
+
+def _check_form(mu, L):
+    L = np.atleast_2d(np.asarray(L, dtype=np.float64))
+    if L.shape != (mu.dim, mu.dim):
+        raise ValueError(f"form has shape {L.shape}, expected ({mu.dim}, {mu.dim})")
+    return L
+
+
+def quad_moment(mu, L):
+    """Mean of x^T L x over the cloud."""
+    L = _check_form(mu, L)
+    vals = np.einsum("ni,ij,nj->n", mu.points, L, mu.points)
+    return float(tree_mean(vals))
+
+
+def variance_form(mu, L):
+    """quad_moment(mu, L) minus the same form at the mean."""
+    L = _check_form(mu, L)
+    m = mean(mu)
+    return quad_moment(mu, L) - float(m @ L @ m)
+
+
+def quadratic_functional(phi, mu):
+    """QuadraticFunctional phi at one cloud, from variance_form and per-cloud products."""
+    mbar = mean(mu)
+    return (variance_form(mu, phi.L) + float(mbar @ phi.G @ mbar)
+            + float(phi.g @ mbar) + phi.c)
+
+
+def grad_check_loop(qv, t, mu, epsilon):
+    """verify.grad_check one perturbed cloud at a time, each by quadratic_functional."""
+    phi = qv.at(t)
+    analytic = np.atleast_2d(phi.d_mu(mu, mu.points)) / mu.n
+    scale = max(float(np.max(np.abs(analytic))), 1e-12)
+    worst = 0.0
+    pts = mu.points
+    for i in range(mu.n):
+        for j in range(mu.dim):
+            up = pts.copy()
+            up[i, j] += epsilon
+            dn = pts.copy()
+            dn[i, j] -= epsilon
+            fd = (quadratic_functional(phi, EmpiricalMeasure(up))
+                  - quadratic_functional(phi, EmpiricalMeasure(dn))) / (2.0 * epsilon)
+            worst = max(worst, abs(fd - analytic[i, j]) / scale)
+    return worst
+
+
+def pushforward(mu, a):
+    """Image measure under an affine map: the cloud {a(x_i)}."""
+    if a.dim_in != mu.dim:
+        raise ValueError(f"map expects dimension {a.dim_in}, cloud has {mu.dim}")
+    return EmpiricalMeasure(a(mu.points))
+
+
+def l2_norm(mu):
+    """Square root of the mean squared Euclidean norm of the points."""
+    sq = np.einsum("ni,ni->n", mu.points, mu.points)
+    return float(np.sqrt(tree_mean(sq)))
 
 
 def save_csv(mu, path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cmvlq.lqmodel import gains
-from cmvlq.measure import AffineMap, mean, pushforward, variance_form
+from cmvlq.measure import AffineMap, mean
 from cmvlq.policy import (
     FeedbackPolicy,
     QuadraticFunctional,
@@ -48,6 +48,7 @@ from cmvlq.verify import (
 )
 
 from conftest import make_interbank, random_cloud, random_lq
+from reference import pushforward, variance_form
 
 
 def report(num, ok, detail):

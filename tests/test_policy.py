@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cmvlq import policy
 from cmvlq.errors import NonPositiveGain
 from cmvlq.lqmodel import LqCost, gains, lifted_terminal_cost
-from cmvlq.measure import AffineMap, EmpiricalMeasure, mean, pushforward, tree_mean, variance_form
+from cmvlq.measure import AffineMap, EmpiricalMeasure, mean, tree_mean
 from cmvlq.policy import (
     FeedbackPolicy,
     QuadraticFunctional,
@@ -18,7 +21,13 @@ from cmvlq.policy import (
 from cmvlq.riccati import solve_riccati
 
 from conftest import make_interbank, random_cloud, random_lq
-from reference import terminal_consistency_gap
+from reference import (
+    l2_norm,
+    pushforward,
+    quadratic_functional,
+    terminal_consistency_gap,
+    variance_form,
+)
 
 
 @pytest.fixture(scope="module")
@@ -249,8 +258,6 @@ class TestRecoverOriginal:
 
 class TestGrowthBounds:
     def test_quadratic_growth(self, random_qv):
-        from cmvlq.measure import l2_norm
-
         rng = np.random.default_rng(68)
         for _ in range(40):
             t = float(rng.uniform(0, 1))
@@ -262,8 +269,6 @@ class TestGrowthBounds:
             assert abs(value(random_qv, t, mu)) <= 2.0 * C * (1.0 + l2_norm(mu) ** 2)
 
     def test_gradient_linear_growth(self, random_qv):
-        from cmvlq.measure import l2_norm
-
         rng = np.random.default_rng(69)
         for _ in range(40):
             t = float(rng.uniform(0, 1))
@@ -339,3 +344,36 @@ class TestQuadraticFunctional:
         mbar = mean(mu)
         expect = variance_form(mu, L) + float(mbar @ G @ mbar) + float(g @ mbar) + 0.7
         assert phi(mu) == pytest.approx(expect, abs=0)
+
+    @settings(derandomize=True, max_examples=150, deadline=1000)
+    @given(data=st.data(), d=st.sampled_from([1, 2, 3]), size=st.sampled_from([1, 3, 8]),
+           n=st.integers(1, 12))
+    def test_stacked_values_are_each_clouds_bits(self, data, d, size, n):
+        # coordinates of either sign with magnitudes 1e-8 to 1e8
+        coord = st.floats(1e-8, 1e8) | st.floats(-1e8, -1e-8)
+        coef = st.floats(-2.0, 2.0)
+        x = data.draw(arrays(np.float64, (size, n, d), elements=coord))
+        phi = QuadraticFunctional(data.draw(arrays(np.float64, (d, d), elements=coef)),
+                                  data.draw(arrays(np.float64, (d, d), elements=coef)),
+                                  data.draw(arrays(np.float64, d, elements=coef)),
+                                  data.draw(coef))
+        stacked = phi.values(x)
+        assert stacked.shape == (size,)
+        for s in range(size):
+            assert stacked[s].hex() == phi(EmpiricalMeasure(x[s])).hex()
+
+    @pytest.mark.parametrize("d, n", [(1, 1), (1, 2), (1, 40), (2, 3), (2, 40), (3, 1), (3, 2),
+                                      (3, 40)])
+    def test_values_match_the_per_cloud_route(self, d, n):
+        # against einsum and the per-cloud products of the reference, on the
+        # functionals the program builds: at a solver node (views of the
+        # solution's arrays), between nodes and their time derivatives; d = 2
+        # with n <= 2 is left out, where einsum's order changes with n
+        dyn, cost = random_lq(74, d=d, m=1)
+        qv = QuadraticValue(solve_riccati(dyn, cost, 1.0, 1e-2), dyn, cost)
+        rng = np.random.default_rng(73)
+        for t in (0.3, 0.3125):
+            for phi in (qv.at(t), qv.dt_at(t)):
+                x = 10.0 ** rng.uniform(-8, 8) * rng.standard_normal((8, n, d))
+                for s, v in enumerate(phi.values(x)):
+                    assert v.hex() == quadratic_functional(phi, EmpiricalMeasure(x[s])).hex()

@@ -25,7 +25,7 @@ from cmvlq.simulator import (
 )
 
 from conftest import forked_pids, inline_noise, make_interbank, random_lq, reaped
-from reference import control_values_on_grid, running_cost, save_csv, step_normals
+from reference import control_values_on_grid, l2_norm, running_cost, save_csv, step_normals
 
 
 def interbank_setup(sigma1=0.3, rho=0.5, q=0.5, h=1e-3, x0=1.0):
@@ -500,8 +500,6 @@ class TestPathwiseCost:
 
 class TestMomentStability:
     def test_gronwall_style_bound(self):
-        from cmvlq.measure import l2_norm
-
         for seed in (90, 91):
             dyn, cost = random_lq(seed, d=2, m=1)
             model = lq_dynamics_spec(dyn, cost, 1.0)

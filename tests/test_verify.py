@@ -7,7 +7,7 @@ import pytest
 from cmvlq import simulator
 from cmvlq.errors import NumericalBlowup
 from cmvlq.lqmodel import LqCost, LqDynamics, gains
-from cmvlq.measure import AffineMap, EmpiricalMeasure, mean, pushforward, tree_mean, variance_form
+from cmvlq.measure import AffineMap, EmpiricalMeasure, mean, tree_mean
 from cmvlq.policy import (
     FeedbackPolicy,
     QuadraticFunctional,
@@ -52,7 +52,7 @@ from cmvlq.verify import (
 )
 
 from conftest import forked_pids, inline_noise, make_interbank, random_cloud, random_lq, reaped
-from reference import generator_pair_sum
+from reference import generator_pair_sum, grad_check_loop, pushforward, variance_form
 
 
 def interbank_stack(sigma1=0.0, **kw):
@@ -338,21 +338,23 @@ class TestNoProcessOutlivesACall:
     def test_consumer_raises_after_first_batch(self):
         _, _, _, _, _, model, control = interbank_stack(h=0.01)
         mu0 = sample_initial({"kind": "point", "x0": 1.0}, 8, 0)
-        phi = QuadraticFunctional(np.zeros((1, 1)), np.eye(1), np.zeros(1), 0.0)
-        calls = []
+        stacks = []
 
-        def failing(mu):
-            # the initial cloud, then the end clouds of the first batch
-            calls.append(mu)
-            if len(calls) > 3:
-                raise RuntimeError("consumer failed")
-            return phi(mu)
+        class Failing(QuadraticFunctional):
+            def values(self, x):
+                # the initial cloud, the first batch's end clouds, then the second's
+                stacks.append(x.shape)
+                if len(stacks) > 2:
+                    raise RuntimeError("consumer failed")
+                return super().values(x)
 
+        phi = Failing(np.zeros((1, 1)), np.eye(1), np.zeros(1), 0.0)
         # `info` holds the traceback and with it the driver's frame and its
         # stream, so only the driver's own close can have reaped the process
         with pytest.raises(RuntimeError, match="consumer failed") as info:
-            ito_generator_check(model, control, 0.0, mu0, failing, 0.5, 8, 6, 0.01, 0)
-        assert len(calls) == 4 and info.value.__traceback__ is not None
+            ito_generator_check(model, control, 0.0, mu0, phi, 0.5, 8, 6, 0.01, 0)
+        assert stacks == [(1, 8, 1), (2, 8, 1), (2, 8, 1)]
+        assert info.value.__traceback__ is not None
         assert len(self.pids) == 1 and reaped(self.pids[0])
 
     def test_abandoned_generator(self):
@@ -557,6 +559,22 @@ class TestGradCheck:
         mu = random_cloud(rng, 7, 1)
         assert grad_check(qv, 0.5, mu, 1e-5) <= 1e-9
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_stack_is_the_loop_bitwise(self, d):
+        # the draws of `verify grad --seed 1` (100 clouds of 20 particles,
+        # epsilon 0.1) on the interbank model and a d = 3, m = 2 model: each
+        # draw's error, and so the statistic, is the per-cloud loop's bits
+        if d == 1:
+            qv = make_interbank()[4]
+        else:
+            dyn, cost = random_lq(61, d=3, m=2, with_m2=True)
+            qv = QuadraticValue(solve_riccati(dyn, cost, 1.0, 1e-3), dyn, cost)
+        draws = [random_clouds(qv, 1, 20, 1 + i)[0] for i in range(100)]
+        stacked = [(t, grad_check(qv, t, cloud, 0.1)) for t, cloud in draws]
+        looped = [(t, grad_check_loop(qv, t, cloud, 0.1)) for t, cloud in draws]
+        assert [e.hex() for _, e in stacked] == [e.hex() for _, e in looped]
+        assert grad_rule(stacked) == grad_rule(looped)
+
     def test_point_mass_gradient_value(self):
         dyn, cost = random_lq(207, d=1, m=1)
         sol = solve_riccati(dyn, cost, 1.0, 5e-3)
@@ -691,6 +709,7 @@ class TestPassRules:
                      False, id="bellman-above"),
         pytest.param(lambda: grad_rule([(0.1, 0.0), (0.2, GRAD_TOL)]), True, id="grad-at"),
         pytest.param(lambda: grad_rule([(0.1, _up(GRAD_TOL))]), False, id="grad-above"),
+        pytest.param(lambda: grad_rule([(0.1, 0.0), (0.2, float("nan"))]), False, id="grad-nan"),
         pytest.param(lambda: _dpp(1.0, True), True, id="dpp-two-sided-at"),
         pytest.param(lambda: _dpp(_up(1.0), True), False, id="dpp-two-sided-above"),
         pytest.param(lambda: _dpp(-1.0, True), True, id="dpp-two-sided-at-below"),
