@@ -24,7 +24,11 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
   recorded at stride 10 into trajectory.csv and means.csv (the recording
   itself is stepped once, untimed: systemic-risk records these paths from
   its cost estimate's own batches);
-- estimate_cost: the whole Monte Carlo estimate;
+- estimate_cost: the whole Monte Carlo estimate, and
+  estimate_cost_recorded the same estimate as systemic-risk runs it: its
+  Recorder keeps paths 0-3 at stride 10 and hands them to the CLI's file
+  sink (``cli._trajectory_files``), which writes trajectory.csv and
+  means.csv (in a forked writer process, where the checkout has one);
 - bellman_residual_<model>_50: one draw of ``verify bellman`` (the optimal
   feedback at a random time, then ``bellman_residual`` on a 50-particle
   cloud), and grad_check_<model>_20 one draw of ``verify grad``
@@ -36,17 +40,19 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
 
 Each row is the minimum (min_s) and the median (median_s) wall time and
 the minimum CPU time (cpu_s: this process's, plus that of the noise
-drawing processes it forked and reaped) of --repeats runs after one
-warm-up run; where the streamed engine draws its noise in a second
-process, CPU time exceeds wall time by the overlap.  Rows the change
-under test does not reach can move by a third between back-to-back runs
-on a shared VM, which the median shows and the minimum hides.  Outside their own rows, the Riccati solve and
+drawing and trajectory writer processes it forked and reaped) of
+--repeats runs after one warm-up run; where a second process draws the
+noise or writes the files, CPU time exceeds wall time by the overlap.
+Rows the change under test does not reach can move by a third between
+back-to-back runs on a shared VM, which the median shows and the minimum
+hides.  Outside their own rows, the Riccati solve and
 the gain grid are built before any timing.  Results
 go under --label ("before" or "after") in the output file, next to the git
 SHA (marked -dirty for uncommitted changes), the backend (``cmvlq.backend()``),
 the Python and numpy versions and the CPU count; other labels already in the
 file are kept.  The writer row needs the recorder (``simulator.Recorder``)
-and is left out on a checkout without it; the other rows use only names
+and estimate_cost_recorded ``estimate_cost(..., record=)``; both are
+left out on a checkout without the recorder; the other rows use only names
 that earlier checkouts also have:
 
     PYTHONPATH=src python benchmarks/bench_layers.py --label after
@@ -249,7 +255,15 @@ def main():
 
             timing = best_of(write, args.repeats)
             mb = sum(os.path.getsize(os.path.join(out_dir, f)) for f in os.listdir(out_dir)) / 1e6
-        row("writer_4_paths_stride_10", timing, mb, "mb_per_s")
+            row("writer_4_paths_stride_10", timing, mb, "mb_per_s")
+
+            def estimate_recorded():
+                with cli._trajectory_files(out_dir, 1) as sink:
+                    verify.estimate_cost(model, control, 0.0, mu0, N, M, DT, SEED,
+                                         record=simulator.Recorder(4, 10, sink))
+
+            row("estimate_cost_recorded", best_of(estimate_recorded, args.repeats), steps,
+                "particle_steps_per_s")
 
     row("estimate_cost", best_of(estimate, args.repeats), steps, "particle_steps_per_s")
 

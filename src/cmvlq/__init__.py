@@ -15,7 +15,6 @@ from .lqmodel import (
     check_standing_condition,
     gains,
     lifted_running_cost,
-    lifted_terminal_cost,
     load_model,
     save_model,
 )
@@ -28,7 +27,6 @@ from .policy import (
     optimal_feedback,
     recover_original,
     value,
-    value_derivatives,
 )
 from .riccati import (
     RiccatiSolution,

@@ -17,7 +17,7 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .simulator import (
     Recorder,
     ShiftedControl,
     lq_dynamics_spec,
+    may_fork,
     restart_continuation,
     sample_initial,
     simulate_path,
@@ -229,12 +230,73 @@ def cmd_solve(cfg):
 
 @contextmanager
 def _trajectory_files(out_dir, d):
-    """Opens trajectory.csv and means.csv under out_dir; yields a Recorder sink that fills them."""
+    """Opens trajectory.csv and means.csv under out_dir; yields a Recorder sink that fills them.
+
+    Each Recording is formatted by a forked writer process, so the caller
+    steps later batches meanwhile: the sink first reaps the previous
+    writer, so the files grow in order, flushes both files and forks.  The
+    writer leaves through os._exit, flushing nothing it inherited but the
+    two files.  A writer that fails raises OSError when it is reaped, at the
+    next Recording or when the block ends.  Where the process may not fork
+    (simulator.may_fork), the sink writes inline.
+    """
+    writer = None
+
+    def reap():
+        nonlocal writer
+        if writer is not None:
+            pid, err_r = writer
+            writer = None
+            with os.fdopen(err_r, "rb") as fh:
+                reason = fh.read().decode(errors="replace")
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status:
+                raise OSError(f"writing trajectory.csv and means.csv failed: "
+                              f"{reason or f'the writer process exited with status {status}'}")
+
     with open(os.path.join(out_dir, "trajectory.csv"), "w") as ft, \
             open(os.path.join(out_dir, "means.csv"), "w") as fm:
         ft.write("path,t,particle," + ",".join(f"x{j}" for j in range(d)) + "\n")
         fm.write("path,t," + ",".join(f"mean_{j}" for j in range(d)) + ",W0_cum\n")
-        yield lambda rec: _write_trajectories(ft, fm, rec)
+
+        def sink(rec):
+            nonlocal writer
+            reap()
+            pid = -1
+            if may_fork():
+                ft.flush()
+                fm.flush()
+                err_r, err_w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(err_r)
+                    os.close(err_w)
+            if pid < 0:
+                _write_trajectories(ft, fm, rec)
+                return
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(err_r)
+                    _write_trajectories(ft, fm, rec)
+                    ft.flush()
+                    fm.flush()
+                    status = 0
+                except BaseException as exc:  # noqa: BLE001 - reported by the parent
+                    os.write(err_w, f"{type(exc).__name__}: {exc}".encode())
+                finally:
+                    os._exit(status)
+            os.close(err_w)
+            writer = pid, err_r
+
+        try:
+            yield sink
+        except BaseException:
+            with suppress(OSError):  # the exception under way is the one to report
+                reap()
+            raise
+        reap()
 
 
 def _write_trajectories(ft, fm, rec):

@@ -505,13 +505,6 @@ def lifted_running_cost(mu, a, cost):
     return float(lifted_cost(cost, *moments(mu.points), (a.A, a.A, a.b)))
 
 
-def lifted_terminal_cost(mu, cost):
-    """Measure-level terminal cost at cloud mu (lifted_cost)."""
-    if cost.d != mu.dim:
-        raise ValueError("cost dimension does not match the cloud")
-    return float(lifted_cost(cost, *moments(mu.points)))
-
-
 def check_standing_condition(cost, delta):
     """Eigenvalue tests for the positivity condition on the cost data.
 

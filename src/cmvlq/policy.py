@@ -133,15 +133,6 @@ def value(qv: QuadraticValue, t, mu):
     return qv.at(t)(mu)
 
 
-def value_derivatives(qv: QuadraticValue, t, mu, x):
-    """(d_t, d_mu at x, dx_dmu, d2_mu) of the value at (t, mu); d_t as in dt_at."""
-    t = float(t)
-    if not 0.0 <= t <= qv.T * (1.0 + 1e-12):
-        raise ValueError(f"t={t} outside [0, {qv.T}]")
-    phi = qv.at(t)
-    return qv.dt_at(t)(mu), phi.d_mu(mu, x), phi.dx_dmu(), phi.d2_mu()
-
-
 @dataclass(frozen=True)
 class FeedbackGains:
     """Feedback triple at one time: a(x, mubar) = K1 (x - mubar) + K2 mubar + k."""

@@ -31,9 +31,11 @@ trajectory writer).
 
 The noise comes from a double-buffered producer (_noise_chunks): while
 the caller steps one chunk of steps, a forked drawing process draws the
-next into a second buffer they share, so on two CPUs the draws and the
-step loop overlap.  A chunk's draws depend only on (seed, path, step), so
-drawing ahead changes no bit.
+next into a second buffer they share, and when the caller asks for a
+chunk that is not yet complete, it draws that chunk's remaining paths
+itself instead of waiting.  So on two CPUs neither process idles while
+draws are pending.  A chunk's draws depend only on (seed, path, step), so
+who draws them, and when, changes no bit.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import math
 import mmap
 import os
 import pickle
+import select
 import signal
 import sys
 import threading
@@ -355,6 +358,22 @@ def _chunk_steps(P, n, n_steps):
     return max(1, min(n_steps, _CHUNK_DOUBLES // 2 // (P * n)))
 
 
+def may_fork():
+    """Whether this process may fork a helper process: the OS can fork, and
+    no other Python thread runs.
+
+    The forked process inherits every lock in the state other threads left
+    it in.  It takes none that native BLAS threads hold, but other Python
+    threads may hold any, so only a single-threaded interpreter forks.
+    """
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+# A task id is 4 bytes, and one pipe write of at most PIPE_BUF bytes queues
+# every task of a chunk at once
+_TASKS_PER_CHUNK = select.PIPE_BUF // 4
+
+
 def _noise_chunks(seed, batches, n, n_steps, sqrt_dt, step_offset=0):
     """Scaled increments of every batch's noise chunks, in stepping order.
 
@@ -362,10 +381,19 @@ def _noise_chunks(seed, batches, n, n_steps, sqrt_dt, step_offset=0):
     batch at hand; each batch's chunks cover its steps step_offset ..
     step_offset + n_steps - 1 in order.  A chunk is a view of one of two
     buffers in one anonymous shared mapping, valid until the next is
-    requested.  While the caller steps a chunk, a forked drawing process
-    draws the next, across batches, into the other buffer; the two hand
-    buffers over with one pipe message per chunk.  Where the OS cannot
-    fork, other threads run, or there is a single chunk, the same draws run
+    requested.
+
+    A chunk's paths are split into tasks, contiguous groups of paths, and
+    a forked drawing process takes tasks from a shared queue (a pipe).
+    Chunk i + 1's tasks are queued once chunk i is complete, just before
+    chunk i is handed out, so the drawing process draws chunk i + 1 into
+    the other buffer while the caller steps chunk i.  When the caller asks
+    for a chunk that is not complete, it claims that chunk's queued tasks
+    and draws them itself, then waits for the ones the drawing process has
+    in flight; the queue never holds tasks of another chunk, so neither
+    process idles while draws are pending.  A draw depends only on (seed,
+    path, step), so who draws it changes no bit.  Where the process may
+    not fork (may_fork) or there is a single chunk, the same draws run
     inline.  A draw's exception reaches the caller, with its type and
     message, when it requests that chunk.  Closing the generator ends and
     reaps the drawing process, so none outlives it.
@@ -382,55 +410,68 @@ def _noise_chunks(seed, batches, n, n_steps, sqrt_dt, step_offset=0):
     bufs = np.frombuffer(shared, np.float64, count=2 * size * (n + 1)).reshape(2, -1)
     dw0_buf, db_buf = bufs[:, :size], bufs[:, size:]
 
-    def views(i, paths, c):
+    def views(i):
+        paths, _, c = blocks[i]
         P = len(paths)
         return (dw0_buf[i % 2, :c * P].reshape(c, P, 1),
                 db_buf[i % 2, :c * P * n].reshape(c, P, n, 1))
 
-    def draw(i, paths, k0, c):
-        dw0, db = views(i, paths, c)
-        for j, p in enumerate(paths):
-            _gen_noise(seed, p, step_offset + k0, c, n, 1, 1, sqrt_dt,
+    # tasks[first[i]:first[i + 1]] are chunk i's, each (i, j0, j1): its paths j0..j1-1
+    tasks, first = [], [0]
+    for i, (paths, _, _) in enumerate(blocks):
+        per = -(-len(paths) // _TASKS_PER_CHUNK)
+        tasks += [(i, j, min(j + per, len(paths))) for j in range(0, len(paths), per)]
+        first.append(len(tasks))
+
+    def draw(task):
+        i, j0, j1 = tasks[task]
+        paths, k0, c = blocks[i]
+        dw0, db = views(i)
+        for j in range(j0, j1):
+            _gen_noise(seed, paths[j], step_offset + k0, c, n, 1, 1, sqrt_dt,
                        out=(dw0[:, j], db[:, j]))
-        return dw0, db
 
     pid = -1
-    # the forked process inherits every lock in the state other threads
-    # left it in.  It takes none that native BLAS threads hold, but other
-    # Python threads may hold any, so only a single-threaded interpreter
-    # forks
-    if len(blocks) > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        ready_r, ready_w = os.pipe()
-        free_r, free_w = os.pipe()
+    if len(blocks) > 1 and may_fork():
+        task_r, task_w = os.pipe()
+        done_r, done_w = os.pipe()
+        # both processes take tasks from task_r; the caller's reads must not block
+        os.set_blocking(task_r, False)
         try:
             pid = os.fork()
         except OSError:
-            for fd in (ready_r, ready_w, free_r, free_w):
+            for fd in (task_r, task_w, done_r, done_w):
                 os.close(fd)
         if pid == 0:
-            os.close(ready_r)
-            os.close(free_w)
-            _draw_ahead(draw, blocks, ready_w, free_r)
+            os.close(task_w)
+            os.close(done_r)
+            _draw_tasks(draw, task_r, done_w)
     if pid < 0:
-        for i, block in enumerate(blocks):
-            yield draw(i, *block)
+        for i in range(len(blocks)):
+            for task in range(first[i], first[i + 1]):
+                draw(task)
+            yield views(i)
         return
     owner = os.getpid()
-    os.close(ready_w)
-    os.close(free_r)
+    os.close(done_w)
+
+    def queue(i):
+        os.write(task_w, b"".join(t.to_bytes(4, "little") for t in range(first[i], first[i + 1])))
+
     try:
-        for i, (paths, k0, c) in enumerate(blocks):
-            if 0 < i < len(blocks) - 1:
-                # the caller is done with chunk i-1: its buffer takes chunk i+1
-                try:
-                    os.write(free_w, b"\0")
-                except BrokenPipeError:
-                    pass  # the drawing process failed; _await_chunk reports why
-            _await_chunk(ready_r)
-            yield views(i, paths, c)
+        queue(0)
+        for i in range(len(blocks)):
+            owed = first[i + 1] - first[i]
+            while owed and (task := _claim(task_r)) is not None:
+                draw(task)
+                owed -= 1
+            _await_tasks(done_r, owed)
+            if i + 1 < len(blocks):
+                queue(i + 1)
+            yield views(i)
     finally:
-        os.close(free_w)
-        os.close(ready_r)
+        for fd in (task_w, task_r, done_r):
+            os.close(fd)
         # a process forked from this one later must not reap our child
         if os.getpid() == owner:
             try:
@@ -440,20 +481,36 @@ def _noise_chunks(seed, batches, n, n_steps, sqrt_dt, step_offset=0):
             os.waitpid(pid, 0)
 
 
-def _draw_ahead(draw, blocks, ready, free):
-    """Body of the drawing process: draws every chunk, then exits, never returning.
+def _claim(task_r):
+    """The next queued task id, or None if the queue is empty."""
+    try:
+        word = os.read(task_r, 4)
+    except BlockingIOError:
+        return None
+    return int.from_bytes(word, "little")
 
-    Before chunk i >= 2 it waits for the parent's word that chunk i-1 is
-    taken, so that chunk i-2's buffer is free.  After each chunk it sends
-    one zero byte; on an exception, a one byte and the pickled exception.
+
+def _draw_tasks(draw, task_r, done):
+    """Body of the drawing process: draws queued tasks until the queue
+    closes, then exits, never returning.
+
+    After each task it sends one zero byte; on an exception, a one byte
+    and the pickled exception.
     """
     try:
         try:
-            for i, block in enumerate(blocks):
-                if i >= 2 and not os.read(free, 1):
+            ready = select.poll()
+            ready.register(task_r, select.POLLIN)
+            while True:
+                ready.poll()
+                try:
+                    word = os.read(task_r, 4)
+                except BlockingIOError:
+                    continue  # the caller claimed it first
+                if not word:
                     break
-                draw(i, *block)
-                os.write(ready, b"\0")
+                draw(int.from_bytes(word, "little"))
+                os.write(done, b"\0")
         except Exception as exc:  # noqa: BLE001 - handed to the parent as is
             try:
                 payload = pickle.dumps(exc)
@@ -461,22 +518,24 @@ def _draw_ahead(draw, blocks, ready, free):
                 payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
             data = b"\1" + payload
             while data:
-                data = data[os.write(ready, data):]
+                data = data[os.write(done, data):]
     finally:
         os._exit(0)
 
 
-def _await_chunk(ready):
-    """Waits for the drawing process's next chunk; raises what a draw raised."""
-    word = os.read(ready, 1)
-    if word == b"\0":
-        return
-    if not word:
-        raise RuntimeError("the noise drawing process ended early")
-    payload = []
-    while chunk := os.read(ready, 1 << 16):
-        payload.append(chunk)
-    raise pickle.loads(b"".join(payload))
+def _await_tasks(done, owed):
+    """Waits for the drawing process to finish `owed` tasks; raises what a draw raised."""
+    while owed:
+        words = os.read(done, owed)
+        if not words:
+            raise RuntimeError("the noise drawing process ended early")
+        bad = words.find(b"\1")
+        if bad >= 0:
+            payload = [words[bad + 1:]]
+            while chunk := os.read(done, 1 << 16):
+                payload.append(chunk)
+            raise pickle.loads(b"".join(payload))
+        owed -= len(words)
 
 
 def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, paths,

@@ -7,8 +7,8 @@ something the program computes inside a faster or fused route.
 import numpy as np
 
 from cmvlq import riccati
-from cmvlq.lqmodel import affine_feedback, lifted_terminal_cost
-from cmvlq.measure import EmpiricalMeasure, mean, tree_mean
+from cmvlq.lqmodel import affine_feedback, lifted_cost
+from cmvlq.measure import EmpiricalMeasure, mean, moments, tree_mean
 from cmvlq.policy import value
 from cmvlq.simulator import _control_grid, _philox
 
@@ -170,3 +170,19 @@ def array_sweep(dyn, cost, T, h):
     """
     K = int(round(T / h))
     return riccati._sweep(riccati._array_kit(dyn, cost), dyn, cost, float(T), K, float(h))
+
+
+def lifted_terminal_cost(mu, cost):
+    """Measure-level terminal cost at cloud mu (lqmodel.lifted_cost without gains)."""
+    if cost.d != mu.dim:
+        raise ValueError("cost dimension does not match the cloud")
+    return float(lifted_cost(cost, *moments(mu.points)))
+
+
+def value_derivatives(qv, t, mu, x):
+    """(d_t, d_mu at x, dx_dmu, d2_mu) of the value at (t, mu); d_t as in QuadraticValue.dt_at."""
+    t = float(t)
+    if not 0.0 <= t <= qv.T * (1.0 + 1e-12):
+        raise ValueError(f"t={t} outside [0, {qv.T}]")
+    phi = qv.at(t)
+    return qv.dt_at(t)(mu), phi.d_mu(mu, x), phi.dx_dmu(), phi.d2_mu()

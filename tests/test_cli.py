@@ -9,7 +9,7 @@ import pytest
 from cmvlq import cli, simulator, verify
 from cmvlq.lqmodel import save_model
 
-from conftest import make_interbank, random_lq
+from conftest import forked_pids, inline_noise, make_interbank, random_lq, reaped
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,102 @@ class TestSystemicRisk:
         assert run_cli("systemic-risk", "--out", str(tmp_path), *self.MC) == 0
         # M = 6 scenarios of K = 100 steps, the 4 recorded ones among them
         assert sum(steps) == 6 * 100
+
+
+class TestTrajectoryWriter:
+    """Each recorded batch is formatted by a forked writer process while later batches step."""
+
+    MC = ["--seed", "5", "--particles", "50", "--dt", "0.01"]
+
+    def outputs(self, out):
+        return [(out / name).read_bytes() for name in ("trajectory.csv", "means.csv")]
+
+    @pytest.mark.parametrize("command", ["systemic-risk", "simulate"])
+    def test_forked_and_inline_routes_agree(self, model_file, tmp_path, monkeypatch, command):
+        # systemic-risk records paths 0-3 of its first batch; simulate, with a
+        # budget for two recorded scenarios per batch, records 5 paths in
+        # batches of 2, 2 and 1, so three writers append in turn
+        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2600)
+        argv = {"systemic-risk": ["systemic-risk", "--sigma1", "0.3", "--paths", "6"],
+                "simulate": ["simulate", "--model", model_file, "--init", "point:1.0",
+                             "--paths", "5"]}[command]
+        pids = forked_pids(monkeypatch)
+        runs = []
+        for route in ("forked", "inline"):
+            if route == "inline":
+                inline_noise(monkeypatch)
+            out = tmp_path / route
+            assert run_cli(*argv, *self.MC, "--out", str(out)) == 0
+            runs.append(self.outputs(out))
+        assert runs[0] == runs[1]
+        # the noise drawing process, then one writer per recorded batch
+        assert len(pids) == {"systemic-risk": 2, "simulate": 4}[command]
+        assert all(reaped(pid) for pid in pids)
+
+    def test_blowup_after_the_recorded_batch(self, tmp_path, monkeypatch, capsys):
+        # batches of 4 paths: the first is recorded, and once its writer is
+        # forked, the next batch's first step fails
+        monkeypatch.setattr(simulator, "_BATCH_DOUBLES", 4 * 50)
+        pids = forked_pids(monkeypatch)
+        loop = simulator._run_generic
+
+        def failing(model, x, *args, **kwargs):
+            bad, x, mom = loop(model, x, *args, **kwargs)
+            if len(pids) >= 2:
+                x = x.copy()
+                x[0, 0, 0] = np.nan
+                return 0, x, mom
+            return bad, x, mom
+
+        monkeypatch.setattr(simulator, "_run_generic", failing)
+        assert run_cli("systemic-risk", "--out", str(tmp_path), "--paths", "8", *self.MC) == 3
+        assert capsys.readouterr().err == ("numerical failure: numerical blowup at t=0.01, "
+                                           "path 4, step 1, particle 0: value nan exceeded "
+                                           "1e12 or is NaN\n")
+        # the writer was reaped, and had written every recorded node
+        assert len(pids) == 2 and all(reaped(pid) for pid in pids)
+        assert len((tmp_path / "means.csv").read_text().splitlines()) == 1 + 4 * 11
+
+    def test_writer_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        parent, write = os.getpid(), cli._write_trajectories
+
+        def failing(ft, fm, rec):
+            if os.getpid() != parent:
+                raise OSError("No space left on device")
+            write(ft, fm, rec)
+
+        monkeypatch.setattr(cli, "_write_trajectories", failing)
+        pids = forked_pids(monkeypatch)
+        assert run_cli("systemic-risk", "--out", str(tmp_path), "--paths", "6", *self.MC) == 2
+        assert capsys.readouterr().err == ("configuration error: writing trajectory.csv and "
+                                           "means.csv failed: OSError: No space left on "
+                                           "device\n")
+        assert pids and all(reaped(pid) for pid in pids)
+
+    def test_forked_processes_leave_stdout_alone(self, tmp_path):
+        # stdout is a pipe, so block-buffered: a forked process that flushed
+        # the buffer it inherited would repeat "start", and one that returned
+        # into the caller would repeat the lines after it.  The sizes give
+        # the noise drawing process several chunks and the writer 4 paths
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        mc = ["--seed", "3", "--particles", "2000", "--paths", "16", "--dt", "0.01"]
+        sr = ["systemic-risk", "--out", str(tmp_path / "sr"), *mc]
+        cost = ["cost", "--model", str(tmp_path / "sr" / "model.txt"),
+                "--out", str(tmp_path / "cost"), "--init", "point:1.0", *mc]
+        script = ("from cmvlq.cli import main\n"
+                  "print('start')\n"
+                  f"print('systemic-risk exit', main({sr!r}))\n"
+                  f"print('cost exit', main({cost!r}))\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(env, PYTHONPATH=src), timeout=300)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        lines = proc.stdout.split("\n")
+        prefixes = ["start", "delta+ = ", "Lambda(0) = ", "cost ", "systemic-risk exit 0",
+                    "cost mean = ", "cost exit 0", ""]
+        assert len(lines) == len(prefixes), proc.stdout
+        assert all(line.startswith(p) for line, p in zip(lines, prefixes)), proc.stdout
+        assert (tmp_path / "sr" / "trajectory.csv").stat().st_size > 0
 
 
 class TestCost:

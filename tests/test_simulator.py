@@ -1,8 +1,13 @@
+import os
 import threading
+import time
 from contextlib import closing
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmvlq import simulator
 from cmvlq.errors import NumericalBlowup
@@ -115,13 +120,72 @@ class TestNoise:
             assert np.array_equal(db[j], zb)
 
 
+@pytest.fixture
+def draw_log(monkeypatch, tmp_path):
+    """Installs a logger of every _gen_noise call, in any process.
+
+    draw_log(stall) returns a function that reads the log so far as
+    (by_caller, path, step_offset, n_steps) rows.  With stall, a process
+    other than the caller sleeps that many seconds before each draw.
+    """
+    caller, gen_noise = os.getpid(), simulator._gen_noise
+    log = tmp_path / "draws"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def install(stall=0.0):
+        def traced(*args, **kwargs):
+            if os.getpid() != caller:
+                time.sleep(stall)
+            os.write(fd, f"{os.getpid()} {args[1]} {args[2]} {args[3]}\n".encode())
+            return gen_noise(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_gen_noise", traced)
+        return read
+
+    def read():
+        with open(log) as fh:
+            rows = [list(map(int, line.split())) for line in fh]
+        return [(pid == caller, p, k0, c) for pid, p, k0, c in rows]
+
+    yield install
+    os.close(fd)
+
+
 class TestNoiseProducer:
     """The streamed engine's double-buffered noise, drawn inline and overlapped."""
 
     SEED, N, DT = 5, 6, 0.01
 
+    def stream(self, batches, n_steps, log):
+        """Steps through _noise_chunks as stream_scenarios does, checking each
+        chunk against fresh step normals and each draw the caller makes
+        while it waits for a chunk (read from log) against that chunk.
+        Returns (start, k0, c) per chunk and the caller's draws per chunk."""
+        sqrt_dt = float(np.sqrt(self.DT))
+        chunks, own = [], []
+        with closing(simulator._noise_chunks(self.SEED, batches, self.N, n_steps,
+                                             sqrt_dt)) as noise:
+            for paths in batches:
+                k0 = 0
+                while k0 < n_steps:
+                    seen = len(log())
+                    dw0, db = next(noise)
+                    c = dw0.shape[0]
+                    assert db.shape == (c, len(paths), self.N, 1)
+                    for j, p in enumerate(paths):
+                        for i in range(c):
+                            z0, zb = step_normals(self.SEED, p, k0 + i, self.N, 1, 1)
+                            assert np.array_equal(dw0[i, j], z0 * sqrt_dt)
+                            assert np.array_equal(db[i, j], zb * sqrt_dt)
+                    own.append([(p, k, n) for here, p, k, n in log()[seen:] if here])
+                    assert all(p in paths and (k, n) == (k0, c) for p, k, n in own[-1])
+                    chunks.append((paths.start, k0, c))
+                    k0 += c
+            assert next(noise, None) is None
+        return chunks, own
+
     @pytest.mark.parametrize("route", ["inline", "overlapped", "other thread"])
-    def test_chunks_match_step_normals(self, route, monkeypatch):
+    def test_chunks_match_step_normals(self, route, monkeypatch, draw_log):
         # each buffer holds 3 steps of a batch of 2 paths; the ragged last
         # batch of 1 path takes chunks of 6 steps, longer than the first's
         pids = forked_pids(monkeypatch)
@@ -133,44 +197,75 @@ class TestNoiseProducer:
         if route == "other thread":
             other.start()
         monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * 3 * 2 * self.N)
-        drawn_here = []
-        gen_noise = simulator._gen_noise
-
-        def traced(*args, **kwargs):
-            drawn_here.append(args[:4])
-            return gen_noise(*args, **kwargs)
-
-        monkeypatch.setattr(simulator, "_gen_noise", traced)
-        n_steps, sqrt_dt = 10, float(np.sqrt(self.DT))
+        log = draw_log()
         batches = [range(0, 2), range(2, 4), range(4, 5)]
-        chunks = []
-        with closing(simulator._noise_chunks(self.SEED, batches, self.N, n_steps,
-                                             sqrt_dt)) as noise:
-            for paths in batches:
-                k0 = 0
-                while k0 < n_steps:
-                    dw0, db = next(noise)
-                    c = dw0.shape[0]
-                    assert db.shape == (c, len(paths), self.N, 1)
-                    for j, p in enumerate(paths):
-                        for i in range(c):
-                            z0, zb = step_normals(self.SEED, p, k0 + i, self.N, 1, 1)
-                            assert np.array_equal(dw0[i, j], z0 * sqrt_dt)
-                            assert np.array_equal(db[i, j], zb * sqrt_dt)
-                    chunks.append((paths.start, k0, c))
-                    k0 += c
-            assert next(noise, None) is None
+        chunks, _ = self.stream(batches, 10, log)
         release.set()
         if route == "other thread":
             other.join(60)
             assert not other.is_alive()
         assert chunks == [(0, 0, 3), (0, 3, 3), (0, 6, 3), (0, 9, 1),
                           (2, 0, 3), (2, 3, 3), (2, 6, 3), (2, 9, 1), (4, 0, 6), (4, 6, 4)]
-        # the overlapped route draws every chunk in its one drawing process,
-        # which is reaped by the time the stream closes; with another thread
-        # running, the interpreter does not fork
+        # the overlapped route forks one drawing process, reaped by the time
+        # the stream closes; with another thread running, the interpreter
+        # does not fork.  Across both processes, every path of every chunk
+        # is drawn exactly once, and the caller draws only paths of the
+        # chunk it is waiting for (checked in stream)
         assert len(pids) == overlapped and all(reaped(pid) for pid in pids)
-        assert len(drawn_here) == (0 if overlapped else 18)
+        expected = sorted((p, k0, c) for start, k0, c in chunks
+                          for p in next(b for b in batches if b.start == start))
+        assert sorted((p, k0, c) for _, p, k0, c in log()) == expected
+        if not overlapped:
+            assert all(here for here, *_ in log())
+
+    def test_stalled_drawing_process(self, monkeypatch, draw_log):
+        # the drawing process sleeps before each draw: the caller draws the
+        # chunks itself, only waiting for the one task the drawing process
+        # has in flight, and gets the same bits
+        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * 5 * 4 * self.N)
+        pids = forked_pids(monkeypatch)
+        log = draw_log(stall=0.5)
+        batches = [range(0, 4), range(4, 8)]
+        chunks, own = self.stream(batches, 10, log)
+        assert chunks == [(0, 0, 5), (0, 5, 5), (4, 0, 5), (4, 5, 5)]
+        assert len(pids) == 1 and reaped(pids[0])
+        assert sorted((p, k0) for _, p, k0, _ in log()) == sorted(
+            (p, k0) for b in batches for p in b for k0 in (0, 5))
+        # the drawing process takes at most the one task it stalls on per chunk
+        assert all(len(drawn) >= 3 for drawn in own)
+
+    @settings(derandomize=True, max_examples=30, deadline=10000)
+    @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           n=st.integers(1, 7), n_steps=st.integers(1, 12), chunk=st.integers(1, 200))
+    def test_any_split_matches_inline_draws(self, sizes, n, n_steps, chunk):
+        # any batches, cloud size, step count and chunk budget: the chunks
+        # equal the inline draws bit for bit, and the drawing process is reaped
+        cuts = np.cumsum([0] + sizes).tolist()
+        batches = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+        pids, fork = [], os.fork
+
+        def recording():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        sqrt_dt = 0.25
+        with mock.patch.object(simulator, "_CHUNK_DOUBLES", chunk), \
+                mock.patch.object(os, "fork", recording), \
+                closing(simulator._noise_chunks(9, batches, n, n_steps, sqrt_dt)) as noise:
+            for paths in batches:
+                k0 = 0
+                while k0 < n_steps:
+                    dw0, db = next(noise)
+                    c = dw0.shape[0]
+                    for j, p in enumerate(paths):
+                        want = _gen_noise(9, p, k0, c, n, 1, 1, sqrt_dt)
+                        assert np.array_equal(dw0[:, j], want[0])
+                        assert np.array_equal(db[:, j], want[1])
+                    k0 += c
+            assert next(noise, None) is None
+        assert all(reaped(pid) for pid in pids)
 
     def test_single_chunk_is_drawn_inline(self, monkeypatch):
         pids = forked_pids(monkeypatch)
