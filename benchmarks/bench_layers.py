@@ -3,6 +3,9 @@
 Times, on the interbank model at the acceptance parameters (N = 2000
 particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
 
+- cold_import_cli: a fresh interpreter running ``import cmvlq.cli``, the
+  start-up every command pays, with scipy_loaded recording whether that
+  import loaded any scipy module;
 - riccati_solve_d1: ``solve_riccati`` at h = 1e-3 (d = m = 1), which
   sweeps on Python floats, and riccati_sweep_array_d1 the same sweep on
   1x1 arrays, the route every other shape takes (only where the checkout
@@ -65,6 +68,7 @@ import platform
 import resource
 import statistics
 import subprocess
+import sys
 import tempfile
 import time
 
@@ -192,6 +196,20 @@ def main():
 
     def estimate():
         verify.estimate_cost(model, control, 0.0, mu0, N, M, DT, SEED)
+
+    # the checkout's own package, however this process found it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cmvlq.__file__)))
+    probe = [sys.executable, "-c", "import sys, cmvlq.cli; "
+             "print(any(m.partition('.')[0] == 'scipy' for m in sys.modules))"]
+    scipy_loaded = []
+
+    def cold_import():
+        out = subprocess.run(probe, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                             text=True, check=True).stdout
+        scipy_loaded.append(out.strip() == "True")
+
+    row("cold_import_cli", best_of(cold_import, args.repeats))
+    rows["cold_import_cli"]["scipy_loaded"] = any(scipy_loaded)
 
     row("riccati_solve_d1", best_of(lambda: solve_riccati(dyn, cost, p.T, DT), args.repeats),
         K, "rk4_steps_per_s")

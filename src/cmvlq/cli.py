@@ -68,8 +68,8 @@ def _build_parser():
         p.add_argument("--t0", type=float, help="initial time (default 0)")
         p.add_argument("--theta", type=float, help="intermediate time (default T/2)")
         p.add_argument("--epsilon", type=float, help="control shift / FD step (default 0.1)")
-        p.add_argument("--init", help="point:<v,..> (one v: every coordinate) | "
-                       "gaussian:<mean,..>:<var,..> | csv:<path>")
+        p.add_argument("--init", help="point:<v,..> | gaussian:<mean,..>[:<var,..>] (one v, "
+                       "mean or var: every coordinate; var 1 by default) | csv:<path>")
         p.add_argument("--control", help="optimal | zero | const:<v,..> | shift:<eps>")
         p._model_required = model_required
         p._needs_seed = needs_seed
@@ -136,9 +136,13 @@ def _defaults(cfg, T):
 
 def _spec_values(text, rest, n, noun):
     """The finite comma-separated numbers of a spec; one value fills all n."""
-    vals = [float(v) for v in rest.split(",")]
+    try:
+        vals = [float(v) for v in rest.split(",")]
+    except ValueError:
+        raise ValueError(f"cannot parse {text!r}: {rest!r} is not a list of numbers") from None
     if len(vals) not in (1, n):
-        raise ValueError(f"{text} has {len(vals)} {noun}, expected 1 or {n}")
+        expected = "1" if n == 1 else f"1 or {n}"
+        raise ValueError(f"{text} has {len(vals)} {noun}, expected {expected}")
     if not all(map(math.isfinite, vals)):
         raise ValueError(f"{text}: values must be finite")
     return np.asarray(vals * (n // len(vals)))
@@ -149,9 +153,11 @@ def _parse_init(text, d):
     if kind == "point":
         return {"kind": "point", "x0": _spec_values(text, rest or "0.0", d, "coordinates")}
     if kind == "gaussian":
-        mean_txt, _, var_txt = rest.partition(":")
-        mean = np.asarray([float(v) for v in mean_txt.split(",")])
-        var = np.asarray([float(v) for v in var_txt.split(",")]) if var_txt else np.ones_like(mean)
+        mean_txt, with_var, var_txt = rest.partition(":")
+        mean = _spec_values(text, mean_txt, d, "means")
+        var = _spec_values(text, var_txt, d, "variances") if with_var else np.ones(d)
+        if not np.all(var >= 0.0):
+            raise ValueError(f"{text}: variances must be >= 0")
         return {"kind": "gaussian", "mean": mean, "cov": np.diag(var)}
     if kind == "csv":
         return {"kind": "csv", "path": rest}
@@ -386,7 +392,11 @@ def cmd_verify(cfg):
         if cfg["control"] != "optimal":
             raise ValueError(f"verify chaos needs --control optimal, not {cfg['control']!r}: "
                              "no closed-form limit to converge to")
-        ns = [int(v) for v in (cfg.get("chaos_ns") or "250,1000,4000").split(",")]
+        ns_txt = cfg.get("chaos_ns") or "250,1000,4000"
+        try:
+            ns = [int(v) for v in ns_txt.split(",")]
+        except ValueError:
+            raise ValueError(f"cannot parse --chaos-ns {ns_txt!r} as particle counts") from None
         rows = verify_mod.chaos_convergence(model, control, t0, init, ns, m, dt, seed)
         values = [value(qv, t0, sample_initial(init, r["N"], seed)) for r in rows]
         result = verify_mod.chaos_rule(rows, values)

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
-from scipy.linalg.lapack import dsyev
 
 from .errors import NonPositiveGain
 from .measure import moments
@@ -152,7 +152,9 @@ class LqCost:
 
     Pointwise running cost x'Q2 x + mubar'Q2bar mubar + a'R2 a + 2 x'M2 a,
     terminal cost x'P2 x + mubar'P2bar mubar.  M2 defaults to zero, which
-    recovers the cross-term-free form.  Q2s = Q2 + Q2bar is computed once.
+    recovers the cross-term-free form.  Q2s = Q2 + Q2bar is computed once,
+    as are triu = np.triu_indices(d), the order of a cloud's second moment
+    (measure.moments), and triu_diag, the positions of its diagonal in it.
     """
 
     Q2: np.ndarray
@@ -162,6 +164,8 @@ class LqCost:
     P2bar: np.ndarray
     M2: np.ndarray = None
     Q2s: np.ndarray = field(init=False, repr=False, compare=False)
+    triu: tuple = field(init=False, repr=False, compare=False)
+    triu_diag: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q2 = np.atleast_2d(np.asarray(self.Q2, dtype=np.float64))
@@ -177,9 +181,14 @@ class LqCost:
             "M2": _as_matrix(self.M2 if self.M2 is not None else np.zeros((d, m)), d, m, "M2"),
         }
         norm["Q2s"] = norm["Q2"] + norm["Q2bar"]
+        triu = np.triu_indices(d)
+        norm["triu_diag"] = np.flatnonzero(np.equal(*triu))
+        for v in triu:
+            v.setflags(write=False)
         for k, v in norm.items():
             v.setflags(write=False)
             object.__setattr__(self, k, v)
+        object.__setattr__(self, "triu", triu)
 
     @property
     def d(self):
@@ -213,9 +222,27 @@ class GainMatrices:
         object.__setattr__(self, "pd_ok", pd_holds(self.min_eig_u, self.min_eig_v))
 
 
+@cache
+def lapack():
+    """scipy.linalg.lapack, imported on the first call and the same module after it.
+
+    Only models larger than 1 x 1 factor a matrix or take its eigenvalues
+    (dsyev here; dposv, dpotrf and dpotrs in riccati), so a d = m = 1
+    command never pays scipy's import, which costs more than numpy's.
+    """
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack
+
+
 def min_eigenvalue(M):
-    """Smallest eigenvalue of the symmetric matrix M (LAPACK dsyev; the entry itself at 1 x 1)."""
-    return float(dsyev(M, compute_v=0)[0][0])
+    """Smallest eigenvalue of the symmetric matrix M (LAPACK dsyev; the entry itself at 1 x 1).
+
+    dsyev returns A(1, 1) at order 1, so the shortcut gives its bits.
+    """
+    if M.shape == (1, 1):
+        return float(M[0, 0])
+    return float(lapack().dsyev(M, compute_v=0)[0][0])
 
 
 def pd_holds(min_eig_u, min_eig_v):
@@ -490,7 +517,7 @@ def lifted_cost(cost, mbar, second, gains=None):
         tail = matprod(matprod(abar, cost.R2) + 2.0 * matprod(mrow, cost.M2),
                        np.swapaxes(abar, -1, -2))
     # <W, E xx'> on the upper triangle, contiguous: the product's bits follow its strides
-    i, j = np.triu_indices(cost.d)
+    i, j = cost.triu
     w = np.ascontiguousarray(W[..., i, j] + np.where(i < j, W[..., j, i], 0.0))
     val = matprod(second[..., None, :], w[..., :, None]) + matprod(matprod(mrow, V), mcol)
     return (val + tail)[..., 0, 0]

@@ -23,11 +23,12 @@ Python floats, operation for operation as the direct array formulas
 arrays, so both give the same bits.  Every other shape is swept on the
 model's lqmodel.BackwardOperator, built once per solve: the unknowns are
 stacked into one vector, the right-hand side's affine part is one matrix
-product, what remains is the Cholesky solves with U and V (LAPACK dposv)
-and two small products, and each RK4 stage is one vector operation.  The
-direct formulas build that operator and are the reference it is tested
-against; ode_rhs, lqmodel.gains and the policy layer evaluate the same
-operator, so their results agree with the sweep's bit for bit.
+product, what remains is the Cholesky solves with U and V (LAPACK dposv,
+from lqmodel.lapack, which imports scipy on first use) and two small
+products, and each RK4 stage is one vector operation.  The direct
+formulas build that operator and are the reference it is tested against;
+ode_rhs, lqmodel.gains and the policy layer evaluate the same operator,
+so their results agree with the sweep's bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dposv, dpotrf, dpotrs
 
 from .errors import DomainError, NonPositiveGain, NumericalBlowup
 from .lqmodel import (
@@ -50,6 +50,7 @@ from .lqmodel import (
     backward_operator,
     check_standing_condition,
     gain_terms,
+    lapack,
     min_eigenvalue,
     require_pd,
 )
@@ -68,7 +69,7 @@ def _factor_pd(M, t, which):
             raise NonPositiveGain(t, float(M[0, 0]), which)
         return M[0, 0]
     _require_finite(M, t, which)
-    factor, info = dpotrf(M, lower=1, clean=0)
+    factor, info = lapack().dpotrf(M, lower=1, clean=0)
     if info > 0:
         raise NonPositiveGain(t, float(np.min(np.linalg.eigvalsh(M))), which)
     return factor
@@ -85,7 +86,7 @@ def _solve_factored(factor, rhs):
     """Solve M x = rhs given M's factor from _factor_pd."""
     if np.ndim(factor) == 0:
         return rhs / factor
-    return dpotrs(factor, rhs, lower=1)[0]
+    return lapack().dpotrs(factor, rhs, lower=1)[0]
 
 
 def _solve_pd(M, rhs, t, which):
@@ -97,7 +98,7 @@ def _solve_pd(M, rhs, t, which):
     if M.shape == (1, 1):
         return _solve_factored(_factor_pd(M, t, which), rhs)
     _require_finite(M, t, which)
-    _, x, info = dposv(M, rhs, lower=1)
+    _, x, info = lapack().dposv(M, rhs, lower=1)
     if info > 0:
         raise NonPositiveGain(t, float(np.min(np.linalg.eigvalsh(M))), which)
     return x

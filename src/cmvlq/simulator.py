@@ -235,7 +235,7 @@ def _run_generic(model, x, mom, K1, K2, kk, dt, dw0, db, running=None, keep=None
     g0 = dyn.g0 + matprod(kk[:, None, :], dyn.Ga)
     Ab = np.eye(d) + L[:, :, :d] * dt
     S, L0 = L[:, :, d:2 * d], L[:, :, 2 * d:]
-    diag = np.flatnonzero(np.equal(*np.triu_indices(d)))
+    diag = model.cost.triu_diag
     node_moments = []
     for k in range(dw0.shape[0]):
         mbar = mom[0]

@@ -438,11 +438,29 @@ class TestBadNumbers:
         pytest.param(["cost", "--seed", "1", "--control", "const:-inf"], None,
                      "const:-inf: values must be finite", id="const=-inf"),
         pytest.param(["cost", "--seed", "1", "--control", "const:1,2"], None,
-                     "const:1,2 has 2 values, expected 1 or 1", id="const=1,2"),
+                     "const:1,2 has 2 values, expected 1\n", id="const=1,2"),
         pytest.param(["cost", "--seed", "1", "--control", "shift:1,2,3"], None,
-                     "shift:1,2,3 has 3 values, expected 1 or 1", id="shift=1,2,3"),
+                     "shift:1,2,3 has 3 values, expected 1\n", id="shift=1,2,3"),
         pytest.param(["cost", "--seed", "1", "--init", "point:nan"], None,
                      "point:nan: values must be finite", id="point=nan"),
+        pytest.param(["cost", "--seed", "1", "--init", "point:1,"], None,
+                     "cannot parse 'point:1,': '1,' is not a list of numbers", id="point=1,"),
+        pytest.param(["cost", "--seed", "1", "--init", "gaussian:nan"], None,
+                     "gaussian:nan: values must be finite", id="gaussian=nan"),
+        pytest.param(["cost", "--seed", "1", "--init", "gaussian:0:inf"], None,
+                     "gaussian:0:inf: values must be finite", id="gaussian=0:inf"),
+        pytest.param(["cost", "--seed", "1", "--init", "gaussian:"], None,
+                     "cannot parse 'gaussian:': '' is not a list of numbers", id="gaussian="),
+        pytest.param(["cost", "--seed", "1", "--init", "gaussian:0:"], None,
+                     "cannot parse 'gaussian:0:': '' is not a list of numbers", id="gaussian=0:"),
+        pytest.param(["cost", "--seed", "1", "--init", "gaussian:0,0"], None,
+                     "gaussian:0,0 has 2 means, expected 1\n", id="gaussian=0,0"),
+        pytest.param(["cost", "--seed", "1", "--init", "gaussian:0:1,1"], None,
+                     "gaussian:0:1,1 has 2 variances, expected 1\n", id="gaussian=0:1,1"),
+        pytest.param(["cost", "--seed", "1", "--init", "gaussian:0:-1"], None,
+                     "gaussian:0:-1: variances must be >= 0", id="gaussian=0:-1"),
+        pytest.param(["verify", "chaos", "--seed", "1", "--chaos-ns", "10,abc"], None,
+                     "cannot parse --chaos-ns '10,abc' as particle counts", id="chaos-ns=10,abc"),
         pytest.param(["verify", "chaos", "--seed", "1", "--control", "zero"], None,
                      "verify chaos needs --control optimal", id="chaos-control=zero"),
         pytest.param(["verify", "ito", "--seed", "1", "--delta", "1.5"], None,
@@ -483,7 +501,10 @@ class TestBadNumbers:
 
 
 class TestPointInit:
-    """A one-value point:, const: or shift: spec (point:0.0 by default) fills every coordinate."""
+    """A one-value point:, gaussian:, const: or shift: spec fills every coordinate.
+
+    The default initial condition, point:0.0, is one such spec.
+    """
 
     @pytest.fixture(scope="class")
     def model3(self, tmp_path_factory):
@@ -523,6 +544,15 @@ class TestPointInit:
             assert run_cli("simulate", "--model", model3, "--out", str(tmp_path / spec),
                            *self.SMALL, "--control", spec) == 0
         a, b = ((tmp_path / spec / "trajectory.csv").read_bytes() for spec in (one, both))
+        assert a == b
+
+    @pytest.mark.parametrize("one, each", [("gaussian:0", "gaussian:0,0,0"),
+                                           ("gaussian:0.5:2", "gaussian:0.5,0.5,0.5:2,2,2")])
+    def test_one_gaussian_value_fills_every_coordinate(self, model3, tmp_path, one, each):
+        for spec in (one, each):
+            assert run_cli("simulate", "--model", model3, "--out", str(tmp_path / spec),
+                           *self.SMALL, "--init", spec) == 0
+        a, b = ((tmp_path / spec / "trajectory.csv").read_bytes() for spec in (one, each))
         assert a == b
 
     @pytest.mark.parametrize("spec", ["const:1,2,3", "shift:1,2,3"])
@@ -620,6 +650,43 @@ class TestNumericalFailure:
         # 10 * 1.4^76 is the first state past 1e12; every particle and path is alike
         assert err == ("numerical failure: numerical blowup at t=0.76, path 0, step 76, "
                        "particle 0: value 1275647586028.0315 exceeded 1e12 or is NaN\n")
+
+
+def test_d1_commands_never_load_scipy(model_file, tmp_path):
+    # a fresh interpreter: scipy's LAPACK is loaded by the first model larger than 1 x 1
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path3 = tmp_path / "lq3.txt"
+    save_model(path3, *random_lq(61, d=3, m=2, with_m2=True), 1.0)
+    small = ["--seed", "1", "--particles", "4", "--paths", "2", "--dt", "0.05",
+             "--riccati-step", "0.01"]
+    d1 = [["solve", "--model", model_file, "--riccati-step", "0.01"],
+          ["simulate", "--model", model_file, *small],
+          ["cost", "--model", model_file, *small],
+          ["systemic-risk", *small],
+          *[["verify", check, "--model", model_file, "--count", "2", *small]
+            for check in ("bellman", "grad", "flow")],
+          ["verify", "dpp", "--model", model_file, "--theta", "0.5", *small],
+          ["verify", "ito", "--model", model_file, "--delta", "0.1", *small],
+          ["verify", "chaos", "--model", model_file, "--chaos-ns", "2,4", *small]]
+    d1 = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(d1)]
+    d3 = ["solve", "--model", str(path3), "--out", str(tmp_path / "d3"), "--riccati-step", "0.01"]
+    script = ("import json, sys\n"
+              "def scipy_modules():\n"
+              "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+              "from cmvlq.cli import main\n"
+              "at_import = scipy_modules()\n"
+              f"codes = [main(argv) for argv in {d1!r}]\n"
+              "after_d1 = scipy_modules()\n"
+              f"code_d3 = main({d3!r})\n"
+              "print(json.dumps([at_import, codes, after_d1, code_d3,\n"
+              "                  'scipy.linalg.lapack' in sys.modules]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    at_import, codes, after_d1, code_d3, lapack_loaded = json.loads(proc.stdout.split("\n")[-2])
+    assert at_import == [] and after_d1 == []
+    assert all(code in (0, 1) for code in codes), codes
+    assert codes[:4] == [0, 0, 0, 0] and code_d3 == 0 and lapack_loaded
 
 
 def test_console_script_help():

@@ -167,6 +167,20 @@ class TestGains:
             assert np.allclose(getattr(gsum, name),
                                getattr(ga, name) + getattr(gb, name), atol=1e-12)
 
+    @pytest.mark.parametrize("entry", [0.0, -0.0, 5e-324, 1e-300, 1e300, -3.5, np.nan])
+    def test_min_eigenvalue_of_1x1_is_its_entry(self, monkeypatch, entry):
+        # dsyev's bits, without LAPACK: a d = m = 1 model never loads scipy
+        from scipy.linalg.lapack import dsyev
+
+        M = np.array([[entry]])
+        expected = dsyev(M, compute_v=0)[0][0]
+
+        def no_lapack():
+            raise AssertionError("min_eigenvalue called LAPACK on a 1 x 1 matrix")
+
+        monkeypatch.setattr(lqmodel, "lapack", no_lapack)
+        assert np.float64(lqmodel.min_eigenvalue(M)).tobytes() == expected.tobytes()
+
     def test_s_depends_only_on_lam_and_c(self):
         dyn, cost = random_lq(10, d=2, m=1)
         dyn = lqmodel.LqDynamics(
