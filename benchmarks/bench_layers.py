@@ -7,9 +7,7 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
   start-up every command pays, with scipy_loaded recording whether that
   import loaded any scipy module;
 - riccati_solve_d1: ``solve_riccati`` at h = 1e-3 (d = m = 1), which
-  sweeps on Python floats, and riccati_sweep_array_d1 the same sweep on
-  1x1 arrays, the route every other shape takes (only where the checkout
-  has both routes);
+  sweeps on Python floats;
 - riccati_solve_d3: the same on a seeded d = 3, m = 2 model with a cross
   weight M2, and riccati_solve_grid_d3 that solve plus the gain grid of
   its 1000 steps;
@@ -79,7 +77,7 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 import cmvlq  # noqa: E402
-from cmvlq import cli, measure, riccati, simulator, verify  # noqa: E402
+from cmvlq import cli, measure, simulator, verify  # noqa: E402
 from cmvlq.lqmodel import LqCost, LqDynamics  # noqa: E402
 from cmvlq.policy import (  # noqa: E402
     FeedbackPolicy,
@@ -213,10 +211,6 @@ def main():
 
     row("riccati_solve_d1", best_of(lambda: solve_riccati(dyn, cost, p.T, DT), args.repeats),
         K, "rk4_steps_per_s")
-    if hasattr(riccati, "_array_kit"):
-        row("riccati_sweep_array_d1",
-            best_of(lambda: riccati._sweep(riccati._array_kit(dyn, cost), dyn, cost, p.T, K, DT),
-                    args.repeats), K, "rk4_steps_per_s")
     dyn3, cost3 = lq3_model()
     row("riccati_solve_d3", best_of(lambda: solve_riccati(dyn3, cost3, 1.0, DT), args.repeats),
         K, "rk4_steps_per_s")

@@ -131,6 +131,8 @@ def _defaults(cfg, T):
     for knob in ("t0", "theta", "epsilon"):
         if not math.isfinite(cfg[knob]):
             raise ValueError(f"{knob} must be finite")
+    if cfg["t0"] < 0.0:
+        raise ValueError(f"--t0 {cfg['t0']!r} is negative: the horizon starts at 0")
     return cfg
 
 
@@ -160,6 +162,8 @@ def _parse_init(text, d):
             raise ValueError(f"{text}: variances must be >= 0")
         return {"kind": "gaussian", "mean": mean, "cov": np.diag(var)}
     if kind == "csv":
+        if not rest:
+            raise ValueError(f"--init {text!r} names no file: use csv:<path>")
         return {"kind": "csv", "path": rest}
     raise ValueError(f"cannot parse initial condition {text!r}")
 
@@ -392,11 +396,15 @@ def cmd_verify(cfg):
         if cfg["control"] != "optimal":
             raise ValueError(f"verify chaos needs --control optimal, not {cfg['control']!r}: "
                              "no closed-form limit to converge to")
-        ns_txt = cfg.get("chaos_ns") or "250,1000,4000"
+        ns_txt = cfg.get("chaos_ns")
+        if ns_txt is None:
+            ns_txt = "250,1000,4000"
         try:
             ns = [int(v) for v in ns_txt.split(",")]
         except ValueError:
             raise ValueError(f"cannot parse --chaos-ns {ns_txt!r} as particle counts") from None
+        if min(ns) < 1:
+            raise ValueError(f"--chaos-ns {ns_txt!r}: particle counts must be >= 1")
         rows = verify_mod.chaos_convergence(model, control, t0, init, ns, m, dt, seed)
         values = [value(qv, t0, sample_initial(init, r["N"], seed)) for r in rows]
         result = verify_mod.chaos_rule(rows, values)

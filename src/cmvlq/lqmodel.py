@@ -227,8 +227,8 @@ def lapack():
     """scipy.linalg.lapack, imported on the first call and the same module after it.
 
     Only models larger than 1 x 1 factor a matrix or take its eigenvalues
-    (dsyev here; dposv, dpotrf and dpotrs in riccati), so a d = m = 1
-    command never pays scipy's import, which costs more than numpy's.
+    (dsyev here, dposv in riccati), so a d = m = 1 command never pays
+    scipy's import, which costs more than numpy's.
     """
     import scipy.linalg.lapack
 
@@ -409,7 +409,11 @@ def _symmetric_index(d, iu):
 
 
 def backward_operator(dyn, cost):
-    """The model's BackwardOperator, or None at d = m = 1, which keeps the direct formulas."""
+    """The model's BackwardOperator, or None at d = m = 1.
+
+    Without one, gain_blocks keeps the direct formulas and
+    riccati.backward_kit the route on Python floats.
+    """
     return None if dyn.d == 1 and dyn.m == 1 else BackwardOperator(dyn, cost)
 
 
@@ -423,8 +427,8 @@ def gain_blocks(Lam, Gam, gam, dyn, cost, op=None):
     A d = m = 1 model evaluates gain_terms; every other model goes through
     its BackwardOperator op, which reads the symmetric parts of Lam and Gam
     and is built here when not given.  A caller that evaluates one model
-    many times passes the operator it holds (RiccatiSolution.op,
-    QuadraticValue.op), so the blocks are those the solver used.
+    many times passes the operator it holds (the op of RiccatiSolution.kit
+    or QuadraticValue.kit), so the blocks are those the solver used.
     """
     op = op if op is not None else backward_operator(dyn, cost)
     if op is not None:
@@ -436,7 +440,13 @@ def gain_blocks(Lam, Gam, gam, dyn, cost, op=None):
 
 
 def gains(t, Lam, Gam, gam, dyn, cost, op=None):
-    """Gain matrices at time t, with positive-definiteness diagnostics; op as in gain_blocks."""
+    """Gain matrices at time t, with positive-definiteness diagnostics; op as in gain_blocks.
+
+    No solve or feedback goes through here: those take U and V from the
+    model's riccati.Kit.  This stays as the public diagnostic view of U, V,
+    S, Z and Y at any (Lam, Gam, gam), which RiccatiSolution.pd_history
+    and the node gains are tested against.
+    """
     U, V, S, Z, Y = gain_blocks(Lam, Gam, gam, dyn, cost, op)
     return GainMatrices(t=float(t), U=U, V=V, S=S, Z=Z, Y=Y, min_eig_u=min_eigenvalue(U),
                         min_eig_v=min_eigenvalue(V))

@@ -113,10 +113,6 @@ class AffineMap:
         return self.A.shape[0]
 
     @classmethod
-    def identity(cls, d):
-        return cls(np.eye(d))
-
-    @classmethod
     def constant(cls, c, d):
         c = np.atleast_1d(np.asarray(c, dtype=np.float64))
         return cls(np.zeros((c.shape[0], d)), c)

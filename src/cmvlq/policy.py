@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import riccati as _riccati
-from .lqmodel import BackwardOperator, affine_feedback, backward_operator, gains, require_pd
+from .lqmodel import affine_feedback
 from .measure import EmpiricalMeasure, mean, point_forms, tree_mean
 
 
@@ -86,20 +86,22 @@ class QuadraticValue:
     """The value function defined by a backward-system solution.
 
     When sol is solve_riccati's solution for this very (dyn, cost), its
-    node gains are this value's optimal feedback at the solver nodes.  op
-    is the model's BackwardOperator (None at d = m = 1): the solution's own
-    for that model, else one built here, once.
+    node gains are this value's optimal feedback at the solver nodes.  kit
+    is the model's route through the backward system (riccati.Kit): the
+    solution's own for that model, else one built here, once.  dt_at and
+    optimal_feedback both evaluate its rhs.
     """
 
     sol: _riccati.RiccatiSolution
     dyn: object
     cost: object
-    op: BackwardOperator = field(init=False, repr=False, compare=False)
+    kit: _riccati.Kit = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        own = self.sol.dyn is self.dyn and self.sol.cost is self.cost
-        op = self.sol.op if own else backward_operator(self.dyn, self.cost)
-        object.__setattr__(self, "op", op)
+        kit = self.sol.kit if self.node_gains() is not None else None
+        if kit is None:
+            kit = _riccati.backward_kit(self.dyn, self.cost)
+        object.__setattr__(self, "kit", kit)
 
     @property
     def T(self):
@@ -117,7 +119,7 @@ class QuadraticValue:
         dynamic-programming residuals are exact up to solver error.
         """
         Lam, Gam, gam, _ = self.sol.eval(t)
-        derivatives = _riccati.ode_rhs(Lam, Gam, gam, self.dyn, self.cost, t, self.op)
+        derivatives = _riccati.ode_rhs(Lam, Gam, gam, self.dyn, self.cost, t, self.kit)
         return QuadraticFunctional(*derivatives)
 
     def node_gains(self):
@@ -163,17 +165,19 @@ class FeedbackGains:
 def optimal_feedback(qv: QuadraticValue, t) -> FeedbackGains:
     """Minimizing feedback at time t: K1 = -U^{-1} S', K2 = -V^{-1} Z', k = -V^{-1} Y / 2.
 
-    Linear systems are solved through Cholesky factors of U and V; a factor
-    failure (or an eigenvalue at or below the threshold) raises
-    NonPositiveGain.  At a solver node this equals the node's gains in the
-    solution (RiccatiSolution.K1, K2, k) bit for bit.
+    The gains are those of the value's kit evaluated as at a solver node,
+    at the interpolated solution: linear systems are solved through
+    Cholesky factors of U and V, and a factor failure (or an eigenvalue at
+    or below the threshold) raises NonPositiveGain.  At a solver node this
+    is the same evaluation the solve made there, so it equals the node's
+    gains in the solution (RiccatiSolution.K1, K2, k) bit for bit.
     """
+    kit = qv.kit
     Lam, Gam, gam, _ = qv.sol.eval(t)
-    g = gains(t, Lam, Gam, gam, qv.dyn, qv.cost, qv.op)
-    require_pd(t, g.min_eig_u, g.min_eig_v)
-    U_inv_St, V_inv_W = _riccati._gain_solves(g.U, g.V, g.S.T, np.column_stack((g.Z.T, g.Y)), t)
-    d = qv.dyn.d
-    return FeedbackGains(t=float(t), K1=-U_inv_St, K2=-V_inv_W[:, :d], k=-0.5 * V_inv_W[:, d])
+    K1, K2, k = kit.rhs(kit.stack(Lam, Gam, gam), t, True)[2]
+    d, m = qv.dyn.d, qv.dyn.m
+    return FeedbackGains(t=float(t), K1=np.reshape(K1, (m, d)), K2=np.reshape(K2, (m, d)),
+                         k=np.reshape(k, m))
 
 
 class FeedbackPolicy:
@@ -225,6 +229,10 @@ class FeedbackPolicy:
 
 def recover_original(feedback, p: _riccati.SystemicRiskParams, t, x, mubar):
     """Borrowing/lending control of the interbank model.
+
+    Nothing in the package calls this: it is the paper's interbank control
+    in its original variable, the form in which acceptance criterion 2
+    states it, and it stays for that check and for users of the model.
 
     The model is solved in the shifted variable a_tilde = a - q(mubar - x);
     inverting the shift gives a = a_tilde - q(x - mubar), i.e.

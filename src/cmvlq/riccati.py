@@ -8,27 +8,26 @@ quadrature.  This module integrates that system with fixed-step classical
 RK4 (order 4, bit-reproducible) and provides the closed-form solution of
 the scalar interbank-lending example for cross-checking.
 
-One backward sweep yields the solution and its feedback gains.  The first
-RK4 stage of each step evaluates the right-hand side at the node itself,
-and that evaluation already factors U and V and solves for U^-1 S',
-V^-1 Z' and V^-1 Y.  The sweep keeps them as the node's gains
+One backward sweep (_sweep) yields the solution and its feedback gains.
+The first RK4 stage of each step evaluates the right-hand side at the
+node itself, and that evaluation already factors U and V and solves for
+U^-1 S', V^-1 Z' and V^-1 Y.  The sweep keeps them as the node's gains
 K1 = -U^-1 S', K2 = -V^-1 Z', k = -V^-1 Y / 2, and the minimum eigenvalues
 of U and V as the node's pd_history; node 0 costs the one extra
-evaluation.  These are bitwise the gains optimal_feedback computes at the
-node.
+evaluation.
 
-The sweep takes one of two routes.  Scalar models (d = m = 1) are swept on
-Python floats, operation for operation as the direct array formulas
-(_rhs: lqmodel.gain_terms and lqmodel.backward_derivatives) run on 1x1
-arrays, so both give the same bits.  Every other shape is swept on the
-model's lqmodel.BackwardOperator, built once per solve: the unknowns are
+The right-hand side takes one of two routes, each a Kit that backward_kit
+builds once per model, and the one sweep runs either.  Scalar models
+(d = m = 1) are evaluated on Python floats, operation for operation as the
+direct array formulas (lqmodel.gain_terms and lqmodel.backward_derivatives)
+run on 1x1 arrays, so both give the same bits.  Every other shape is
+evaluated on the model's lqmodel.BackwardOperator: the unknowns are
 stacked into one vector, the right-hand side's affine part is one matrix
 product, what remains is the Cholesky solves with U and V (LAPACK dposv,
 from lqmodel.lapack, which imports scipy on first use) and two small
-products, and each RK4 stage is one vector operation.  The direct
-formulas build that operator and are the reference it is tested against;
-ode_rhs, lqmodel.gains and the policy layer evaluate the same operator,
-so their results agree with the sweep's bit for bit.
+products, and each RK4 stage is one vector operation.  ode_rhs (hence the
+value's time derivative) and policy.optimal_feedback evaluate the same
+kit's rhs, so a node's gains are optimal_feedback's there by construction.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -46,33 +46,12 @@ from .lqmodel import (
     BackwardOperator,
     LqCost,
     LqDynamics,
-    backward_derivatives,
     backward_operator,
     check_standing_condition,
-    gain_terms,
     lapack,
     min_eigenvalue,
     require_pd,
 )
-
-
-def _factor_pd(M, t, which):
-    """Cholesky factor of the symmetric positive definite M, for _solve_factored.
-
-    Cholesky failure is the runtime signal that a gain matrix lost
-    positive definiteness.  A 1x1 M is its own factor after a positivity
-    check, since the scalar Cholesky solve is a division.  A non-finite M
-    is a numerical blowup at t and is never factored.
-    """
-    if M.shape == (1, 1):
-        if not M[0, 0] > 0.0:
-            raise NonPositiveGain(t, float(M[0, 0]), which)
-        return M[0, 0]
-    _require_finite(M, t, which)
-    factor, info = lapack().dpotrf(M, lower=1, clean=0)
-    if info > 0:
-        raise NonPositiveGain(t, float(np.min(np.linalg.eigvalsh(M))), which)
-    return factor
 
 
 def _require_finite(M, t, which):
@@ -82,21 +61,20 @@ def _require_finite(M, t, which):
         raise NumericalBlowup(f"t={t:.6g}", f"gain matrix {which} is not finite")
 
 
-def _solve_factored(factor, rhs):
-    """Solve M x = rhs given M's factor from _factor_pd."""
-    if np.ndim(factor) == 0:
-        return rhs / factor
-    return lapack().dpotrs(factor, rhs, lower=1)[0]
-
-
 def _solve_pd(M, rhs, t, which):
-    """M^-1 rhs for the symmetric positive definite M, failing as _factor_pd does.
+    """M^-1 rhs for the symmetric positive definite M.
 
-    Larger than 1 x 1, the factorization and the solve are one LAPACK call
+    Failure of the Cholesky factorization is the runtime signal that a gain
+    matrix lost positive definiteness (NonPositiveGain).  A 1 x 1 M is its
+    own factor after a positivity check, and the solve is a division.
+    Larger, a non-finite M is a numerical blowup at t and is never
+    factored, and the factorization and the solve are one LAPACK call
     (dposv, which is dpotrf then dpotrs).
     """
     if M.shape == (1, 1):
-        return _solve_factored(_factor_pd(M, t, which), rhs)
+        if not M[0, 0] > 0.0:
+            raise NonPositiveGain(t, float(M[0, 0]), which)
+        return rhs / M[0, 0]
     _require_finite(M, t, which)
     _, x, info = lapack().dposv(M, rhs, lower=1)
     if info > 0:
@@ -104,73 +82,44 @@ def _solve_pd(M, rhs, t, which):
     return x
 
 
-def _rhs(Lam, Gam, gam, dyn, cost, t, at_node=False):
-    """ode_rhs by the direct formulas, plus what the sweep keeps at a node.
+@dataclass(frozen=True)
+class Kit:
+    """One route of the backward system for one model, built by backward_kit.
 
-    Returns the derivatives (dLam, dGam, dgam, dchi), the minimum
-    eigenvalues (of U, of V) when at_node (else None), and the solves
-    (U^-1 S', V^-1 Z', V^-1 Y).  At a node the eigenvalues are tested
-    against the positivity threshold before U or V is factored.
+    A state is a tuple of components that RK4 combines one by one: the
+    floats (Lam, Gam, gam, chi) of a d = m = 1 model, or (z,), the stacked
+    unknowns of the model's BackwardOperator op.
+
+    - rhs(state, t, at_node=False) returns the derivatives (a state); with
+      at_node also the minimum eigenvalues (of U, of V), tested against the
+      positivity threshold before U or V is factored, and the gains
+      (K1, K2, k), floats or arrays (both None otherwise).
+    - terminal is the state at T; sym(state) is applied after every RK4
+      step; check_finite(t, state) raises NumericalBlowup.
+    - stack(Lam, Gam, gam) is the state with chi = 0; unstack(columns) is
+      (Lam, Gam, gam, chi) of states whose components are stacked, each
+      along a first axis.
     """
-    Lam = (Lam + Lam.T) / 2.0
-    Gam = (Gam + Gam.T) / 2.0
-    (U, V, S, Z, Y), products = gain_terms(Lam, Gam, gam, dyn, cost)
-    eigs = None
-    if at_node:
-        eigs = (float(np.min(np.linalg.eigvalsh(U))), float(np.min(np.linalg.eigvalsh(V))))
-        require_pd(t, *eigs)
-    U_factor = _factor_pd(U, t, "U")
-    V_factor = _factor_pd(V, t, "V")
-    solves = (_solve_factored(U_factor, S.T), _solve_factored(V_factor, Z.T),
-              _solve_factored(V_factor, Y))
-    return backward_derivatives(Lam, Gam, gam, (S, Z, Y), products, solves, dyn, cost), eigs, solves
+
+    dyn: LqDynamics
+    cost: LqCost
+    rhs: Callable
+    terminal: tuple
+    sym: Callable
+    check_finite: Callable
+    stack: Callable
+    unstack: Callable
+    op: BackwardOperator = None
 
 
-def _gain_solves(U, V, St, W, t):
-    """U^-1 S' and V^-1 [Z' | Y] through the Cholesky factors of U and V (U first)."""
-    return _solve_pd(U, St, t, "U"), _solve_pd(V, W, t, "V")
+def _float_kit(dyn, cost):
+    """The Kit of a d = m = 1 model, on Python floats.
 
-
-def _operator_rhs(op, z, t, at_node=False):
-    """_rhs on the stacked unknowns z of a BackwardOperator op.
-
-    Returns dz, the node's minimum eigenvalues as _rhs does, and the solves
-    (U^-1 S', V^-1 [Z' | Y]).  The affine part is one product with op.A;
-    the rest is the two factorizations, the two solves and two products.
-    """
-    U, V, St, W, affine = op.affine(z)
-    eigs = None
-    if at_node:
-        eigs = (min_eigenvalue(U), min_eigenvalue(V))
-        require_pd(t, *eigs)
-    U_inv_St, V_inv_W = _gain_solves(U, V, St, W, t)
-    quadratic = np.concatenate((St.T.dot(U_inv_St).ravel(), W.T.dot(V_inv_W).ravel()))
-    return affine + op.weights * quadratic[op.gather], eigs, (U_inv_St, V_inv_W)
-
-
-def ode_rhs(Lam, Gam, gam, dyn, cost, t=float("nan"), op=None):
-    """Time derivatives (dLam, dGam, dgam, dchi) of the backward system.
-
-    The system is autonomous; t only labels error reports.  Lam and Gam
-    inputs are symmetrized so every RK4 stage stays on the symmetric cone.
-    A d = m = 1 model evaluates the direct formulas; every other model its
-    BackwardOperator op, built here when not given (see lqmodel.gain_blocks).
-    """
-    op = op if op is not None else backward_operator(dyn, cost)
-    if op is None:
-        return _rhs(Lam, Gam, gam, dyn, cost, t)[0]
-    Lam, Gam, gam, chi = op.unstack(_operator_rhs(op, op.stack(Lam, Gam, gam), t)[0])
-    return Lam, Gam, gam, float(chi)
-
-
-def _scalar_rhs(dyn, cost):
-    """_rhs of a d = m = 1 model on Python floats, operation for operation.
-
-    Each 1x1 matrix product of _rhs is written `a * b + 0.0`, because numpy
-    accumulates the single product onto +0.0: a -0.0 product becomes +0.0,
-    and every other value is unchanged.  The minimum eigenvalue of a 1x1
-    matrix is its entry; a U or V that is not finite is a numerical blowup,
-    as _factor_pd reports it for the other shapes.
+    Each 1x1 matrix product of the direct formulas is written `a * b + 0.0`,
+    because numpy accumulates the single product onto +0.0: a -0.0 product
+    becomes +0.0, and every other value is unchanged.  The minimum
+    eigenvalue of a 1x1 matrix is its entry; a U or V that is not finite is
+    a numerical blowup, as _solve_pd reports it for the larger shapes.
     """
     b0, th, th0 = (float(v[0]) for v in (dyn.b0, dyn.theta, dyn.theta0))
     B, C, D, F, D0, F0, Bs, Ds, D0s = (float(a[0, 0]) for a in (
@@ -178,7 +127,8 @@ def _scalar_rhs(dyn, cost):
     Q2, Q2s, R2, M2 = (float(a[0, 0]) for a in (cost.Q2, cost.Q2s, cost.R2, cost.M2))
     F2, F02, Ds2, D0s2 = 2.0 * F, 2.0 * F0, 2.0 * Ds, 2.0 * D0s
 
-    def rhs(Lam, Gam, gam, t, at_node=False):
+    def rhs(state, t, at_node=False):
+        Lam, Gam, gam = state[0], state[1], state[2]
         L = (Lam + Lam) / 2.0
         G = (Gam + Gam) / 2.0
         # gain_blocks
@@ -209,9 +159,76 @@ def _scalar_rhs(dyn, cost):
                  + (D0s2 * (G * th0 + 0.0) + 0.0) + (2.0 * G * b0 + 0.0))
         dchi = -(-0.25 * (Y * V_inv_Y + 0.0) + (gam * b0 + 0.0)
                  + ((th * L + 0.0) * th + 0.0) + ((th0 * G + 0.0) * th0 + 0.0))
-        return (dLam, dGam, dgam, dchi), ((U, V) if at_node else None), (U_inv_St, V_inv_Zt, V_inv_Y)
+        if not at_node:
+            return (dLam, dGam, dgam, dchi), None, None
+        return (dLam, dGam, dgam, dchi), (U, V), (-U_inv_St, -V_inv_Zt, -0.5 * V_inv_Y)
 
-    return rhs
+    def unstack(columns):
+        Lam, Gam, gam, chi = columns
+        return Lam.reshape(-1, 1, 1), Gam.reshape(-1, 1, 1), gam.reshape(-1, 1), chi
+
+    return Kit(dyn, cost, rhs,
+               terminal=(float(cost.P2[0, 0]), float(cost.P2[0, 0] + cost.P2bar[0, 0]), 0.0, 0.0),
+               sym=lambda s: ((s[0] + s[0]) / 2.0, (s[1] + s[1]) / 2.0, s[2], s[3]),
+               check_finite=_check_finite_floats,
+               stack=lambda Lam, Gam, gam: (float(Lam[0, 0]), float(Gam[0, 0]), float(gam[0]), 0.0),
+               unstack=unstack)
+
+
+def _operator_kit(dyn, cost, op):
+    """The Kit of a model on its BackwardOperator op; the state is (z,).
+
+    The affine part of dz is one product with op.A; the rest is the two
+    Cholesky solves and two products.  Lam and Gam are symmetric by
+    construction, so sym is the identity.
+    """
+    d = op.d
+
+    def rhs(state, t, at_node=False):
+        U, V, St, W, affine = op.affine(state[0])
+        eigs = None
+        if at_node:
+            eigs = (min_eigenvalue(U), min_eigenvalue(V))
+            require_pd(t, *eigs)
+        U_inv_St = _solve_pd(U, St, t, "U")
+        V_inv_W = _solve_pd(V, W, t, "V")
+        quadratic = np.concatenate((St.T.dot(U_inv_St).ravel(), W.T.dot(V_inv_W).ravel()))
+        dz = (affine + op.weights * quadratic[op.gather],)
+        if not at_node:
+            return dz, None, None
+        return dz, eigs, (-U_inv_St, -V_inv_W[:, :d], -0.5 * V_inv_W[:, d])
+
+    return Kit(dyn, cost, rhs,
+               terminal=(op.stack(cost.P2, cost.P2 + cost.P2bar, np.zeros(d)),),
+               sym=lambda s: s,
+               check_finite=_check_finite,
+               stack=lambda Lam, Gam, gam: (op.stack(Lam, Gam, gam),),
+               unstack=lambda columns: op.unstack(columns[0]),
+               op=op)
+
+
+def backward_kit(dyn, cost):
+    """The Kit of a model: on floats at d = m = 1, else on its BackwardOperator.
+
+    The route is chosen here, from whether the model has an operator
+    (lqmodel.backward_operator, None at d = m = 1); a solve, ode_rhs and
+    the policy layer all take their route from here.
+    """
+    op = backward_operator(dyn, cost)
+    return _float_kit(dyn, cost) if op is None else _operator_kit(dyn, cost, op)
+
+
+def ode_rhs(Lam, Gam, gam, dyn, cost, t=float("nan"), kit=None):
+    """Time derivatives (dLam, dGam, dgam, dchi) of the backward system.
+
+    The system is autonomous; t only labels error reports.  Lam and Gam
+    inputs are symmetrized so every RK4 stage stays on the symmetric cone.
+    kit is the model's route (backward_kit), built here when not given.
+    """
+    kit = kit if kit is not None else backward_kit(dyn, cost)
+    derivatives = kit.rhs(kit.stack(Lam, Gam, gam), t)[0]
+    Lam, Gam, gam, chi = kit.unstack([np.array([c]) for c in derivatives])
+    return Lam[0], Gam[0], gam[0], float(chi[0])
 
 
 @dataclass(frozen=True)
@@ -224,8 +241,9 @@ class RiccatiSolution:
     K1 (n, m, d), K2 (n, m, d) and k (n, m) are the optimal feedback gains
     at every node.  dyn and cost name the model whose gains these are:
     solve_riccati records the model it solved, and a solution built by
-    hand without one leaves them None.  op is the BackwardOperator the
-    solve used (None at d = m = 1 and on a hand-built solution).
+    hand without one leaves them None.  kit is the route the solve took
+    (None on a hand-built solution); its op is the BackwardOperator the
+    solve used (None at d = m = 1).
     """
 
     grid: np.ndarray
@@ -241,7 +259,7 @@ class RiccatiSolution:
     k: np.ndarray
     dyn: LqDynamics = field(default=None, repr=False, compare=False)
     cost: LqCost = field(default=None, repr=False, compare=False)
-    op: BackwardOperator = field(default=None, repr=False, compare=False)
+    kit: Kit = field(default=None, repr=False, compare=False)
 
     @property
     def d(self):
@@ -286,92 +304,38 @@ def _check_finite_floats(t, values):
         raise NumericalBlowup(f"t={t:.6g}", "Riccati state exceeded 1e12 or is NaN")
 
 
-def _array_kit(dyn, cost):
-    """The sweep on arrays by the direct formulas (_rhs).
-
-    Right-hand side, symmetrization, blowup check, terminal state.  No solve
-    takes this route: it is the array form of the d = m = 1 float sweep, and
-    the reference the operator sweep is tested against.
-    """
-    def rhs(Lam, Gam, gam, t, at_node=False):
-        return _rhs(Lam, Gam, gam, dyn, cost, t, at_node)
-
-    terminal = (cost.P2, cost.P2 + cost.P2bar, np.zeros(dyn.d), 0.0)
-    return rhs, lambda a: (a + a.T) / 2.0, _check_finite, terminal
-
-
-def _scalar_kit(dyn, cost):
-    """The sweep of a d = m = 1 model on Python floats; see _array_kit."""
-    terminal = (float(cost.P2[0, 0]), float(cost.P2[0, 0] + cost.P2bar[0, 0]), 0.0, 0.0)
-    return _scalar_rhs(dyn, cost), lambda x: (x + x) / 2.0, _check_finite_floats, terminal
-
-
-def _sweep(kit, dyn, cost, T, K, h):
-    """Integrate from T to 0 in K classical RK4 steps of h; see solve_riccati."""
-    rhs, sym, check_finite, (L0, G0, g0, c0) = kit
-    d, m = dyn.d, dyn.m
+def _sweep(kit, T, K, h):
+    """Integrate kit's model from T to 0 in K classical RK4 steps of h; see solve_riccati."""
+    rhs, sym, check_finite = kit.rhs, kit.sym, kit.check_finite
+    d, m = kit.dyn.d, kit.dyn.m
     grid = np.linspace(0.0, T, K + 1)
-    Lam = np.empty((K + 1, d, d))
-    Gam = np.empty((K + 1, d, d))
-    gam = np.empty((K + 1, d))
-    chi = np.empty(K + 1)
+    half, sixth = 0.5 * h, h / 6.0
+    state = kit.terminal
+    columns = [np.empty((K + 1,) + np.shape(c)) for c in state]
     pd_hist = np.empty((K + 1, 2))
     K1 = np.empty((K + 1, m, d))
     K2 = np.empty((K + 1, m, d))
     kk = np.empty((K + 1, m))
-    Lam[K], Gam[K], gam[K], chi[K] = L0, G0, g0, c0
 
     for k in range(K, -1, -1):
+        for column, c in zip(columns, state):
+            column[k] = c
         t = grid[k]
-        k1, pd_hist[k], (U_inv_St, V_inv_Zt, V_inv_Y) = rhs(L0, G0, g0, t, at_node=True)
-        K1[k], K2[k], kk[k] = -U_inv_St, -V_inv_Zt, -0.5 * V_inv_Y
+        k1, pd_hist[k], (K1[k], K2[k], kk[k]) = rhs(state, t, True)
         if k == 0:
             break
-        k2 = rhs(L0 - 0.5 * h * k1[0], G0 - 0.5 * h * k1[1], g0 - 0.5 * h * k1[2], t - 0.5 * h)[0]
-        k3 = rhs(L0 - 0.5 * h * k2[0], G0 - 0.5 * h * k2[1], g0 - 0.5 * h * k2[2], t - 0.5 * h)[0]
-        k4 = rhs(L0 - h * k3[0], G0 - h * k3[1], g0 - h * k3[2], t - h)[0]
-        L1 = L0 - (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        G1 = G0 - (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        g1 = g0 - (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        c1 = c0 - (h / 6.0) * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        L0, G0, g0, c0 = sym(L1), sym(G1), g1, c1
-        check_finite(grid[k - 1], (L0, G0, g0, c0))
-        Lam[k - 1], Gam[k - 1], gam[k - 1], chi[k - 1] = L0, G0, g0, c0
+        k2 = rhs([s - half * a for s, a in zip(state, k1)], t - half)[0]
+        k3 = rhs([s - half * a for s, a in zip(state, k2)], t - half)[0]
+        k4 = rhs([s - h * a for s, a in zip(state, k3)], t - h)[0]
+        state = sym([s - sixth * (a + 2.0 * b + 2.0 * c + e)
+                     for s, a, b, c, e in zip(state, k1, k2, k3, k4)])
+        check_finite(grid[k - 1], state)
 
+    Lam, Gam, gam, chi = kit.unstack(columns)
     for arr in (grid, Lam, Gam, gam, chi, pd_hist, K1, K2, kk):
         arr.setflags(write=False)
     return RiccatiSolution(grid=grid, Lam=Lam, Gam=Gam, gam=gam, chi=chi, pd_history=pd_hist,
-                           h=T / K, T=T, K1=K1, K2=K2, k=kk, dyn=dyn, cost=cost)
-
-
-def _operator_sweep(op, dyn, cost, T, K, h):
-    """_sweep on the stacked unknowns of a BackwardOperator op, one vector operation per stage."""
-    d, m = dyn.d, dyn.m
-    grid = np.linspace(0.0, T, K + 1)
-    states = np.empty((K + 1, op.size))
-    pd_hist = np.empty((K + 1, 2))
-    U_inv_St = np.empty((K + 1, m, d))
-    V_inv_W = np.empty((K + 1, m, d + 1))
-    z = states[K] = op.stack(cost.P2, cost.P2 + cost.P2bar, np.zeros(d))
-
-    for k in range(K, -1, -1):
-        t = grid[k]
-        k1, pd_hist[k], (U_inv_St[k], V_inv_W[k]) = _operator_rhs(op, z, t, at_node=True)
-        if k == 0:
-            break
-        k2 = _operator_rhs(op, z - 0.5 * h * k1, t - 0.5 * h)[0]
-        k3 = _operator_rhs(op, z - 0.5 * h * k2, t - 0.5 * h)[0]
-        k4 = _operator_rhs(op, z - h * k3, t - h)[0]
-        z = z - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(grid[k - 1], (z,))
-        states[k - 1] = z
-
-    Lam, Gam, gam, chi = op.unstack(states)
-    K1, K2, kk = -U_inv_St, -V_inv_W[:, :, :d], -0.5 * V_inv_W[:, :, d]
-    for arr in (grid, Lam, Gam, gam, chi, pd_hist, K1, K2, kk):
-        arr.setflags(write=False)
-    return RiccatiSolution(grid=grid, Lam=Lam, Gam=Gam, gam=gam, chi=chi, pd_history=pd_hist,
-                           h=T / K, T=T, K1=K1, K2=K2, k=kk, dyn=dyn, cost=cost, op=op)
+                           h=T / K, T=T, K1=K1, K2=K2, k=kk, dyn=kit.dyn, cost=kit.cost, kit=kit)
 
 
 def solve_riccati(dyn: LqDynamics, cost: LqCost, T, h):
@@ -382,8 +346,8 @@ def solve_riccati(dyn: LqDynamics, cost: LqCost, T, h):
     the gain matrices U, V are recorded, failing fast with NonPositiveGain
     at or below the positive-definiteness threshold, and the node's
     feedback gains are kept from the same evaluation (see the module
-    docstring).  Scalar models run on Python floats, others on the model's
-    BackwardOperator, built here once and kept as the solution's op.
+    docstring).  The route is the model's backward_kit, kept as the
+    solution's kit.
     """
     T = float(T)
     h = float(h)
@@ -401,11 +365,7 @@ def solve_riccati(dyn: LqDynamics, cost: LqCost, T, h):
             RuntimeWarning,
             stacklevel=2,
         )
-
-    op = backward_operator(dyn, cost)
-    if op is None:
-        return _sweep(_scalar_kit(dyn, cost), dyn, cost, T, K, h)
-    return _operator_sweep(op, dyn, cost, T, K, h)
+    return _sweep(backward_kit(dyn, cost), T, K, h)
 
 
 def save_riccati_csv(sol: RiccatiSolution, path):

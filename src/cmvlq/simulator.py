@@ -186,12 +186,6 @@ class ParticleTrajectory:
     def cloud(self, k) -> EmpiricalMeasure:
         return EmpiricalMeasure._wrap(self.states[k])
 
-    def w0_cumulative(self):
-        out = np.zeros((self.n_steps + 1, self.dw0.shape[1]))
-        if self.n_steps:
-            np.cumsum(self.dw0, axis=0, out=out[1:])
-        return out
-
     def node_index(self, t):
         j = int(round((float(t) - self.t0) / self.dt)) if self.dt else 0
         if j < 0 or j > self.n_steps or abs(self.t0 + j * self.dt - float(t)) > GRID_TOL * max(1.0, self.dt):

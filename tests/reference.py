@@ -7,7 +7,16 @@ something the program computes inside a faster or fused route.
 import numpy as np
 
 from cmvlq import riccati
-from cmvlq.lqmodel import affine_feedback, lifted_cost
+from cmvlq.errors import NonPositiveGain, NumericalBlowup
+from cmvlq.lqmodel import (
+    affine_feedback,
+    backward_derivatives,
+    gain_terms,
+    gains,
+    lapack,
+    lifted_cost,
+    require_pd,
+)
 from cmvlq.measure import EmpiricalMeasure, mean, moments, tree_mean
 from cmvlq.policy import value
 from cmvlq.simulator import _control_grid, _philox
@@ -162,14 +171,92 @@ def generator_pair_sum(phi, s0vals):
     return float(tree_mean(tree_mean(0.5 * pair, axis=0)))
 
 
-def array_sweep(dyn, cost, T, h):
-    """solve_riccati on the direct array formulas (riccati._rhs) at any d and m.
+def _factor_pd(M, t, which):
+    """Cholesky factor of the symmetric positive definite M, for _solve_factored.
 
-    The route every model other than d = m = 1 took before the sweep went
-    through the model's BackwardOperator; T and h as solve_riccati takes them.
+    A 1x1 M is its own factor after a positivity check, since the scalar
+    Cholesky solve is a division.  A larger M that is not finite is a
+    numerical blowup at t and is never factored.
     """
+    if M.shape == (1, 1):
+        if not M[0, 0] > 0.0:
+            raise NonPositiveGain(t, float(M[0, 0]), which)
+        return M[0, 0]
+    if not np.isfinite(M).all():
+        raise NumericalBlowup(f"t={t:.6g}", f"gain matrix {which} is not finite")
+    factor, info = lapack().dpotrf(M, lower=1, clean=0)
+    if info > 0:
+        raise NonPositiveGain(t, float(np.min(np.linalg.eigvalsh(M))), which)
+    return factor
+
+
+def _solve_factored(factor, rhs):
+    """Solve M x = rhs given M's factor from _factor_pd (LAPACK dpotrs)."""
+    if np.ndim(factor) == 0:
+        return rhs / factor
+    return lapack().dpotrs(factor, rhs, lower=1)[0]
+
+
+def direct_rhs(Lam, Gam, gam, dyn, cost, t, at_node=False):
+    """riccati.Kit.rhs by the direct array formulas, on 2-d Lam, Gam and 1-d gam.
+
+    Returns the derivatives (dLam, dGam, dgam, dchi) of lqmodel.gain_terms
+    and lqmodel.backward_derivatives and, when at_node, the minimum
+    eigenvalues (of U, of V), tested before U or V is factored, and the
+    gains (K1, K2, k) from separate Cholesky solves (else None, None).
+    """
+    Lam = (Lam + Lam.T) / 2.0
+    Gam = (Gam + Gam.T) / 2.0
+    (U, V, S, Z, Y), products = gain_terms(Lam, Gam, gam, dyn, cost)
+    eigs = None
+    if at_node:
+        eigs = (float(np.min(np.linalg.eigvalsh(U))), float(np.min(np.linalg.eigvalsh(V))))
+        require_pd(t, *eigs)
+    U_factor = _factor_pd(U, t, "U")
+    V_factor = _factor_pd(V, t, "V")
+    solves = (_solve_factored(U_factor, S.T), _solve_factored(V_factor, Z.T),
+              _solve_factored(V_factor, Y))
+    derivatives = backward_derivatives(Lam, Gam, gam, (S, Z, Y), products, solves, dyn, cost)
+    if not at_node:
+        return derivatives, None, None
+    return derivatives, eigs, (-solves[0], -solves[1], -0.5 * solves[2])
+
+
+def array_kit(dyn, cost):
+    """A riccati.Kit on the direct array formulas (direct_rhs) at any d and m.
+
+    The state is the arrays (Lam, Gam, gam) and the float chi.  The route
+    every model other than d = m = 1 took before the sweep went through
+    the model's BackwardOperator; at d = m = 1 the float route gives its
+    bits.
+    """
+    return riccati.Kit(
+        dyn, cost, lambda state, t, at_node=False: direct_rhs(*state[:3], dyn, cost, t, at_node),
+        terminal=(cost.P2, cost.P2 + cost.P2bar, np.zeros(dyn.d), 0.0),
+        sym=lambda s: ((s[0] + s[0].T) / 2.0, (s[1] + s[1].T) / 2.0, s[2], s[3]),
+        check_finite=riccati._check_finite,
+        stack=lambda Lam, Gam, gam: (Lam, Gam, gam, 0.0),
+        unstack=tuple)
+
+
+def array_sweep(dyn, cost, T, h):
+    """solve_riccati on array_kit; T and h as solve_riccati takes them."""
     K = int(round(T / h))
-    return riccati._sweep(riccati._array_kit(dyn, cost), dyn, cost, float(T), K, float(h))
+    return riccati._sweep(array_kit(dyn, cost), float(T), K, float(h))
+
+
+def feedback_by_gains(qv, t):
+    """policy.optimal_feedback from lqmodel.gains and separate Cholesky solves.
+
+    (K1, K2, k) at t, from the gain matrices at the interpolated solution
+    (the value's BackwardOperator, if any): the eigenvalue test first, then
+    U^-1 S', V^-1 Z' and V^-1 Y each by its own dpotrs (a division at 1 x 1).
+    """
+    g = gains(t, *qv.sol.eval(t)[:3], qv.dyn, qv.cost, qv.kit.op)
+    require_pd(t, g.min_eig_u, g.min_eig_v)
+    U_factor, V_factor = _factor_pd(g.U, t, "U"), _factor_pd(g.V, t, "V")
+    return (-_solve_factored(U_factor, g.S.T), -_solve_factored(V_factor, g.Z.T),
+            -0.5 * _solve_factored(V_factor, g.Y))
 
 
 def lifted_terminal_cost(mu, cost):

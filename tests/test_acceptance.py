@@ -113,7 +113,7 @@ def test_criterion_2_sigma1_zero_degeneration(ib0):
     n, dt = 2000, 1e-3
     mu0 = sample_initial({"kind": "point", "x0": p.x0}, n, 7)
     traj = simulate_path(model, control, 0.0, mu0, p.T, dt, 7, 0)
-    w0c = traj.w0_cumulative()[:, 0]
+    w0c = np.concatenate(([0.0], np.cumsum(traj.dw0[:, 0])))
     worst_identity = 0.0
     worst_mean_gap = 0.0
     for k in range(0, traj.n_steps + 1, 50):
@@ -138,7 +138,7 @@ def test_criterion_2_sigma1_zero_degeneration(ib0):
     traj1 = simulate_path(model1, FeedbackControl(fbp1), 0.0,
                           sample_initial({"kind": "point", "x0": p1.x0}, 500, 8),
                           p1.T, dt, 8, 0)
-    w0c1 = traj1.w0_cumulative()[:, 0]
+    w0c1 = np.concatenate(([0.0], np.cumsum(traj1.dw0[:, 0])))
     worst_literal = 0.0
     for k in range(0, traj1.n_steps + 1, 50):
         t = float(traj1.times[k])

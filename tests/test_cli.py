@@ -461,6 +461,14 @@ class TestBadNumbers:
                      "gaussian:0:-1: variances must be >= 0", id="gaussian=0:-1"),
         pytest.param(["verify", "chaos", "--seed", "1", "--chaos-ns", "10,abc"], None,
                      "cannot parse --chaos-ns '10,abc' as particle counts", id="chaos-ns=10,abc"),
+        pytest.param(["verify", "chaos", "--seed", "1", "--chaos-ns", ""], None,
+                     "cannot parse --chaos-ns '' as particle counts", id="chaos-ns=''"),
+        pytest.param(["verify", "chaos", "--seed", "1", "--chaos-ns", "0,4"], None,
+                     "--chaos-ns '0,4': particle counts must be >= 1", id="chaos-ns=0,4"),
+        pytest.param(["cost", "--seed", "1", "--init", "csv:"], None,
+                     "--init 'csv:' names no file", id="csv="),
+        pytest.param(["cost", "--seed", "1", "--t0", "-1"], None,
+                     "--t0 -1.0 is negative", id="t0=-1"),
         pytest.param(["verify", "chaos", "--seed", "1", "--control", "zero"], None,
                      "verify chaos needs --control optimal", id="chaos-control=zero"),
         pytest.param(["verify", "ito", "--seed", "1", "--delta", "1.5"], None,

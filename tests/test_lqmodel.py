@@ -37,7 +37,7 @@ class TestLiftedRunningCost:
 
     def test_control_second_moment(self):
         c = scalar_cost(Q2=0.0, Q2bar=0.0, R2=1.0)
-        got = lifted_running_cost(cloud(1.0, 3.0), AffineMap.identity(1), c)
+        got = lifted_running_cost(cloud(1.0, 3.0), AffineMap(np.eye(1)), c)
         assert got == pytest.approx(5.0, abs=1e-14)  # (1 + 9) / 2
 
     def test_matches_pointwise_average(self):

@@ -139,7 +139,7 @@ class TestVarianceForm:
 class TestPushforward:
     def test_identity(self):
         mu = cloud(1.0, 3.0)
-        out = pushforward(mu, AffineMap.identity(1))
+        out = pushforward(mu, AffineMap(np.eye(1)))
         assert np.array_equal(out.points, mu.points)
 
     def test_constant(self):
@@ -164,7 +164,7 @@ class TestPushforward:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            pushforward(cloud(1.0), AffineMap.identity(2))
+            pushforward(cloud(1.0), AffineMap(np.eye(2)))
 
 
 class TestL2Norm:

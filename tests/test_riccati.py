@@ -17,7 +17,7 @@ from cmvlq.riccati import (
 )
 
 from conftest import make_interbank, random_lq
-from reference import array_sweep
+from reference import array_kit, array_sweep, direct_rhs, feedback_by_gains
 
 # independent RK4 integration of the scalar Riccati ODE at h = 1e-6,
 # kappa=1, q=0, eta=1, c=1, sigma1=0, T=1, evaluated at t = 0
@@ -304,10 +304,10 @@ def random_scalar_model(seed):
     return LqDynamics(**vals), cost
 
 
-def sweep_outcome(kit, dyn, cost, T, K, h):
+def sweep_outcome(kit, T, K, h):
     """Every array of the sweep's solution as bytes, or the error it raised."""
     try:
-        sol = riccati._sweep(kit, dyn, cost, T, K, h)
+        sol = riccati._sweep(kit, T, K, h)
     except (NonPositiveGain, NumericalBlowup) as exc:
         return type(exc).__name__, str(exc), getattr(exc, "min_eig", None)
     return {name: getattr(sol, name).tobytes()
@@ -320,15 +320,15 @@ class TestSweep:
         outcomes = []
         for seed in range(24):
             dyn, cost = random_scalar_model(seed)
-            scalar = sweep_outcome(riccati._scalar_kit(dyn, cost), dyn, cost, 1.0, 100, 0.01)
-            arrays = sweep_outcome(riccati._array_kit(dyn, cost), dyn, cost, 1.0, 100, 0.01)
+            scalar = sweep_outcome(riccati.backward_kit(dyn, cost), 1.0, 100, 0.01)
+            arrays = sweep_outcome(array_kit(dyn, cost), 1.0, 100, 0.01)
             assert scalar == arrays, seed
             outcomes.append(isinstance(scalar, dict))
         assert sum(outcomes) >= 20
 
     def test_interbank_floats_equal_arrays(self, interbank):
         _, dyn, cost, sol, _ = interbank
-        arrays = sweep_outcome(riccati._array_kit(dyn, cost), dyn, cost, 1.0, 1000, 1e-3)
+        arrays = sweep_outcome(array_kit(dyn, cost), 1.0, 1000, 1e-3)
         assert arrays == {name: getattr(sol, name).tobytes()
                           for name in ("grid", "Lam", "Gam", "gam", "chi", "pd_history",
                                        "K1", "K2", "k")}
@@ -356,6 +356,40 @@ class TestSweep:
         for k in range(sol.n_nodes):
             g = gains(sol.grid[k], sol.Lam[k], sol.Gam[k], sol.gam[k], dyn, cost)
             assert (sol.pd_history[k, 0], sol.pd_history[k, 1]) == (g.min_eig_u, g.min_eig_v)
+
+    def test_ode_rhs_at_d1_is_direct_formulas(self, interbank):
+        # the float route against the array formulas on 1x1 arrays, bit for bit
+        rng = np.random.default_rng(71)
+        models = [interbank[1:3]] + [random_scalar_model(seed) for seed in range(24)]
+        for trial in range(250):
+            dyn, cost = models[trial % len(models)]
+            Lam, Gam = abs(rng.normal(0.0, 1.0)) + 0.1, rng.normal(0.0, 1.0)
+            args = (np.array([[Lam]]), np.array([[Gam]]), np.array([rng.normal(0.0, 1.0)]))
+            want = solve_outcome(lambda: direct_rhs(*args, dyn, cost, 0.25)[0])
+            got = solve_outcome(lambda: ode_rhs(*args, dyn, cost, 0.25))
+            if isinstance(want[0], str):
+                assert got == want
+                continue
+            assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in want]
+            assert type(got[3]) is float and got[0].shape == (1, 1) and got[2].shape == (1,)
+
+    @pytest.mark.parametrize("d, m", [(1, 1), (3, 2), (3, 1)])
+    def test_off_node_feedback_is_gains_and_cholesky(self, d, m, interbank):
+        from cmvlq.policy import QuadraticValue, optimal_feedback
+
+        if d == 1:
+            qv = interbank[4]
+        else:
+            dyn, cost = random_lq(50 + m, d=d, m=m, with_m2=True)
+            qv = QuadraticValue(solve_riccati(dyn, cost, 1.0, 0.01), dyn, cost)
+        grid = qv.sol.grid
+        times = np.concatenate((np.linspace(0.0, 1.0, 97), 0.5 * (grid[:-1] + grid[1:])[::7]))
+        assert np.sum(~np.isin(times, grid)) >= 100
+        for t in times:
+            fb = optimal_feedback(qv, float(t))
+            want = feedback_by_gains(qv, float(t))
+            assert [fb.K1.shape, fb.K2.shape, fb.k.shape] == [(m, d), (m, d), (m,)]
+            assert [a.tobytes() for a in (fb.K1, fb.K2, fb.k)] == [a.tobytes() for a in want]
 
 
 class TestEval:
@@ -509,15 +543,15 @@ class TestOperator:
     @pytest.mark.parametrize("case", range(24))
     def test_rhs_matches_direct_formulas(self, case):
         dyn, cost = MODELS[case]
-        op = riccati.BackwardOperator(dyn, cost)
+        kit = riccati.backward_kit(dyn, cost)
         rng = np.random.default_rng([case, 5])
         d = dyn.d
         for _ in range(5):
             a, b = 0.2 * rng.standard_normal((2, d, d))
             Lam, Gam = cost.P2 + a + a.T, cost.P2 + cost.P2bar + b + b.T
             gam = 0.3 * rng.standard_normal(d)
-            want = solve_outcome(lambda: riccati._rhs(Lam, Gam, gam, dyn, cost, 0.5)[0])
-            got = solve_outcome(lambda: riccati.ode_rhs(Lam, Gam, gam, dyn, cost, 0.5, op))
+            want = solve_outcome(lambda: direct_rhs(Lam, Gam, gam, dyn, cost, 0.5)[0])
+            got = solve_outcome(lambda: riccati.ode_rhs(Lam, Gam, gam, dyn, cost, 0.5, kit))
             if isinstance(want[0], str):
                 assert got == want
                 continue
@@ -535,7 +569,7 @@ class TestOperator:
         if isinstance(want, tuple):
             assert got == want
             return
-        assert got.op is not None
+        assert got.kit.op is not None
         for name in ("grid", "Lam", "Gam", "gam", "chi", "pd_history", "K1", "K2", "k"):
             assert_close(getattr(got, name), getattr(want, name), 1e-12)
 
@@ -556,20 +590,20 @@ class TestOperator:
 
         dyn, cost = random_lq(47, d=3, m=2, with_m2=True)
         sol = solve_riccati(dyn, cost, 1.0, 0.05)
-        assert QuadraticValue(sol, dyn, cost).op is sol.op
+        assert QuadraticValue(sol, dyn, cost).kit.op is sol.kit.op
         other = LqCost(Q2=cost.Q2, Q2bar=cost.Q2bar, R2=2.0 * cost.R2, P2=cost.P2,
                        P2bar=cost.P2bar, M2=cost.M2)
         qv = QuadraticValue(sol, dyn, other)
-        assert qv.op is not sol.op and qv.op is not None
+        assert qv.kit.op is not sol.kit.op and qv.kit.op is not None
         # a rebuilt operator gives the same bits as the one the solve kept
         k = 7
         args = (sol.grid[k], sol.Lam[k], sol.Gam[k], sol.gam[k], dyn, cost)
-        for a, b in zip(astuple_gains(gains(*args)), astuple_gains(gains(*args, sol.op))):
+        for a, b in zip(astuple_gains(gains(*args)), astuple_gains(gains(*args, sol.kit.op))):
             assert a.tobytes() == b.tobytes()
 
     def test_scalar_model_has_no_operator(self, interbank):
         _, _, _, sol, qv = interbank
-        assert sol.op is None and qv.op is None
+        assert sol.kit.op is None and qv.kit.op is None
 
 
 def astuple_gains(g):

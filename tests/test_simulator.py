@@ -495,7 +495,7 @@ class TestConditionalMean:
         n = 4000
         mu0 = sample_initial({"kind": "point", "x0": p.x0}, n, 40)
         traj = simulate_path(model, control, 0.0, mu0, 1.0, 1e-3, 40, 0)
-        w0 = traj.w0_cumulative()[:, 0]
+        w0 = np.concatenate(([0.0], np.cumsum(traj.dw0[:, 0])))
         target = p.x0 + p.sigma0 * p.rho * w0
         gap = np.abs(traj.means[:, 0] - target)
         idio_scale = p.sigma0 * np.sqrt(1 - p.rho ** 2)
@@ -506,7 +506,7 @@ class TestConditionalMean:
         p, _, _, _, _, model, control = interbank_setup(sigma1=0.0, rho=1.0, h=1e-3)
         mu0 = sample_initial({"kind": "point", "x0": p.x0}, 128, 41)
         traj = simulate_path(model, control, 0.0, mu0, 1.0, 1e-3, 41, 0)
-        target = p.x0 + p.sigma0 * traj.w0_cumulative()[:, 0]
+        target = p.x0 + p.sigma0 * np.concatenate(([0.0], np.cumsum(traj.dw0[:, 0])))
         assert np.max(np.abs(traj.means[:, 0] - target)) <= 1e-11
 
     def test_general_sigma1_scalar_sde_oracle(self):
