@@ -37,7 +37,16 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
   and the d = 3 model; each row is the mean over 20 seeded draws;
 - ito_check_interbank: ``ito_generator_check`` at the sizes of the verify
   benchmark's ito command (phi = mean^2, N = 2000 particles from the point
-  0, M = 2000 scenarios, delta = 10 steps of dt = 1e-3, optimal feedback).
+  0, M = 2000 scenarios, delta = 10 steps of dt = 1e-3, optimal feedback);
+- dpp_check_interbank: the fine (dt) and the coarse (2 dt) run of
+  ``verify dpp`` at the verify benchmark's sizes (N = 2000 from the point
+  1, M = 48, theta = 0.5, optimal feedback): one ``dpp_check(...,
+  coarse=True)`` where the checkout has it, else two ``dpp_check`` calls;
+- flow_check_interbank: ``verify flow``'s restarts and rule at count 4,
+  N = 500 from the point 1, K = 1000 (``flow_restarts`` where the checkout
+  has it, else ``simulate_path`` and ``restart_continuation`` per restart).
+  These two rows also record traced_peak_mib, the tracemalloc peak of one
+  more untimed run.
 
 Each row is the minimum (min_s) and the median (median_s) wall time and
 the minimum CPU time (cpu_s: this process's, plus that of the noise
@@ -60,6 +69,7 @@ that earlier checkouts also have:
 """
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -69,6 +79,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
@@ -91,6 +102,8 @@ from cmvlq.riccati import SystemicRiskParams, solve_riccati, systemic_risk_model
 N, DT, M, SEED = 2000, 1e-3, 32, 1
 N3, M3 = 250, 8
 ITO_M, ITO_DELTA = 2000, 0.01
+DPP_M, DPP_THETA = 48, 0.5
+FLOW_N, FLOW_COUNT = 500, 4
 
 
 def cpu_seconds():
@@ -110,6 +123,16 @@ def best_of(fn, repeats, per=1):
         wall.append(time.perf_counter() - t0)
         cpu.append(cpu_seconds() - c0)
     return min(wall) / per, statistics.median(wall) / per, min(cpu) / per
+
+
+def traced_peak_mib(fn):
+    """Peak MiB that tracemalloc traces over one run of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def git_sha():
@@ -304,6 +327,36 @@ def main():
         best_of(lambda: verify.ito_generator_check(model, control, 0.0, mu_ito, phi, ITO_DELTA, N,
                                                    ITO_M, DT, SEED), args.repeats))
 
+    mu_dpp = simulator.sample_initial({"kind": "point", "x0": p.x0}, N, SEED)
+    if "coarse" in inspect.signature(verify.dpp_check).parameters:
+        def dpp():
+            verify.dpp_check(qv, model, 0.0, mu_dpp, DPP_THETA, control, N, DPP_M, DT, SEED,
+                             coarse=True)
+    else:
+        def dpp():
+            for h in (DT, 2 * DT):
+                verify.dpp_check(qv, model, 0.0, mu_dpp, DPP_THETA, control, N, DPP_M, h, SEED)
+
+    mu_flow = simulator.sample_initial({"kind": "point", "x0": p.x0}, FLOW_N, SEED)
+    rng = np.random.Generator(np.random.Philox(key=SEED))
+    nodes = [(i, int(rng.integers(0, K + 1))) for i in range(FLOW_COUNT)]
+    if hasattr(verify, "flow_restarts"):
+        def flow():
+            verify.flow_rule(verify.flow_restarts(model, control, 0.0, mu_flow, p.T, DT, SEED,
+                                                  nodes))
+    else:
+        def flow():
+            def restarts():
+                for i, j in nodes:
+                    traj = simulator.simulate_path(model, control, 0.0, mu_flow, p.T, DT, SEED,
+                                                   path_index=i)
+                    yield i, j, traj, simulator.restart_continuation(traj, traj.times[j])
+            verify.flow_rule(restarts())
+
+    for name, fn in (("dpp_check_interbank", dpp), ("flow_check_interbank", flow)):
+        row(name, best_of(fn, args.repeats))
+        rows[name]["traced_peak_mib"] = traced_peak_mib(fn)
+
     report = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
@@ -312,6 +365,8 @@ def main():
                           "K": K, "M": M, "seed": SEED, "repeats": args.repeats,
                           "d3_rows": {"d": 3, "m": 2, "N": N3, "M": M3},
                           "ito_rows": {"N": N, "M": ITO_M, "delta": ITO_DELTA},
+                          "dpp_rows": {"N": N, "M": DPP_M, "theta": DPP_THETA},
+                          "flow_rows": {"N": FLOW_N, "count": FLOW_COUNT, "K": K},
                           "statistic": "minimum (min_s) and median (median_s) wall time and "
                                        "minimum CPU time, children included (cpu_s), of the "
                                        "repeats after one warm-up run"}

@@ -35,9 +35,8 @@ from .simulator import (
     ShiftedControl,
     lq_dynamics_spec,
     may_fork,
-    restart_continuation,
     sample_initial,
-    simulate_path,
+    step_count,
     stream_scenarios,
 )
 
@@ -51,8 +50,15 @@ SYSTEMIC_RISK_DEFAULTS = {"kappa": 1.0, "q": 0.5, "eta": 1.0, "c": 1.0, "sigma0"
                           "sigma1": 0.0, "rho": 0.5, "T": 1.0, "x0": 1.0}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are configuration errors, not a usage block and an exit."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    top = argparse.ArgumentParser(prog="cmvlq", description=__doc__.split("\n\n")[0])
+    top = _Parser(prog="cmvlq", description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_common(p, model_required=True, needs_seed=True):
@@ -204,6 +210,21 @@ def _require_seed(cfg):
         raise ValueError(f"seed must be in [0, 2**64); got {seed}")
 
 
+@contextmanager
+def _flagged(cfg, **given):
+    """Names the command and the flags `given`, with their values, in a driver's ValueError.
+
+    The drivers check their own arguments (scenario count, theta's range,
+    the step grid); this only says which flags fed them.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        command = " ".join(filter(None, (cfg["command"], cfg.get("check"))))
+        flags = " ".join(f"--{k.replace('_', '-')} {v!r}" for k, v in given.items())
+        raise ValueError(f"{command} {flags}: {exc}") from None
+
+
 def _solved(dyn, cost, T, cfg):
     sol = riccati_mod.solve_riccati(dyn, cost, T, cfg["riccati_step"])
     return sol, QuadraticValue(sol, dyn, cost)
@@ -340,10 +361,10 @@ def cmd_simulate(cfg):
 
 def cmd_cost(cfg):
     qv, model, control = _controlled(cfg)
-    init = _parse_init(cfg["init"], model.d)
-    est = verify_mod.estimate_cost(model, control, cfg["t0"], init,
-                                   cfg["particles"], cfg["paths"], cfg["dt"], cfg["seed"])
-    cloud0 = sample_initial(init, cfg["particles"], cfg["seed"])
+    cloud0 = sample_initial(_parse_init(cfg["init"], model.d), cfg["particles"], cfg["seed"])
+    with _flagged(cfg, paths=cfg["paths"], t0=cfg["t0"], dt=cfg["dt"]):
+        est = verify_mod.estimate_cost(model, control, cfg["t0"], cloud0,
+                                       cfg["particles"], cfg["paths"], cfg["dt"], cfg["seed"])
     out = {
         "command": "cost",
         "mean": est.mean,
@@ -381,15 +402,18 @@ def cmd_verify(cfg):
             raise ValueError(f"theta - t0 = {span!r} (theta = {cfg['theta']!r}, t0 = {t0!r}) must "
                              f"be a whole number of steps 2 dt = {2 * dt!r}: verify dpp compares "
                              f"runs at dt = {dt!r} and at 2 dt")
-        fine, coarse = (verify_mod.dpp_check(qv, model, t0, init, cfg["theta"], control,
-                                             n, m, h, seed) for h in (dt, 2 * dt))
+        with _flagged(cfg, paths=m, theta=cfg["theta"]):
+            fine, coarse = verify_mod.dpp_check(qv, model, t0, sample_initial(init, n, seed),
+                                                cfg["theta"], control, n, m, dt, seed, coarse=True)
         c_dt = max(1.0, abs(coarse.gap - fine.gap) / dt)
         result = verify_mod.dpp_rule(fine, dt, c_dt, cfg["control"] == "optimal", coarse)
     elif check == "ito":
         d = model.d
         phi = policy_mod.QuadraticFunctional(np.zeros((d, d)), np.eye(d), np.zeros(d), 0.0)
-        res = verify_mod.ito_generator_check(model, control, t0, init, phi,
-                                             cfg.get("delta") or 0.01, n, m, dt, seed)
+        delta = cfg.get("delta") or 0.01
+        with _flagged(cfg, paths=m, t0=t0, dt=dt, delta=delta):
+            res = verify_mod.ito_generator_check(model, control, t0, sample_initial(init, n, seed),
+                                                 phi, delta, n, m, dt, seed)
         result = verify_mod.ito_rule(res, dt, bias_factor=1.0)
     elif check == "chaos":
         # only along the optimal feedback is the value the cost's large-N limit
@@ -405,19 +429,19 @@ def cmd_verify(cfg):
             raise ValueError(f"cannot parse --chaos-ns {ns_txt!r} as particle counts") from None
         if min(ns) < 1:
             raise ValueError(f"--chaos-ns {ns_txt!r}: particle counts must be >= 1")
-        rows = verify_mod.chaos_convergence(model, control, t0, init, ns, m, dt, seed)
+        with _flagged(cfg, chaos_ns=ns_txt, paths=m, t0=t0, dt=dt):
+            rows = verify_mod.chaos_convergence(model, control, t0, init, ns, m, dt, seed)
         values = [value(qv, t0, sample_initial(init, r["N"], seed)) for r in rows]
         result = verify_mod.chaos_rule(rows, values)
     else:
         mu0 = sample_initial(init, n, seed)
+        with _flagged(cfg, t0=t0, dt=dt):
+            n_steps = step_count(model, t0, mu0, model.T, dt)
+        # restart nodes never depend on the paths: draw them all first
         rng = np.random.Generator(np.random.Philox(key=seed))
-
-        def restarts():
-            for i in range(count):
-                traj = simulate_path(model, control, t0, mu0, model.T, dt, seed, path_index=i)
-                j = int(rng.integers(0, traj.n_steps + 1))
-                yield i, j, traj, restart_continuation(traj, traj.times[j])
-        result = verify_mod.flow_rule(restarts())
+        nodes = [(i, int(rng.integers(0, n_steps + 1))) for i in range(count)]
+        result = verify_mod.flow_rule(verify_mod.flow_restarts(model, control, t0, mu0, model.T,
+                                                               dt, seed, nodes))
     verify_mod.save_report(os.path.join(cfg["out"], f"verify_{check}.json"),
                            result.report(_public_config(cfg)))
     print(f"verify {check}: {'PASS' if result.passed else 'FAIL'} "
@@ -457,8 +481,9 @@ def cmd_systemic_risk(cfg):
     mu0 = sample_initial(_parse_init(cfg["init"], 1), cfg["particles"], cfg["seed"])
     with _trajectory_files(out, 1) as sink:
         record = Recorder(min(cfg["paths"], 4), max(cfg["stride"], 10), sink)
-        est = verify_mod.estimate_cost(model, control, 0.0, mu0, cfg["particles"],
-                                       cfg["paths"], cfg["dt"], cfg["seed"], record=record)
+        with _flagged(cfg, paths=cfg["paths"], dt=cfg["dt"]):
+            est = verify_mod.estimate_cost(model, control, 0.0, mu0, cfg["particles"],
+                                           cfg["paths"], cfg["dt"], cfg["seed"], record=record)
     w0 = value(qv, 0.0, mu0)
     dp, dm = riccati_mod.delta_pm(params)
     report = {

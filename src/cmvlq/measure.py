@@ -58,13 +58,17 @@ def moments(x):
     The second moment is the particle mean of x_i x_j, i <= j, in
     np.triu_indices(d) order.  One tree_sum of each cloud's rows (x_1, ...,
     x_d, x_i x_j, ...) gives both, so the mean is tree_mean(x, axis=-2)'s bits.
+    The products of each i fill one block of rows, x_i (x_i, ..., x_d), in
+    one broadcast multiply: d calls, not one per pair.
     """
     *lead, n, d = x.shape
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    rows = np.empty((*lead, d + len(pairs), n))
-    rows[..., :d, :] = np.swapaxes(x, -1, -2)
-    for r, (i, j) in enumerate(pairs, d):
-        np.multiply(rows[..., i, :], rows[..., j, :], out=rows[..., r, :])
+    rows = np.empty((*lead, d + d * (d + 1) // 2, n))
+    xt = rows[..., :d, :]
+    xt[...] = np.swapaxes(x, -1, -2)
+    r = d
+    for i in range(d):
+        np.multiply(xt[..., i:i + 1, :], xt[..., i:, :], out=rows[..., r:r + d - i, :])
+        r += d - i
     s = tree_sum(rows, axis=-1) / n
     return s[..., :d], s[..., d:]
 

@@ -27,7 +27,10 @@ start at any node of its grid, so a run from a stored node replays the
 rest of a trajectory bit for bit.  An optional Recorder keeps nodes of the
 first scenarios: every node of one scenario (simulate_path, the P = 1
 case, and restart_continuation), or strided nodes of the first paths (the
-trajectory writer).
+trajectory writer).  A per-node hook sees every node without keeping it
+(the flow check's digests), and a coarse run steps each batch on the grid
+of step 2 dt from the same draw: each chunk's normals are drawn once,
+unscaled, and each grid scales its own copy (the dpp check's two runs).
 
 The noise comes from a double-buffered producer (_noise_chunks): while
 the caller steps one chunk of steps, a forked drawing process draws the
@@ -81,7 +84,7 @@ def _philox(seed, path_index, step):
 
 def _gen_noise(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, sqrt_dt,
                *, out=None):
-    """Increments (already scaled by sqrt(dt)) for steps offset..offset+K-1.
+    """Increments scaled by sqrt_dt (None: the unscaled normals) for steps offset..offset+K-1.
 
     Re-keys a single Philox per step by resetting its counter block, which
     draws exactly what a fresh generator keyed at that step would.  Each
@@ -106,8 +109,9 @@ def _gen_noise(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, 
         bg.state = st
         gen.standard_normal(out=dw0[j])
         gen.standard_normal(out=db[j])
-    dw0 *= sqrt_dt
-    db *= sqrt_dt
+    if sqrt_dt is not None:
+        dw0 *= sqrt_dt
+        db *= sqrt_dt
     return dw0, db
 
 
@@ -261,7 +265,7 @@ def _blowup(t, paths, step, x):
         f"value {float(x[p, i, j])!r} exceeded 1e12 or is NaN")
 
 
-def _step_count(model, t0, mu0, T, dt):
+def step_count(model, t0, mu0, T, dt):
     """Number of steps dt from t0 to T, checked to be whole, for a cloud of the model's dimension."""
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
@@ -328,7 +332,7 @@ def simulate_path(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, path_i
     is a function of (seed, path_index, particle, step); reruns with the
     same arguments are bitwise identical.
     """
-    n_steps = _step_count(model, t0, mu0, T, dt)
+    n_steps = step_count(model, t0, mu0, T, dt)
     return _simulate(model, control, float(t0), mu0.points.copy(), n_steps,
                      float(dt), seed, path_index, 0)
 
@@ -369,13 +373,13 @@ _TASKS_PER_CHUNK = select.PIPE_BUF // 4
 
 
 def _noise_chunks(seed, batches, n, n_steps, sqrt_dt, step_offset=0):
-    """Scaled increments of every batch's noise chunks, in stepping order.
+    """Increments of every batch's noise chunks, in stepping order.
 
-    Yields dw0 (c, P, 1) and db (c, P, n, 1) for the next c steps of the
-    batch at hand; each batch's chunks cover its steps step_offset ..
-    step_offset + n_steps - 1 in order.  A chunk is a view of one of two
-    buffers in one anonymous shared mapping, valid until the next is
-    requested.
+    Yields dw0 (c, P, 1) and db (c, P, n, 1), scaled by sqrt_dt (None:
+    unscaled), for the next c steps of the batch at hand; each batch's
+    chunks cover its steps step_offset .. step_offset + n_steps - 1 in
+    order.  A chunk is a view of one of two buffers in one anonymous shared
+    mapping, valid until the next is requested.
 
     A chunk's paths are split into tasks, contiguous groups of paths, and
     a forked drawing process takes tasks from a shared queue (a pipe).
@@ -533,7 +537,7 @@ def _await_tasks(done, owed):
 
 
 def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, paths,
-                     with_cost=True, *, step_offset=0, record=None):
+                     with_cost=True, *, step_offset=0, record=None, on_node=None, coarse=None):
     """Step scenarios on the grid t0, t0 + dt, ..., T from node step_offset to T, in batches.
 
     The one function that steps scenarios.  `paths` is a count n (the
@@ -549,8 +553,24 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
     blowup names the earliest failing step of a batch and, at that step,
     its lowest path.  Close the generator, or run it to the end, to reap
     the process that draws the noise (see _noise_chunks).
+
+    on_node(paths, k, x, mean, dw0), if given, sees every node k of every
+    batch, counted from the run's first node: the batch's clouds x
+    (P, N, d), their means (P, d) and the scaled common increments of step
+    k (P, 1), None at the last node.  Its arrays are valid only during the
+    call.
+
+    coarse(paths, running, ends), if given, also steps every batch on the
+    grid of step 2 dt from t0 to T (the run must start at node 0) and
+    receives that run's results before the batch is yielded.  The two
+    grids share one draw: coarse step j takes the normals of fine step j,
+    scaled by sqrt(2 dt), which is what a run at 2 dt would draw, so it
+    advances in lockstep over the first half of the fine steps and equals
+    that run bit for bit.  A coarse blowup is raised once every batch's
+    fine run has ended without one, so a fine blowup is always the one
+    reported.
     """
-    n_steps = _step_count(model, t0, mu0, T, dt) - step_offset
+    n_steps = step_count(model, t0, mu0, T, dt) - step_offset
     t0, dt = float(t0), float(dt)
     paths = range(paths) if isinstance(paths, int) else paths
     n, d = mu0.points.shape
@@ -566,7 +586,20 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
     rec_end = -(-n_rec // rec_width) * rec_width
     cuts = [*range(0, rec_end, rec_width), *range(rec_end, len(paths), width), len(paths)]
     batches = [paths[a:b] for a, b in zip(cuts, cuts[1:])]
-    with closing(_noise_chunks(seed, batches, n, n_steps, float(np.sqrt(dt)),
+    sqrt_dt = float(np.sqrt(dt))
+    coarse_error = None
+    if coarse is not None:
+        if step_offset:
+            raise ValueError("a coarse run starts at the grid's first node")
+        dt2 = 2.0 * dt
+        n2 = step_count(model, t0, mu0, T, dt2)
+        C1, C2, ck = _control_grid(control, t0, dt2, n2, 0, d, model.m)
+        sqrt_dt2 = float(np.sqrt(dt2))
+        # one buffer for the coarse increments of the largest chunk a batch steps on both grids
+        size = max((min(_chunk_steps(len(b), n, n_steps), n2) * len(b) for b in batches),
+                   default=0)
+        coarse_buf = np.empty(size * (n + 1))
+    with closing(_noise_chunks(seed, batches, n, n_steps, None if coarse else sqrt_dt,
                                step_offset)) as noise:
         for batch in batches:
             P = len(batch)
@@ -579,29 +612,55 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
                 means = np.empty((len(nodes), kept, d))
                 dw0_kept = np.empty((n_steps, kept, 1))
 
-                def keep(k0, k, x, m):
-                    if (k0 + k) % stride == 0:
-                        states[(k0 + k) // stride] = x[:kept]
-                        means[(k0 + k) // stride] = m[:kept]
+            def visit(k0, w0, k, x, m):
+                if kept > 0 and (k0 + k) % stride == 0:
+                    states[(k0 + k) // stride] = x[:kept]
+                    means[(k0 + k) // stride] = m[:kept]
+                if on_node is not None:
+                    on_node(batch, k0 + k, x, m, None if w0 is None else w0[k])
+
+            watch = kept > 0 or on_node is not None
+            if coarse is not None and coarse_error is None:
+                xc, momc = x, mom
+                running_c = np.zeros(P) if with_cost else None
             k0 = 0
             while k0 < n_steps:
                 dw0, db = next(noise)
                 g = slice(k0, k0 + dw0.shape[0])
-                at = None
+                if coarse is not None:
+                    c = min(dw0.shape[0], n2 - k0)
+                    if c > 0 and coarse_error is None:
+                        cw0 = coarse_buf[:c * P].reshape(c, P, 1)
+                        cdb = coarse_buf[c * P:c * P * (n + 1)].reshape(c, P, n, 1)
+                        np.multiply(dw0[:c], sqrt_dt2, out=cw0)
+                        np.multiply(db[:c], sqrt_dt2, out=cdb)
+                        gc = slice(k0, k0 + c)
+                        bad, xc, momc = _run_generic(model, xc, momc, C1[gc], C2[gc], ck[gc], dt2,
+                                                     cw0, cdb, running=running_c)
+                        if bad >= 0:
+                            step = k0 + bad + 1
+                            coarse_error = _blowup(t0 + dt2 * step, batch, step, xc)
+                    dw0 *= sqrt_dt
+                    db *= sqrt_dt
                 if kept > 0:
                     dw0_kept[g] = dw0[:, :kept]
-                    at = partial(keep, k0)
                 bad, x, mom = _run_generic(model, x, mom, K1[g], K2[g], kk[g], dt, dw0, db,
-                                           running=running, keep=at)
+                                           running=running,
+                                           keep=partial(visit, k0, dw0) if watch else None)
                 if bad >= 0:
                     step = step_offset + k0 + bad + 1
                     raise _blowup(t0 + dt * step, batch, step, x)
                 k0 = g.stop
+            if watch:
+                visit(n_steps, None, 0, x, mom[0])
             if kept > 0:
-                keep(n_steps, 0, x, mom[0])
                 record.sink(Recording(batch[:kept], nodes, t0 + dt * (step_offset + nodes),
                                       states, means, dw0_kept))
+            if coarse is not None and coarse_error is None:
+                coarse(batch, running_c, xc)
             yield batch, running, x
+    if coarse_error is not None:
+        raise coarse_error
 
 
 def restart_continuation(traj: ParticleTrajectory, theta):

@@ -3,7 +3,13 @@
 Monte Carlo cost estimation against the quadratic value, the measure-space
 Bellman residual evaluated by exact particle sums, the dynamic-programming
 inequality at intermediate times, the generator identity along conditional
-flows, lifted-gradient finite differences, and particle-count convergence.
+flows, lifted-gradient finite differences, particle-count convergence, and
+the flow property (a restart from a stored node replays the rest bitwise).
+
+The Monte Carlo drivers stream their scenarios (simulator.stream_scenarios)
+and hold no trajectory: the dpp check steps its dt and 2 dt grids from one
+draw, and the flow check compares a restart with its reference through
+SHA-256 digests fed node by node.
 
 Each check's pass rule is written once here and shared by `cmvlq verify`
 and the acceptance suite.  A rule takes what was measured plus the caller's
@@ -14,9 +20,11 @@ alone.  Statistical tolerances are three standard errors plus a bias.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +38,7 @@ from .lqmodel import (
 )
 from .measure import EmpiricalMeasure, mean, moments, tree_mean
 from .policy import QuadraticFunctional, QuadraticValue, value
-from .simulator import sample_initial, stream_scenarios
+from .simulator import sample_initial, step_count, stream_scenarios
 
 
 def _resolve_cloud(mu0, n_particles, seed):
@@ -137,12 +145,15 @@ class DppResult:
     M: int
 
 
-def dpp_check(qv: QuadraticValue, model, t, mu0, theta, control, N, M, dt, seed) -> DppResult:
+def dpp_check(qv: QuadraticValue, model, t, mu0, theta, control, N, M, dt, seed, coarse=False):
     """Estimate E[int_t^theta fhat ds + w(theta, rho_theta)] - w(t, mu).
 
     Nonnegative up to statistical and discretization error for any control;
     zero within tolerance along the optimal feedback.  theta must be a node
-    of the simulation grid.
+    of the simulation grid.  Returns a DppResult; with `coarse`, the pair
+    (fine, coarse) of it and the same estimate at step 2 dt, stepped from
+    the same draws (stream_scenarios' coarse run), which equals a separate
+    call at 2 dt bit for bit.
     """
     t, theta = float(t), float(theta)
     if theta < t or theta > model.T * (1 + 1e-12):
@@ -152,13 +163,18 @@ def dpp_check(qv: QuadraticValue, model, t, mu0, theta, control, N, M, dt, seed)
     cloud0 = _resolve_cloud(mu0, N, seed)
     w_t = value(qv, t, cloud0)
     w_theta = qv.at(theta)
-    gaps = np.empty(M)
-    with closing(stream_scenarios(model, control, t, cloud0, theta, dt, seed, M)) as stream:
-        for paths, running, ends in stream:
-            gaps[paths.start:paths.stop] = running + w_theta.values(ends) - w_t
-    gap = float(tree_mean(gaps))
-    stderr = float(np.std(gaps, ddof=1) / np.sqrt(M))
-    return DppResult(gap=gap, stderr=stderr, theta=theta, t=t, M=M)
+    gaps = np.empty((2 if coarse else 1, M))  # the fine run's, then the coarse run's
+
+    def put(row, paths, running, ends):
+        gaps[row, paths.start:paths.stop] = running + w_theta.values(ends) - w_t
+
+    with closing(stream_scenarios(model, control, t, cloud0, theta, dt, seed, M,
+                                  coarse=partial(put, 1) if coarse else None)) as stream:
+        for batch in stream:
+            put(0, *batch)
+    results = tuple(DppResult(gap=float(tree_mean(g)), stderr=float(np.std(g, ddof=1) / np.sqrt(M)),
+                              theta=theta, t=t, M=M) for g in gaps)
+    return results if coarse else results[0]
 
 
 @dataclass(frozen=True)
@@ -250,6 +266,87 @@ def chaos_convergence(model, control, t0, mu0spec, Ns, M, dt, seed):
         est = estimate_cost(model, control, t0, mu0spec, n, M, dt, seed)
         rows.append({"N": int(n), "mean": est.mean, "stderr": est.stderr})
     return rows
+
+
+# the arrays a restart must replay bit for bit, in the order a failure names the first that differs
+FLOW_ARRAYS = ("states", "means", "dw0", "times")
+
+
+class _Digests:
+    """One SHA-256 digest per FLOW_ARRAYS array, fed one node at a time.
+
+    Feeding nodes j, j + 1, ... digests the bytes of the array's suffix
+    from node j, as if that suffix were held whole.
+    """
+
+    def __init__(self):
+        self.hashes = [hashlib.sha256() for _ in FLOW_ARRAYS]
+
+    def feed(self, x, mean, dw0, t):
+        states, means, increments, times = self.hashes
+        states.update(x)
+        means.update(mean)
+        if dw0 is not None:
+            increments.update(dw0)
+        times.update(np.float64(t).tobytes())
+
+    def digests(self):
+        return tuple(h.digest() for h in self.hashes)
+
+
+def flow_restarts(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, restarts):
+    """Restarts of scenarios from stored nodes, each with its reference, as digests.
+
+    restarts holds (path, node) pairs.  The reference scenarios, every
+    path from the lowest to the highest named, are stepped in one
+    stream_scenarios call from mu0 at t0 to T; from each restart's node on,
+    a per-node hook feeds its path's states, means, common increments and
+    times into digests (FLOW_ARRAYS) and keeps its cloud at the node.  Each
+    continuation then runs from that cloud at that node to T, digested the
+    same way.  No trajectory is held.  Yields (path, node, reference
+    digests, continuation digests) per restart, in order, for flow_rule.
+    """
+    n_steps = step_count(model, t0, mu0, T, dt)
+    t0, dt = float(t0), float(dt)
+    restarts = [(int(p), int(j)) for p, j in restarts]
+    if not restarts:
+        return
+    by_path = {}
+    for i, (p, j) in enumerate(restarts):
+        if not 0 <= j <= n_steps:
+            raise ValueError(f"restart node {j} of path {p} is not a node 0..{n_steps}")
+        by_path.setdefault(p, []).append(i)
+    refs = [_Digests() for _ in restarts]
+    starts = [None] * len(restarts)
+
+    def reference(paths, k, x, mean, dw0):
+        for q, p in enumerate(paths):
+            for i in by_path.get(p, ()):
+                j = restarts[i][1]
+                if k == j:
+                    starts[i] = x[q].copy()
+                if k >= j:
+                    refs[i].feed(x[q], mean[q], None if dw0 is None else dw0[q], t0 + dt * k)
+
+    _drain(stream_scenarios(model, control, t0, mu0, T, dt, seed,
+                            range(min(by_path), max(by_path) + 1), with_cost=False,
+                            on_node=reference))
+    for (p, j), ref, start in zip(restarts, refs, starts):
+        cont = _Digests()
+
+        def follow(paths, k, x, mean, dw0, j=j, cont=cont):
+            cont.feed(x[0], mean[0], None if dw0 is None else dw0[0], t0 + dt * (j + k))
+
+        _drain(stream_scenarios(model, control, t0, EmpiricalMeasure._wrap(start), T, dt, seed,
+                                range(p, p + 1), with_cost=False, step_offset=j, on_node=follow))
+        yield p, j, ref.digests(), cont.digests()
+
+
+def _drain(stream):
+    """Runs a scenario stream to its end, for what its hooks see."""
+    with closing(stream):
+        for _ in stream:
+            pass
 
 
 def random_clouds(qv, count, n_particles, seed):
@@ -355,13 +452,17 @@ def chaos_rule(rows, values):
 
 
 def flow_rule(restarts):
-    """(path, node, trajectory, continuation) restarts: all four arrays replay bitwise."""
+    """(path, node, reference, continuation) restarts, each side the digests of the
+    FLOW_ARRAYS (flow_restarts): every array replays bitwise.
+
+    A failure [path, node, array] names the first array whose digests differ.
+    """
     count, failures = 0, []
-    for path, j, traj, cont in restarts:
+    for path, j, ref, cont in restarts:
         count += 1
-        if not all(np.array_equal(getattr(cont, k), getattr(traj, k)[j:])
-                   for k in ("states", "means", "dw0", "times")):
-            failures.append([int(path), int(j)])
+        differ = [name for name, a, b in zip(FLOW_ARRAYS, ref, cont) if a != b]
+        if differ:
+            failures.append([int(path), int(j), differ[0]])
     return CheckResult("flow", not failures, float(len(failures)), 0.0, None,
                        {"restarts": count, "failures": failures})
 

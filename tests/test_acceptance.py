@@ -27,7 +27,6 @@ from cmvlq.simulator import (
     FeedbackControl,
     ShiftedControl,
     lq_dynamics_spec,
-    restart_continuation,
     sample_initial,
     simulate_path,
 )
@@ -39,6 +38,7 @@ from cmvlq.verify import (
     dpp_check,
     dpp_rule,
     estimate_cost,
+    flow_restarts,
     flow_rule,
     grad_check,
     grad_rule,
@@ -252,12 +252,9 @@ def test_criterion_6_flow_property():
     for model, control, d in setups:
         mu0 = sample_initial({"kind": "gaussian", "mean": np.zeros(d), "cov": 0.5},
                              64, 6)
-        traj = simulate_path(model, control, 0.0, mu0, 1.0, 0.02, 6,
-                             path_index=len(restarts))
-        for _ in range(2):
-            j = int(rng.integers(0, traj.n_steps + 1))
-            restarts.append((traj.path_index, j, traj,
-                             restart_continuation(traj, float(traj.times[j]))))
+        # 50 steps of 0.02: nodes 0..50
+        nodes = [(len(restarts), int(rng.integers(0, 51))) for _ in range(2)]
+        restarts += flow_restarts(model, control, 0.0, mu0, 1.0, 0.02, 6, nodes)
     report(6, flow_rule(restarts).passed and len(restarts) == 10,
            f"{len(restarts)} random (model, theta) restarts bitwise equal (zero tolerance)")
 

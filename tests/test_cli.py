@@ -235,6 +235,33 @@ class TestVerify:
         report = json.loads((out / "verify_flow.json").read_text())
         assert report["pass"] is True and report["check"] == "flow"
 
+    @pytest.mark.parametrize("target, named", [("dw0", "dw0"), ("db", "states")])
+    def test_flow_failure_names_the_array(self, tmp_path, monkeypatch, target, named):
+        # no common-noise loading (rho = 0), so a moved common draw moves no
+        # state; every run that starts past node 0 (a continuation: each
+        # reference path is drawn in one chunk) has its first draw moved
+        _, dyn, cost, _, _ = make_interbank(h=0.25, rho=0.0)
+        model = tmp_path / "rho0.txt"
+        save_model(model, dyn, cost, 1.0)
+        real = simulator._gen_noise
+
+        def gen(seed, path_index, step_offset, n_steps, *args, out=None):
+            dw0, db = real(seed, path_index, step_offset, n_steps, *args, out=out)
+            if step_offset > 0:
+                (dw0 if target == "dw0" else db).flat[0] += 0.5
+            return dw0, db
+
+        monkeypatch.setattr(simulator, "_gen_noise", gen)
+        out = tmp_path / "flow"
+        assert run_cli("verify", "flow", "--model", str(model), "--out", str(out),
+                       "--seed", "5", "--particles", "30", "--dt", "0.05", "--count", "4") == 1
+        report = json.loads((out / "verify_flow.json").read_text())
+        rng = np.random.Generator(np.random.Philox(key=5))
+        nodes = [int(rng.integers(0, 21)) for _ in range(4)]
+        assert report["pass"] is False and report["constituents"] == {
+            "restarts": 4, "failures": [[i, j, named] for i, j in enumerate(nodes) if 0 < j < 20]}
+        assert report["constituents"]["failures"]
+
     def test_bellman_passes(self, model_file, tmp_path):
         out = tmp_path / "bellman"
         assert run_cli("verify", "bellman", "--model", model_file, "--out", str(out),
@@ -419,6 +446,26 @@ class TestBadNumbers:
                      "the ito check needs M >= 2 scenarios", id="ito-paths=1"),
         pytest.param(["cost", "--seed", "1", "--paths", "1"], None,
                      "cost estimation needs M >= 2 scenarios", id="cost-paths=1"),
+        pytest.param(["verify", "dpp", "--seed", "1", "--paths", "1"], None,
+                     "verify dpp --paths 1 --theta 0.5: the dpp check needs M >= 2 scenarios\n",
+                     id="dpp-paths=1-flag"),
+        pytest.param(["verify", "ito", "--seed", "1", "--paths", "1"], None,
+                     "verify ito --paths 1 --t0 0.0 --dt 0.001 --delta 0.01: the ito check needs M >= 2 "
+                     "scenarios\n", id="ito-paths=1-flag"),
+        pytest.param(["cost", "--seed", "1", "--paths", "1"], None,
+                     "cost --paths 1 --t0 0.0 --dt 0.001: cost estimation needs M >= 2 scenarios\n",
+                     id="cost-paths=1-flag"),
+        pytest.param(["verify", "dpp", "--seed", "1", "--theta", "2.0"], None,
+                     "verify dpp --paths 2 --theta 2.0: need t <= theta <= T\n", id="theta=2-flag"),
+        pytest.param(["verify", "flow", "--seed", "1", "--t0", "0.0005", "--dt", "1e-3"], None,
+                     "verify flow --t0 0.0005 --dt 0.001: dt=0.001 must divide T - t0 = 0.9995 "
+                     "into whole steps", id="flow-t0=0.0005-dt=1e-3"),
+        pytest.param(["cost", "--seed", "1", "--stride", "0"], None,
+                     "cmvlq: unrecognized arguments: --stride 0\n", id="cost-stride=0"),
+        pytest.param(["verify", "nope", "--seed", "1"], None,
+                     "cmvlq verify: argument check: invalid choice: 'nope'", id="verify-nope"),
+        pytest.param(["cost", "--seed", "1", "--paths", "x"], None,
+                     "cmvlq cost: argument --paths: invalid int value: 'x'\n", id="paths=x"),
         pytest.param(["systemic-risk", "--seed", "1", "--t0", "0.5"], None,
                      "systemic-risk runs from t0 = 0", id="systemic-risk-t0=0.5"),
         pytest.param(["verify", "dpp", "--seed", "1", "--t0", "nan"], None,
@@ -491,6 +538,7 @@ class TestBadNumbers:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("configuration error: ") and message in err
+        assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
@@ -695,6 +743,12 @@ def test_d1_commands_never_load_scipy(model_file, tmp_path):
     assert at_import == [] and after_d1 == []
     assert all(code in (0, 1) for code in codes), codes
     assert codes[:4] == [0, 0, 0, 0] and code_d3 == 0 and lapack_loaded
+
+
+def test_help_exits_zero_in_process(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("cost", "--help")
+    assert exit_.value.code == 0 and "--paths" in capsys.readouterr().out
 
 
 def test_console_script_help():

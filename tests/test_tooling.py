@@ -14,6 +14,10 @@ UNUSED_EXPORTS = {
                      "equal bit for bit (tests/test_verify.py); perfbench/spans.py times it",
     "recover_original": "the paper's interbank control in its original variable, which "
                         "acceptance criterion 2 checks",
+    "restart_continuation": "the flow property on a held trajectory: the reference that "
+                            "verify.flow_restarts' digests equal (tests/test_verify.py)",
+    "simulate_path": "one scenario with every node held, the per-path reference of the "
+                     "streamed drivers (tests/test_verify.py); perfbench/spans.py times it",
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from types import SimpleNamespace
 
@@ -24,6 +25,7 @@ from cmvlq.simulator import (
     ShiftedControl,
     lq_dynamics_spec,
     pathwise_cost,
+    restart_continuation,
     sample_initial,
     simulate_path,
     stream_scenarios,
@@ -32,6 +34,7 @@ from cmvlq.verify import (
     BELLMAN_TOL,
     GRAD_TOL,
     CheckResult,
+    FLOW_ARRAYS,
     DppResult,
     ItoCheckResult,
     bellman_residual,
@@ -41,6 +44,7 @@ from cmvlq.verify import (
     dpp_check,
     dpp_rule,
     estimate_cost,
+    flow_restarts,
     flow_rule,
     generator_apply,
     grad_check,
@@ -210,6 +214,38 @@ class TestStreamedDrivers:
                     float(np.std(ends, ddof=1) / np.sqrt(self.M)) / delta], d)
 
     @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("name", ["optimal", "shift"])
+    def test_dpp_coarse_run_shares_the_draw(self, d, name, monkeypatch):
+        # the coarse run stepped in lockstep from the fine run's draws is the
+        # separate run at 2 dt bit for bit, on spans of several chunks and of
+        # one, and on a span of no step
+        qv, model, cloud0, controls = self.stacks(d, monkeypatch)
+        for t, theta in ((0.2, 0.6), (0.0, 1.0), (0.9, 0.94), (0.6, 0.6)):
+            pair = dpp_check(qv, model, t, cloud0, theta, controls[name], self.N, self.M,
+                             self.DT, self.SEED, coarse=True)
+            apart = [dpp_check(qv, model, t, cloud0, theta, controls[name], self.N, self.M, h,
+                               self.SEED) for h in (self.DT, 2 * self.DT)]
+            assert pair == tuple(apart)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_flow_digests_are_the_trajectories(self, d, monkeypatch):
+        # the digests fed node by node are those of simulate_path's suffix and
+        # of restart_continuation's arrays, held whole
+        qv, model, cloud0, controls = self.stacks(d, monkeypatch)
+        control = controls["shift"]
+        nodes = [(0, 0), (1, 17), (1, 3), (4, 49), (4, 50)]
+        got = list(flow_restarts(model, control, 0.0, cloud0, model.T, self.DT, self.SEED, nodes))
+        want = []
+        for p, j in nodes:
+            traj = simulate_path(model, control, 0.0, cloud0, model.T, self.DT, self.SEED,
+                                 path_index=p)
+            cont = restart_continuation(traj, float(traj.times[j]))
+            want.append((p, j, _digests({k: getattr(traj, k)[j:] for k in FLOW_ARRAYS}),
+                         _digests({k: getattr(cont, k) for k in FLOW_ARRAYS})))
+        assert got == want
+        assert all(ref == cont for _, _, ref, cont in got)
+
+    @pytest.mark.parametrize("d", [1, 3])
     def test_noise_routes_agree(self, d, monkeypatch):
         # the overlapped and the inline noise route, on a ragged last batch
         # and on spans of several chunks, one chunk and no step at all
@@ -237,6 +273,11 @@ class TestStreamedDrivers:
             res = ito_generator_check(model, control, 0.1, cloud0, phi, 10 * self.DT, self.N,
                                       self.M, self.DT, self.SEED)
             out += [res.lhs.hex(), res.stderr.hex()]
+            for res in dpp_check(qv, model, 0.2, cloud0, 0.6, control, self.N, self.M, self.DT,
+                                 self.SEED, coarse=True):
+                out += [res.gap.hex(), res.stderr.hex()]
+            out += list(flow_restarts(model, control, 0.0, cloud0, model.T, self.DT, self.SEED,
+                                      [(0, 0), (1, 17), (4, 49), (4, 50)]))
             results.append(out)
         assert results[0] == results[1]
         assert pids and all(reaped(pid) for pid in pids)
@@ -367,6 +408,117 @@ class TestNoProcessOutlivesACall:
         assert reaped(self.pids[0])
 
 
+def explosive(B=40.0):
+    """The model x' = (1 + B dt) x, with no noise.
+
+    From 10 at dt = 0.01, B = 40 first passes 1e12 at step 76 (10 * 1.4^76);
+    B = -150 is stable at dt = 0.01 (factor -0.5) but not at 0.02 (factor
+    -2, past 1e12 at step 37).
+    """
+    dyn = LqDynamics(b0=0.0, B=B, Bbar=0.0, C=0.0, theta=0.0, D=0.0, Dbar=0.0, F=0.0,
+                     theta0=0.0, D0=0.0, D0bar=0.0, F0=0.0)
+    return lq_dynamics_spec(dyn, LqCost(Q2=1.0, Q2bar=0.0, R2=1.0, P2=1.0, P2bar=0.0), 1.0)
+
+
+class TestCoarseRun:
+    """stream_scenarios' coarse run: a fine blowup wins, a coarse one is reported as alone."""
+
+    ZERO = AffineControl(AffineMap.zero(1, 1))
+
+    def blowup(self, model, dt, coarse=None):
+        mu0 = sample_initial({"kind": "point", "x0": 10.0}, 8, 0)
+        with pytest.raises(NumericalBlowup) as err:
+            list(stream_scenarios(model, self.ZERO, 0.0, mu0, 1.0, dt, 0, 6, coarse=coarse))
+        return str(err.value)
+
+    @pytest.fixture(autouse=True)
+    def batches(self, monkeypatch):
+        # batches of 2 paths in chunks of 4 steps
+        monkeypatch.setattr(simulator, "_BATCH_DOUBLES", 16)
+        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * 4 * 16)
+
+    def test_fine_blowup_wins(self):
+        # the coarse run passes 1e12 at its step 44 (10 * 1.8^44), in lockstep
+        # before the fine run's step 76
+        fine, seen = self.blowup(explosive(), 0.01), []
+        assert "step 76," in fine and "step 44," in self.blowup(explosive(), 0.02)
+        assert self.blowup(explosive(), 0.01, coarse=lambda *a: seen.append(a)) == fine
+        assert seen == []
+
+    def test_coarse_blowup_reads_as_the_2dt_run(self):
+        mu0 = sample_initial({"kind": "point", "x0": 10.0}, 8, 0)
+        fine = list(stream_scenarios(explosive(-150.0), self.ZERO, 0.0, mu0, 1.0, 0.01, 0, 6))
+        assert len(fine) == 3
+        message = self.blowup(explosive(-150.0), 0.02)
+        assert "step 37," in message
+        assert self.blowup(explosive(-150.0), 0.01, coarse=lambda *a: None) == message
+
+    def test_needs_the_first_node_and_whole_coarse_steps(self):
+        mu0 = sample_initial({"kind": "point", "x0": 10.0}, 8, 0)
+        for T, offset in ((1.0, 2), (0.99, 0)):
+            with pytest.raises(ValueError):
+                next(stream_scenarios(explosive(), self.ZERO, 0.0, mu0, T, 0.01, 0, 6,
+                                      step_offset=offset, coarse=lambda *a: None))
+
+
+class TestFlowRestarts:
+    """flow_restarts: digests fed node by node, no trajectory held, a FAIL names its array."""
+
+    def perturb(self, monkeypatch, target):
+        # the first draw of every run that starts past node 0 moved: the
+        # continuations', since each reference path is drawn in one chunk
+        real = simulator._gen_noise
+
+        def gen(seed, path_index, step_offset, n_steps, *args, out=None):
+            dw0, db = real(seed, path_index, step_offset, n_steps, *args, out=out)
+            if step_offset > 0:
+                arr = dw0 if target == "dw0" else db
+                arr.flat[0] += 0.5
+            return dw0, db
+
+        monkeypatch.setattr(simulator, "_gen_noise", gen)
+
+    @pytest.mark.parametrize("target, named", [("dw0", "dw0"), ("db", "states")])
+    def test_failure_names_the_first_array(self, target, named, monkeypatch):
+        # no common-noise loading (rho = 0): a perturbed dw0 moves no state
+        _, _, _, _, _, model, control = interbank_stack(sigma1=0.3, rho=0.0, h=0.02)
+        mu0 = sample_initial({"kind": "point", "x0": 1.0}, 16, 0)
+        self.perturb(monkeypatch, target)
+        nodes = [(0, 0), (0, 20), (1, 49), (2, 50), (3, 1)]
+        result = flow_rule(flow_restarts(model, control, 0.0, mu0, 1.0, 0.02, 3, nodes))
+        assert not result.passed
+        assert result.constituents == {"restarts": 5, "failures": [[0, 20, named], [1, 49, named],
+                                                                   [3, 1, named]]}
+
+    def test_bounded_memory(self):
+        # 4 paths of 500 particles over 1000 steps: a held trajectory is 4 MB
+        _, _, _, _, _, model, control = interbank_stack(sigma1=0.3, h=1e-3)
+        mu0 = sample_initial({"kind": "point", "x0": 1.0}, 500, 0)
+        nodes = [(0, 912), (1, 40), (2, 1000), (3, 493)]
+        tracemalloc.start()
+        try:
+            result = flow_rule(flow_restarts(model, control, 0.0, mu0, 1.0, 1e-3, 1, nodes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed and result.constituents["restarts"] == 4
+        assert peak < 2 * 2**20
+
+    def test_blowup_names_the_batch_step(self):
+        # paths 1..3 step as one batch: the earliest step, then the lowest path
+        mu0 = sample_initial({"kind": "point", "x0": 10.0}, 8, 0)
+        with pytest.raises(NumericalBlowup, match="t=0.76, path 1, step 76, particle 0"):
+            list(flow_restarts(explosive(), AffineControl(AffineMap.zero(1, 1)), 0.0, mu0, 1.0,
+                               0.01, 0, [(3, 10), (1, 5)]))
+
+    def test_rejects_nodes_off_the_grid(self):
+        _, _, _, _, _, model, control = interbank_stack(h=0.02)
+        mu0 = sample_initial({"kind": "point", "x0": 1.0}, 4, 0)
+        for node in (-1, 51):
+            with pytest.raises(ValueError, match="not a node 0..50"):
+                list(flow_restarts(model, control, 0.0, mu0, 1.0, 0.02, 0, [(0, node)]))
+
+
 class TestGeneratorApply:
     @pytest.mark.parametrize("n, d, c", [(2000, 3, 1), (300, 2, 2)])
     def test_common_noise_term_is_the_pair_sum(self, n, d, c):
@@ -481,6 +633,23 @@ class TestDpp:
         res = dpp_check(qv, model, 0.0, {"kind": "point", "x0": p.x0}, 0.75,
                         AffineControl(AffineMap.zero(1, 1)), 500, 32, 2e-3, 33)
         assert res.gap >= -(3.0 * res.stderr + 5.0 * 2e-3)
+
+    def test_coarse_run_buffers_one_chunk(self):
+        # 8 scenarios of 2000 particles in chunks of 16 steps: on top of the
+        # fine run's peak, the coarse run holds one chunk of increments and
+        # its own clouds
+        _, _, _, _, qv, model, control = interbank_stack(h=1e-3)
+        mu0 = sample_initial({"kind": "point", "x0": 1.0}, 2000, 0)
+        peaks = []
+        for coarse in (False, True):
+            tracemalloc.start()
+            try:
+                dpp_check(qv, model, 0.0, mu0, 0.1, control, 2000, 8, 1e-3, 0, coarse=coarse)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        chunk, cloud = 16 * 8 * 2001 * 8, 8 * 2000 * 8
+        assert chunk <= peaks[1] - peaks[0] < chunk + 2 * cloud
 
     def test_validates_theta(self):
         _, _, _, _, qv, model, control = interbank_stack()
@@ -689,13 +858,19 @@ def _chaos(means):
     return chaos_rule(rows, [0.0] * len(rows))
 
 
+def _digests(arrays):
+    # the digests that flow_restarts feeds node by node, of whole arrays
+    return tuple(hashlib.sha256(arrays[k].tobytes()).digest() for k in FLOW_ARRAYS)
+
+
 def _flow(broken):
-    arrays = {k: np.linspace(0.0, 1.0, 6) for k in ("states", "means", "dw0", "times")}
+    arrays = {k: np.linspace(0.0, 1.0, 6) for k in FLOW_ARRAYS}
     traj = SimpleNamespace(**arrays)
     conts = [SimpleNamespace(**{k: v[j:].copy() for k, v in arrays.items()}) for j in (1, 4)]
     for k in broken:
         getattr(conts[1], k)[-1] = _up(1.0)
-    return flow_rule([(0, 1, traj, conts[0]), (3, 4, traj, conts[1])])
+    return flow_rule([(p, j, _digests({k: getattr(traj, k)[j:] for k in FLOW_ARRAYS}),
+                       _digests(vars(cont))) for (p, j), cont in zip([(0, 1), (3, 4)], conts)])
 
 
 class TestPassRules:
@@ -752,4 +927,6 @@ class TestPassRules:
         assert [r["deviation"] for r in chaos.constituents["rows"]] == [0.5, 0.25, 0.5]
         assert chaos.constituents["rises"] == 1
         flow = _flow(("states", "means"))
-        assert flow.statistic == 1.0 and flow.constituents == {"restarts": 2, "failures": [[3, 4]]}
+        assert flow.statistic == 1.0 and flow.constituents == {"restarts": 2,
+                                                               "failures": [[3, 4, "states"]]}
+        assert _flow(("dw0", "times")).constituents["failures"] == [[3, 4, "dw0"]]
