@@ -13,13 +13,17 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
   its 1000 steps;
 - gain_grid_1000: ``FeedbackPolicy.grid_gains`` over the 1000 steps, on a
   fresh policy each time (the first use per policy);
-- noise: ``_gen_noise`` for one path (2M normals, per-step Philox re-key);
+- noise: ``_gen_noise`` for one path (2M unit normals, per-step Philox re-key);
 - step_cost: ``estimate_cost`` with every path's noise served from a cache,
   i.e. the step loop plus the cost reduction and the drivers around them
   (where the engine draws noise in a forked process, the copies out of
   the cache run there);
 - step_cost_d3: the same on the d = 3, m = 2 model (N = 250, M = 8,
   K = 1000, one batch of 8 scenarios);
+- noise_mapping_mib: the size of the shared mapping that holds the two
+  noise-chunk buffers of the interbank cost's stream, the d = 3 cost's
+  and the dpp check's (M = 48 to theta = 0.5), read while each steps its
+  first batch;
 - tree_sum on (32, 2000) and (1000, 2000) along axis 1, and on (2000,);
 - writer: ``cli._write_trajectories`` formatting the nodes of 4 paths
   recorded at stride 10 into trajectory.csv and means.csv (the recording
@@ -80,6 +84,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import types
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
@@ -168,24 +173,54 @@ def lq3_model(seed=3, d=3, m=2):
     return dyn, cost
 
 
+# an earlier checkout's _gen_noise takes a last argument sqrt_dt, by which it
+# scales its normals (None: unit normals, as every _gen_noise draws now)
+UNIT = (None,) if "sqrt_dt" in inspect.signature(simulator._gen_noise).parameters else ()
+
+
 def cached_noise(k_max, n):
-    """A _gen_noise stand-in serving one pre-drawn path to every request.
+    """A _gen_noise stand-in serving one pre-drawn path's unit normals to every request.
 
-    With `out` it copies the steps into the caller's views, as _gen_noise
-    draws into them; without, it returns views of the pre-drawn path.
+    It writes the steps into `out`, the caller's views, as _gen_noise draws
+    into them (else into new arrays), scaled by a sqrt_dt that an earlier
+    checkout passes last.
     """
-    dw0, db = simulator._gen_noise(SEED, 0, 0, k_max, n, 1, 1, float(np.sqrt(DT)))
+    dw0, db = simulator._gen_noise(SEED, 0, 0, k_max, n, 1, 1, *UNIT)
 
-    def gen(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, sqrt_dt,
+    def gen(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, *sqrt_dt,
             out=None):
         g = slice(step_offset, step_offset + n_steps)
         if out is None:
-            return dw0[g], db[g]
-        out[0][...] = dw0[g]
-        out[1][...] = db[g]
+            out = np.empty_like(dw0[g]), np.empty_like(db[g])
+        scale = sqrt_dt[0] if sqrt_dt and sqrt_dt[0] is not None else 1.0
+        np.multiply(dw0[g], scale, out=out[0])
+        np.multiply(db[g], scale, out=out[1])
         return out
 
     return gen
+
+
+def noise_mapping_mib(model, control, mu0, T, paths):
+    """MiB of the shared mapping that holds a stream's two noise-chunk buffers.
+
+    Steps the stream's first batch and reads the size of every anonymous
+    mapping the simulator opens meanwhile.
+    """
+    sizes, real = [], simulator.mmap
+
+    def mapping(fileno, length, *args, **kwargs):
+        sizes.append(length)
+        return real.mmap(fileno, length, *args, **kwargs)
+
+    simulator.mmap = types.SimpleNamespace(mmap=mapping)
+    try:
+        stream = simulator.stream_scenarios(model, control, 0.0, mu0, T, DT, SEED, paths,
+                                            with_cost=False)
+        next(stream)
+        stream.close()
+    finally:
+        simulator.mmap = real
+    return sum(sizes) / 2**20
 
 
 def main():
@@ -246,8 +281,7 @@ def main():
     row("gain_grid_1000", best_of(lambda: FeedbackPolicy(qv).grid_gains(0.0, DT, K), args.repeats),
         K, "nodes_per_s")
 
-    sqrt_dt = float(np.sqrt(DT))
-    row("noise_path", best_of(lambda: simulator._gen_noise(SEED, 0, 0, K, N, 1, 1, sqrt_dt),
+    row("noise_path", best_of(lambda: simulator._gen_noise(SEED, 0, 0, K, N, 1, 1, *UNIT),
                               args.repeats), K * N, "normals_per_s")
 
     qv3 = QuadraticValue(solve_riccati(dyn3, cost3, 1.0, DT), dyn3, cost3)
@@ -268,6 +302,13 @@ def main():
             "particle_steps_per_s")
     finally:
         simulator._gen_noise = real_noise
+
+    # the streams of the interbank cost (M = 32), the lq3 cost and the dpp check (M = 48, to theta)
+    mapped = {"interbank_cost": noise_mapping_mib(model, control, mu0, p.T, M),
+              "lq3_cost": noise_mapping_mib(model3, control3, mu3, 1.0, M3),
+              "dpp_check": noise_mapping_mib(model, control, mu0, DPP_THETA, DPP_M)}
+    rows["noise_mapping_mib"] = mapped
+    print("noise mapping MiB  " + "  ".join(f"{k} {v:.3f}" for k, v in mapped.items()))
 
     rng = np.random.default_rng(0)
     for shape, axis in (((32, N), 1), ((K, N), 1), ((N,), 0)):

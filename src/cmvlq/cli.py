@@ -33,6 +33,7 @@ from .simulator import (
     FeedbackControl,
     Recorder,
     ShiftedControl,
+    horizon,
     lq_dynamics_spec,
     may_fork,
     sample_initial,
@@ -382,7 +383,13 @@ def cmd_verify(cfg):
     check, seed, dt, t0 = cfg["check"], cfg["seed"], cfg["dt"], cfg["t0"]
     n, m = cfg["particles"], cfg["paths"]
     count = cfg.get("count") or (10 if check == "flow" else 100)
-    init = None if check in ("bellman", "grad") else _parse_init(cfg["init"], model.d)
+    if check in ("bellman", "grad"):
+        # these draw their own times, but a --t0 past T is an error in every command
+        init = None
+        with _flagged(cfg, t0=t0):
+            horizon(t0, model.T)
+    else:
+        init = _parse_init(cfg["init"], model.d)
     if check == "bellman":
         draws = []
         for i in range(count):

@@ -22,23 +22,28 @@ screen the new state for blowup.
 
 One function, stream_scenarios, steps them: it runs scenarios in batches of
 P, keeps only the batch's current state, draws each path's noise in
-chunks of steps and adds the running cost inside the step.  A run may
+chunks of steps and adds the running cost inside the step.  A chunk holds
+unit normals, and the step loop scales each step's by its grid's sqrt(dt)
+(_run_generic), so one chunk serves every grid that steps it.  A run may
 start at any node of its grid, so a run from a stored node replays the
 rest of a trajectory bit for bit.  An optional Recorder keeps nodes of the
 first scenarios: every node of one scenario (simulate_path, the P = 1
 case, and restart_continuation), or strided nodes of the first paths (the
 trajectory writer).  A per-node hook sees every node without keeping it
 (the flow check's digests), and a coarse run steps each batch on the grid
-of step 2 dt from the same draw: each chunk's normals are drawn once,
-unscaled, and each grid scales its own copy (the dpp check's two runs).
+of step 2 dt from the same chunks (the dpp check's two runs).  The hook
+and the Recorder take each step's scaled common increments from the step.
 
-The noise comes from a double-buffered producer (_noise_chunks): while
-the caller steps one chunk of steps, a forked drawing process draws the
-next into a second buffer they share, and when the caller asks for a
-chunk that is not yet complete, it draws that chunk's remaining paths
-itself instead of waiting.  So on two CPUs neither process idles while
-draws are pending.  A chunk's draws depend only on (seed, path, step), so
-who draws them, and when, changes no bit.
+The noise comes from a double-buffered producer (_noise_chunks) whose
+chunks are sized as if each batch were at least a full one, so a small
+batch's buffers shrink with it: while the caller steps one chunk of
+steps, a forked drawing process draws the next into a second buffer they
+share, and when the caller asks for a chunk that is not yet complete, it
+draws that chunk's remaining paths itself instead of waiting.  So on two
+CPUs neither process idles while draws are pending.  A call whose noise
+fits one buffer draws it inline, without a process.  A chunk's draws
+depend only on (seed, path, step), so who draws them, and when, changes
+no bit.
 """
 
 from __future__ import annotations
@@ -82,17 +87,15 @@ def _philox(seed, path_index, step):
     return Generator(Philox(key=key, counter=int(step) << 128))
 
 
-def _gen_noise(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, sqrt_dt,
-               *, out=None):
-    """Increments scaled by sqrt_dt (None: the unscaled normals) for steps offset..offset+K-1.
+def _gen_noise(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, *, out=None):
+    """Unit normals of steps offset..offset+K-1, which the step loop scales by its grid's sqrt(dt).
 
     Re-keys a single Philox per step by resetting its counter block, which
     draws exactly what a fresh generator keyed at that step would.  Each
     step's common block is drawn before its idiosyncratic block.  The
     normals are drawn straight into the output blocks, dw0 (K, m0) and db
-    (K, n_particles, n_idio), which are scaled once at the end; `out` gives
-    them as the caller's views (each step's block contiguous), else they
-    are allocated.  Returns (dw0, db).
+    (K, n_particles, n_idio); `out` gives them as the caller's views (each
+    step's block contiguous), else they are allocated.  Returns (dw0, db).
     """
     key = np.array([np.uint64(seed), np.uint64(path_index)], dtype=np.uint64)
     bg = Philox(key=key)
@@ -109,9 +112,6 @@ def _gen_noise(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, 
         bg.state = st
         gen.standard_normal(out=dw0[j])
         gen.standard_normal(out=db[j])
-    if sqrt_dt is not None:
-        dw0 *= sqrt_dt
-        db *= sqrt_dt
     return dw0, db
 
 
@@ -214,18 +214,22 @@ def _run_generic(model, x, mom, K1, K2, kk, dt, dw0, db, running=None, keep=None
     """Affine Euler loop for any (d, m) over P scenarios.
 
     x (P, N, d) holds the particles at the first node and mom its moments
-    (measure.moments); dw0 (K, P, 1) and db (K, P, N, 1) are the scaled
-    increments of K steps.  Each scenario's particles take one affine step
-    x' = x A_p + c_p + (x S + s_p) db, A_p = I + (B + C K1)' dt +
-    (D0 + F0 K1)' dw0_p, S = (D + F K1)', c_p and s_p from the mean and k.
-    With `keep`, step k first calls keep(k, x, mean); with `running` (P,),
-    each step adds dt times its node's lifted running cost.  A new state
-    whose sum of squares N trace(second moment) passes _SCREEN has its
-    particles tested one by one.  Returns (k, x, mom): the failing step and
-    its state, or -1, the last state and its moments.
+    (measure.moments); dw0 (K, P, 1) and db (K, P, N, 1) are the unit
+    normals of K steps, which each step scales by sqrt(dt) itself: its
+    increments are fl(z sqrt(dt)), what a grid of step dt draws, and a
+    chunk of normals stays unscaled for a second grid to step.  Each
+    scenario's particles take one affine step x' = x A_p + c_p + (x S +
+    s_p) db, A_p = I + (B + C K1)' dt + (D0 + F0 K1)' dw0_p, S = (D + F
+    K1)', c_p and s_p from the mean and k.  With `keep`, step k first calls
+    keep(k, x, mean, dw0_k), dw0_k (P, 1) its scaled common increments;
+    with `running` (P,), each step adds dt times its node's lifted running
+    cost.  A new state whose sum of squares N trace(second moment) passes
+    _SCREEN has its particles tested one by one.  Returns (k, x, mom): the
+    failing step and its state, or -1, the last state and its moments.
     """
     dyn = model.dyn
     d, n = dyn.d, x.shape[1]
+    sqrt_dt = math.sqrt(dt)
     # per step, the loadings of the state, L = Gx + K1' Ga = [(B + C K1)', S, (D0 + F0 K1)'],
     # and of the mean, G = Gm + (K2 - K1)' Ga, plus g0 + k Ga
     L = dyn.Gx + matprod(np.swapaxes(K1, 1, 2), dyn.Ga)
@@ -237,13 +241,14 @@ def _run_generic(model, x, mom, K1, K2, kk, dt, dw0, db, running=None, keep=None
     node_moments = []
     for k in range(dw0.shape[0]):
         mbar = mom[0]
+        w0 = dw0[k] * sqrt_dt
         if keep is not None:
-            keep(k, x, mbar)
+            keep(k, x, mbar, w0)
         node_moments.append(mom)
         g = matprod(mbar[:, None, :], G[k]) + g0[k]
-        w0 = dw0[k][:, :, None]
+        w0 = w0[:, :, None]
         z = matprod(x, S[k]) + g[:, :, d:2 * d]
-        z *= db[k]
+        z *= db[k] * sqrt_dt
         x = matprod(x, L0[k] * w0 + Ab[k]) + (g[:, :, :d] * dt + g[:, :, 2 * d:] * w0) + z
         mom = moments(x)
         if (not np.all(n * np.sum(mom[1][:, diag], axis=1) <= _SCREEN)
@@ -265,13 +270,19 @@ def _blowup(t, paths, step, x):
         f"value {float(x[p, i, j])!r} exceeded 1e12 or is NaN")
 
 
+def horizon(t0, T):
+    """T - t0, checked not to be negative (within the grid tolerance)."""
+    span = float(T) - float(t0)
+    if span < -GRID_TOL:
+        raise ValueError("T must be >= t0")
+    return span
+
+
 def step_count(model, t0, mu0, T, dt):
     """Number of steps dt from t0 to T, checked to be whole, for a cloud of the model's dimension."""
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
-    span = float(T) - float(t0)
-    if span < -GRID_TOL:
-        raise ValueError("T must be >= t0")
+    span = horizon(t0, T)
     if not span / dt <= sys.maxsize:
         raise ValueError(f"dt={dt} divides T - t0 = {span} into more than {sys.maxsize} steps")
     n_steps = int(round(span / dt))
@@ -341,11 +352,12 @@ def simulate_path(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, path_i
 # scenarios (P * N * d values) stays within _BATCH_DOUBLES (125 kB, so P = 8
 # at N = 2000, d = 1): each step's temporaries then stay below the 128 KiB
 # from which glibc malloc maps fresh pages for every array, and in cache.
-# The two noise-chunk buffers share _CHUNK_DOUBLES: one chunk of
-# idiosyncratic increments (steps * P * N values) stays within half of it
-# (2 MiB, 16 steps of that batch).  The nodes a Recorder keeps of one batch
-# stay within 4 * _CHUNK_DOUBLES (16 MiB: every node and every common
-# increment of one scenario at N = 2000 and K = 1000), unless one
+# The two noise-chunk buffers share _CHUNK_DOUBLES: a chunk holds the
+# steps of at least a full batch's normals, _CHUNK_DOUBLES // 2 //
+# max(P * N, _BATCH_DOUBLES) steps (16 at any batch within the budget), so
+# a small batch's buffers shrink with it.  The nodes a Recorder keeps of
+# one batch stay within 4 * _CHUNK_DOUBLES (16 MiB: every node and every
+# common increment of one scenario at N = 2000 and K = 1000), unless one
 # scenario's alone exceed it.
 _BATCH_DOUBLES = 16000
 _CHUNK_DOUBLES = 2**19
@@ -353,7 +365,7 @@ _CHUNK_DOUBLES = 2**19
 
 def _chunk_steps(P, n, n_steps):
     """Steps per noise chunk of a batch of P scenarios of n particles."""
-    return max(1, min(n_steps, _CHUNK_DOUBLES // 2 // (P * n)))
+    return max(1, min(n_steps, _CHUNK_DOUBLES // 2 // max(P * n, _BATCH_DOUBLES)))
 
 
 def may_fork():
@@ -372,14 +384,15 @@ def may_fork():
 _TASKS_PER_CHUNK = select.PIPE_BUF // 4
 
 
-def _noise_chunks(seed, batches, n, n_steps, sqrt_dt, step_offset=0):
-    """Increments of every batch's noise chunks, in stepping order.
+def _noise_chunks(seed, batches, n, n_steps, step_offset=0):
+    """Unit normals of every batch's noise chunks, in stepping order.
 
-    Yields dw0 (c, P, 1) and db (c, P, n, 1), scaled by sqrt_dt (None:
-    unscaled), for the next c steps of the batch at hand; each batch's
-    chunks cover its steps step_offset .. step_offset + n_steps - 1 in
-    order.  A chunk is a view of one of two buffers in one anonymous shared
-    mapping, valid until the next is requested.
+    Yields dw0 (c, P, 1) and db (c, P, n, 1), the normals of the next c
+    steps of the batch at hand (_chunk_steps), unscaled: the step loop
+    scales them by its grid's sqrt(dt).  Each batch's chunks cover its
+    steps step_offset .. step_offset + n_steps - 1 in order.  A chunk is a
+    view of one of two buffers in one anonymous shared mapping, valid until
+    the next is requested.
 
     A chunk's paths are split into tasks, contiguous groups of paths, and
     a forked drawing process takes tasks from a shared queue (a pipe).
@@ -390,11 +403,14 @@ def _noise_chunks(seed, batches, n, n_steps, sqrt_dt, step_offset=0):
     and draws them itself, then waits for the ones the drawing process has
     in flight; the queue never holds tasks of another chunk, so neither
     process idles while draws are pending.  A draw depends only on (seed,
-    path, step), so who draws it changes no bit.  Where the process may
-    not fork (may_fork) or there is a single chunk, the same draws run
-    inline.  A draw's exception reaches the caller, with its type and
-    message, when it requests that chunk.  Closing the generator ends and
-    reaps the drawing process, so none outlives it.
+    path, step), so who draws it changes no bit.  The process forks only
+    when there is more than one chunk and the idiosyncratic normals of
+    the whole call exceed one buffer's budget, _CHUNK_DOUBLES // 2, and it
+    may fork (may_fork); else the same draws run inline, so a stream that
+    one buffer could hold pays for no process.  A draw's exception reaches
+    the caller, with its type and message, when it requests that chunk.
+    Closing the generator ends and reaps the drawing process, so none
+    outlives it.
     """
     blocks = [(paths, k0, min(chunk, n_steps - k0))
               for paths in batches
@@ -426,11 +442,11 @@ def _noise_chunks(seed, batches, n, n_steps, sqrt_dt, step_offset=0):
         paths, k0, c = blocks[i]
         dw0, db = views(i)
         for j in range(j0, j1):
-            _gen_noise(seed, paths[j], step_offset + k0, c, n, 1, 1, sqrt_dt,
-                       out=(dw0[:, j], db[:, j]))
+            _gen_noise(seed, paths[j], step_offset + k0, c, n, 1, 1, out=(dw0[:, j], db[:, j]))
 
     pid = -1
-    if len(blocks) > 1 and may_fork():
+    idio = n * n_steps * sum(map(len, batches))
+    if len(blocks) > 1 and idio > _CHUNK_DOUBLES // 2 and may_fork():
         task_r, task_w = os.pipe()
         done_r, done_w = os.pipe()
         # both processes take tasks from task_r; the caller's reads must not block
@@ -554,21 +570,24 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
     its lowest path.  Close the generator, or run it to the end, to reap
     the process that draws the noise (see _noise_chunks).
 
+    The noise arrives as chunks of unit normals (_noise_chunks), and each
+    step scales its own by sqrt(dt) (_run_generic).
+
     on_node(paths, k, x, mean, dw0), if given, sees every node k of every
     batch, counted from the run's first node: the batch's clouds x
-    (P, N, d), their means (P, d) and the scaled common increments of step
-    k (P, 1), None at the last node.  Its arrays are valid only during the
+    (P, N, d), their means (P, d) and the step's scaled common increments
+    (P, 1), None at the last node.  Its arrays are valid only during the
     call.
 
     coarse(paths, running, ends), if given, also steps every batch on the
     grid of step 2 dt from t0 to T (the run must start at node 0) and
     receives that run's results before the batch is yielded.  The two
-    grids share one draw: coarse step j takes the normals of fine step j,
-    scaled by sqrt(2 dt), which is what a run at 2 dt would draw, so it
-    advances in lockstep over the first half of the fine steps and equals
-    that run bit for bit.  A coarse blowup is raised once every batch's
-    fine run has ended without one, so a fine blowup is always the one
-    reported.
+    grids step the same chunks: coarse step j takes the normals of fine
+    step j and scales them by sqrt(2 dt), which is what a run at 2 dt would
+    draw, so it advances in lockstep over the first half of the fine steps
+    and equals that run bit for bit, with no buffer of its own.  A coarse
+    blowup is raised once every batch's fine run has ended without one, so
+    a fine blowup is always the one reported.
     """
     n_steps = step_count(model, t0, mu0, T, dt) - step_offset
     t0, dt = float(t0), float(dt)
@@ -586,7 +605,6 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
     rec_end = -(-n_rec // rec_width) * rec_width
     cuts = [*range(0, rec_end, rec_width), *range(rec_end, len(paths), width), len(paths)]
     batches = [paths[a:b] for a, b in zip(cuts, cuts[1:])]
-    sqrt_dt = float(np.sqrt(dt))
     coarse_error = None
     if coarse is not None:
         if step_offset:
@@ -594,13 +612,7 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
         dt2 = 2.0 * dt
         n2 = step_count(model, t0, mu0, T, dt2)
         C1, C2, ck = _control_grid(control, t0, dt2, n2, 0, d, model.m)
-        sqrt_dt2 = float(np.sqrt(dt2))
-        # one buffer for the coarse increments of the largest chunk a batch steps on both grids
-        size = max((min(_chunk_steps(len(b), n, n_steps), n2) * len(b) for b in batches),
-                   default=0)
-        coarse_buf = np.empty(size * (n + 1))
-    with closing(_noise_chunks(seed, batches, n, n_steps, None if coarse else sqrt_dt,
-                               step_offset)) as noise:
+    with closing(_noise_chunks(seed, batches, n, n_steps, step_offset)) as noise:
         for batch in batches:
             P = len(batch)
             x = np.repeat(mu0.points[None], P, axis=0)
@@ -612,12 +624,16 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
                 means = np.empty((len(nodes), kept, d))
                 dw0_kept = np.empty((n_steps, kept, 1))
 
-            def visit(k0, w0, k, x, m):
-                if kept > 0 and (k0 + k) % stride == 0:
-                    states[(k0 + k) // stride] = x[:kept]
-                    means[(k0 + k) // stride] = m[:kept]
+            def visit(k0, k, x, m, w0):
+                k += k0
+                if kept > 0:
+                    if k % stride == 0:
+                        states[k // stride] = x[:kept]
+                        means[k // stride] = m[:kept]
+                    if w0 is not None:
+                        dw0_kept[k] = w0[:kept]
                 if on_node is not None:
-                    on_node(batch, k0 + k, x, m, None if w0 is None else w0[k])
+                    on_node(batch, k, x, m, w0)
 
             watch = kept > 0 or on_node is not None
             if coarse is not None and coarse_error is None:
@@ -630,29 +646,21 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
                 if coarse is not None:
                     c = min(dw0.shape[0], n2 - k0)
                     if c > 0 and coarse_error is None:
-                        cw0 = coarse_buf[:c * P].reshape(c, P, 1)
-                        cdb = coarse_buf[c * P:c * P * (n + 1)].reshape(c, P, n, 1)
-                        np.multiply(dw0[:c], sqrt_dt2, out=cw0)
-                        np.multiply(db[:c], sqrt_dt2, out=cdb)
                         gc = slice(k0, k0 + c)
                         bad, xc, momc = _run_generic(model, xc, momc, C1[gc], C2[gc], ck[gc], dt2,
-                                                     cw0, cdb, running=running_c)
+                                                     dw0[:c], db[:c], running=running_c)
                         if bad >= 0:
                             step = k0 + bad + 1
                             coarse_error = _blowup(t0 + dt2 * step, batch, step, xc)
-                    dw0 *= sqrt_dt
-                    db *= sqrt_dt
-                if kept > 0:
-                    dw0_kept[g] = dw0[:, :kept]
                 bad, x, mom = _run_generic(model, x, mom, K1[g], K2[g], kk[g], dt, dw0, db,
                                            running=running,
-                                           keep=partial(visit, k0, dw0) if watch else None)
+                                           keep=partial(visit, k0) if watch else None)
                 if bad >= 0:
                     step = step_offset + k0 + bad + 1
                     raise _blowup(t0 + dt * step, batch, step, x)
                 k0 = g.stop
             if watch:
-                visit(n_steps, None, 0, x, mom[0])
+                visit(n_steps, 0, x, mom[0], None)
             if kept > 0:
                 record.sink(Recording(batch[:kept], nodes, t0 + dt * (step_offset + nodes),
                                       states, means, dw0_kept))

@@ -101,7 +101,11 @@ class TestTrajectoryWriter:
     def test_forked_and_inline_routes_agree(self, model_file, tmp_path, monkeypatch, command):
         # systemic-risk records paths 0-3 of its first batch; simulate, with a
         # budget for two recorded scenarios per batch, records 5 paths in
-        # batches of 2, 2 and 1, so three writers append in turn
+        # batches of 2, 2 and 1, so three writers append in turn; the noise
+        # of a batch of 6 (systemic-risk) or 2 (simulate) is drawn in chunks of
+        # 4 or 13 steps
+        monkeypatch.setattr(simulator, "_BATCH_DOUBLES",
+                            {"systemic-risk": 6 * 50, "simulate": 2 * 50}[command])
         monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2600)
         argv = {"systemic-risk": ["systemic-risk", "--sigma1", "0.3", "--paths", "6"],
                 "simulate": ["simulate", "--model", model_file, "--init", "point:1.0",
@@ -123,6 +127,9 @@ class TestTrajectoryWriter:
         # batches of 4 paths: the first is recorded, and once its writer is
         # forked, the next batch's first step fails
         monkeypatch.setattr(simulator, "_BATCH_DOUBLES", 4 * 50)
+        # each batch's 100 steps in one chunk, and the call's noise past one buffer's
+        # budget, so a drawing process is forked first
+        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * 100 * 4 * 50)
         pids = forked_pids(monkeypatch)
         loop = simulator._run_generic
 
@@ -239,7 +246,9 @@ class TestVerify:
     def test_flow_failure_names_the_array(self, tmp_path, monkeypatch, target, named):
         # no common-noise loading (rho = 0), so a moved common draw moves no
         # state; every run that starts past node 0 (a continuation: each
-        # reference path is drawn in one chunk) has its first draw moved
+        # reference path is drawn in one chunk, which a budget of 4 scenarios
+        # of 30 particles sizes past 20 steps) has its first draw moved
+        monkeypatch.setattr(simulator, "_BATCH_DOUBLES", 4 * 30)
         _, dyn, cost, _, _ = make_interbank(h=0.25, rho=0.0)
         model = tmp_path / "rho0.txt"
         save_model(model, dyn, cost, 1.0)
@@ -400,6 +409,10 @@ class TestBadNumbers:
         pytest.param(["cost", "--seed", "1"], "paths = 2\ndt = 0.1\npaths = 3\n",
                      "key 'paths' is given twice, on lines 1 and 3", id="config-paths-twice"),
         pytest.param(["cost", "--seed", "1", "--t0", "2.0"], None, "T must be >= t0", id="t0=2"),
+        pytest.param(["verify", "bellman", "--seed", "1", "--t0", "5"], None,
+                     "verify bellman --t0 5.0: T must be >= t0\n", id="bellman-t0=5"),
+        pytest.param(["verify", "grad", "--seed", "1", "--t0", "5"], None,
+                     "verify grad --t0 5.0: T must be >= t0\n", id="grad-t0=5"),
         pytest.param(["solve", "--riccati-step", "-0.01"], None,
                      "riccati_step must be positive", id="riccati-step=-0.01"),
         pytest.param(["simulate", "--seed", "1", "--stride", "0"], None,

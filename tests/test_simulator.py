@@ -113,7 +113,7 @@ class TestNoise:
         assert np.array_equal(z250, z4000)
 
     def test_gen_noise_matches_step_normals(self):
-        dw0, db = _gen_noise(21, 4, 7, 5, 13, 1, 1, 1.0)
+        dw0, db = _gen_noise(21, 4, 7, 5, 13, 1, 1)
         for j in range(5):
             z0, zb = step_normals(21, 4, 7 + j, 13, 1, 1)
             assert np.array_equal(dw0[j], z0)
@@ -161,10 +161,8 @@ class TestNoiseProducer:
         chunk against fresh step normals and each draw the caller makes
         while it waits for a chunk (read from log) against that chunk.
         Returns (start, k0, c) per chunk and the caller's draws per chunk."""
-        sqrt_dt = float(np.sqrt(self.DT))
         chunks, own = [], []
-        with closing(simulator._noise_chunks(self.SEED, batches, self.N, n_steps,
-                                             sqrt_dt)) as noise:
+        with closing(simulator._noise_chunks(self.SEED, batches, self.N, n_steps)) as noise:
             for paths in batches:
                 k0 = 0
                 while k0 < n_steps:
@@ -175,8 +173,8 @@ class TestNoiseProducer:
                     for j, p in enumerate(paths):
                         for i in range(c):
                             z0, zb = step_normals(self.SEED, p, k0 + i, self.N, 1, 1)
-                            assert np.array_equal(dw0[i, j], z0 * sqrt_dt)
-                            assert np.array_equal(db[i, j], zb * sqrt_dt)
+                            assert np.array_equal(dw0[i, j], z0)
+                            assert np.array_equal(db[i, j], zb)
                     own.append([(p, k, n) for here, p, k, n in log()[seen:] if here])
                     assert all(p in paths and (k, n) == (k0, c) for p, k, n in own[-1])
                     chunks.append((paths.start, k0, c))
@@ -196,6 +194,7 @@ class TestNoiseProducer:
         other = threading.Thread(target=release.wait, args=(60,), daemon=True)
         if route == "other thread":
             other.start()
+        monkeypatch.setattr(simulator, "_BATCH_DOUBLES", self.N)
         monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * 3 * 2 * self.N)
         log = draw_log()
         batches = [range(0, 2), range(2, 4), range(4, 5)]
@@ -222,6 +221,7 @@ class TestNoiseProducer:
         # the drawing process sleeps before each draw: the caller draws the
         # chunks itself, only waiting for the one task the drawing process
         # has in flight, and gets the same bits
+        monkeypatch.setattr(simulator, "_BATCH_DOUBLES", 4 * self.N)
         monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * 5 * 4 * self.N)
         pids = forked_pids(monkeypatch)
         log = draw_log(stall=0.5)
@@ -250,26 +250,46 @@ class TestNoiseProducer:
                 pids.append(pid)
             return pid
 
-        sqrt_dt = 0.25
         with mock.patch.object(simulator, "_CHUNK_DOUBLES", chunk), \
+                mock.patch.object(simulator, "_BATCH_DOUBLES", 1), \
                 mock.patch.object(os, "fork", recording), \
-                closing(simulator._noise_chunks(9, batches, n, n_steps, sqrt_dt)) as noise:
+                closing(simulator._noise_chunks(9, batches, n, n_steps)) as noise:
             for paths in batches:
                 k0 = 0
                 while k0 < n_steps:
                     dw0, db = next(noise)
                     c = dw0.shape[0]
                     for j, p in enumerate(paths):
-                        want = _gen_noise(9, p, k0, c, n, 1, 1, sqrt_dt)
+                        want = _gen_noise(9, p, k0, c, n, 1, 1)
                         assert np.array_equal(dw0[:, j], want[0])
                         assert np.array_equal(db[:, j], want[1])
                     k0 += c
             assert next(noise, None) is None
         assert all(reaped(pid) for pid in pids)
 
+    def test_chunk_rule(self):
+        # a chunk holds the steps of at least a full batch of normals: 16 at
+        # lq3's batch of 8 scenarios of 250 particles (2^18 // 2000 = 131 if
+        # sized by the batch itself), and one step of a scenario that alone
+        # outgrows a buffer
+        assert simulator._chunk_steps(8, 250, 1000) == 16
+        assert simulator._chunk_steps(8, 2000, 1000) == 16
+        assert simulator._chunk_steps(1, 10**6, 1000) == 1
+        assert simulator._chunk_steps(1, 10, 5) == 5
+
+    def test_small_stream_draws_inline_across_chunks(self, monkeypatch, draw_log):
+        # one scenario of 10 particles over 1000 steps: 63 chunks of 16
+        # steps, whose 10^4 normals fit one buffer, so no process is forked
+        pids = forked_pids(monkeypatch)
+        log = draw_log()
+        mu0 = sample_initial({"kind": "point", "x0": 1.0}, 10, 0)
+        list(stream_scenarios(lq_model(d=1), zero_control(d=1), 0.0, mu0, 1.0, 1e-3, 4, 1))
+        assert pids == []
+        assert log() == [(True, 0, k0, min(16, 1000 - k0)) for k0 in range(0, 1000, 16)]
+
     def test_single_chunk_is_drawn_inline(self, monkeypatch):
         pids = forked_pids(monkeypatch)
-        with closing(simulator._noise_chunks(self.SEED, [range(0, 2)], self.N, 3, 0.1)) as noise:
+        with closing(simulator._noise_chunks(self.SEED, [range(0, 2)], self.N, 3)) as noise:
             assert next(noise)[1].shape == (3, 2, self.N, 1)
             assert next(noise, None) is None
         assert pids == []
@@ -277,6 +297,7 @@ class TestNoiseProducer:
     def test_bad_seed_same_error_on_both_routes(self, monkeypatch):
         _, _, _, _, _, model, control = interbank_setup(h=0.01)
         mu0 = sample_initial({"kind": "point", "x0": 1.0}, 4, 0)
+        monkeypatch.setattr(simulator, "_BATCH_DOUBLES", 3 * 4)
         monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * 3 * 4)
         pids = forked_pids(monkeypatch)
         errors = []
@@ -318,7 +339,7 @@ class TestSimulate:
         n, dt = 40, 0.02
         mu0 = sample_initial({"kind": "gaussian", "mean": np.ones(3), "cov": 0.5}, n, 4)
         traj = simulate_path(lq_dynamics_spec(dyn, cost, 1.0), control, 0.0, mu0, 1.0, dt, 4, 0)
-        _, db = _gen_noise(4, 0, 0, traj.n_steps, n, 1, 1, np.sqrt(dt))
+        db = _gen_noise(4, 0, 0, traj.n_steps, n, 1, 1)[1] * np.sqrt(dt)
         x = mu0.points.copy()
         for k in range(traj.n_steps):
             mbar = tree_mean(x, axis=0)
@@ -391,13 +412,17 @@ class TestBlowupScreen:
 
     @staticmethod
     def plant(monkeypatch, paths, step, particles, value):
-        def gen(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, sqrt_dt, *,
-                out):
+        # the step scales the planted normal by sqrt(dt) at dt = 0.02, back to value exactly
+        root = float(np.sqrt(0.02))
+        normal = value / root
+        assert not np.isfinite(value) or normal * root == value
+
+        def gen(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, *, out):
             dw0, db = out
             dw0[...] = 0.0
             db[...] = 0.0
             if path_index in paths and step_offset <= step < step_offset + n_steps:
-                db[step - step_offset, particles] = value
+                db[step - step_offset, particles] = normal
             return out
 
         monkeypatch.setattr(simulator, "_gen_noise", gen)
@@ -477,7 +502,7 @@ class TestConditionalMean:
         p, dyn, cost, sol, qv, model, control = interbank_setup(h=2e-3)
         mu0 = sample_initial({"kind": "point", "x0": p.x0}, 200, 31)
         traj = simulate_path(model, control, 0.0, mu0, 1.0, 2e-3, 31, 0)
-        _, db = _gen_noise(31, 0, 0, traj.n_steps, 200, 1, 1, np.sqrt(traj.dt))
+        db = _gen_noise(31, 0, 0, traj.n_steps, 200, 1, 1)[1] * np.sqrt(traj.dt)
         for k in range(0, traj.n_steps, 97):
             x = traj.states[k][:, 0]
             m = traj.means[k, 0]

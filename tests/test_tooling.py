@@ -1,9 +1,26 @@
-"""The package's public surface: no exported name without a use or a reason."""
+"""The package's public surface: no exported name without a use or a reason; the
+layer benchmark's stand-ins still fit the package."""
 
 import ast
+import importlib.util
+import os
 import pathlib
 
 import cmvlq
+from cmvlq import simulator
+from cmvlq.measure import AffineMap
+from cmvlq.policy import FeedbackPolicy
+from cmvlq.simulator import (
+    AffineControl,
+    FeedbackControl,
+    lq_dynamics_spec,
+    pathwise_cost,
+    sample_initial,
+    simulate_path,
+)
+from cmvlq.verify import estimate_cost
+
+from conftest import make_interbank
 
 SRC = pathlib.Path(cmvlq.__file__).parent
 
@@ -77,3 +94,41 @@ def test_references_skip_the_own_definition():
                      "class C:\n    def make(self):\n        return C()\n"
                      "def g():\n    return r.solve(), r.h.k\n")
     assert references(tree) == {"n", "r", "solve", "h"}
+
+
+def bench_layers(monkeypatch):
+    """benchmarks/bench_layers.py, imported as a module; the thread settings it
+    sets in the environment are undone after the test."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, os.environ.get(name, "1"))
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_cached_noise_drives_a_cost_estimate(monkeypatch):
+    # every scenario steps the one cached path, path 0's normals at the
+    # benchmark's seed: the estimate has no spread, and its mean is path 0's cost
+    bench = bench_layers(monkeypatch)
+    _, dyn, cost, _, qv = make_interbank(h=0.01)
+    model = lq_dynamics_spec(dyn, cost, 1.0)
+    control = FeedbackControl(FeedbackPolicy(qv))
+    mu0 = sample_initial({"kind": "point", "x0": 1.0}, 20, 0)
+    want = pathwise_cost(simulate_path(model, control, 0.0, mu0, 1.0, 0.01, bench.SEED),
+                         model, control)
+    monkeypatch.setattr(simulator, "_gen_noise", bench.cached_noise(100, 20))
+    est = estimate_cost(model, control, 0.0, mu0, 20, 4, 0.01, 7)
+    assert est.stderr == 0.0 and est.mean == want
+
+
+def test_bench_reads_the_noise_mapping(monkeypatch):
+    # a batch of 4 scenarios of 20 particles over 1000 steps: two buffers of
+    # 16 steps of 4 x (20 + 1) normals
+    bench = bench_layers(monkeypatch)
+    _, dyn, cost, _, _ = make_interbank(h=0.01)
+    mu0 = sample_initial({"kind": "point", "x0": 1.0}, 20, 0)
+    mib = bench.noise_mapping_mib(lq_dynamics_spec(dyn, cost, 1.0),
+                                  AffineControl(AffineMap.zero(1, 1)), mu0, 1.0, 4)
+    assert mib == 2 * 16 * 4 * 21 * 8 / 2**20
