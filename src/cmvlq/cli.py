@@ -62,7 +62,7 @@ def _build_parser():
     top = _Parser(prog="cmvlq", description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model_required=True, needs_seed=True):
+    def add_common(p):
         p.add_argument("--config", help="key = value file; flags override it")
         p.add_argument("--model", required=False, help="model file path")
         p.add_argument("--out", required=False, help="output directory")
@@ -74,15 +74,13 @@ def _build_parser():
                        help="backward-ODE step (default T/1000)")
         p.add_argument("--t0", type=float, help="initial time (default 0)")
         p.add_argument("--theta", type=float, help="intermediate time (default T/2)")
-        p.add_argument("--epsilon", type=float, help="control shift / FD step (default 0.1)")
+        p.add_argument("--epsilon", type=float, help="finite-difference step of verify grad (default 0.1)")
         p.add_argument("--init", help="point:<v,..> | gaussian:<mean,..>[:<var,..>] (one v, "
                        "mean or var: every coordinate; var 1 by default) | csv:<path>")
         p.add_argument("--control", help="optimal | zero | const:<v,..> | shift:<eps>")
-        p._model_required = model_required
-        p._needs_seed = needs_seed
 
     p = sub.add_parser("solve", help="integrate the backward ODE system")
-    add_common(p, needs_seed=False)
+    add_common(p)
 
     p = sub.add_parser("simulate", help="simulate controlled particle paths")
     add_common(p)
@@ -99,7 +97,7 @@ def _build_parser():
     p.add_argument("--chaos-ns", dest="chaos_ns", help="comma list of particle counts")
 
     p = sub.add_parser("systemic-risk", help="end-to-end interbank example")
-    add_common(p, model_required=False)
+    add_common(p)
     for name, default in SYSTEMIC_RISK_DEFAULTS.items():
         p.add_argument(f"--{name}", type=float, default=None,
                        help=f"model parameter (default {default})")

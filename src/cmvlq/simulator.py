@@ -26,24 +26,18 @@ chunks of steps and adds the running cost inside the step.  A chunk holds
 unit normals, and the step loop scales each step's by its grid's sqrt(dt)
 (_run_generic), so one chunk serves every grid that steps it.  A run may
 start at any node of its grid, so a run from a stored node replays the
-rest of a trajectory bit for bit.  An optional Recorder keeps nodes of the
-first scenarios: every node of one scenario (simulate_path, the P = 1
-case, and restart_continuation), or strided nodes of the first paths (the
-trajectory writer).  A per-node hook sees every node without keeping it
-(the flow check's digests), and a coarse run steps each batch on the grid
-of step 2 dt from the same chunks (the dpp check's two runs).  The hook
-and the Recorder take each step's scaled common increments from the step.
+rest of a trajectory bit for bit.  One per-node hook sees every node and
+the step's scaled common increments: the flow check's digests are its
+client, and so is the Recorder, which keeps strided nodes of the first
+scenarios (simulate_path's every node, the trajectory writer's).  A coarse
+run steps each batch on the grid of step 2 dt from the same chunks (the
+dpp check's two runs).
 
-The noise comes from a double-buffered producer (_noise_chunks) whose
-chunks are sized as if each batch were at least a full one, so a small
-batch's buffers shrink with it: while the caller steps one chunk of
-steps, a forked drawing process draws the next into a second buffer they
-share, and when the caller asks for a chunk that is not yet complete, it
-draws that chunk's remaining paths itself instead of waiting.  So on two
-CPUs neither process idles while draws are pending.  A call whose noise
-fits one buffer draws it inline, without a process.  A chunk's draws
-depend only on (seed, path, step), so who draws them, and when, changes
-no bit.
+The noise comes from a double-buffered producer (_noise_chunks): while
+the caller steps one chunk, a forked process draws the next, and the
+caller draws what is pending of a chunk it asks for, so neither idles.
+A chunk's draws depend only on (seed, path, step), so who draws them,
+and when, changes no bit.
 """
 
 from __future__ import annotations
@@ -58,7 +52,6 @@ import sys
 import threading
 from contextlib import closing
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -220,7 +213,8 @@ def _run_generic(model, x, mom, K1, K2, kk, dt, dw0, db, running=None, keep=None
     chunk of normals stays unscaled for a second grid to step.  Each
     scenario's particles take one affine step x' = x A_p + c_p + (x S +
     s_p) db, A_p = I + (B + C K1)' dt + (D0 + F0 K1)' dw0_p, S = (D + F
-    K1)', c_p and s_p from the mean and k.  With `keep`, step k first calls
+    K1)', c_p and s_p from the mean and k.  With `keep`, which feeds
+    stream_scenarios' on_node hook, step k (of the chunk) first calls
     keep(k, x, mean, dw0_k), dw0_k (P, 1) its scaled common increments;
     with `running` (P,), each step adds dt times its node's lifted running
     cost.  A new state whose sum of squares N trace(second moment) passes
@@ -316,15 +310,43 @@ class Recorder(NamedTuple):
     stride: int
     sink: object
 
+    def hook(self, t0, dt, step_offset, n_steps):
+        """An on_node hook recording a run of n_steps from node step_offset of the grid from t0.
+
+        A batch's node 0 allocates buffers for its first scenarios still owed;
+        its last node (dw0 None) hands their Recording to sink: a blowup hands over none.
+        """
+        nodes = np.arange(0, n_steps + 1, self.stride)
+        owed, kept, rec = self.n_paths, 0, None
+
+        def on_node(paths, k, x, mean, dw0):
+            nonlocal owed, kept, rec
+            if k == 0:
+                kept = min(len(paths), owed)
+                owed -= kept
+                rec = Recording(paths[:kept], nodes, t0 + dt * (step_offset + nodes),
+                                np.empty((len(nodes), kept) + x.shape[1:]),
+                                np.empty((len(nodes), kept) + mean.shape[1:]),
+                                np.empty((n_steps, kept, 1))) if kept else None
+            if kept:
+                if k % self.stride == 0:
+                    rec.states[k // self.stride] = x[:kept]
+                    rec.means[k // self.stride] = mean[:kept]
+                if dw0 is None:
+                    self.sink(rec)
+                else:
+                    rec.dw0[k] = dw0[:kept]
+
+        return on_node
+
 
 def _simulate(model, control, base_t0, x0, n_steps, dt, seed, path_index, step_offset):
     """Scenario path_index from x0 at node step_offset of the grid from base_t0, every node kept."""
     kept = []
-    for _ in stream_scenarios(model, control, base_t0, EmpiricalMeasure._wrap(x0),
-                              base_t0 + dt * (step_offset + n_steps), dt, seed,
-                              range(path_index, path_index + 1), with_cost=False,
-                              step_offset=step_offset, record=Recorder(1, 1, kept.append)):
-        pass
+    drain(stream_scenarios(model, control, base_t0, EmpiricalMeasure._wrap(x0),
+                           base_t0 + dt * (step_offset + n_steps), dt, seed,
+                           range(path_index, path_index + 1), with_cost=False,
+                           step_offset=step_offset, record=Recorder(1, 1, kept.append)))
     rec = kept[0]
     times, states, means, dw0 = rec.times, rec.states[:, 0], rec.means[:, 0], rec.dw0[:, 0]
     for arr in (times, states, means, dw0):
@@ -563,21 +585,20 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
     the rest of the original bit for bit.  Yields (paths, running, ends)
     per batch: the range of path indices, the left-endpoint Riemann sums of
     the particle-averaged running cost (P,) (None without `with_cost`) and
-    the end clouds (P, N, d).  Only the batch's current state is kept, plus
-    what `record` (a Recorder) asks for.  Per scenario, ends and running
-    equal simulate_path's last node and pathwise_cost bit for bit.  A
-    blowup names the earliest failing step of a batch and, at that step,
-    its lowest path.  Close the generator, or run it to the end, to reap
-    the process that draws the noise (see _noise_chunks).
-
-    The noise arrives as chunks of unit normals (_noise_chunks), and each
-    step scales its own by sqrt(dt) (_run_generic).
+    the end clouds (P, N, d).  Only the batch's current state is kept.
+    Per scenario, ends and running equal simulate_path's last node and
+    pathwise_cost bit for bit.  A blowup names the earliest failing step of
+    a batch and, at that step, its lowest path.  The noise arrives as
+    chunks of unit normals, and each step scales its own by sqrt(dt)
+    (_run_generic).  Close the generator, or run it to the end, to reap the
+    process that draws the noise (see _noise_chunks).
 
     on_node(paths, k, x, mean, dw0), if given, sees every node k of every
     batch, counted from the run's first node: the batch's clouds x
     (P, N, d), their means (P, d) and the step's scaled common increments
     (P, 1), None at the last node.  Its arrays are valid only during the
-    call.
+    call.  A Recorder, `record`, is such a hook (Recorder.hook) whose paths
+    get batches of their own; a call takes record or on_node, not both.
 
     coarse(paths, running, ends), if given, also steps every batch on the
     grid of step 2 dt from t0 to T (the run must start at node 0) and
@@ -597,11 +618,13 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
     width = max(1, _BATCH_DOUBLES // (n * d))
     n_rec, rec_width = 0, width
     if record is not None:
-        n_rec, stride = min(record.n_paths, len(paths)), record.stride
-        nodes = np.arange(0, n_steps + 1, stride)
-        rec_width = max(1, min(width, 4 * _CHUNK_DOUBLES // (len(nodes) * n * d + n_steps)))
-    # batches of rec_width until every recorded scenario is in one, then of
-    # width; each batch records its first `kept` scenarios
+        if on_node is not None:
+            raise ValueError("a Recorder is an on_node hook: pass record or on_node, not both")
+        n_rec = min(record.n_paths, len(paths))
+        per_path = (n_steps // record.stride + 1) * n * d + n_steps
+        rec_width = max(1, min(width, 4 * _CHUNK_DOUBLES // per_path))
+        on_node = record.hook(t0, dt, step_offset, n_steps)
+    # batches of rec_width until every recorded scenario is in one, then of width
     rec_end = -(-n_rec // rec_width) * rec_width
     cuts = [*range(0, rec_end, rec_width), *range(rec_end, len(paths), width), len(paths)]
     batches = [paths[a:b] for a, b in zip(cuts, cuts[1:])]
@@ -618,24 +641,6 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
             x = np.repeat(mu0.points[None], P, axis=0)
             mom = moments(x)
             running = np.zeros(P) if with_cost else None
-            kept = min(P, n_rec - (batch.start - paths.start))
-            if kept > 0:
-                states = np.empty((len(nodes), kept, n, d))
-                means = np.empty((len(nodes), kept, d))
-                dw0_kept = np.empty((n_steps, kept, 1))
-
-            def visit(k0, k, x, m, w0):
-                k += k0
-                if kept > 0:
-                    if k % stride == 0:
-                        states[k // stride] = x[:kept]
-                        means[k // stride] = m[:kept]
-                    if w0 is not None:
-                        dw0_kept[k] = w0[:kept]
-                if on_node is not None:
-                    on_node(batch, k, x, m, w0)
-
-            watch = kept > 0 or on_node is not None
             if coarse is not None and coarse_error is None:
                 xc, momc = x, mom
                 running_c = np.zeros(P) if with_cost else None
@@ -652,23 +657,27 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
                         if bad >= 0:
                             step = k0 + bad + 1
                             coarse_error = _blowup(t0 + dt2 * step, batch, step, xc)
+                keep = None if on_node is None else lambda k, *node: on_node(batch, k0 + k, *node)
                 bad, x, mom = _run_generic(model, x, mom, K1[g], K2[g], kk[g], dt, dw0, db,
-                                           running=running,
-                                           keep=partial(visit, k0) if watch else None)
+                                           running=running, keep=keep)
                 if bad >= 0:
                     step = step_offset + k0 + bad + 1
                     raise _blowup(t0 + dt * step, batch, step, x)
                 k0 = g.stop
-            if watch:
-                visit(n_steps, 0, x, mom[0], None)
-            if kept > 0:
-                record.sink(Recording(batch[:kept], nodes, t0 + dt * (step_offset + nodes),
-                                      states, means, dw0_kept))
+            if on_node is not None:
+                on_node(batch, n_steps, x, mom[0], None)
             if coarse is not None and coarse_error is None:
                 coarse(batch, running_c, xc)
             yield batch, running, x
     if coarse_error is not None:
         raise coarse_error
+
+
+def drain(stream):
+    """Runs a scenario stream to its end, for what its hooks see."""
+    with closing(stream):
+        for _ in stream:
+            pass
 
 
 def restart_continuation(traj: ParticleTrajectory, theta):

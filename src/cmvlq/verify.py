@@ -38,7 +38,7 @@ from .lqmodel import (
 )
 from .measure import EmpiricalMeasure, mean, moments, tree_mean
 from .policy import QuadraticFunctional, QuadraticValue, value
-from .simulator import sample_initial, step_count, stream_scenarios
+from .simulator import drain, sample_initial, step_count, stream_scenarios
 
 
 def _resolve_cloud(mu0, n_particles, seed):
@@ -328,25 +328,18 @@ def flow_restarts(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, restar
                 if k >= j:
                     refs[i].feed(x[q], mean[q], None if dw0 is None else dw0[q], t0 + dt * k)
 
-    _drain(stream_scenarios(model, control, t0, mu0, T, dt, seed,
-                            range(min(by_path), max(by_path) + 1), with_cost=False,
-                            on_node=reference))
+    drain(stream_scenarios(model, control, t0, mu0, T, dt, seed,
+                           range(min(by_path), max(by_path) + 1), with_cost=False,
+                           on_node=reference))
     for (p, j), ref, start in zip(restarts, refs, starts):
         cont = _Digests()
 
         def follow(paths, k, x, mean, dw0, j=j, cont=cont):
             cont.feed(x[0], mean[0], None if dw0 is None else dw0[0], t0 + dt * (j + k))
 
-        _drain(stream_scenarios(model, control, t0, EmpiricalMeasure._wrap(start), T, dt, seed,
-                                range(p, p + 1), with_cost=False, step_offset=j, on_node=follow))
+        drain(stream_scenarios(model, control, t0, EmpiricalMeasure._wrap(start), T, dt, seed,
+                               range(p, p + 1), with_cost=False, step_offset=j, on_node=follow))
         yield p, j, ref.digests(), cont.digests()
-
-
-def _drain(stream):
-    """Runs a scenario stream to its end, for what its hooks see."""
-    with closing(stream):
-        for _ in stream:
-            pass
 
 
 def random_clouds(qv, count, n_particles, seed):

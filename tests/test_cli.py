@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -356,7 +357,7 @@ class TestModelKeys:
     def test_unknown_model_key_is_config_error(self, model_file, tmp_path, capsys,
                                                 line, key):
         path = tmp_path / "model.txt"
-        path.write_text(open(model_file).read() + line)
+        path.write_text(pathlib.Path(model_file).read_text() + line)
         code = run_cli("cost", "--model", str(path), "--out", str(tmp_path / "out"),
                        "--seed", "1", "--particles", "4", "--paths", "2")
         err = capsys.readouterr().err
@@ -375,7 +376,7 @@ class TestModelKeys:
     ])
     def test_bad_model_value_is_config_error(self, model_file, tmp_path, capsys, edit, message):
         path = tmp_path / "model.txt"
-        path.write_text(edit(open(model_file).read()))
+        path.write_text(edit(pathlib.Path(model_file).read_text()))
         code = run_cli("cost", "--model", str(path), "--out", str(tmp_path / "out"),
                        "--seed", "1", "--particles", "4", "--paths", "2")
         err = capsys.readouterr().err

@@ -209,7 +209,7 @@ class TestCsv:
         save_csv(mu, path)
         back = measure.load_csv(path)
         assert np.array_equal(back.points, mu.points)
-        assert open(path).readline().strip() == "x0,x1,x2"
+        assert path.read_text().splitlines()[0] == "x0,x1,x2"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -18,6 +18,7 @@ from cmvlq.riccati import solve_riccati
 from cmvlq.simulator import (
     AffineControl,
     FeedbackControl,
+    Recorder,
     ShiftedControl,
     _blowup,
     _gen_noise,
@@ -394,6 +395,51 @@ class TestSimulate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalBlowup, match="t=0.5"):
                 simulate_path(lq_model(B=1e308), zero_control(), 0.0, mu0, 1.0, 0.5, 0, 0)
+
+
+def hand_node(batch, k):
+    """Clouds (P, 3, 1), their means and common increments of a hand-driven batch at node k."""
+    x = 100.0 * k + 10.0 * np.array(batch, float)[:, None, None] + np.arange(3.0)[:, None]
+    return x, x.mean(axis=1), np.array(batch, float)[:, None] + k / 8
+
+
+class TestRecorder:
+    def drive(self, hook, batch, nodes):
+        """Feeds hook the batch's nodes of a run of 4 steps; node 4 has no increment."""
+        for k in nodes:
+            x, mean, dw0 = hand_node(batch, k)
+            hook(batch, k, x, mean, None if k == 4 else dw0)
+
+    def test_hook_records_the_owed_paths_of_each_batch(self):
+        # 3 paths owed at stride 2, a run of 4 steps from node 1 of the grid
+        # from 0.5 with dt 0.25: batch 0-1 is recorded whole, batch 2-3 only
+        # its path 2, each handed over at its last node; before it, nothing
+        # is, which is all a blowup leaves
+        recs = []
+        hook = Recorder(3, 2, recs.append).hook(0.5, 0.25, 1, 4)
+        self.drive(hook, range(0, 2), range(4))
+        assert recs == []
+        self.drive(hook, range(0, 2), [4])
+        self.drive(hook, range(2, 4), range(5))
+        assert [rec.paths for rec in recs] == [range(0, 2), range(2, 3)]
+        for rec in recs:
+            kept = len(rec.paths)
+            assert np.array_equal(rec.nodes, [0, 2, 4])
+            assert np.array_equal(rec.times, [0.75, 1.25, 1.75])
+            for i, k in enumerate(rec.nodes):
+                x, mean, _ = hand_node(rec.paths, k)
+                assert np.array_equal(rec.states[i], x) and np.array_equal(rec.means[i], mean)
+            assert rec.dw0.shape == (4, kept, 1)
+            for k in range(4):
+                assert np.array_equal(rec.dw0[k], hand_node(rec.paths, k)[2])
+
+    def test_record_and_on_node_are_exclusive(self):
+        _, _, _, _, _, model, control = interbank_setup(h=0.01)
+        mu0 = sample_initial({"kind": "point", "x0": 1.0}, 4, 0)
+        stream = stream_scenarios(model, control, 0.0, mu0, 1.0, 0.01, 0, 2,
+                                  record=Recorder(1, 1, print), on_node=lambda *node: None)
+        with pytest.raises(ValueError, match="record or on_node"):
+            next(stream)
 
 
 class TestBlowupScreen:

@@ -27,6 +27,8 @@ SRC = pathlib.Path(cmvlq.__file__).parent
 # exported names that no module of the package uses, each with why it stays
 UNUSED_EXPORTS = {
     "backend": "perfbench/run.py records the resolved backend in its manifest",
+    "gains": "the public diagnostic view of the gain blocks at any (Lam, Gam, gam), which "
+             "RiccatiSolution.pd_history and the node gains are tested against",
     "pathwise_cost": "the public per-path cost, which the Monte Carlo drivers' fused costs "
                      "equal bit for bit (tests/test_verify.py); perfbench/spans.py times it",
     "recover_original": "the paper's interbank control in its original variable, which "
@@ -53,17 +55,19 @@ def references(tree):
     """Names a module uses, bare or as an attribute of a package module it imports.
 
     A use inside the top-level function or class that defines the name
-    (a recursive call, a method that builds its own class) does not count.
+    (a recursive call, a method that builds its own class) does not count,
+    nor does a bare name that an enclosing function or lambda binds as a
+    parameter.
     """
     modules = {alias.asname or alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.level and node.module is None
                for alias in node.names}
     used = set()
 
-    def visit(node, owner):
+    def visit(node, owner, params):
         for child in ast.iter_child_nodes(node):
             name = None
-            if isinstance(child, ast.Name):
+            if isinstance(child, ast.Name) and child.id not in params:
                 name = child.id
             elif (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
                   and child.value.id in modules):
@@ -71,9 +75,12 @@ def references(tree):
             if name is not None and name != owner:
                 used.add(name)
             top = owner is None and isinstance(child, (ast.FunctionDef, ast.ClassDef))
-            visit(child, child.name if top else owner)
+            bound = params
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                bound = params | {a.arg for a in ast.walk(child.args) if isinstance(a, ast.arg)}
+            visit(child, child.name if top else owner, bound)
 
-    visit(tree, None)
+    visit(tree, None, frozenset())
     return used
 
 
@@ -92,8 +99,9 @@ def test_references_skip_the_own_definition():
     tree = ast.parse("from . import riccati as r\n"
                      "def f(n):\n    return f(n - 1)\n"
                      "class C:\n    def make(self):\n        return C()\n"
-                     "def g():\n    return r.solve(), r.h.k\n")
-    assert references(tree) == {"n", "r", "solve", "h"}
+                     "def g():\n    return r.solve(), r.h.k\n"
+                     "def h(gains, *more, **opts):\n    return gains, more, opts, lambda k: k\n")
+    assert references(tree) == {"r", "solve", "h"}
 
 
 def bench_layers(monkeypatch):
