@@ -55,21 +55,31 @@ def tree_mean(a, axis=0):
 def moments(x):
     """Mean (..., d) and second moment (..., d(d+1)/2) of the clouds x (..., N, d).
 
-    The second moment is the particle mean of x_i x_j, i <= j, in
-    np.triu_indices(d) order.  One tree_sum of each cloud's rows (x_1, ...,
-    x_d, x_i x_j, ...) gives both, so the mean is tree_mean(x, axis=-2)'s bits.
-    The products of each i fill one block of rows, x_i (x_i, ..., x_d), in
-    one broadcast multiply: d calls, not one per pair.
+    Copies the coordinates into rows and reduces them with row_moments, so
+    the mean is tree_mean(x, axis=-2)'s bits.
     """
     *lead, n, d = x.shape
-    rows = np.empty((*lead, d + d * (d + 1) // 2, n))
-    xt = rows[..., :d, :]
-    xt[...] = np.swapaxes(x, -1, -2)
+    rows = np.empty((d + d * (d + 1) // 2, *lead, n))
+    rows[:d] = np.moveaxis(x, -1, 0)
+    return row_moments(rows, d)
+
+
+def row_moments(rows, d):
+    """Mean (..., d) and second moment (..., d(d+1)/2) of clouds held as coordinate rows.
+
+    rows (d + d(d+1)/2, ..., N) holds the clouds' d coordinates in its
+    first d rows, each a contiguous block; the rest are filled here with
+    the products x_i x_j, i <= j, in np.triu_indices(d) order: those of
+    each i, x_i (x_i, ..., x_d), in one broadcast multiply, d calls and
+    not one per pair.  One tree_sum over the particles then gives every
+    cloud's mean and second moment, returned C-contiguous, so the products
+    taken of them pick the same numpy loop as those of any other moments.
+    """
     r = d
     for i in range(d):
-        np.multiply(xt[..., i:i + 1, :], xt[..., i:, :], out=rows[..., r:r + d - i, :])
+        np.multiply(rows[i:i + 1], rows[i:d], out=rows[r:r + d - i])
         r += d - i
-    s = tree_sum(rows, axis=-1) / n
+    s = np.ascontiguousarray(np.moveaxis(tree_sum(rows, axis=-1), 0, -1)) / rows.shape[-1]
     return s[..., :d], s[..., d:]
 
 

@@ -67,7 +67,7 @@ from .lqmodel import (
     lifted_cost,
     matprod,
 )
-from .measure import AffineMap, EmpiricalMeasure, load_csv, moments
+from .measure import AffineMap, EmpiricalMeasure, load_csv, moments, row_moments
 
 _INIT_PATH_TAG = 2**64 - 1
 
@@ -203,27 +203,38 @@ def _control_grid(control, base_t0, dt, n_steps, offset, d, m):
 _SCREEN = BLOWUP_LIMIT ** 2 * (1.0 - 1e-9)
 
 
-def _run_generic(model, x, mom, K1, K2, kk, dt, dw0, db, running=None, keep=None):
-    """Affine Euler loop for any (d, m) over P scenarios.
+def _run_generic(model, bufs, mom, K1, K2, kk, dt, dw0, db, running=None, keep=None):
+    """Affine Euler loop for any (d, m) over P scenarios held as coordinate rows.
 
-    x (P, N, d) holds the particles at the first node and mom its moments
-    (measure.moments); dw0 (K, P, 1) and db (K, P, N, 1) are the unit
-    normals of K steps, which each step scales by sqrt(dt) itself: its
-    increments are fl(z sqrt(dt)), what a grid of step dt draws, and a
-    chunk of normals stays unscaled for a second grid to step.  Each
-    scenario's particles take one affine step x' = x A_p + c_p + (x S +
-    s_p) db, A_p = I + (B + C K1)' dt + (D0 + F0 K1)' dw0_p, S = (D + F
-    K1)', c_p and s_p from the mean and k.  With `keep`, which feeds
-    stream_scenarios' on_node hook, step k (of the chunk) first calls
-    keep(k, x, mean, dw0_k), dw0_k (P, 1) its scaled common increments;
-    with `running` (P,), each step adds dt times its node's lifted running
-    cost.  A new state whose sum of squares N trace(second moment) passes
-    _SCREEN has its particles tested one by one.  Returns (k, x, mom): the
-    failing step and its state, or -1, the last state and its moments.
+    bufs are the batch's buffers (_batch_buffers): two of rows (R, P, N),
+    the first holding the particles at the first node in its rows 0..d-1
+    and their products (measure.row_moments) in the rest, and a scratch;
+    mom holds the first node's moments.  dw0 (K, P, 1) and db (K, P, N, 1)
+    are the unit normals of K steps, which each step scales by sqrt(dt)
+    itself: its increments are fl(z sqrt(dt)), what a grid of step dt
+    draws, and a chunk of normals stays unscaled for a second grid to
+    step.  Each scenario's particles take one affine step x' = x A_p + c_p
+    + (x S + s_p) db, A_p = I + (B + C K1)' dt + (D0 + F0 K1)' dw0_p, S =
+    (D + F K1)', c_p and s_p from the mean and k, computed on the rows X
+    (P, d, N) as A_p' X + ...: the same products, with the per-scenario
+    terms broadcast along the particles.  The new coordinates go straight
+    into the other buffer, whose products and moments then take one
+    tree_sum.  With `keep`, which feeds stream_scenarios' on_node hook,
+    step k (of the chunk) first calls keep(k, x, mean, dw0_k), x the
+    (P, N, d) view of the rows and dw0_k (P, 1) its scaled common
+    increments; with `running` (P,), each step adds dt times its node's
+    lifted running cost.  A new state whose sum of squares N trace(second
+    moment) passes _SCREEN has its particles tested one by one.  Returns
+    (k, bufs, mom): the failing step, or -1, and bufs with that state (or
+    the last one) and its moments first.
     """
     dyn = model.dyn
-    d, n = dyn.d, x.shape[1]
+    d = dyn.d
+    cur, nxt, z = bufs
+    n = cur.shape[-1]
     sqrt_dt = math.sqrt(dt)
+    # x @ M on the particle layout is M' @ X on the rows; at d = 1 the same product
+    prod = np.multiply if d == 1 else np.matmul
     # per step, the loadings of the state, L = Gx + K1' Ga = [(B + C K1)', S, (D0 + F0 K1)'],
     # and of the mean, G = Gm + (K2 - K1)' Ga, plus g0 + k Ga
     L = dyn.Gx + matprod(np.swapaxes(K1, 1, 2), dyn.Ga)
@@ -237,23 +248,52 @@ def _run_generic(model, x, mom, K1, K2, kk, dt, dw0, db, running=None, keep=None
         mbar = mom[0]
         w0 = dw0[k] * sqrt_dt
         if keep is not None:
-            keep(k, x, mbar, w0)
+            keep(k, _points(cur, d), mbar, w0)
         node_moments.append(mom)
-        g = matprod(mbar[:, None, :], G[k]) + g0[k]
+        g = np.swapaxes(matprod(mbar[:, None, :], G[k]) + g0[k], 1, 2)
         w0 = w0[:, :, None]
-        z = matprod(x, S[k]) + g[:, :, d:2 * d]
-        z *= db[k] * sqrt_dt
-        x = matprod(x, L0[k] * w0 + Ab[k]) + (g[:, :, :d] * dt + g[:, :, 2 * d:] * w0) + z
-        mom = moments(x)
+        x, y = _coords(cur, d), _coords(nxt, d)
+        prod(S[k].T, x, out=z)
+        z += g[:, d:2 * d]
+        z *= (db[k] * sqrt_dt).reshape(-1, 1, n)
+        prod(np.swapaxes(L0[k] * w0 + Ab[k], 1, 2), x, out=y)
+        y += g[:, :d] * dt + g[:, 2 * d:] * w0
+        y += z
+        cur, nxt = nxt, cur
+        mom = row_moments(cur, d)
         if (not np.all(n * np.sum(mom[1][:, diag], axis=1) <= _SCREEN)
-                and not np.all(np.abs(x) <= BLOWUP_LIMIT)):
-            return k, x, mom
+                and not np.all(np.abs(y) <= BLOWUP_LIMIT)):
+            return k, (cur, nxt, z), mom
     if running is not None:
         fhat = lifted_cost(model.cost, *map(np.stack, zip(*node_moments)),
                            (K1[:, None], K2[:, None], kk[:, None]))
         for f in fhat:
             running += f * dt
-    return -1, x, mom
+    return -1, (cur, nxt, z), mom
+
+
+def _batch_buffers(x0, P):
+    """A batch's buffers for _run_generic, and the moments of its first node.
+
+    Two buffers of coordinate rows (R, P, N), R = d + d(d+1)/2, each row a
+    contiguous block of the batch's particles, the first holding P copies
+    of the cloud x0 (N, d) and their products; and a scratch laid out as
+    the coordinates.  Allocated once for the batch.
+    """
+    n, d = x0.shape
+    cur, nxt = np.empty((2, d + d * (d + 1) // 2, P, n))
+    cur[:d] = x0.T[:, None]
+    return (cur, nxt, _coords(np.empty((d, P, n)), d)), row_moments(cur, d)
+
+
+def _coords(rows, d):
+    """The (P, d, N) view of the coordinate rows of rows (R, P, N)."""
+    return rows[:d].transpose(1, 0, 2)
+
+
+def _points(rows, d):
+    """The (P, N, d) view of the clouds held as coordinate rows (R, P, N)."""
+    return rows[:d].transpose(1, 2, 0)
 
 
 def _blowup(t, paths, step, x):
@@ -638,11 +678,10 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
     with closing(_noise_chunks(seed, batches, n, n_steps, step_offset)) as noise:
         for batch in batches:
             P = len(batch)
-            x = np.repeat(mu0.points[None], P, axis=0)
-            mom = moments(x)
+            bufs, mom = _batch_buffers(mu0.points, P)
             running = np.zeros(P) if with_cost else None
             if coarse is not None and coarse_error is None:
-                xc, momc = x, mom
+                bufs_c, momc = _batch_buffers(mu0.points, P)
                 running_c = np.zeros(P) if with_cost else None
             k0 = 0
             while k0 < n_steps:
@@ -652,22 +691,23 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
                     c = min(dw0.shape[0], n2 - k0)
                     if c > 0 and coarse_error is None:
                         gc = slice(k0, k0 + c)
-                        bad, xc, momc = _run_generic(model, xc, momc, C1[gc], C2[gc], ck[gc], dt2,
-                                                     dw0[:c], db[:c], running=running_c)
+                        bad, bufs_c, momc = _run_generic(model, bufs_c, momc, C1[gc], C2[gc], ck[gc],
+                                                         dt2, dw0[:c], db[:c], running=running_c)
                         if bad >= 0:
                             step = k0 + bad + 1
-                            coarse_error = _blowup(t0 + dt2 * step, batch, step, xc)
+                            coarse_error = _blowup(t0 + dt2 * step, batch, step, _points(bufs_c[0], d))
                 keep = None if on_node is None else lambda k, *node: on_node(batch, k0 + k, *node)
-                bad, x, mom = _run_generic(model, x, mom, K1[g], K2[g], kk[g], dt, dw0, db,
-                                           running=running, keep=keep)
+                bad, bufs, mom = _run_generic(model, bufs, mom, K1[g], K2[g], kk[g], dt, dw0, db,
+                                              running=running, keep=keep)
                 if bad >= 0:
                     step = step_offset + k0 + bad + 1
-                    raise _blowup(t0 + dt * step, batch, step, x)
+                    raise _blowup(t0 + dt * step, batch, step, _points(bufs[0], d))
                 k0 = g.stop
+            x = _points(bufs[0], d)
             if on_node is not None:
                 on_node(batch, n_steps, x, mom[0], None)
             if coarse is not None and coarse_error is None:
-                coarse(batch, running_c, xc)
+                coarse(batch, running_c, _points(bufs_c[0], d))
             yield batch, running, x
     if coarse_error is not None:
         raise coarse_error

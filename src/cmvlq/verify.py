@@ -284,7 +284,7 @@ class _Digests:
 
     def feed(self, x, mean, dw0, t):
         states, means, increments, times = self.hashes
-        states.update(x)
+        states.update(np.ascontiguousarray(x))
         means.update(mean)
         if dw0 is not None:
             increments.update(dw0)

@@ -80,9 +80,9 @@ class TestSystemicRisk:
         steps = []
         loop = simulator._run_generic
 
-        def counting(model, x, mom, K1, K2, kk, dt, dw0, db, **kw):
-            steps.append(x.shape[0] * dw0.shape[0])
-            return loop(model, x, mom, K1, K2, kk, dt, dw0, db, **kw)
+        def counting(model, bufs, mom, K1, K2, kk, dt, dw0, db, **kw):
+            steps.append(dw0.shape[1] * dw0.shape[0])
+            return loop(model, bufs, mom, K1, K2, kk, dt, dw0, db, **kw)
 
         monkeypatch.setattr(simulator, "_run_generic", counting)
         assert run_cli("systemic-risk", "--out", str(tmp_path), *self.MC) == 0
@@ -134,13 +134,13 @@ class TestTrajectoryWriter:
         pids = forked_pids(monkeypatch)
         loop = simulator._run_generic
 
-        def failing(model, x, *args, **kwargs):
-            bad, x, mom = loop(model, x, *args, **kwargs)
+        def failing(model, bufs, *args, **kwargs):
+            bad, bufs, mom = loop(model, bufs, *args, **kwargs)
             if len(pids) >= 2:
-                x = x.copy()
-                x[0, 0, 0] = np.nan
-                return 0, x, mom
-            return bad, x, mom
+                rows = bufs[0].copy()
+                rows[0, 0, 0] = np.nan
+                return 0, (rows, *bufs[1:]), mom
+            return bad, bufs, mom
 
         monkeypatch.setattr(simulator, "_run_generic", failing)
         assert run_cli("systemic-risk", "--out", str(tmp_path), "--paths", "8", *self.MC) == 3
