@@ -20,31 +20,18 @@ import numpy as np
 
 
 def tree_sum(a, axis=0):
-    """Sum along `axis` with a fixed index-ascending pairwise tree.
+    """Sum along `axis` with numpy's pairwise tree, over a C-contiguous last axis.
 
-    At level s the element at index i+s is added into index i for
-    i = 0, 2s, 4s, ...; elements without a partner pass through.  Each
-    row of a batch is reduced alone, so a scenario's means are the same
-    bits whatever batch it is stepped in.  Each level is computed by
-    compaction: neighbours 2j and 2j+1 of the previous level are added
-    into slot j and an odd tail moves to the last slot, which is the same
-    tree with the operands laid out contiguously.
+    np.add.reduce sums a contiguous last axis pairwise: up to 128 elements
+    in 8 interleaved accumulators, above that split at n/2 rounded down to
+    a multiple of 8, each half summed the same way.  The tree depends on n
+    alone, so each row of a stack is the same bits whatever stack it sits
+    in.  Over any other axis, or a strided one, numpy adds sequentially;
+    so `axis` is moved last and the array is copied unless it is already
+    C-contiguous.
     """
-    w = np.asarray(a, dtype=np.float64)
-    if axis not in (-1, w.ndim - 1):
-        # a contiguous copy, whose levels read memory in order: on the step
-        # loop's (8, 250, 3) clouds it halves the time of the sum
-        w = np.ascontiguousarray(np.moveaxis(w, axis, -1))
-    n = w.shape[-1]
-    if n == 1:
-        w = w.copy()
-    while n > 1:
-        h = n // 2
-        nxt = w[..., 0 : 2 * h : 2] + w[..., 1 : 2 * h : 2]
-        if n % 2:
-            nxt = np.concatenate((nxt, w[..., 2 * h :]), axis=-1)
-        w, n = nxt, n - h
-    return w[..., 0] if w.ndim > 1 else w[0]
+    w = np.ascontiguousarray(np.moveaxis(np.asarray(a, dtype=np.float64), axis, -1))
+    return np.add.reduce(w, axis=-1)
 
 
 def tree_mean(a, axis=0):

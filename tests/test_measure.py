@@ -13,24 +13,53 @@ def cloud(*vals):
     return EmpiricalMeasure(np.asarray(vals, dtype=float))
 
 
+def pairwise(v, i, n):
+    """numpy's pairwise sum of v[i:i+n] (float64 add), scalar python.
+
+    Below 8 elements one running sum; up to 128, eight interleaved
+    accumulators added as a balanced tree, then the tail of fewer than 8;
+    above that, split at n/2 rounded down to a multiple of 8.
+    """
+    if n < 8:
+        res = 0.0
+        for j in range(i, i + n):
+            res += v[j]
+        return res
+    if n <= 128:
+        r = v[i:i + 8]
+        j = 8
+        while j < n - n % 8:
+            r = [r[q] + v[i + j + q] for q in range(8)]
+            j += 8
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for j in range(j, n):
+            res += v[i + j]
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return pairwise(v, i, n2) + pairwise(v, i + n2, n - n2)
+
+
 class TestTreeSum:
     def test_matches_reference_order(self):
-        # explicit index-ascending pairwise tree, scalar python
+        # numpy's pairwise tree, scalar python; the reduction starts from 0.0
         def ref(vals):
-            w = list(vals)
-            s = 1
-            while s < len(w):
-                i = 0
-                while i + s < len(w):
-                    w[i] = w[i] + w[i + s]
-                    i += 2 * s
-                s *= 2
-            return w[0]
+            return 0.0 + pairwise(vals.tolist(), 0, len(vals))
 
         rng = np.random.default_rng(0)
-        for n in [1, 2, 3, 5, 8, 17, 100, 1023]:
+        for n in [1, 2, 3, 5, 8, 17, 100, 1023, 8191, 8192, 8193, 20000, 100001]:
             v = rng.standard_normal(n)
             assert tree_sum(v) == ref(v)
+        # any alignment of the first element, and any row of a stack
+        for n in [7, 9, 129, 2001]:
+            buf = rng.standard_normal(n + 8)
+            for off in range(8):
+                assert tree_sum(buf[off:off + n]) == ref(buf[off:off + n]), (n, off)
+            stack = rng.standard_normal((3, 4, n))
+            sums = tree_sum(stack, axis=-1)
+            for p in range(3):
+                for r in range(4):
+                    assert sums[p, r] == ref(stack[p, r]), (n, p, r)
 
     def test_accuracy_vs_fsum(self):
         rng = np.random.default_rng(1)
@@ -46,15 +75,32 @@ class TestTreeSum:
 
 
 def strided_tree_sum(a, axis=0):
-    """The earlier in-place strided implementation of the same tree."""
-    w = np.array(np.moveaxis(np.asarray(a, dtype=np.float64), axis, 0))
-    n = w.shape[0]
-    s = 1
-    while s < n:
-        head = w[0 : n - s : 2 * s]
-        head += w[s : n : 2 * s]
-        s *= 2
-    return w[0]
+    """numpy's pairwise tree as strided elementwise adds over every row at once.
+
+    The same additions as `pairwise`: running sums are np.add.accumulate,
+    which adds strictly in sequence, and the eight accumulators meet in
+    three levels of strided adds.
+    """
+    w = np.moveaxis(np.asarray(a, dtype=np.float64), axis, -1)
+
+    def run(start, vals):
+        # start + vals[0] + vals[1] + ..., left to right
+        return np.add.accumulate(np.concatenate((start[..., None], vals), axis=-1), axis=-1)[..., -1]
+
+    def rows(i, n):
+        if n < 8:
+            return run(np.zeros(w.shape[:-1]), w[..., i:i + n])
+        if n <= 128:
+            blocks = w[..., i:i + n - n % 8].reshape(*w.shape[:-1], -1, 8)
+            r = np.add.accumulate(blocks, axis=-2)[..., -1, :]
+            while r.shape[-1] > 1:
+                r = r[..., 0::2] + r[..., 1::2]
+            return run(r[..., 0], w[..., i + n - n % 8:i + n])
+        n2 = n // 2
+        n2 -= n2 % 8
+        return rows(i, n2) + rows(i + n2, n - n2)
+
+    return 0.0 + rows(0, w.shape[-1])
 
 
 def test_tree_sum_matches_strided_loop_bitwise():
