@@ -25,6 +25,9 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
   and the dpp check's (M = 48 to theta = 0.5), read while each steps its
   first batch;
 - tree_sum on (32, 2000) and (1000, 2000) along axis 1, and on (2000,);
+- moments: ``measure.moments`` on stacks of clouds of the step loop's
+  batch shapes, (8, 2000, 1) (interbank), (8, 250, 3) (the d = 3 model)
+  and (1, 500, 1) (one scenario, as the flow check steps it);
 - writer: ``cli._write_trajectories`` formatting the nodes of 4 paths
   recorded at stride 10 into trajectory.csv and means.csv (the recording
   itself is stepped once, untimed: systemic-risk records these paths from
@@ -316,6 +319,11 @@ def main():
         reps = 200
         row("tree_sum_" + "x".join(map(str, shape)),
             best_of(lambda: [measure.tree_sum(a, axis) for _ in range(reps)], args.repeats, reps))
+    for shape in ((8, N, 1), (M3, N3, 3), (1, FLOW_N, 1)):
+        x = rng.standard_normal(shape)
+        reps = 200
+        row("moments_" + "x".join(map(str, shape)),
+            best_of(lambda: [measure.moments(x) for _ in range(reps)], args.repeats, reps))
 
     if hasattr(simulator, "Recorder"):
         recs = []

@@ -6,11 +6,12 @@ is an exact finite sum over the particles, so identity checks downstream
 carry no quadrature error.  Functions on raw arrays take a stack of clouds
 (..., N, d) and reduce each cloud alone.
 
-Reductions over the particle index always go through ``tree_sum``, an
-index-ascending pairwise tree whose floating-point result is fixed by the
-data alone (no dependence on threading, chunking or the other rows of a
-stack).  Sums over the d coordinates are plain left-to-right loops; d is
-small and fixed.  So a cloud's moments and forms are the same bits
+Reductions over the particle index always go through ``tree_sum``, numpy's
+pairwise tree over a C-contiguous last axis, fixed by the row length alone
+(not by threading, alignment or the other rows of a stack).  Moments are
+taken of coordinate rows (``row_moments``), one contiguous reduction for
+the coordinates and their products.  Sums over the d coordinates are plain
+left-to-right loops.  So a cloud's moments and forms are the same bits
 whatever stack it sits in.
 """
 
@@ -20,15 +21,12 @@ import numpy as np
 
 
 def tree_sum(a, axis=0):
-    """Sum along `axis` with numpy's pairwise tree, over a C-contiguous last axis.
+    """Sum along `axis` with numpy's pairwise tree.
 
     np.add.reduce sums a contiguous last axis pairwise: up to 128 elements
     in 8 interleaved accumulators, above that split at n/2 rounded down to
-    a multiple of 8, each half summed the same way.  The tree depends on n
-    alone, so each row of a stack is the same bits whatever stack it sits
-    in.  Over any other axis, or a strided one, numpy adds sequentially;
-    so `axis` is moved last and the array is copied unless it is already
-    C-contiguous.
+    a multiple of 8.  Over any other axis, or a strided one, it adds in
+    sequence, so `axis` is moved last and copied unless already C-contiguous.
     """
     w = np.ascontiguousarray(np.moveaxis(np.asarray(a, dtype=np.float64), axis, -1))
     return np.add.reduce(w, axis=-1)
@@ -54,13 +52,10 @@ def moments(x):
 def row_moments(rows, d):
     """Mean (..., d) and second moment (..., d(d+1)/2) of clouds held as coordinate rows.
 
-    rows (d + d(d+1)/2, ..., N) holds the clouds' d coordinates in its
-    first d rows, each a contiguous block; the rest are filled here with
-    the products x_i x_j, i <= j, in np.triu_indices(d) order: those of
-    each i, x_i (x_i, ..., x_d), in one broadcast multiply, d calls and
-    not one per pair.  One tree_sum over the particles then gives every
-    cloud's mean and second moment, returned C-contiguous, so the products
-    taken of them pick the same numpy loop as those of any other moments.
+    rows (d + d(d+1)/2, ..., N) holds the d coordinates in its first rows;
+    the rest are filled here with the products x_i x_j, i <= j, in
+    np.triu_indices(d) order, x_i (x_i, ..., x_d) in one multiply per i.
+    One tree_sum then gives both, C-contiguous like any other moments.
     """
     r = d
     for i in range(d):

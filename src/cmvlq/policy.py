@@ -268,16 +268,13 @@ def save_policy_csv(qv: QuadraticValue, path):
     K1, K2, kk = node_gains
     d, m = qv.dyn.d, qv.dyn.m
     sol = qv.sol
-    cols = ["t"]
-    cols += [f"K1_{i}{j}" for i in range(m) for j in range(d)]
-    cols += [f"K2_{i}{j}" for i in range(m) for j in range(d)]
-    cols += [f"k_{i}" for i in range(m)]
+    pairs = [f"{i}{j}" for i in range(m) for j in range(d)]
+    cols = ["t", *(f"K1_{p}" for p in pairs), *(f"K2_{p}" for p in pairs),
+            *(f"k_{i}" for i in range(m))]
+    n = sol.n_nodes
+    table = np.column_stack((sol.grid, K1.reshape(n, -1), K2.reshape(n, -1),
+                             kk.reshape(n, -1))).tolist()
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for j, t in enumerate(sol.grid):
-            row = [float(t)]
-            row += list(K1[j].reshape(-1))
-            row += list(K2[j].reshape(-1))
-            row += list(kk[j].reshape(-1))
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in table)
 

@@ -370,21 +370,15 @@ def solve_riccati(dyn: LqDynamics, cost: LqCost, T, h):
 
 def save_riccati_csv(sol: RiccatiSolution, path):
     """One row per node: t, Lam entries, Gam entries, gam, chi, min eigs."""
-    d = sol.d
-    cols = ["t"]
-    cols += [f"Lam_{i}{j}" for i in range(d) for j in range(d)]
-    cols += [f"Gam_{i}{j}" for i in range(d) for j in range(d)]
-    cols += [f"gam_{i}" for i in range(d)]
-    cols += ["chi", "minEigU", "minEigV"]
+    pairs = [f"{i}{j}" for i in range(sol.d) for j in range(sol.d)]
+    cols = ["t", *(f"Lam_{p}" for p in pairs), *(f"Gam_{p}" for p in pairs),
+            *(f"gam_{i}" for i in range(sol.d)), "chi", "minEigU", "minEigV"]
+    n = sol.n_nodes
+    table = np.column_stack((sol.grid, sol.Lam.reshape(n, -1), sol.Gam.reshape(n, -1), sol.gam,
+                             sol.chi, sol.pd_history)).tolist()
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(sol.n_nodes):
-            row = [sol.grid[k]]
-            row += list(sol.Lam[k].reshape(-1))
-            row += list(sol.Gam[k].reshape(-1))
-            row += list(sol.gam[k])
-            row += [sol.chi[k], sol.pd_history[k, 0], sol.pd_history[k, 1]]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in table)
 
 
 # ---------------------------------------------------------------------------

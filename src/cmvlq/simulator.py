@@ -15,23 +15,20 @@ regenerated without replaying the stream.
 
 Every control is an affine feedback a = K1(t)(x - mbar) + K2(t) mbar + k(t)
 given by its gains on the step grid.  One Euler loop steps P scenarios of
-any (d, m): given its mean and common increment, a scenario's particles
-take one affine step, and one tree_sum gives each scenario's mean and
-second moment, which give its running cost (lqmodel.lifted_cost) and
-screen the new state for blowup.
+any (d, m) held as coordinate rows: a batch lives in two buffers (R, P,
+N), R = d + d(d+1)/2, whose first d rows hold the coordinates and the
+rest the products x_i x_j.  Given its mean and common increment, a
+scenario's particles take one affine step into the other buffer, and one
+contiguous tree_sum of its rows gives each scenario's mean and second
+moment, which give its running cost (lqmodel.lifted_cost) and screen the
+new state for blowup.  Hooks, yields and blowups see (P, N, d) views.
 
-One function, stream_scenarios, steps them: it runs scenarios in batches of
-P, keeps only the batch's current state, draws each path's noise in
-chunks of steps and adds the running cost inside the step.  A chunk holds
-unit normals, and the step loop scales each step's by its grid's sqrt(dt)
-(_run_generic), so one chunk serves every grid that steps it.  A run may
-start at any node of its grid, so a run from a stored node replays the
-rest of a trajectory bit for bit.  One per-node hook sees every node and
-the step's scaled common increments: the flow check's digests are its
-client, and so is the Recorder, which keeps strided nodes of the first
-scenarios (simulate_path's every node, the trajectory writer's).  A coarse
-run steps each batch on the grid of step 2 dt from the same chunks (the
-dpp check's two runs).
+One function, stream_scenarios, steps them in batches, keeps only a
+batch's current state and adds the running cost inside the step; a run
+from a stored node replays the rest of a trajectory bit for bit.  Its
+per-node hook feeds the flow check's digests and the Recorder
+(simulate_path, the trajectory writer), and its coarse run steps each
+batch at 2 dt from the same noise chunks (the dpp check's two runs).
 
 The noise comes from a double-buffered producer (_noise_chunks): while
 the caller steps one chunk, a forked process draws the next, and the
@@ -206,32 +203,21 @@ _SCREEN = BLOWUP_LIMIT ** 2 * (1.0 - 1e-9)
 def _run_generic(model, bufs, mom, K1, K2, kk, dt, dw0, db, running=None, keep=None):
     """Affine Euler loop for any (d, m) over P scenarios held as coordinate rows.
 
-    bufs are the batch's buffers (_batch_buffers): two of rows (R, P, N),
-    the first holding the particles at the first node in its rows 0..d-1
-    and their products (measure.row_moments) in the rest, and a scratch;
-    mom holds the first node's moments.  dw0 (K, P, 1) and db (K, P, N, 1)
-    are the unit normals of K steps, which each step scales by sqrt(dt)
-    itself: its increments are fl(z sqrt(dt)), what a grid of step dt
-    draws, and a chunk of normals stays unscaled for a second grid to
-    step.  Each scenario's particles take one affine step x' = x A_p + c_p
-    + (x S + s_p) db, A_p = I + (B + C K1)' dt + (D0 + F0 K1)' dw0_p, S =
-    (D + F K1)', c_p and s_p from the mean and k, computed on the rows X
-    (P, d, N) as A_p' X + ...: the same products, with the per-scenario
-    terms broadcast along the particles.  The new coordinates go straight
-    into the other buffer, whose products and moments then take one
-    tree_sum.  With `keep`, which feeds stream_scenarios' on_node hook,
-    step k (of the chunk) first calls keep(k, x, mean, dw0_k), x the
-    (P, N, d) view of the rows and dw0_k (P, 1) its scaled common
-    increments; with `running` (P,), each step adds dt times its node's
-    lifted running cost.  A new state whose sum of squares N trace(second
+    bufs (_batch_buffers) hold the current node first, mom its moments;
+    dw0 (K, P, 1) and db (K, P, N, 1) are K steps' unit normals, which
+    each step scales by sqrt(dt) (fl(z sqrt(dt)), what a grid of step dt
+    draws).  A scenario's particles take x' = x A_p + c_p + (x S + s_p) db,
+    A_p = I + (B + C K1)' dt + (D0 + F0 K1)' dw0_p, S = (D + F K1)', as the
+    same products on the rows X (P, d, N), A_p' X, into the next buffer,
+    whose products and moments then take one tree_sum.  keep(k, x, mean,
+    dw0_k), if given, sees node k of the chunk as a (P, N, d) view with the
+    scaled common increments; `running` (P,) adds dt times each node's
+    lifted running cost.  A state whose sum of squares N trace(second
     moment) passes _SCREEN has its particles tested one by one.  Returns
-    (k, bufs, mom): the failing step, or -1, and bufs with that state (or
-    the last one) and its moments first.
+    (k, bufs, mom): the failing step, or -1, and bufs with that state first.
     """
-    dyn = model.dyn
-    d = dyn.d
-    cur, nxt, z = bufs
-    n = cur.shape[-1]
+    dyn, (cur, nxt, z) = model.dyn, bufs
+    d, n = dyn.d, cur.shape[-1]
     sqrt_dt = math.sqrt(dt)
     # x @ M on the particle layout is M' @ X on the rows; at d = 1 the same product
     prod = np.multiply if d == 1 else np.matmul
@@ -252,7 +238,7 @@ def _run_generic(model, bufs, mom, K1, K2, kk, dt, dw0, db, running=None, keep=N
         node_moments.append(mom)
         g = np.swapaxes(matprod(mbar[:, None, :], G[k]) + g0[k], 1, 2)
         w0 = w0[:, :, None]
-        x, y = _coords(cur, d), _coords(nxt, d)
+        x, y = cur[:d].transpose(1, 0, 2), nxt[:d].transpose(1, 0, 2)
         prod(S[k].T, x, out=z)
         z += g[:, d:2 * d]
         z *= (db[k] * sqrt_dt).reshape(-1, 1, n)
@@ -273,22 +259,16 @@ def _run_generic(model, bufs, mom, K1, K2, kk, dt, dw0, db, running=None, keep=N
 
 
 def _batch_buffers(x0, P):
-    """A batch's buffers for _run_generic, and the moments of its first node.
+    """Buffers of a batch of P copies of the cloud x0 (N, d), allocated once, and its moments.
 
-    Two buffers of coordinate rows (R, P, N), R = d + d(d+1)/2, each row a
-    contiguous block of the batch's particles, the first holding P copies
-    of the cloud x0 (N, d) and their products; and a scratch laid out as
-    the coordinates.  Allocated once for the batch.
+    Two of coordinate rows (R, P, N), R = d + d(d+1)/2 (measure.row_moments),
+    and a scratch (P, d, N) laid out as their coordinates.
     """
     n, d = x0.shape
-    cur, nxt = np.empty((2, d + d * (d + 1) // 2, P, n))
-    cur[:d] = x0.T[:, None]
-    return (cur, nxt, _coords(np.empty((d, P, n)), d)), row_moments(cur, d)
-
-
-def _coords(rows, d):
-    """The (P, d, N) view of the coordinate rows of rows (R, P, N)."""
-    return rows[:d].transpose(1, 0, 2)
+    R = d + d * (d + 1) // 2
+    buf = np.empty((2 * R + d, P, n))
+    buf[:d] = x0.T[:, None]
+    return (buf[:R], buf[R:2 * R], buf[2 * R:].transpose(1, 0, 2)), row_moments(buf[:R], d)
 
 
 def _points(rows, d):
@@ -412,8 +392,9 @@ def simulate_path(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, path_i
 
 # Memory budget of stream_scenarios, in doubles.  The state of a batch of P
 # scenarios (P * N * d values) stays within _BATCH_DOUBLES (125 kB, so P = 8
-# at N = 2000, d = 1): each step's temporaries then stay below the 128 KiB
-# from which glibc malloc maps fresh pages for every array, and in cache.
+# at N = 2000, d = 1): its row buffers are allocated once per batch, and
+# each step's temporaries stay below the 128 KiB from which glibc malloc
+# maps fresh pages for every array, and in cache.
 # The two noise-chunk buffers share _CHUNK_DOUBLES: a chunk holds the
 # steps of at least a full batch's normals, _CHUNK_DOUBLES // 2 //
 # max(P * N, _BATCH_DOUBLES) steps (16 at any batch within the budget), so
@@ -625,30 +606,25 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
     the rest of the original bit for bit.  Yields (paths, running, ends)
     per batch: the range of path indices, the left-endpoint Riemann sums of
     the particle-averaged running cost (P,) (None without `with_cost`) and
-    the end clouds (P, N, d).  Only the batch's current state is kept.
-    Per scenario, ends and running equal simulate_path's last node and
-    pathwise_cost bit for bit.  A blowup names the earliest failing step of
-    a batch and, at that step, its lowest path.  The noise arrives as
-    chunks of unit normals, and each step scales its own by sqrt(dt)
-    (_run_generic).  Close the generator, or run it to the end, to reap the
-    process that draws the noise (see _noise_chunks).
+    the end clouds, a (P, N, d) view of the batch's rows.  Per scenario,
+    these equal simulate_path's last node and pathwise_cost bit for bit.  A
+    blowup names the earliest failing step of a batch and, at that step,
+    its lowest path.  Close the generator, or run it to the end, to reap
+    the process that draws the noise (_noise_chunks).
 
     on_node(paths, k, x, mean, dw0), if given, sees every node k of every
-    batch, counted from the run's first node: the batch's clouds x
-    (P, N, d), their means (P, d) and the step's scaled common increments
-    (P, 1), None at the last node.  Its arrays are valid only during the
-    call.  A Recorder, `record`, is such a hook (Recorder.hook) whose paths
-    get batches of their own; a call takes record or on_node, not both.
+    batch, counted from the run's first node: the clouds x as a (P, N, d)
+    view, their means (P, d) and the step's scaled common increments
+    (P, 1), None at the last node, valid only during the call.  A Recorder,
+    `record`, is such a hook whose paths get batches of their own; pass
+    record or on_node, not both.
 
     coarse(paths, running, ends), if given, also steps every batch on the
-    grid of step 2 dt from t0 to T (the run must start at node 0) and
-    receives that run's results before the batch is yielded.  The two
-    grids step the same chunks: coarse step j takes the normals of fine
-    step j and scales them by sqrt(2 dt), which is what a run at 2 dt would
-    draw, so it advances in lockstep over the first half of the fine steps
-    and equals that run bit for bit, with no buffer of its own.  A coarse
-    blowup is raised once every batch's fine run has ended without one, so
-    a fine blowup is always the one reported.
+    grid of step 2 dt from t0 to T (from node 0) and receives its results
+    before the batch is yielded.  Coarse step j takes fine step j's normals
+    scaled by sqrt(2 dt), what a run at 2 dt would draw, so it equals that
+    run bit for bit.  A coarse blowup is raised once every batch's fine run
+    has ended without one, so a fine blowup is always the one reported.
     """
     n_steps = step_count(model, t0, mu0, T, dt) - step_offset
     t0, dt = float(t0), float(dt)

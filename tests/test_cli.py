@@ -25,6 +25,17 @@ def run_cli(*args):
     return cli.main(list(args))
 
 
+def child_env(**extra):
+    """The environment for a child interpreter that imports this checkout's cmvlq.
+
+    Without PYTHONUNBUFFERED: with unbuffered stdout a forked process
+    inherits no buffer to flush, so a test could not see output it repeats.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))),
+                **extra)
+
+
 class TestSolve:
     def test_writes_artifacts(self, model_file, tmp_path):
         out = tmp_path / "out"
@@ -172,7 +183,6 @@ class TestTrajectoryWriter:
         # the buffer it inherited would repeat "start", and one that returned
         # into the caller would repeat the lines after it.  The sizes give
         # the noise drawing process several chunks and the writer 4 paths
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         mc = ["--seed", "3", "--particles", "2000", "--paths", "16", "--dt", "0.01"]
         sr = ["systemic-risk", "--out", str(tmp_path / "sr"), *mc]
         cost = ["cost", "--model", str(tmp_path / "sr" / "model.txt"),
@@ -181,9 +191,8 @@ class TestTrajectoryWriter:
                   "print('start')\n"
                   f"print('systemic-risk exit', main({sr!r}))\n"
                   f"print('cost exit', main({cost!r}))\n")
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=dict(env, PYTHONPATH=src), timeout=300)
+                              env=child_env(), timeout=300)
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         lines = proc.stdout.split("\n")
         prefixes = ["start", "delta+ = ", "Lambda(0) = ", "cost ", "systemic-risk exit 0",
@@ -683,11 +692,10 @@ class TestNumericalFailure:
 
     def test_one_stderr_line_in_a_fresh_process(self, tmp_path):
         # outside pytest's capture a numpy RuntimeWarning would reach stderr
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         proc = subprocess.run([sys.executable, "-m", "cmvlq.cli", "solve", "--model",
                                self.overflow_model(tmp_path), "--out", str(tmp_path),
                                "--riccati-step", "0.01"], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"))
+                              env=child_env(PYTHONWARNINGS="default"))
         assert proc.returncode == 3
         assert proc.stderr == self.OVERFLOW_ERR
 
@@ -767,6 +775,6 @@ def test_help_exits_zero_in_process(capsys):
 
 def test_console_script_help():
     out = subprocess.run([sys.executable, "-m", "cmvlq.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=child_env())
     assert out.returncode == 0
     assert "systemic-risk" in out.stdout

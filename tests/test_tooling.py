@@ -3,11 +3,14 @@ layer benchmark's stand-ins still fit the package."""
 
 import ast
 import importlib.util
+import json
+import math
 import os
 import pathlib
+import time
 
 import cmvlq
-from cmvlq import simulator
+from cmvlq import cli, simulator
 from cmvlq.measure import AffineMap
 from cmvlq.policy import FeedbackPolicy
 from cmvlq.simulator import (
@@ -104,16 +107,23 @@ def test_references_skip_the_own_definition():
     assert references(tree) == {"r", "solve", "h"}
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def load(relpath, name):
+    """A script of the repository, imported as a module from its file."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / relpath)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def bench_layers(monkeypatch):
     """benchmarks/bench_layers.py, imported as a module; the thread settings it
     sets in the environment are undone after the test."""
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(name, os.environ.get(name, "1"))
-    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_layers.py"
-    spec = importlib.util.spec_from_file_location("bench_layers", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("benchmarks/bench_layers.py", "bench_layers")
 
 
 def test_bench_cached_noise_drives_a_cost_estimate(monkeypatch):
@@ -140,3 +150,31 @@ def test_bench_reads_the_noise_mapping(monkeypatch):
     mib = bench.noise_mapping_mib(lq_dynamics_spec(dyn, cost, 1.0),
                                   AffineControl(AffineMap.zero(1, 1)), mu0, 1.0, 4)
     assert mib == 2 * 16 * 4 * 21 * 8 / 2**20
+
+
+def test_traced_commands_report_finite_metrics(tmp_path, capfd):
+    # the end-to-end benchmark's traced round: its Tracer wraps the layer
+    # functions, each command runs in a span, and the metrics are its JSON line
+    spans = load("perfbench/spans.py", "spans")
+    mc = ["--seed", "3", "--particles", "200", "--paths", "8", "--dt", "0.01"]
+    commands = [["systemic-risk", "--out", str(tmp_path / "sr"), *mc],
+                ["cost", "--model", str(tmp_path / "sr" / "model.txt"), "--out",
+                 str(tmp_path / "cost"), "--init", "point:1.0", "--control", "shift:0.5", *mc]]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        t0 = time.perf_counter()
+        codes = [tracer.span(spans.COMMAND, cli.main, argv) for argv in commands]
+        wall = time.perf_counter() - t0
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    for name in ("simulator.step", "measure.tree_sum", "simulator.noise"):
+        assert name in tracer.installed and tracer.stats[name][0] > 0, name
+    mb = sum(f.stat().st_size for f in tmp_path.rglob("*") if f.is_file()) / 1e6
+    metrics = tracer.metrics(wall, mb)
+    assert metrics and all(math.isfinite(value) for value, _ in metrics.values()), metrics
+    json.dumps(metrics, allow_nan=False)
+    lines = capfd.readouterr().out.split("\n")
+    prefixes = ["delta+ = ", "Lambda(0) = ", "cost ", "cost mean = ", ""]
+    assert len(lines) == len(prefixes) and all(map(str.startswith, lines, prefixes)), lines
