@@ -28,13 +28,13 @@ def tree_sum(a, axis=0):
     a multiple of 8.  Over any other axis, or a strided one, it adds in
     sequence, so `axis` is moved last and copied unless already C-contiguous.
     """
-    w = np.ascontiguousarray(np.moveaxis(np.asarray(a, dtype=np.float64), axis, -1))
-    return np.add.reduce(w, axis=-1)
+    w = np.asarray(a, dtype=np.float64)
+    w = w if axis in (-1, w.ndim - 1) else np.moveaxis(w, axis, -1)
+    return np.add.reduce(np.ascontiguousarray(w), axis=-1)
 
 
 def tree_mean(a, axis=0):
-    n = np.asarray(a).shape[axis]
-    return tree_sum(a, axis=axis) / n
+    return tree_sum(a, axis=axis) / np.shape(a)[axis]
 
 
 def moments(x):
@@ -61,7 +61,9 @@ def row_moments(rows, d):
     for i in range(d):
         np.multiply(rows[i:i + 1], rows[i:d], out=rows[r:r + d - i])
         r += d - i
-    s = np.ascontiguousarray(np.moveaxis(tree_sum(rows, axis=-1), 0, -1)) / rows.shape[-1]
+    s = tree_sum(rows, axis=-1)
+    s = np.divide(s.transpose(*range(1, s.ndim), 0), rows.shape[-1],
+                  out=np.empty(s.shape[1:] + s.shape[:1]))
     return s[..., :d], s[..., d:]
 
 

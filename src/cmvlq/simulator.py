@@ -231,19 +231,17 @@ def _run_generic(model, bufs, mom, K1, K2, kk, dt, dw0, db, running=None, keep=N
     diag = model.cost.triu_diag
     node_moments = []
     for k in range(dw0.shape[0]):
-        mbar = mom[0]
         w0 = dw0[k] * sqrt_dt
         if keep is not None:
-            keep(k, _points(cur, d), mbar, w0)
+            keep(k, _points(cur, d), mom[0], w0)
         node_moments.append(mom)
-        g = np.swapaxes(matprod(mbar[:, None, :], G[k]) + g0[k], 1, 2)
-        w0 = w0[:, :, None]
+        g = np.swapaxes(matprod(mom[0][:, None, :], G[k]) + g0[k], 1, 2)
         x, y = cur[:d].transpose(1, 0, 2), nxt[:d].transpose(1, 0, 2)
         prod(S[k].T, x, out=z)
         z += g[:, d:2 * d]
         z *= (db[k] * sqrt_dt).reshape(-1, 1, n)
-        prod(np.swapaxes(L0[k] * w0 + Ab[k], 1, 2), x, out=y)
-        y += g[:, :d] * dt + g[:, 2 * d:] * w0
+        prod(np.swapaxes(L0[k] * w0[:, :, None] + Ab[k], 1, 2), x, out=y)
+        y += g[:, :d] * dt + g[:, 2 * d:] * w0[:, :, None]
         y += z
         cur, nxt = nxt, cur
         mom = row_moments(cur, d)
@@ -657,7 +655,7 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
             bufs, mom = _batch_buffers(mu0.points, P)
             running = np.zeros(P) if with_cost else None
             if coarse is not None and coarse_error is None:
-                bufs_c, momc = _batch_buffers(mu0.points, P)
+                cbufs, momc = _batch_buffers(mu0.points, P)
                 running_c = np.zeros(P) if with_cost else None
             k0 = 0
             while k0 < n_steps:
@@ -667,11 +665,12 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
                     c = min(dw0.shape[0], n2 - k0)
                     if c > 0 and coarse_error is None:
                         gc = slice(k0, k0 + c)
-                        bad, bufs_c, momc = _run_generic(model, bufs_c, momc, C1[gc], C2[gc], ck[gc],
-                                                         dt2, dw0[:c], db[:c], running=running_c)
+                        bad, cbufs, momc = _run_generic(model, cbufs, momc, C1[gc], C2[gc], ck[gc],
+                                                        dt2, dw0[:c], db[:c], running=running_c)
                         if bad >= 0:
                             step = k0 + bad + 1
-                            coarse_error = _blowup(t0 + dt2 * step, batch, step, _points(bufs_c[0], d))
+                            coarse_error = _blowup(t0 + dt2 * step, batch, step,
+                                                   _points(cbufs[0], d))
                 keep = None if on_node is None else lambda k, *node: on_node(batch, k0 + k, *node)
                 bad, bufs, mom = _run_generic(model, bufs, mom, K1[g], K2[g], kk[g], dt, dw0, db,
                                               running=running, keep=keep)
@@ -683,7 +682,7 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
             if on_node is not None:
                 on_node(batch, n_steps, x, mom[0], None)
             if coarse is not None and coarse_error is None:
-                coarse(batch, running_c, _points(bufs_c[0], d))
+                coarse(batch, running_c, _points(cbufs[0], d))
             yield batch, running, x
     if coarse_error is not None:
         raise coarse_error

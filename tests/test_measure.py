@@ -85,7 +85,8 @@ def strided_tree_sum(a, axis=0):
 
     def run(start, vals):
         # start + vals[0] + vals[1] + ..., left to right
-        return np.add.accumulate(np.concatenate((start[..., None], vals), axis=-1), axis=-1)[..., -1]
+        terms = np.concatenate((start[..., None], vals), axis=-1)
+        return np.add.accumulate(terms, axis=-1)[..., -1]
 
     def rows(i, n):
         if n < 8:
