@@ -267,14 +267,7 @@ def save_policy_csv(qv: QuadraticValue, path):
         raise ValueError("policy.csv needs the solution solve_riccati found for this model")
     K1, K2, kk = node_gains
     d, m = qv.dyn.d, qv.dyn.m
-    sol = qv.sol
     pairs = [f"{i}{j}" for i in range(m) for j in range(d)]
     cols = ["t", *(f"K1_{p}" for p in pairs), *(f"K2_{p}" for p in pairs),
             *(f"k_{i}" for i in range(m))]
-    n = sol.n_nodes
-    table = np.column_stack((sol.grid, K1.reshape(n, -1), K2.reshape(n, -1),
-                             kk.reshape(n, -1))).tolist()
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in table)
-
+    _riccati.write_columns(path, cols, (qv.sol.grid, K1, K2, kk))

@@ -373,12 +373,19 @@ def save_riccati_csv(sol: RiccatiSolution, path):
     pairs = [f"{i}{j}" for i in range(sol.d) for j in range(sol.d)]
     cols = ["t", *(f"Lam_{p}" for p in pairs), *(f"Gam_{p}" for p in pairs),
             *(f"gam_{i}" for i in range(sol.d)), "chi", "minEigU", "minEigV"]
-    n = sol.n_nodes
-    table = np.column_stack((sol.grid, sol.Lam.reshape(n, -1), sol.Gam.reshape(n, -1), sol.gam,
-                             sol.chi, sol.pd_history)).tolist()
+    write_columns(path, cols, (sol.grid, sol.Lam, sol.Gam, sol.gam, sol.chi, sol.pd_history))
+
+
+def write_columns(path, names, columns):
+    """A CSV file of one row per node of the arrays `columns`, every value as its repr.
+
+    Eight rows at a time are converted: the table is never held as Python floats."""
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in table)
+        fh.write(",".join(names) + "\n")
+        for a in range(0, len(columns[0]), 8):
+            blocks = [c[a:a + 8] for c in columns]
+            rows = np.column_stack([b.reshape(len(b), -1) for b in blocks]).tolist()
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ def _run_generic(model, bufs, mom, K1, K2, kk, dt, dw0, db, running=None, keep=N
     moment) passes _SCREEN has its particles tested one by one.  Returns
     (k, bufs, mom): the failing step, or -1, and bufs with that state first.
     """
-    dyn, (cur, nxt, z) = model.dyn, bufs
+    dyn, (cur, nxt) = model.dyn, bufs
     d, n = dyn.d, cur.shape[-1]
     sqrt_dt = math.sqrt(dt)
     # x @ M on the particle layout is M' @ X on the rows; at d = 1 the same product
@@ -236,7 +236,8 @@ def _run_generic(model, bufs, mom, K1, K2, kk, dt, dw0, db, running=None, keep=N
             keep(k, _points(cur, d), mom[0], w0)
         node_moments.append(mom)
         g = np.swapaxes(matprod(mom[0][:, None, :], G[k]) + g0[k], 1, 2)
-        x, y = cur[:d].transpose(1, 0, 2), nxt[:d].transpose(1, 0, 2)
+        # z, (x S + s_p) db, in the next buffer's product rows, free until its moments
+        x, y, z = (rows.transpose(1, 0, 2) for rows in (cur[:d], nxt[:d], nxt[d:2 * d]))
         prod(S[k].T, x, out=z)
         z += g[:, d:2 * d]
         z *= (db[k] * sqrt_dt).reshape(-1, 1, n)
@@ -247,26 +248,25 @@ def _run_generic(model, bufs, mom, K1, K2, kk, dt, dw0, db, running=None, keep=N
         mom = row_moments(cur, d)
         if (not np.all(n * np.sum(mom[1][:, diag], axis=1) <= _SCREEN)
                 and not np.all(np.abs(y) <= BLOWUP_LIMIT)):
-            return k, (cur, nxt, z), mom
+            return k, (cur, nxt), mom
     if running is not None:
         fhat = lifted_cost(model.cost, *map(np.stack, zip(*node_moments)),
                            (K1[:, None], K2[:, None], kk[:, None]))
         for f in fhat:
             running += f * dt
-    return -1, (cur, nxt, z), mom
+    return -1, (cur, nxt), mom
 
 
 def _batch_buffers(x0, P):
-    """Buffers of a batch of P copies of the cloud x0 (N, d), allocated once, and its moments.
+    """Two buffers of coordinate rows (R, P, N), R = d + d(d+1)/2, allocated once per batch.
 
-    Two of coordinate rows (R, P, N), R = d + d(d+1)/2 (measure.row_moments),
-    and a scratch (P, d, N) laid out as their coordinates.
+    The first holds P copies of the cloud x0 (N, d) and their products
+    (measure.row_moments); its moments are returned with the buffers.
     """
     n, d = x0.shape
-    R = d + d * (d + 1) // 2
-    buf = np.empty((2 * R + d, P, n))
-    buf[:d] = x0.T[:, None]
-    return (buf[:R], buf[R:2 * R], buf[2 * R:].transpose(1, 0, 2)), row_moments(buf[:R], d)
+    cur, nxt = np.empty((2, d + d * (d + 1) // 2, P, n))
+    cur[:d] = x0.T[:, None]
+    return (cur, nxt), row_moments(cur, d)
 
 
 def _points(rows, d):
