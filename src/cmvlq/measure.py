@@ -49,22 +49,21 @@ def moments(x):
     return row_moments(rows, d)
 
 
-def row_moments(rows, d):
+def row_moments(rows, d, last=False):
     """Mean (..., d) and second moment (..., d(d+1)/2) of clouds held as coordinate rows.
 
-    rows (d + d(d+1)/2, ..., N) holds the d coordinates in its first rows;
-    the rest are filled here with the products x_i x_j, i <= j, in
-    np.triu_indices(d) order, x_i (x_i, ..., x_d) in one multiply per i.
-    One tree_sum then gives both, C-contiguous like any other moments.
+    rows (d + d(d+1)/2, ..., N) holds the d coordinates first, or last with
+    `last`; the other rows are filled with the products x_i x_j, i <= j, in
+    np.triu_indices(d) order, one multiply per i, and one tree_sum gives both.
     """
-    r = d
+    c, r = (len(rows) - d, 0) if last else (0, d)
     for i in range(d):
-        np.multiply(rows[i:i + 1], rows[i:d], out=rows[r:r + d - i])
+        np.multiply(rows[c + i:c + i + 1], rows[c + i:c + d], out=rows[r:r + d - i])
         r += d - i
     s = tree_sum(rows, axis=-1)
     s = np.divide(s.transpose(*range(1, s.ndim), 0), rows.shape[-1],
                   out=np.empty(s.shape[1:] + s.shape[:1]))
-    return s[..., :d], s[..., d:]
+    return (s[..., c:], s[..., :c]) if last else (s[..., :d], s[..., d:])
 
 
 def point_forms(x, L):

@@ -15,20 +15,19 @@ regenerated without replaying the stream.
 
 Every control is an affine feedback a = K1(t)(x - mbar) + K2(t) mbar + k(t)
 given by its gains on the step grid.  One Euler loop steps P scenarios of
-any (d, m) held as coordinate rows: a batch lives in two buffers (R, P,
-N), R = d + d(d+1)/2, whose first d rows hold the coordinates and the
-rest the products x_i x_j.  Given its mean and common increment, a
-scenario's particles take one affine step into the other buffer, and one
-contiguous tree_sum of its rows gives each scenario's mean and second
-moment, which give its running cost (lqmodel.lifted_cost) and screen the
-new state for blowup.  Hooks, yields and blowups see (P, N, d) views.
+any (d, m) held as coordinate rows: a batch's coordinates, each a row of
+its particles, sit at one end of a buffer and their products x_i x_j in
+the middle.  Given its mean and common increment, a scenario's particles
+take one affine step to the other end, and one contiguous tree_sum gives
+each scenario's mean and second moment, which give its running cost
+(lqmodel.lifted_cost) and screen the new state for blowup.  Hooks and
+blowups see (P, N, d) views of the rows.
 
 One function, stream_scenarios, steps them in batches, keeps only a
 batch's current state and adds the running cost inside the step; a run
 from a stored node replays the rest of a trajectory bit for bit.  Its
-per-node hook feeds the flow check's digests and the Recorder
-(simulate_path, the trajectory writer), and its coarse run steps each
-batch at 2 dt from the same noise chunks (the dpp check's two runs).
+per-node hook feeds the flow check's digests and the Recorder, and its
+coarse run steps each batch at 2 dt from the same noise chunks (dpp).
 
 The noise comes from a double-buffered producer (_noise_chunks): while
 the caller steps one chunk, a forked process draws the next, and the
@@ -203,22 +202,20 @@ _SCREEN = BLOWUP_LIMIT ** 2 * (1.0 - 1e-9)
 def _run_generic(model, bufs, mom, K1, K2, kk, dt, dw0, db, running=None, keep=None):
     """Affine Euler loop for any (d, m) over P scenarios held as coordinate rows.
 
-    bufs (_batch_buffers) hold the current node first, mom its moments;
-    dw0 (K, P, 1) and db (K, P, N, 1) are K steps' unit normals, which
-    each step scales by sqrt(dt) (fl(z sqrt(dt)), what a grid of step dt
-    draws).  A scenario's particles take x' = x A_p + c_p + (x S + s_p) db,
-    A_p = I + (B + C K1)' dt + (D0 + F0 K1)' dw0_p, S = (D + F K1)', as the
-    same products on the rows X (P, d, N), A_p' X, into the next buffer,
-    whose products and moments then take one tree_sum.  keep(k, x, mean,
-    dw0_k), if given, sees node k of the chunk as a (P, N, d) view with the
-    scaled common increments; `running` (P,) adds dt times each node's
-    lifted running cost.  A state whose sum of squares N trace(second
+    bufs is the batch's state (_batch_buffers), mom its moments; dw0
+    (K, P, 1) and db (K, P, N, 1) are K steps' unit normals, each step
+    scaled by sqrt(dt) (fl(z sqrt(dt)), what a grid of step dt draws).  A
+    scenario's particles take x' = x A_p + c_p + (x S + s_p) db, A_p = I +
+    (B + C K1)' dt + (D0 + F0 K1)' dw0_p, S = (D + F K1)', as the same
+    products on the rows X (P, d, N), A_p' X, written to the buffer's other
+    end.  keep(k, x, mean, dw0_k), if given, sees node k of the chunk as a
+    (P, N, d) view with the scaled common increments; `running` (P,) adds
+    dt times each node's lifted running cost.  A state whose N trace(second
     moment) passes _SCREEN has its particles tested one by one.  Returns
-    (k, bufs, mom): the failing step, or -1, and bufs with that state first.
+    (k, bufs, mom): the failing step, or -1, and that state.
     """
-    dyn, (cur, nxt) = model.dyn, bufs
-    d, n = dyn.d, cur.shape[-1]
-    sqrt_dt = math.sqrt(dt)
+    dyn, (buf, c) = model.dyn, bufs
+    d, n, R, sqrt_dt = dyn.d, buf.shape[-1], len(buf) - dyn.d, math.sqrt(dt)
     # x @ M on the particle layout is M' @ X on the rows; at d = 1 the same product
     prod = np.multiply if d == 1 else np.matmul
     # per step, the loadings of the state, L = Gx + K1' Ga = [(B + C K1)', S, (D0 + F0 K1)'],
@@ -233,45 +230,48 @@ def _run_generic(model, bufs, mom, K1, K2, kk, dt, dw0, db, running=None, keep=N
     for k in range(dw0.shape[0]):
         w0 = dw0[k] * sqrt_dt
         if keep is not None:
-            keep(k, _points(cur, d), mom[0], w0)
+            keep(k, _points((buf, c), d), mom[0], w0)
         node_moments.append(mom)
         g = np.swapaxes(matprod(mom[0][:, None, :], G[k]) + g0[k], 1, 2)
-        # z, (x S + s_p) db, in the next buffer's product rows, free until its moments
-        x, y, z = (rows.transpose(1, 0, 2) for rows in (cur[:d], nxt[:d], nxt[d:2 * d]))
+        # x' goes to the other end, and z, (x S + s_p) db, to the product rows
+        x, y, z = (buf[a:a + d].transpose(1, 0, 2) for a in (c, R - c, d))
         prod(S[k].T, x, out=z)
         z += g[:, d:2 * d]
-        z *= (db[k] * sqrt_dt).reshape(-1, 1, n)
+        # the scaled db waits in y's first row, which the step then overwrites
+        np.multiply(db[k, :, :, 0], sqrt_dt, out=buf[R - c])
+        z *= buf[R - c][:, None]
         prod(np.swapaxes(L0[k] * w0[:, :, None] + Ab[k], 1, 2), x, out=y)
         y += g[:, :d] * dt + g[:, 2 * d:] * w0[:, :, None]
         y += z
-        cur, nxt = nxt, cur
-        mom = row_moments(cur, d)
+        c = R - c
+        mom = row_moments(buf[d:] if c else buf[:R], d, last=c > 0)
         if (not np.all(n * np.sum(mom[1][:, diag], axis=1) <= _SCREEN)
                 and not np.all(np.abs(y) <= BLOWUP_LIMIT)):
-            return k, (cur, nxt), mom
+            return k, (buf, c), mom
     if running is not None:
         fhat = lifted_cost(model.cost, *map(np.stack, zip(*node_moments)),
                            (K1[:, None], K2[:, None], kk[:, None]))
         for f in fhat:
             running += f * dt
-    return -1, (cur, nxt), mom
+    return -1, (buf, c), mom
 
 
 def _batch_buffers(x0, P):
-    """Two buffers of coordinate rows (R, P, N), R = d + d(d+1)/2, allocated once per batch.
+    """State (rows, 0) of P copies of the cloud x0 (N, d), and its moments.
 
-    The first holds P copies of the cloud x0 (N, d) and their products
-    (measure.row_moments); its moments are returned with the buffers.
+    rows (R + d, P, N), R = d + d(d+1)/2, allocated once per batch, hold a
+    state's coordinates in rows c..c+d-1, c = 0 or R, and their products in
+    rows d..R-1 (measure.row_moments); a step writes the next at the other end.
     """
     n, d = x0.shape
-    cur, nxt = np.empty((2, d + d * (d + 1) // 2, P, n))
-    cur[:d] = x0.T[:, None]
-    return (cur, nxt), row_moments(cur, d)
+    buf = np.empty((2 * d + d * (d + 1) // 2, P, n))
+    buf[:d] = x0.T[:, None]
+    return (buf, 0), row_moments(buf[:-d], d)
 
 
-def _points(rows, d):
-    """The (P, N, d) view of the clouds held as coordinate rows (R, P, N)."""
-    return rows[:d].transpose(1, 2, 0)
+def _points(state, d):
+    """The (P, N, d) view of the clouds of a batch's state (rows, c) (_batch_buffers)."""
+    return state[0][state[1]:state[1] + d].transpose(1, 2, 0)
 
 
 def _blowup(t, paths, step, x):
@@ -604,18 +604,18 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
     the rest of the original bit for bit.  Yields (paths, running, ends)
     per batch: the range of path indices, the left-endpoint Riemann sums of
     the particle-averaged running cost (P,) (None without `with_cost`) and
-    the end clouds, a (P, N, d) view of the batch's rows.  Per scenario,
-    these equal simulate_path's last node and pathwise_cost bit for bit.  A
-    blowup names the earliest failing step of a batch and, at that step,
-    its lowest path.  Close the generator, or run it to the end, to reap
+    the end clouds (P, N, d), copied out of the batch's rows.  Per
+    scenario, these equal simulate_path's last node and pathwise_cost bit
+    for bit.  A blowup names the earliest failing step of a batch and its
+    lowest path there.  Close the generator, or run it to the end, to reap
     the process that draws the noise (_noise_chunks).
 
     on_node(paths, k, x, mean, dw0), if given, sees every node k of every
     batch, counted from the run's first node: the clouds x as a (P, N, d)
-    view, their means (P, d) and the step's scaled common increments
-    (P, 1), None at the last node, valid only during the call.  A Recorder,
-    `record`, is such a hook whose paths get batches of their own; pass
-    record or on_node, not both.
+    view of the rows, their means (P, d) and the step's scaled common
+    increments (P, 1), None at the last node, valid only during the call.
+    A Recorder, `record`, is such a hook whose paths get batches of their
+    own; pass record or on_node, not both.
 
     coarse(paths, running, ends), if given, also steps every batch on the
     grid of step 2 dt from t0 to T (from node 0) and receives its results
@@ -669,20 +669,21 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
                                                         dt2, dw0[:c], db[:c], running=running_c)
                         if bad >= 0:
                             step = k0 + bad + 1
-                            coarse_error = _blowup(t0 + dt2 * step, batch, step,
-                                                   _points(cbufs[0], d))
+                            coarse_error = _blowup(t0 + dt2 * step, batch, step, _points(cbufs, d))
                 keep = None if on_node is None else lambda k, *node: on_node(batch, k0 + k, *node)
                 bad, bufs, mom = _run_generic(model, bufs, mom, K1[g], K2[g], kk[g], dt, dw0, db,
                                               running=running, keep=keep)
                 if bad >= 0:
                     step = step_offset + k0 + bad + 1
-                    raise _blowup(t0 + dt * step, batch, step, _points(bufs[0], d))
+                    raise _blowup(t0 + dt * step, batch, step, _points(bufs, d))
                 k0 = g.stop
-            x = _points(bufs[0], d)
+            # copies, so that no caller keeps the batch's row buffers alive
+            x, bufs = _points(bufs, d).copy(), None
             if on_node is not None:
                 on_node(batch, n_steps, x, mom[0], None)
             if coarse is not None and coarse_error is None:
-                coarse(batch, running_c, _points(cbufs[0], d))
+                xc, cbufs = _points(cbufs, d).copy(), None
+                coarse(batch, running_c, xc)
             yield batch, running, x
     if coarse_error is not None:
         raise coarse_error

@@ -148,9 +148,9 @@ class TestTrajectoryWriter:
         def failing(model, bufs, *args, **kwargs):
             bad, bufs, mom = loop(model, bufs, *args, **kwargs)
             if len(pids) >= 2:
-                rows = bufs[0].copy()
-                rows[0, 0, 0] = np.nan
-                return 0, (rows, *bufs[1:]), mom
+                rows, c = bufs[0].copy(), bufs[1]
+                rows[c, 0, 0] = np.nan
+                return 0, (rows, c), mom
             return bad, bufs, mom
 
         monkeypatch.setattr(simulator, "_run_generic", failing)
