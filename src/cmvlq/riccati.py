@@ -377,9 +377,7 @@ def save_riccati_csv(sol: RiccatiSolution, path):
 
 
 def write_columns(path, names, columns):
-    """A CSV file of one row per node of the arrays `columns`, every value as its repr.
-
-    Eight rows at a time are converted: the table is never held as Python floats."""
+    """A CSV row per node of the arrays `columns`, each value its repr, eight rows at a time."""
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
         for a in range(0, len(columns[0]), 8):
