@@ -682,8 +682,8 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
             if on_node is not None:
                 on_node(batch, n_steps, x, mom[0], None)
             if coarse is not None and coarse_error is None:
-                xc, cbufs = _points(cbufs, d).copy(), None
-                coarse(batch, running_c, xc)
+                coarse(batch, running_c, _points(cbufs, d).copy())
+                cbufs = None
             yield batch, running, x
     if coarse_error is not None:
         raise coarse_error
