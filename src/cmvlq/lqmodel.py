@@ -14,7 +14,7 @@ are R^d-valued.  All cost matrices are symmetrized on construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache
 
 import numpy as np
@@ -27,12 +27,14 @@ PD_THRESHOLD = 1e-10
 BLOWUP_LIMIT = 1e12
 GRID_TOL = 1e-9
 
-MODEL_KEYS = [
-    "d", "m", "T",
-    "b0", "B", "Bbar", "C", "theta", "D", "Dbar", "F",
-    "theta0", "D0", "D0bar", "F0",
-    "Q2", "Q2bar", "R2", "P2", "P2bar", "M2",
-]
+# every model coefficient, in model-file order, with its shape in the state
+# dimension d and the control dimension m: one letter for a vector, two for a matrix
+SHAPES = {
+    "b0": "d", "B": "dd", "Bbar": "dd", "C": "dm", "theta": "d", "D": "dd", "Dbar": "dd",
+    "F": "dm", "theta0": "d", "D0": "dd", "D0bar": "dd", "F0": "dm",
+    "Q2": "dd", "Q2bar": "dd", "R2": "mm", "P2": "dd", "P2bar": "dd", "M2": "dm",
+}
+MODEL_KEYS = ["d", "m", "T", *SHAPES]
 
 
 def _as_matrix(x, rows, cols, name):
@@ -65,6 +67,25 @@ def _symmetric(x, n, name):
     if gap > SYM_TOL * max(1.0, float(np.max(np.abs(a)))):
         raise ValueError(f"{name} is not symmetric (max asymmetry {gap:.3e})")
     return (a + a.T) / 2.0
+
+
+def _coefficients(pairs, d, m, symmetric=False):
+    """The coefficients (name, value) of `pairs` as arrays of their SHAPES at d and m, in turn.
+
+    Vectors go through _as_vector, matrices through _as_matrix and, with
+    `symmetric`, square ones (dd, mm) through _symmetric.
+    """
+    size = {"d": d, "m": m}
+    out = {}
+    for name, value in pairs:
+        shape = SHAPES[name]
+        if len(shape) == 1:
+            out[name] = _as_vector(value, size[shape], name)
+        elif symmetric and shape in ("dd", "mm"):
+            out[name] = _symmetric(value, size[shape[0]], name)
+        else:
+            out[name] = _as_matrix(value, size[shape[0]], size[shape[1]], name)
+    return out
 
 
 @dataclass(frozen=True)
@@ -112,23 +133,10 @@ class LqDynamics:
         elif C.ndim == 1:
             C = C.reshape(d, -1)
         m = C.shape[1]
-        norm = {
-            "b0": _as_vector(self.b0, d, "b0"),
-            "B": _as_matrix(B, d, d, "B"),
-            "Bbar": _as_matrix(self.Bbar, d, d, "Bbar"),
-            "C": _as_matrix(C, d, m, "C"),
-            "theta": _as_vector(self.theta, d, "theta"),
-            "D": _as_matrix(self.D, d, d, "D"),
-            "Dbar": _as_matrix(self.Dbar, d, d, "Dbar"),
-            "F": _as_matrix(self.F, d, m, "F"),
-            "theta0": _as_vector(self.theta0, d, "theta0"),
-            "D0": _as_matrix(self.D0, d, d, "D0"),
-            "D0bar": _as_matrix(self.D0bar, d, d, "D0bar"),
-            "F0": _as_matrix(self.F0, d, m, "F0"),
-        }
-        norm["Bs"] = norm["B"] + norm["Bbar"]
-        norm["Ds"] = norm["D"] + norm["Dbar"]
-        norm["D0s"] = norm["D0"] + norm["D0bar"]
+        # until norm is set, vars(self) holds the constructor's arguments alone
+        norm = _coefficients({**vars(self), "B": B, "C": C}.items(), d, m)
+        for k in ("B", "D", "D0"):
+            norm[k + "s"] = norm[k] + norm[k + "bar"]
         for stacked, names in (("Gx", ("B", "D", "D0")), ("Gm", ("Bbar", "Dbar", "D0bar")),
                                ("Ga", ("C", "F", "F0"))):
             norm[stacked] = np.concatenate([norm[k].T for k in names], axis=1)
@@ -172,14 +180,10 @@ class LqCost:
         d = Q2.shape[0]
         R2 = np.atleast_2d(np.asarray(self.R2, dtype=np.float64))
         m = R2.shape[0]
-        norm = {
-            "Q2": _symmetric(Q2, d, "Q2"),
-            "Q2bar": _symmetric(self.Q2bar, d, "Q2bar"),
-            "R2": _symmetric(R2, m, "R2"),
-            "P2": _symmetric(self.P2, d, "P2"),
-            "P2bar": _symmetric(self.P2bar, d, "P2bar"),
-            "M2": _as_matrix(self.M2 if self.M2 is not None else np.zeros((d, m)), d, m, "M2"),
-        }
+        given = {**vars(self), "Q2": Q2, "R2": R2}
+        if given["M2"] is None:
+            given["M2"] = np.zeros((d, m))
+        norm = _coefficients(given.items(), d, m, symmetric=True)
         norm["Q2s"] = norm["Q2"] + norm["Q2bar"]
         triu = np.triu_indices(d)
         norm["triu_diag"] = np.flatnonzero(np.equal(*triu))
@@ -571,8 +575,9 @@ def check_standing_condition(cost, delta):
 
 
 # ---------------------------------------------------------------------------
-# model files: flat "key = value" text, matrices row-major with ';' between
-# rows and ',' between entries
+# model files: flat "key = value" text, d, m and T first, then every SHAPES
+# entry in its order (M2 may be left out: zero); blocks are row-major with ';'
+# between rows and ',' between entries, each checked against the file's d and m
 
 def _format_block(a):
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
@@ -591,22 +596,10 @@ def _parse_block(text, name):
 
 
 def save_model(path, dyn, cost, T):
-    d, m = dyn.d, dyn.m
-    vals = {
-        "d": str(d), "m": str(m), "T": repr(float(T)),
-        "b0": _format_block(dyn.b0), "B": _format_block(dyn.B),
-        "Bbar": _format_block(dyn.Bbar), "C": _format_block(dyn.C),
-        "theta": _format_block(dyn.theta), "D": _format_block(dyn.D),
-        "Dbar": _format_block(dyn.Dbar), "F": _format_block(dyn.F),
-        "theta0": _format_block(dyn.theta0), "D0": _format_block(dyn.D0),
-        "D0bar": _format_block(dyn.D0bar), "F0": _format_block(dyn.F0),
-        "Q2": _format_block(cost.Q2), "Q2bar": _format_block(cost.Q2bar),
-        "R2": _format_block(cost.R2), "P2": _format_block(cost.P2),
-        "P2bar": _format_block(cost.P2bar), "M2": _format_block(cost.M2),
-    }
     with open(path, "w") as fh:
-        for key in MODEL_KEYS:
-            fh.write(f"{key} = {vals[key]}\n")
+        fh.write(f"d = {dyn.d}\nm = {dyn.m}\nT = {float(T)!r}\n")
+        for key in SHAPES:
+            fh.write(f"{key} = {_format_block(getattr(dyn if hasattr(dyn, key) else cost, key))}\n")
 
 
 def parse_kv_file(path):
@@ -643,21 +636,8 @@ def load_model(path):
         raise ValueError("model file requires d >= 1, m >= 1")
     if not 0 < T < math.inf:
         raise ValueError(f"model file {path}: T must be positive and finite, got {T!r}")
-
-    def mat(name, rows, cols):
-        return _as_matrix(_parse_block(kv[name], name), rows, cols, name)
-
-    def vec(name, n):
-        return _as_vector(_parse_block(kv[name], name).reshape(-1), n, name)
-
-    dyn = LqDynamics(
-        b0=vec("b0", d), B=mat("B", d, d), Bbar=mat("Bbar", d, d), C=mat("C", d, m),
-        theta=vec("theta", d), D=mat("D", d, d), Dbar=mat("Dbar", d, d), F=mat("F", d, m),
-        theta0=vec("theta0", d), D0=mat("D0", d, d), D0bar=mat("D0bar", d, d), F0=mat("F0", d, m),
-    )
-    cost = LqCost(
-        Q2=mat("Q2", d, d), Q2bar=mat("Q2bar", d, d), R2=mat("R2", m, m),
-        P2=mat("P2", d, d), P2bar=mat("P2bar", d, d),
-        M2=mat("M2", d, m) if "M2" in kv else None,
-    )
+    # each block parsed and checked against the file's d and m in turn
+    coef = _coefficients(((k, _parse_block(kv[k], k)) for k in SHAPES if k in kv), d, m)
+    dyn, cost = (cls(**{f.name: coef.get(f.name) for f in fields(cls) if f.init})
+                 for cls in (LqDynamics, LqCost))
     return dyn, cost, T
