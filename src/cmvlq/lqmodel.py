@@ -20,7 +20,7 @@ from functools import cache
 import numpy as np
 
 from .errors import NonPositiveGain
-from .measure import moments
+from .measure import moments, triu
 
 SYM_TOL = 1e-12
 PD_THRESHOLD = 1e-10
@@ -160,9 +160,8 @@ class LqCost:
 
     Pointwise running cost x'Q2 x + mubar'Q2bar mubar + a'R2 a + 2 x'M2 a,
     terminal cost x'P2 x + mubar'P2bar mubar.  M2 defaults to zero, which
-    recovers the cross-term-free form.  Q2s = Q2 + Q2bar is computed once,
-    as are triu = np.triu_indices(d), the order of a cloud's second moment
-    (measure.moments), and triu_diag, the positions of its diagonal in it.
+    recovers the cross-term-free form.  Q2s = Q2 + Q2bar and triu_diag, the
+    diagonal's positions in a second moment (measure.triu), are made once.
     """
 
     Q2: np.ndarray
@@ -172,7 +171,6 @@ class LqCost:
     P2bar: np.ndarray
     M2: np.ndarray = None
     Q2s: np.ndarray = field(init=False, repr=False, compare=False)
-    triu: tuple = field(init=False, repr=False, compare=False)
     triu_diag: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -180,19 +178,13 @@ class LqCost:
         d = Q2.shape[0]
         R2 = np.atleast_2d(np.asarray(self.R2, dtype=np.float64))
         m = R2.shape[0]
-        given = {**vars(self), "Q2": Q2, "R2": R2}
-        if given["M2"] is None:
-            given["M2"] = np.zeros((d, m))
-        norm = _coefficients(given.items(), d, m, symmetric=True)
+        M2 = np.zeros((d, m)) if self.M2 is None else self.M2
+        norm = _coefficients({**vars(self), "Q2": Q2, "R2": R2, "M2": M2}.items(), d, m, True)
         norm["Q2s"] = norm["Q2"] + norm["Q2bar"]
-        triu = np.triu_indices(d)
-        norm["triu_diag"] = np.flatnonzero(np.equal(*triu))
-        for v in triu:
-            v.setflags(write=False)
+        norm["triu_diag"] = np.flatnonzero(np.equal(*triu(d)))
         for k, v in norm.items():
             v.setflags(write=False)
             object.__setattr__(self, k, v)
-        object.__setattr__(self, "triu", triu)
 
     @property
     def d(self):
@@ -509,32 +501,40 @@ def matprod(a, b):
     return a * b if b.shape[-2] == 1 else a @ b
 
 
+def moment_form(W, V, mbar, second):
+    """<W, E xx'> + mbar'V mbar, shape (..., 1, 1), of clouds from their moments (measure.moments).
+
+    W and V are (..., d, d); <W, E xx'> is summed on the upper triangle
+    (measure.triu), weights W_ij + W_ji off the diagonal.  Each moment is a
+    (1, n) row times an operand: a cloud's form is the same bits in any stack.
+    """
+    i, j = triu(mbar.shape[-1])
+    # contiguous: the product's bits follow its strides
+    w = np.ascontiguousarray(W[..., i, j] + np.where(i < j, W[..., j, i], 0.0))
+    return (matprod(second[..., None, :], w[..., :, None])
+            + matprod(matprod(mbar[..., None, :], V), mbar[..., :, None]))
+
+
 def lifted_cost(cost, mbar, second, gains=None):
     """Lifted running cost under an affine feedback, or lifted terminal cost, from cloud moments.
 
     mbar (..., d) and second (..., d(d+1)/2) are clouds' means and
-    uncentred second moments (measure.moments).  With the gains (K1, K2, k)
-    of a = K1 (x - mbar) + K2 mbar + k, K1 and K2 (..., m, d), this is the
-    particle mean of the running cost, <Q2 + W, E xx'> + mbar'(Q2bar - W)
-    mbar + abar'(R2 abar + 2 M2'mbar), with W = K1'R2 K1 + 2 M2 K1 and the
-    mean control abar = K2 mbar + k; without gains, that of the terminal
-    cost, <P2, E xx'> + mbar'P2bar mbar.  Each moment enters as a (1, n)
-    row times an operand, so a cloud's cost is the same bits in any stack.
+    uncentred second moments.  With the gains (K1, K2, k) of a = K1 (x -
+    mbar) + K2 mbar + k, K1 and K2 (..., m, d), this is the particle mean of
+    the running cost, the moment_form <Q2 + W, E xx'> + mbar'(Q2bar - W)
+    mbar plus abar'(R2 abar + 2 M2'mbar), W = K1'R2 K1 + 2 M2 K1 and abar =
+    K2 mbar + k; without gains, that of the terminal cost (W, V = P2, P2bar).
     """
-    mrow, mcol = mbar[..., None, :], mbar[..., :, None]
     W, V, tail = cost.P2, cost.P2bar, 0.0
     if gains is not None:
         K1, K2, k = gains
+        mrow = mbar[..., None, :]
         W = matprod(np.swapaxes(K1, -1, -2), matprod(cost.R2, K1)) + 2.0 * matprod(cost.M2, K1)
         W, V = cost.Q2 + W, cost.Q2bar - W
         abar = matprod(mrow, np.swapaxes(K2, -1, -2)) + k[..., None, :]
         tail = matprod(matprod(abar, cost.R2) + 2.0 * matprod(mrow, cost.M2),
                        np.swapaxes(abar, -1, -2))
-    # <W, E xx'> on the upper triangle, contiguous: the product's bits follow its strides
-    i, j = cost.triu
-    w = np.ascontiguousarray(W[..., i, j] + np.where(i < j, W[..., j, i], 0.0))
-    val = matprod(second[..., None, :], w[..., :, None]) + matprod(matprod(mrow, V), mcol)
-    return (val + tail)[..., 0, 0]
+    return (moment_form(W, V, mbar, second) + tail)[..., 0, 0]
 
 
 def lifted_running_cost(mu, a, cost):

@@ -1,21 +1,22 @@
-"""Equal-weight particle measures on R^d and the functionals built on them.
+"""Equal-weight particle measures on R^d and their moments.
 
-A measure is a cloud of N points, each carrying weight 1/N.  Every
-functional used by the LQ theory (mean, second moment, quadratic forms)
-is an exact finite sum over the particles, so identity checks downstream
-carry no quadrature error.  Functions on raw arrays take a stack of clouds
-(..., N, d) and reduce each cloud alone.
+A measure is a cloud of N points, each carrying weight 1/N.  The value
+and the lifted costs of the LQ theory depend on a cloud only through its
+mean and second moment, exact finite sums over the particles, so identity
+checks downstream carry no quadrature error.  Functions on raw arrays take
+a stack of clouds (..., N, d) and reduce each cloud alone.
 
 Reductions over the particle index always go through ``tree_sum``, numpy's
 pairwise tree over a C-contiguous last axis, fixed by the row length alone
 (not by threading, alignment or the other rows of a stack).  Moments are
 taken of coordinate rows (``row_moments``), one contiguous reduction for
-the coordinates and their products.  Sums over the d coordinates are plain
-left-to-right loops.  So a cloud's moments and forms are the same bits
-whatever stack it sits in.
+the coordinates and their products x_i x_j, i <= j, in ``triu`` order.
+So a cloud's moments are the same bits whatever stack it sits in.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -49,12 +50,21 @@ def moments(x):
     return row_moments(rows, d)
 
 
+@cache
+def triu(d):
+    """np.triu_indices(d), read-only and made once per d: the order of a second moment's entries."""
+    iu = np.triu_indices(d)
+    for a in iu:
+        a.setflags(write=False)
+    return iu
+
+
 def row_moments(rows, d, last=False):
     """Mean (..., d) and second moment (..., d(d+1)/2) of clouds held as coordinate rows.
 
     rows (d + d(d+1)/2, ..., N) holds the d coordinates first, or last with
     `last`; the other rows are filled with the products x_i x_j, i <= j, in
-    np.triu_indices(d) order, one multiply per i, and one tree_sum gives both.
+    triu(d) order, one multiply per i, and one tree_sum gives both.
     """
     c, r = (len(rows) - d, 0) if last else (0, d)
     for i in range(d):
@@ -64,26 +74,6 @@ def row_moments(rows, d, last=False):
     s = np.divide(s.transpose(*range(1, s.ndim), 0), rows.shape[-1],
                   out=np.empty(s.shape[1:] + s.shape[:1]))
     return (s[..., c:], s[..., :c]) if last else (s[..., :d], s[..., d:])
-
-
-def point_forms(x, L):
-    """x' L x at each point of x (..., d), shape (...).
-
-    The d^2 products (x_i L_ij) x_j are added left to right in row-major
-    (i, j) order, one elementwise pass each, so a point's value does not
-    depend on the array around it.  einsum("ni,ij,nj->n") adds them in the
-    same order on an (N, d) cloud when L's rows are its outer axis (every
-    L the package builds), except at d = 2 with N <= 2: einsum picks its
-    order from the operands' shapes and strides.
-    """
-    d = x.shape[-1]
-    if L.shape != (d, d):
-        raise ValueError(f"form has shape {L.shape}, expected ({d}, {d})")
-    vals = np.zeros(x.shape[:-1])
-    for i in range(d):
-        for j in range(d):
-            vals += (x[..., i] * L[i, j]) * x[..., j]
-    return vals
 
 
 class AffineMap:

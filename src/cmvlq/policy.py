@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import riccati as _riccati
-from .lqmodel import affine_feedback
-from .measure import EmpiricalMeasure, mean, point_forms, tree_mean
+from .lqmodel import affine_feedback, moment_form
+from .measure import EmpiricalMeasure, mean, moments
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,9 @@ class QuadraticFunctional:
     c: float
 
     def __post_init__(self):
-        L = np.atleast_2d(np.asarray(self.L, dtype=np.float64))
-        G = np.atleast_2d(np.asarray(self.G, dtype=np.float64))
-        g = np.asarray(self.g, dtype=np.float64).reshape(-1)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "g", g)
+        for k in ("L", "G"):
+            object.__setattr__(self, k, np.atleast_2d(np.asarray(getattr(self, k), float)))
+        object.__setattr__(self, "g", np.asarray(self.g, dtype=np.float64).reshape(-1))
         object.__setattr__(self, "c", float(self.c))
 
     @property
@@ -50,21 +47,14 @@ class QuadraticFunctional:
         return self.L.shape[0]
 
     def values(self, x):
-        """phi at each cloud of the stack x (..., N, d), shape (...).
+        """phi = <L, E xx'> + mubar'(G - L) mubar + g'mubar + c at each cloud of x (..., N, d).
 
-        Each cloud's mean and particle term are tree means of its own rows,
-        and the forms at a mean m are the products m @ L @ m and g @ m with
-        m as a (1, d) row and a (d, 1) column, one matmul per mean, so a
-        cloud's value is the same bits whatever stack it sits in (numpy
-        picks BLAS or its own loop for each product from L's layout alone,
-        as for the 1-d products float(m @ L @ m)).
+        The lqmodel.moment_form of measure.moments(x), then g @ m with each mean
+        m a (d, 1) column: a cloud's value is the same bits in any stack.
         """
-        x = np.asarray(x, dtype=np.float64)
-        mbar = tree_mean(x, axis=-2)
-        row, col = mbar[..., None, :], mbar[..., :, None]
-        quad = tree_mean(point_forms(x, self.L), axis=-1)
-        return (quad - (row @ self.L @ col)[..., 0, 0] + (row @ self.G @ col)[..., 0, 0]
-                + (self.g @ col)[..., 0] + self.c)
+        mbar, second = moments(np.asarray(x, dtype=np.float64))
+        form = moment_form(self.L, self.G - self.L, mbar, second)[..., 0, 0]
+        return form + (self.g @ mbar[..., :, None])[..., 0] + self.c
 
     def __call__(self, mu: EmpiricalMeasure):
         return float(self.values(mu.points[None])[0])

@@ -106,8 +106,25 @@ def quadratic_functional(phi, mu):
             + float(phi.g @ mbar) + phi.c)
 
 
-def grad_check_loop(qv, t, mu, epsilon):
-    """verify.grad_check one perturbed cloud at a time, each by quadratic_functional."""
+def moment_functional(phi, mu):
+    """QuadraticFunctional phi at one cloud from its moments, one product at a time.
+
+    <L, E xx'> is the cloud's second moment (measure.moments, in
+    np.triu_indices order) as a (1, n) row times the column of weights,
+    L_ii on the diagonal and L_ij + L_ji off it; then come mbar'(G - L) mbar,
+    the (1, d) mean through two products, g times the mean as a (d, 1)
+    column, and c, added in that order.
+    """
+    mbar, second = moments(mu.points)
+    i, j = np.triu_indices(mu.dim)
+    w = np.where(i < j, phi.L[i, j] + phi.L[j, i], phi.L[i, j])
+    row, col = mbar[None, :], mbar[:, None]
+    form = second[None, :] @ w[:, None] + (row @ (phi.G - phi.L)) @ col
+    return float(form[0, 0] + (phi.g @ col)[0] + phi.c)
+
+
+def grad_check_loop(qv, t, mu, epsilon, functional=moment_functional):
+    """verify.grad_check one perturbed cloud at a time, each by `functional` (phi, cloud)."""
     phi = qv.at(t)
     analytic = np.atleast_2d(phi.d_mu(mu, mu.points)) / mu.n
     scale = max(float(np.max(np.abs(analytic))), 1e-12)
@@ -119,8 +136,8 @@ def grad_check_loop(qv, t, mu, epsilon):
             up[i, j] += epsilon
             dn = pts.copy()
             dn[i, j] -= epsilon
-            fd = (quadratic_functional(phi, EmpiricalMeasure(up))
-                  - quadratic_functional(phi, EmpiricalMeasure(dn))) / (2.0 * epsilon)
+            fd = (functional(phi, EmpiricalMeasure(up))
+                  - functional(phi, EmpiricalMeasure(dn))) / (2.0 * epsilon)
             worst = max(worst, abs(fd - analytic[i, j]) / scale)
     return worst
 

@@ -23,6 +23,7 @@ from conftest import make_interbank, random_cloud, random_lq
 from reference import (
     l2_norm,
     lifted_terminal_cost,
+    moment_functional,
     pushforward,
     quadratic_functional,
     terminal_consistency_gap,
@@ -344,7 +345,8 @@ class TestQuadraticFunctional:
         mu = random_cloud(rng, 9, 2)
         mbar = mean(mu)
         expect = variance_form(mu, L) + float(mbar @ G @ mbar) + float(g @ mbar) + 0.7
-        assert phi(mu) == pytest.approx(expect, abs=0)
+        assert phi(mu) == pytest.approx(moment_functional(phi, mu), abs=0)
+        assert phi(mu) == pytest.approx(expect, rel=1e-12)
 
     @settings(derandomize=True, max_examples=150, deadline=1000)
     @given(data=st.data(), d=st.sampled_from([1, 2, 3]), size=st.sampled_from([1, 3, 8]),
@@ -366,10 +368,10 @@ class TestQuadraticFunctional:
     @pytest.mark.parametrize("d, n", [(1, 1), (1, 2), (1, 40), (2, 3), (2, 40), (3, 1), (3, 2),
                                       (3, 40)])
     def test_values_match_the_per_cloud_route(self, d, n):
-        # against einsum and the per-cloud products of the reference, on the
+        # against the reference's moment form, one cloud at a time, on the
         # functionals the program builds: at a solver node (views of the
-        # solution's arrays), between nodes and their time derivatives; d = 2
-        # with n <= 2 is left out, where einsum's order changes with n
+        # solution's arrays), between nodes and their time derivatives; the
+        # einsum route of the point form is a cross-check to 1e-12
         dyn, cost = random_lq(74, d=d, m=1)
         qv = QuadraticValue(solve_riccati(dyn, cost, 1.0, 1e-2), dyn, cost)
         rng = np.random.default_rng(73)
@@ -377,4 +379,6 @@ class TestQuadraticFunctional:
             for phi in (qv.at(t), qv.dt_at(t)):
                 x = 10.0 ** rng.uniform(-8, 8) * rng.standard_normal((8, n, d))
                 for s, v in enumerate(phi.values(x)):
-                    assert v.hex() == quadratic_functional(phi, EmpiricalMeasure(x[s])).hex()
+                    cloud = EmpiricalMeasure(x[s])
+                    assert v.hex() == moment_functional(phi, cloud).hex()
+                    assert v == pytest.approx(quadratic_functional(phi, cloud), rel=1e-12)

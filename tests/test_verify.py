@@ -56,7 +56,13 @@ from cmvlq.verify import (
 )
 
 from conftest import forked_pids, inline_noise, make_interbank, random_cloud, random_lq, reaped
-from reference import generator_pair_sum, grad_check_loop, pushforward, variance_form
+from reference import (
+    generator_pair_sum,
+    grad_check_loop,
+    pushforward,
+    quadratic_functional,
+    variance_form,
+)
 
 
 def interbank_stack(sigma1=0.0, **kw):
@@ -735,7 +741,8 @@ class TestGradCheck:
     def test_stack_is_the_loop_bitwise(self, d):
         # the draws of `verify grad --seed 1` (100 clouds of 20 particles,
         # epsilon 0.1) on the interbank model and a d = 3, m = 2 model: each
-        # draw's error, and so the statistic, is the per-cloud loop's bits
+        # draw's error, and so the statistic, is the per-cloud loop's bits;
+        # the loop on the einsum point form agrees to 1e-12 of the derivative scale
         if d == 1:
             qv = make_interbank()[4]
         else:
@@ -746,6 +753,8 @@ class TestGradCheck:
         looped = [(t, grad_check_loop(qv, t, cloud, 0.1)) for t, cloud in draws]
         assert [e.hex() for _, e in stacked] == [e.hex() for _, e in looped]
         assert grad_rule(stacked) == grad_rule(looped)
+        pointwise = [grad_check_loop(qv, t, cloud, 0.1, quadratic_functional) for t, cloud in draws]
+        assert np.allclose([e for _, e in stacked], pointwise, rtol=0.0, atol=1e-12)
 
     def test_point_mass_gradient_value(self):
         dyn, cost = random_lq(207, d=1, m=1)
