@@ -37,54 +37,35 @@ SHAPES = {
 MODEL_KEYS = ["d", "m", "T", *SHAPES]
 
 
-def _as_matrix(x, rows, cols, name):
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    elif a.ndim == 1:
-        a = a.reshape(rows, cols) if rows * cols == a.size else a[:, None]
-    if a.shape != (rows, cols):
-        raise ValueError(f"{name} has shape {a.shape}, expected ({rows}, {cols})")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
-def _as_vector(x, n, name):
-    a = np.asarray(x, dtype=np.float64).reshape(-1)
-    if a.size == 1 and n > 1:
-        raise ValueError(f"{name} has size 1, expected {n}")
-    if a.shape != (n,):
-        raise ValueError(f"{name} has shape {a.shape}, expected ({n},)")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
-def _symmetric(x, n, name):
-    a = _as_matrix(x, n, n, name)
-    gap = float(np.max(np.abs(a - a.T))) if n > 1 else 0.0
-    if gap > SYM_TOL * max(1.0, float(np.max(np.abs(a)))):
-        raise ValueError(f"{name} is not symmetric (max asymmetry {gap:.3e})")
-    return (a + a.T) / 2.0
-
-
 def _coefficients(pairs, d, m, symmetric=False):
     """The coefficients (name, value) of `pairs` as arrays of their SHAPES at d and m, in turn.
 
-    Vectors go through _as_vector, matrices through _as_matrix and, with
-    `symmetric`, square ones (dd, mm) through _symmetric.
+    A vector is flattened; a scalar or a flat list fills a matrix row-major
+    when its size fits, else a column.  Each must then have its shape and
+    be finite and, with `symmetric`, square weights (dd, mm) are
+    symmetrized after a check that they are symmetric within SYM_TOL.
     """
     size = {"d": d, "m": m}
     out = {}
     for name, value in pairs:
-        shape = SHAPES[name]
+        shape = tuple(size[c] for c in SHAPES[name])
+        a = np.asarray(value, dtype=np.float64)
         if len(shape) == 1:
-            out[name] = _as_vector(value, size[shape], name)
-        elif symmetric and shape in ("dd", "mm"):
-            out[name] = _symmetric(value, size[shape[0]], name)
-        else:
-            out[name] = _as_matrix(value, size[shape[0]], size[shape[1]], name)
+            a = a.reshape(-1)
+            if a.size == 1 and shape[0] > 1:
+                raise ValueError(f"{name} has size 1, expected {shape[0]}")
+        elif a.ndim < 2:
+            a = a.reshape(shape if a.size == shape[0] * shape[1] else (-1, 1))
+        if a.shape != shape:
+            raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} contains non-finite entries")
+        if symmetric and SHAPES[name] in ("dd", "mm"):
+            gap = float(np.max(np.abs(a - a.T))) if shape[0] > 1 else 0.0
+            if gap > SYM_TOL * max(1.0, float(np.max(np.abs(a)))):
+                raise ValueError(f"{name} is not symmetric (max asymmetry {gap:.3e})")
+            a = (a + a.T) / 2.0
+        out[name] = a
     return out
 
 
