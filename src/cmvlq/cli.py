@@ -25,7 +25,7 @@ from . import policy as policy_mod
 from . import riccati as riccati_mod
 from . import verify as verify_mod
 from .errors import NonPositiveGain, NumericalBlowup
-from .lqmodel import GRID_TOL, load_model, parse_kv_file, save_model
+from .lqmodel import GRID_TOL, load_model, parse_kv_file, parse_value, save_model
 from .measure import AffineMap, tree_mean
 from .policy import FeedbackPolicy, QuadraticValue, feedback_affine_map, optimal_feedback, value
 from .simulator import (
@@ -115,7 +115,7 @@ def _merge_config(args):
                 raise ValueError(f"unknown config key {key!r}")
             attr = norm.replace("-", "_")
             if cfg.get(attr) is None:
-                cfg[attr] = CONFIG_KEYS[norm](text)
+                cfg[attr] = parse_value(f"config file {cfg['config']}", key, text, CONFIG_KEYS[norm])
     return cfg
 
 
@@ -171,6 +171,12 @@ def _parse_init(text, d):
             raise ValueError(f"--init {text!r} names no file: use csv:<path>")
         return {"kind": "csv", "path": rest}
     raise ValueError(f"cannot parse initial condition {text!r}")
+
+
+def _initial(cfg, init, n, **flag):
+    """sample_initial(init, n) at cfg's seed; an error names `flag`, by default --init."""
+    with _flagged(cfg, **(flag or {"init": cfg["init"]})):
+        return sample_initial(init, n, cfg["seed"])
 
 
 def _build_control(text, qv):
@@ -348,7 +354,7 @@ def _write_trajectories(ft, fm, rec):
 
 def cmd_simulate(cfg):
     qv, model, control = _controlled(cfg)
-    mu0 = sample_initial(_parse_init(cfg["init"], model.d), cfg["particles"], cfg["seed"])
+    mu0 = _initial(cfg, _parse_init(cfg["init"], model.d), cfg["particles"])
     with _trajectory_files(cfg["out"], model.d) as sink:
         for _ in stream_scenarios(model, control, cfg["t0"], mu0, model.T, cfg["dt"], cfg["seed"],
                                   cfg["paths"], with_cost=False,
@@ -360,7 +366,7 @@ def cmd_simulate(cfg):
 
 def cmd_cost(cfg):
     qv, model, control = _controlled(cfg)
-    cloud0 = sample_initial(_parse_init(cfg["init"], model.d), cfg["particles"], cfg["seed"])
+    cloud0 = _initial(cfg, _parse_init(cfg["init"], model.d), cfg["particles"])
     with _flagged(cfg, paths=cfg["paths"], t0=cfg["t0"], dt=cfg["dt"]):
         est = verify_mod.estimate_cost(model, control, cfg["t0"], cloud0,
                                        cfg["particles"], cfg["paths"], cfg["dt"], cfg["seed"])
@@ -388,6 +394,7 @@ def cmd_verify(cfg):
             horizon(t0, model.T)
     else:
         init = _parse_init(cfg["init"], model.d)
+        mu0 = None if check == "chaos" else _initial(cfg, init, n)
     if check == "bellman":
         draws = []
         for i in range(count):
@@ -408,8 +415,8 @@ def cmd_verify(cfg):
                              f"be a whole number of steps 2 dt = {2 * dt!r}: verify dpp compares "
                              f"runs at dt = {dt!r} and at 2 dt")
         with _flagged(cfg, paths=m, theta=cfg["theta"]):
-            fine, coarse = verify_mod.dpp_check(qv, model, t0, sample_initial(init, n, seed),
-                                                cfg["theta"], control, n, m, dt, seed, coarse=True)
+            fine, coarse = verify_mod.dpp_check(qv, model, t0, mu0, cfg["theta"], control, n, m,
+                                                dt, seed, coarse=True)
         c_dt = max(1.0, abs(coarse.gap - fine.gap) / dt)
         result = verify_mod.dpp_rule(fine, dt, c_dt, cfg["control"] == "optimal", coarse)
     elif check == "ito":
@@ -417,8 +424,8 @@ def cmd_verify(cfg):
         phi = policy_mod.QuadraticFunctional(np.zeros((d, d)), np.eye(d), np.zeros(d), 0.0)
         delta = cfg.get("delta") or 0.01
         with _flagged(cfg, paths=m, t0=t0, dt=dt, delta=delta):
-            res = verify_mod.ito_generator_check(model, control, t0, sample_initial(init, n, seed),
-                                                 phi, delta, n, m, dt, seed)
+            res = verify_mod.ito_generator_check(model, control, t0, mu0, phi, delta, n, m, dt,
+                                                 seed)
         result = verify_mod.ito_rule(res, dt, bias_factor=1.0)
     elif check == "chaos":
         # only along the optimal feedback is the value the cost's large-N limit
@@ -434,12 +441,11 @@ def cmd_verify(cfg):
             raise ValueError(f"cannot parse --chaos-ns {ns_txt!r} as particle counts") from None
         if min(ns) < 1:
             raise ValueError(f"--chaos-ns {ns_txt!r}: particle counts must be >= 1")
-        with _flagged(cfg, chaos_ns=ns_txt, paths=m, t0=t0, dt=dt):
+        with _flagged(cfg, init=cfg["init"], chaos_ns=ns_txt, paths=m, t0=t0, dt=dt):
             rows = verify_mod.chaos_convergence(model, control, t0, init, ns, m, dt, seed)
         values = [value(qv, t0, sample_initial(init, r["N"], seed)) for r in rows]
         result = verify_mod.chaos_rule(rows, values)
     else:
-        mu0 = sample_initial(init, n, seed)
         with _flagged(cfg, t0=t0, dt=dt):
             n_steps = step_count(model, t0, mu0, model.T, dt)
         # restart nodes never depend on the paths: draw them all first
@@ -466,24 +472,25 @@ def cmd_systemic_risk(cfg):
     if cfg["t0"] != 0.0:
         raise ValueError("systemic-risk runs from t0 = 0")
     cfg["init"] = f"point:{params.x0!r}"
+    mu0 = _initial(cfg, _parse_init(cfg["init"], 1), cfg["particles"], x0=params.x0)
     dyn, cost = riccati_mod.systemic_risk_model(params)
     out = cfg["out"]
-    save_model(os.path.join(out, "model.txt"), dyn, cost, params.T)
+    # solved before any file is written: a bad --riccati-step leaves the directory empty
     sol, qv = _solved(dyn, cost, params.T, cfg)
+    save_model(os.path.join(out, "model.txt"), dyn, cost, params.T)
     riccati_mod.save_riccati_csv(sol, os.path.join(out, "riccati.csv"))
     policy_mod.save_policy_csv(qv, os.path.join(out, "policy.csv"))
 
     lam_cf = np.array([riccati_mod.closed_form_lambda(params, t) for t in sol.grid])
     lam_num = sol.Lam[:, 0, 0]
-    with open(os.path.join(out, "lambda_compare.csv"), "w") as fh:
-        fh.write("t,lambda_numeric,lambda_closed_form,abs_err\n")
-        for t, a, b in zip(sol.grid, lam_num, lam_cf):
-            fh.write(f"{float(t)!r},{float(a)!r},{float(b)!r},{float(abs(a - b))!r}\n")
-    max_err = float(np.max(np.abs(lam_num - lam_cf)))
+    err = np.abs(lam_num - lam_cf)
+    riccati_mod.write_columns(os.path.join(out, "lambda_compare.csv"),
+                              ["t", "lambda_numeric", "lambda_closed_form", "abs_err"],
+                              (sol.grid, lam_num, lam_cf, err))
+    max_err = float(np.max(err))
 
     model = lq_dynamics_spec(dyn, cost, params.T)
     control = FeedbackControl(FeedbackPolicy(qv))
-    mu0 = sample_initial(_parse_init(cfg["init"], 1), cfg["particles"], cfg["seed"])
     with _trajectory_files(out, 1) as sink:
         record = Recorder(min(cfg["paths"], 4), max(cfg["stride"], 10), sink)
         with _flagged(cfg, paths=cfg["paths"], dt=cfg["dt"]):

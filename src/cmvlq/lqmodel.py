@@ -14,6 +14,7 @@ are R^d-valued.  All cost matrices are symmetrized on construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 
@@ -26,6 +27,20 @@ SYM_TOL = 1e-12
 PD_THRESHOLD = 1e-10
 BLOWUP_LIMIT = 1e12
 GRID_TOL = 1e-9
+
+
+def whole_steps(span, step, least, what, wrong):
+    """round(span / step) if that many steps, at least `least`, make up span within GRID_TOL.
+
+    Else ValueError(wrong); a count past sys.maxsize, tested before the round,
+    is a ValueError led by `what`, as in "dt=0.1 divides T - t0 = 1.0"."""
+    if not span / step <= sys.maxsize:
+        raise ValueError(f"{what} into more than {sys.maxsize} steps")
+    n = int(round(span / step))
+    if n < least or abs(n * step - span) > GRID_TOL * max(1.0, span):
+        raise ValueError(wrong)
+    return n
+
 
 # every model coefficient, in model-file order, with its shape in the state
 # dimension d and the control dimension m: one letter for a vector, two for a matrix
@@ -601,6 +616,14 @@ def parse_kv_file(path):
     return out
 
 
+def parse_value(where, key, text, kind):
+    """kind(text), the value of `key` in the file `where`; a ValueError names both."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{where}: cannot parse {key} = {text!r} as {kind.__name__}") from None
+
+
 def load_model(path):
     """Parse a model file into (LqDynamics, LqCost, T)."""
     kv = parse_kv_file(path)
@@ -610,9 +633,8 @@ def load_model(path):
     missing = [k for k in MODEL_KEYS if k not in kv and k != "M2"]
     if missing:
         raise ValueError(f"model file {path} missing keys: {', '.join(missing)}")
-    d = int(kv["d"])
-    m = int(kv["m"])
-    T = float(kv["T"])
+    d, m, T = (parse_value(f"model file {path}", k, kv[k], kind)
+               for k, kind in (("d", int), ("m", int), ("T", float)))
     if d < 1 or m < 1:
         raise ValueError("model file requires d >= 1, m >= 1")
     if not 0 < T < math.inf:

@@ -51,6 +51,7 @@ from .lqmodel import (
     lapack,
     min_eigenvalue,
     require_pd,
+    whole_steps,
 )
 
 
@@ -353,9 +354,7 @@ def solve_riccati(dyn: LqDynamics, cost: LqCost, T, h):
     h = float(h)
     if h <= 0 or T <= 0:
         raise ValueError("T and h must be positive")
-    K = int(round(T / h))
-    if K < 2 or abs(K * h - T) > GRID_TOL * max(1.0, T):
-        raise ValueError(f"h={h} must divide T={T} into >= 2 steps")
+    K = whole_steps(T, h, 2, f"h={h} divides T={T}", f"h={h} must divide T={T} into >= 2 steps")
 
     report = check_standing_condition(cost, delta=1e-8)
     if not report["ok"]:

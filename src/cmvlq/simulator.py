@@ -44,7 +44,6 @@ import os
 import pickle
 import select
 import signal
-import sys
 import threading
 from contextlib import closing
 from dataclasses import dataclass
@@ -62,6 +61,7 @@ from .lqmodel import (
     LqModel,
     lifted_cost,
     matprod,
+    whole_steps,
 )
 from .measure import AffineMap, EmpiricalMeasure, load_csv, moments, row_moments
 
@@ -295,11 +295,8 @@ def step_count(model, t0, mu0, T, dt):
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     span = horizon(t0, T)
-    if not span / dt <= sys.maxsize:
-        raise ValueError(f"dt={dt} divides T - t0 = {span} into more than {sys.maxsize} steps")
-    n_steps = int(round(span / dt))
-    if abs(n_steps * dt - span) > GRID_TOL * max(1.0, span):
-        raise ValueError(f"dt={dt} must divide T - t0 = {span} into whole steps")
+    n_steps = whole_steps(span, dt, 0, f"dt={dt} divides T - t0 = {span}",
+                          f"dt={dt} must divide T - t0 = {span} into whole steps")
     if mu0.dim != model.d:
         raise ValueError("initial cloud dimension does not match the model")
     return n_steps
@@ -743,14 +740,15 @@ def sample_initial(spec, n_particles, seed):
 
     spec is {'kind': 'point', 'x0': ...}, {'kind': 'gaussian', 'mean': ...,
     'cov': ...} or {'kind': 'csv', 'path': ...}.  Deterministic in seed.
+    A coordinate past BLOWUP_LIMIT, a blowup at the first step, is a ValueError.
     """
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
     kind = spec.get("kind")
     if kind == "point":
         x0 = np.atleast_1d(np.asarray(spec["x0"], dtype=np.float64))
-        return EmpiricalMeasure(np.tile(x0, (n_particles, 1)))
-    if kind == "gaussian":
+        cloud = EmpiricalMeasure(np.tile(x0, (n_particles, 1)))
+    elif kind == "gaussian":
         mu = np.atleast_1d(np.asarray(spec["mean"], dtype=np.float64))
         d = mu.shape[0]
         cov = np.asarray(spec["cov"], dtype=np.float64)
@@ -760,14 +758,17 @@ def sample_initial(spec, n_particles, seed):
             raise ValueError("covariance shape does not match the mean")
         factor = _psd_factor(cov)
         z = _philox(seed, _INIT_PATH_TAG, 0).standard_normal((n_particles, d))
-        return EmpiricalMeasure(mu + z @ factor.T)
-    if kind == "csv":
+        cloud = EmpiricalMeasure(mu + z @ factor.T)
+    elif kind == "csv":
         cloud = load_csv(spec["path"])
         if cloud.n != n_particles:
             raise ValueError(
                 f"particle file holds {cloud.n} particles, expected {n_particles}")
-        return cloud
-    raise ValueError(f"unknown initial-condition kind: {kind!r}")
+    else:
+        raise ValueError(f"unknown initial-condition kind: {kind!r}")
+    if not np.all(np.abs(cloud.points) <= BLOWUP_LIMIT):
+        raise ValueError(f"initial states must be at most {BLOWUP_LIMIT:g} in absolute value")
+    return cloud
 
 
 def _psd_factor(cov):

@@ -35,6 +35,7 @@ from .lqmodel import (
     coefficient_values,
     lifted_cost,
     lifted_running_cost,
+    whole_steps,
 )
 from .measure import EmpiricalMeasure, mean, moments, tree_mean
 from .policy import QuadraticFunctional, QuadraticValue, value
@@ -194,9 +195,8 @@ def ito_generator_check(model, control, t, mu0, phi: QuadraticFunctional,
     delta must be a multiple of dt, and t + delta at most T.
     """
     delta = float(delta)
-    steps = int(round(delta / dt))
-    if steps < 1 or abs(steps * dt - delta) > 1e-9 * max(1.0, delta):
-        raise ValueError("delta must be a positive multiple of dt")
+    steps = whole_steps(delta, dt, 1, f"dt={dt} divides delta = {delta}",
+                        "delta must be a positive multiple of dt")
     if t + delta - model.T > GRID_TOL * max(1.0, model.T):
         raise ValueError(f"t0 + delta = {t + delta!r} exceeds T = {model.T!r}")
     if M < 2:

@@ -382,6 +382,12 @@ class TestModelKeys:
                      "T must be positive and finite, got inf", id="T=inf"),
         pytest.param(lambda text: text + "B = 2.0\n",
                      "key 'B' is given twice, on lines 5 and 22", id="B-twice"),
+        pytest.param(lambda text: text.replace("d = 1", "d = 1.5"),
+                     "model.txt: cannot parse d = '1.5' as int\n", id="d=1.5"),
+        pytest.param(lambda text: text.replace("m = 1", "m = two"),
+                     "model.txt: cannot parse m = 'two' as int\n", id="m=two"),
+        pytest.param(lambda text: text.replace("T = 1.0", "T = abc"),
+                     "model.txt: cannot parse T = 'abc' as float\n", id="T=abc"),
     ])
     def test_bad_model_value_is_config_error(self, model_file, tmp_path, capsys, edit, message):
         path = tmp_path / "model.txt"
@@ -545,6 +551,42 @@ class TestBadNumbers:
                      "t0 + delta = 1.5 exceeds T = 1.0", id="ito-delta=1.5"),
         pytest.param(["verify", "ito", "--seed", "1", "--t0", "0.995", "--delta", "0.01"], None,
                      "t0 + delta = 1.005 exceeds T = 1.0", id="ito-t0=0.995-delta=0.01"),
+        # step counts past sys.maxsize, refused before any count is rounded or allocated
+        pytest.param(["solve", "--riccati-step", "1e-320"], None,
+                     f"h=1e-320 divides T=1.0 into more than {sys.maxsize} steps\n",
+                     id="riccati-step=1e-320"),
+        pytest.param(["cost", "--seed", "1", "--riccati-step", "5e-324"], None,
+                     f"h=5e-324 divides T=1.0 into more than {sys.maxsize} steps\n",
+                     id="cost-riccati-step=5e-324"),
+        pytest.param(["systemic-risk", "--seed", "1", "--riccati-step", "1e-320"], None,
+                     f"h=1e-320 divides T=1.0 into more than {sys.maxsize} steps\n",
+                     id="systemic-risk-riccati-step=1e-320"),
+        pytest.param(["verify", "ito", "--seed", "1", "--delta", "0.5", "--dt", "1e-310"], None,
+                     "verify ito --paths 2 --t0 0.0 --dt 1e-310 --delta 0.5: dt=1e-310 divides "
+                     f"delta = 0.5 into more than {sys.maxsize} steps\n", id="ito-dt=1e-310"),
+        # an initial cloud past the blowup bound, which the step loop would
+        # report as a blowup at its first step
+        pytest.param(["cost", "--seed", "1", "--init", "point:1e13"], None,
+                     "cost --init 'point:1e13': initial states must be at most 1e+12 in absolute "
+                     "value\n", id="point=1e13"),
+        pytest.param(["cost", "--seed", "1", "--init", "point:1e308"], None,
+                     "cost --init 'point:1e308': initial states must be at most 1e+12",
+                     id="point=1e308"),
+        pytest.param(["verify", "dpp", "--seed", "1", "--init", "gaussian:-1e13"], None,
+                     "verify dpp --init 'gaussian:-1e13': initial states must be at most 1e+12",
+                     id="dpp-gaussian=-1e13"),
+        pytest.param(["verify", "chaos", "--seed", "1", "--init", "point:1e13"], None,
+                     "verify chaos --init 'point:1e13' --chaos-ns '250,1000,4000' --paths 2 "
+                     "--t0 0.0 --dt 0.001: initial states must be at most 1e+12",
+                     id="chaos-point=1e13"),
+        pytest.param(["systemic-risk", "--seed", "1", "--x0", "1e13"], None,
+                     "systemic-risk --x0 10000000000000.0: initial states must be at most 1e+12",
+                     id="systemic-risk-x0=1e13"),
+        # a value that is not a number names its file and key
+        pytest.param(["verify", "flow", "--seed", "1"], "count = two\n",
+                     "run.cfg: cannot parse count = 'two' as int\n", id="config-count=two"),
+        pytest.param(["cost", "--seed", "1"], "dt = abc\n",
+                     "run.cfg: cannot parse dt = 'abc' as float\n", id="config-dt=abc"),
     ])
     def test_exits_two(self, model_file, tmp_path, capsys, argv, config, message):
         out = tmp_path / "out"
@@ -565,6 +607,17 @@ class TestBadNumbers:
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_csv_cloud_past_the_bound_exits_two(self, model_file, tmp_path, capsys):
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("x0\n0.5\n1e300\n")
+        out = tmp_path / "out"
+        code = run_cli("cost", "--model", model_file, "--out", str(out), "--seed", "1",
+                       "--particles", "2", "--paths", "2", "--init", f"csv:{cloud}")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"configuration error: cost --init 'csv:{cloud}': initial states must be "
+                       "at most 1e+12 in absolute value\n")
+        assert not any(out.iterdir())
 
     def test_out_of_memory_exits_two(self, model_file, tmp_path, capsys, monkeypatch):
         # the cloud's allocation fails as numpy's would; nothing is allocated
