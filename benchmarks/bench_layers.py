@@ -28,6 +28,10 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
 - moments: ``measure.moments`` on stacks of clouds of the step loop's
   batch shapes, (8, 2000, 1) (interbank), (8, 250, 3) (the d = 3 model)
   and (1, 500, 1) (one scenario, as the flow check steps it);
+- values: ``QuadraticFunctional.values``, the value at t = 0.3 of the
+  interbank or the d = 3 model, on the end clouds of a cost batch, (8,
+  2000, 1) and (8, 250, 3), on grad's stack of perturbed d = 3 clouds, (2,
+  60, 20, 3), and on one 50-particle Bellman cloud, (1, 50, 1);
 - writer: ``cli._write_trajectories`` formatting the nodes of 4 paths
   recorded at stride 10 into trajectory.csv and means.csv (the recording
   itself is stepped once, untimed: systemic-risk records these paths from
@@ -48,11 +52,9 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
 - dpp_check_interbank: the fine (dt) and the coarse (2 dt) run of
   ``verify dpp`` at the verify benchmark's sizes (N = 2000 from the point
   1, M = 48, theta = 0.5, optimal feedback): one ``dpp_check(...,
-  coarse=True)`` where the checkout has it, else two ``dpp_check`` calls;
-- flow_check_interbank: ``verify flow``'s restarts and rule at count 4,
-  N = 500 from the point 1, K = 1000 (``flow_restarts`` where the checkout
-  has it, else ``simulate_path`` and ``restart_continuation`` per restart).
-  These two rows also record traced_peak_mib, the tracemalloc peak of one
+  coarse=True)``;
+- flow_check_interbank: ``verify flow``'s restarts (``flow_restarts``) and
+  rule at count 4, N = 500 from the point 1, K = 1000.  These two rows also record traced_peak_mib, the tracemalloc peak of one
   more untimed run.
 
 Each row is the minimum (min_s) and the median (median_s) wall time and
@@ -324,6 +326,12 @@ def main():
         reps = 200
         row("moments_" + "x".join(map(str, shape)),
             best_of(lambda: [measure.moments(x) for _ in range(reps)], args.repeats, reps))
+    for shape in ((8, N, 1), (M3, N3, 3), (2, 60, 20, 3), (1, 50, 1)):
+        phi_t = (qv if shape[-1] == 1 else qv3).at(0.3)
+        x = rng.standard_normal(shape)
+        reps = 200
+        row("values_" + "x".join(map(str, shape)),
+            best_of(lambda: [phi_t.values(x) for _ in range(reps)], args.repeats, reps))
 
     if hasattr(simulator, "Recorder"):
         recs = []
@@ -377,30 +385,17 @@ def main():
                                                    ITO_M, DT, SEED), args.repeats))
 
     mu_dpp = simulator.sample_initial({"kind": "point", "x0": p.x0}, N, SEED)
-    if "coarse" in inspect.signature(verify.dpp_check).parameters:
-        def dpp():
-            verify.dpp_check(qv, model, 0.0, mu_dpp, DPP_THETA, control, N, DPP_M, DT, SEED,
-                             coarse=True)
-    else:
-        def dpp():
-            for h in (DT, 2 * DT):
-                verify.dpp_check(qv, model, 0.0, mu_dpp, DPP_THETA, control, N, DPP_M, h, SEED)
+
+    def dpp():
+        verify.dpp_check(qv, model, 0.0, mu_dpp, DPP_THETA, control, N, DPP_M, DT, SEED,
+                         coarse=True)
 
     mu_flow = simulator.sample_initial({"kind": "point", "x0": p.x0}, FLOW_N, SEED)
     rng = np.random.Generator(np.random.Philox(key=SEED))
     nodes = [(i, int(rng.integers(0, K + 1))) for i in range(FLOW_COUNT)]
-    if hasattr(verify, "flow_restarts"):
-        def flow():
-            verify.flow_rule(verify.flow_restarts(model, control, 0.0, mu_flow, p.T, DT, SEED,
-                                                  nodes))
-    else:
-        def flow():
-            def restarts():
-                for i, j in nodes:
-                    traj = simulator.simulate_path(model, control, 0.0, mu_flow, p.T, DT, SEED,
-                                                   path_index=i)
-                    yield i, j, traj, simulator.restart_continuation(traj, traj.times[j])
-            verify.flow_rule(restarts())
+
+    def flow():
+        verify.flow_rule(verify.flow_restarts(model, control, 0.0, mu_flow, p.T, DT, SEED, nodes))
 
     for name, fn in (("dpp_check_interbank", dpp), ("flow_check_interbank", flow)):
         row(name, best_of(fn, args.repeats))

@@ -1,5 +1,5 @@
-"""The package's public surface: no exported name without a use or a reason; the
-layer benchmark's stand-ins still fit the package."""
+"""The package's surface: no exported name, and no top-level function or class,
+without a use or a reason; the layer benchmark's stand-ins still fit the package."""
 
 import ast
 import importlib.util
@@ -27,7 +27,7 @@ from conftest import make_interbank
 
 SRC = pathlib.Path(cmvlq.__file__).parent
 
-# exported names that no module of the package uses, each with why it stays
+# names that no module of the package uses, each with why it stays
 UNUSED_EXPORTS = {
     "backend": "perfbench/run.py records the resolved backend in its manifest",
     "gains": "the public diagnostic view of the gain blocks at any (Lam, Gam, gam), which "
@@ -52,6 +52,17 @@ def exported_names():
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
     return names
+
+
+def defined_names():
+    """Names of the top-level functions and classes of the package's modules."""
+    return {node.name for path in SRC.glob("*.py") for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def used_names():
+    """Every name some module of the package uses (references)."""
+    return set().union(*(references(ast.parse(path.read_text())) for path in SRC.glob("*.py")))
 
 
 def references(tree):
@@ -89,13 +100,17 @@ def references(tree):
 
 def test_every_export_has_a_use_or_a_reason():
     exported = exported_names()
-    used = set()
-    for path in SRC.glob("*.py"):
-        used |= references(ast.parse(path.read_text()))
+    used = used_names()
     assert sorted(exported - used - set(UNUSED_EXPORTS)) == []
     # the table names only exports that still need a reason
     assert sorted(set(UNUSED_EXPORTS) - exported) == []
     assert sorted(set(UNUSED_EXPORTS) & used) == []
+
+
+def test_every_definition_has_a_use_or_a_reason():
+    # private helpers too: a top-level function or class that nothing in the
+    # package calls is dead code unless the table says why it stays
+    assert sorted(defined_names() - used_names() - set(UNUSED_EXPORTS)) == []
 
 
 def test_references_skip_the_own_definition():
