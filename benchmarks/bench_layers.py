@@ -43,9 +43,12 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
   means.csv (in a forked writer process, where the checkout has one);
 - bellman_residual_<model>_50: one draw of ``verify bellman`` (the optimal
   feedback at a random time, then ``bellman_residual`` on a 50-particle
-  cloud), and grad_check_<model>_20 one draw of ``verify grad``
-  (``grad_check`` on a 20-particle cloud, epsilon 0.1), on the interbank
-  and the d = 3 model; each row is the mean over 20 seeded draws;
+  cloud), generator_<model>_50 the generator of that draw's value under
+  that feedback alone (``generator_apply``; the feedback and the value at
+  the draw's time are made untimed), and grad_check_<model>_20 one draw of
+  ``verify grad`` (``grad_check`` on a 20-particle cloud, epsilon 0.1), on
+  the interbank and the d = 3 model; each row is the mean over 20 seeded
+  draws;
 - ito_check_interbank: ``ito_generator_check`` at the sizes of the verify
   benchmark's ito command (phi = mean^2, N = 2000 particles from the point
   0, M = 2000 scenarios, delta = 10 steps of dt = 1e-3, optimal feedback);
@@ -71,8 +74,12 @@ SHA (marked -dirty for uncommitted changes), the backend (``cmvlq.backend()``),
 the Python and numpy versions and the CPU count; other labels already in the
 file are kept.  The writer row needs the recorder (``simulator.Recorder``)
 and estimate_cost_recorded ``estimate_cost(..., record=)``; both are
-left out on a checkout without the recorder; the other rows use only names
-that earlier checkouts also have:
+left out on a checkout without the recorder.  On a checkout whose
+generator takes the coefficients at each particle (``verify._generator_at``),
+the Bellman draw passes the feedback at the cloud's mean as an affine map
+and the generator row times the particles' controls (``affine_feedback``)
+and that generator.  The other rows use only names that earlier checkouts
+also have:
 
     PYTHONPATH=src python benchmarks/bench_layers.py --label after
 """
@@ -99,12 +106,11 @@ import numpy as np  # noqa: E402
 
 import cmvlq  # noqa: E402
 from cmvlq import cli, measure, simulator, verify  # noqa: E402
-from cmvlq.lqmodel import LqCost, LqDynamics  # noqa: E402
+from cmvlq.lqmodel import LqCost, LqDynamics, affine_feedback  # noqa: E402
 from cmvlq.policy import (  # noqa: E402
     FeedbackPolicy,
     QuadraticFunctional,
     QuadraticValue,
-    feedback_affine_map,
     optimal_feedback,
 )
 from cmvlq.riccati import SystemicRiskParams, solve_riccati, systemic_risk_model  # noqa: E402
@@ -176,6 +182,28 @@ def lq3_model(seed=3, d=3, m=2):
     cost = LqCost(Q2=Q2, Q2bar=psd(d) - Q2, R2=psd(m) + 0.3 * np.eye(m), P2=P2,
                   P2bar=psd(d) - P2, M2=g((d, m), 0.1))
     return dyn, cost
+
+
+# an earlier checkout's generator takes each particle's coefficients, and its
+# bellman_residual the feedback at the cloud's mean as an affine map
+POINTWISE = hasattr(verify, "_generator_at")
+
+
+def feedback_arg(fb, cloud):
+    """bellman_residual's feedback argument: fb's gains, or (POINTWISE) its map at the mean."""
+    if POINTWISE:
+        mbar = measure.tree_mean(cloud.points, axis=0)
+        return measure.AffineMap(fb.K1, (fb.K2 - fb.K1) @ mbar + fb.k)
+    return fb.K1, fb.K2, fb.k
+
+
+def generator(phi, cloud, dyn, fb):
+    """The generator of phi at the cloud under the feedback fb, as the checkout evaluates it."""
+    if POINTWISE:
+        mbar = measure.tree_mean(cloud.points, axis=0)
+        avals = affine_feedback(fb.K1, fb.K2, fb.k, cloud.points, mbar)
+        return verify._generator_at(phi, dyn, cloud, mbar, avals)
+    return verify.generator_apply(phi, cloud, dyn, (fb.K1, fb.K2, fb.k))
 
 
 # an earlier checkout's _gen_noise takes a last argument sqrt_dt, by which it
@@ -367,14 +395,22 @@ def main():
         def bellman(value_fn=value_fn, bellman_draws=bellman_draws):
             for t, cloud in bellman_draws:
                 fb = optimal_feedback(value_fn, t)
-                a_star = feedback_affine_map(fb, measure.tree_mean(cloud.points, axis=0))
-                verify.bellman_residual(value_fn, t, cloud, a_star, with_terms=True)
+                verify.bellman_residual(value_fn, t, cloud, feedback_arg(fb, cloud),
+                                        with_terms=True)
+
+        generator_draws = [(value_fn.at(t), cloud, optimal_feedback(value_fn, t))
+                           for t, cloud in bellman_draws]
+
+        def generate(value_fn=value_fn, generator_draws=generator_draws):
+            for phi, cloud, fb in generator_draws:
+                generator(phi, cloud, value_fn.dyn, fb)
 
         def grad(value_fn=value_fn, grad_draws=grad_draws):
             for t, cloud in grad_draws:
                 verify.grad_check(value_fn, t, cloud, 0.1)
 
         for label, fn in ((f"bellman_residual_{name}_50", bellman),
+                          (f"generator_{name}_50", generate),
                           (f"grad_check_{name}_20", grad)):
             row(label, best_of(fn, args.repeats, draws))
 

@@ -14,7 +14,6 @@ from .lqmodel import (
     LqModel,
     check_standing_condition,
     gains,
-    lifted_running_cost,
     load_model,
     save_model,
 )

@@ -25,9 +25,9 @@ from . import policy as policy_mod
 from . import riccati as riccati_mod
 from . import verify as verify_mod
 from .errors import NonPositiveGain, NumericalBlowup
-from .lqmodel import GRID_TOL, load_model, parse_kv_file, parse_value, save_model
-from .measure import AffineMap, tree_mean
-from .policy import FeedbackPolicy, QuadraticValue, feedback_affine_map, optimal_feedback, value
+from .lqmodel import load_model, parse_kv_file, parse_value, save_model, whole_steps
+from .measure import AffineMap
+from .policy import FeedbackPolicy, QuadraticValue, optimal_feedback, value
 from .simulator import (
     AffineControl,
     FeedbackControl,
@@ -231,7 +231,12 @@ def _flagged(cfg, **given):
 
 
 def _solved(dyn, cost, T, cfg):
-    sol = riccati_mod.solve_riccati(dyn, cost, T, cfg["riccati_step"])
+    h = cfg["riccati_step"]
+    try:
+        sol = riccati_mod.solve_riccati(dyn, cost, T, h)
+    except MemoryError:
+        with _flagged(cfg, riccati_step=h):
+            raise ValueError(f"not enough memory for {T / h:.6g} backward steps") from None
     return sol, QuadraticValue(sol, dyn, cost)
 
 
@@ -399,21 +404,23 @@ def cmd_verify(cfg):
         draws = []
         for i in range(count):
             t, cloud = verify_mod.random_clouds(qv, 1, 50, seed + i)[0]
-            a_star = feedback_affine_map(optimal_feedback(qv, t), tree_mean(cloud.points, axis=0))
-            draws.append((t, *verify_mod.bellman_residual(qv, t, cloud, a_star, with_terms=True)))
+            fb = optimal_feedback(qv, t)
+            draws.append((t, *verify_mod.bellman_residual(qv, t, cloud, (fb.K1, fb.K2, fb.k),
+                                                          with_terms=True)))
         result = verify_mod.bellman_rule(draws)
     elif check == "grad":
         clouds = (verify_mod.random_clouds(qv, 1, 20, seed + i)[0] for i in range(count))
         result = verify_mod.grad_rule([(t, verify_mod.grad_check(qv, t, cloud, cfg["epsilon"]))
                                        for t, cloud in clouds])
     elif check == "dpp":
-        # the step constant from a fine and a coarse run on the same scenarios,
-        # so theta - t0 must be whole steps of both
+        # the step constant from a fine and a coarse run on the same scenarios, so theta - t0
+        # must be whole steps of both, of either sign (theta < t0 is dpp_check's range error)
         span = cfg["theta"] - t0
-        if abs(math.remainder(span, 2 * dt)) > GRID_TOL * max(1.0, abs(span)):
-            raise ValueError(f"theta - t0 = {span!r} (theta = {cfg['theta']!r}, t0 = {t0!r}) must "
-                             f"be a whole number of steps 2 dt = {2 * dt!r}: verify dpp compares "
-                             f"runs at dt = {dt!r} and at 2 dt")
+        whole_steps(abs(span), 2 * dt, 0,
+                    f"2 dt = {2 * dt!r} (dt={dt!r}) divides theta - t0 = {span!r}",
+                    f"theta - t0 = {span!r} (theta = {cfg['theta']!r}, t0 = {t0!r}) must be a "
+                    f"whole number of steps 2 dt = {2 * dt!r}: verify dpp compares runs at "
+                    f"dt = {dt!r} and at 2 dt")
         with _flagged(cfg, paths=m, theta=cfg["theta"]):
             fine, coarse = verify_mod.dpp_check(qv, model, t0, mu0, cfg["theta"], control, n, m,
                                                 dt, seed, coarse=True)

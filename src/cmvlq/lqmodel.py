@@ -1,9 +1,10 @@
 """Linear-quadratic problem data.
 
 Holds the affine dynamics coefficients and quadratic cost matrices of the
-controlled mean-field model, the pointwise affine feedback and coefficients,
-the lifted (measure-level) running and terminal cost as one quadratic form
-in a cloud's mean and second moment, the gain matrices entering the optimal
+controlled mean-field model, the affine feedback and the coefficients'
+loadings of (x, mbar, 1) under it (step_loadings), the lifted
+(measure-level) running and terminal cost as one quadratic form in a
+cloud's mean and second moment, the gain matrices entering the optimal
 feedback, and the standing positivity condition on the cost data.
 
 Conventions: the state lives in R^d, controls in R^m, and the model has one
@@ -21,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .errors import NonPositiveGain
-from .measure import moments, triu
+from .measure import triu
 
 SYM_TOL = 1e-12
 PD_THRESHOLD = 1e-10
@@ -96,8 +97,8 @@ class LqDynamics:
     load the mean in the backward system.  Gx = [B' D' D0'], Gm = [Bbar'
     Dbar' D0bar'] and Ga = [C' F' F0'], 3d columns each, with g0 = [b0,
     theta, theta0], stack the three coefficients' loadings of the state,
-    the mean and the control, so coefficient_values and the step loop make
-    one product per operand.  All are computed once here.
+    the mean and the control, so step_loadings makes one product per
+    operand.  All are computed once here.
     """
 
     b0: np.ndarray
@@ -462,10 +463,11 @@ class LqModel:
 
 
 # ---------------------------------------------------------------------------
-# pointwise formulas; x is (..., N, d), mbar (..., d), a (..., N, m)
+# the affine feedback and the coefficients' loadings under it; gains K1, K2
+# (..., m, d) and k (..., m), clouds x (..., N, d) and means mbar (..., d)
 
 def affine_feedback(K1, K2, k, x, mbar):
-    """Controls K1 (x - mbar) + K2 mbar + k; gains (..., m, d) and k (..., m)."""
+    """Controls K1 (x - mbar) + K2 mbar + k at each particle, (..., N, m)."""
     mbar = mbar[..., None, :]
     # a contiguous K1': the product with the transposed view takes twice as long
     a = (x - mbar) @ np.swapaxes(K1, -1, -2).copy()
@@ -474,19 +476,17 @@ def affine_feedback(K1, K2, k, x, mbar):
     return a
 
 
-def coefficient_values(dyn, x, mbar, a):
-    """Drift, idiosyncratic and common volatility at each particle, each (..., N, d).
+def step_loadings(dyn, K1, K2, k):
+    """Loadings (L, G, g) of x, mbar and 1 in the coefficients under K1 (x - mbar) + K2 mbar + k.
 
-    One product per operand on the stacked loadings (LqDynamics), summed
-    as ((x Gx + g0) + mbar Gm) + a Ga; the three are views of that
-    (..., N, 3d) result.
+    The drift and both volatilities of a particle at x in a cloud of mean
+    mbar are the d-column blocks of x L + mbar G + g: L = Gx + K1' Ga and
+    G = Gm + (K2 - K1)' Ga (..., d, 3d), g = g0 + k Ga (..., 1, 3d).
     """
-    y = x @ dyn.Gx
-    y += dyn.g0
-    y += mbar @ dyn.Gm
-    y += a @ dyn.Ga
-    d = dyn.d
-    return y[..., :d], y[..., d:2 * d], y[..., 2 * d:]
+    L = dyn.Gx + matprod(np.swapaxes(K1, -1, -2), dyn.Ga)
+    G = dyn.Gm + matprod(np.swapaxes(K2 - K1, -1, -2), dyn.Ga)
+    g = dyn.g0 + matprod(k[..., None, :], dyn.Ga)
+    return L, G, g
 
 
 # ---------------------------------------------------------------------------
@@ -531,15 +531,6 @@ def lifted_cost(cost, mbar, second, gains=None):
         tail = matprod(matprod(abar, cost.R2) + 2.0 * matprod(mrow, cost.M2),
                        np.swapaxes(abar, -1, -2))
     return (moment_form(W, V, mbar, second) + tail)[..., 0, 0]
-
-
-def lifted_running_cost(mu, a, cost):
-    """Measure-level running cost at cloud mu under the affine policy a (lifted_cost)."""
-    if a.dim_in != mu.dim:
-        raise ValueError("policy input dimension does not match the cloud")
-    if cost.d != mu.dim or cost.m != a.dim_out:
-        raise ValueError("cost dimensions do not match cloud/policy")
-    return float(lifted_cost(cost, *moments(mu.points), (a.A, a.A, a.b)))
 
 
 def check_standing_condition(cost, delta):

@@ -238,14 +238,6 @@ def recover_original(feedback, p: _riccati.SystemicRiskParams, t, x, mubar):
     return float(orig[0]) if scalar_in else orig
 
 
-def feedback_affine_map(fb: FeedbackGains, mubar):
-    """The feedback at a fixed mean, as a plain affine map of x."""
-    from .measure import AffineMap
-
-    mubar = np.asarray(mubar, dtype=np.float64).reshape(-1)
-    return AffineMap(fb.K1, (fb.K2 - fb.K1) @ mubar + fb.k)
-
-
 def save_policy_csv(qv: QuadraticValue, path):
     """Feedback gains on the solver grid: t, K1 entries, K2 entries, k.
 

@@ -61,6 +61,7 @@ from .lqmodel import (
     LqModel,
     lifted_cost,
     matprod,
+    step_loadings,
     whole_steps,
 )
 from .measure import AffineMap, EmpiricalMeasure, load_csv, moments, row_moments
@@ -218,11 +219,9 @@ def _run_generic(model, bufs, mom, K1, K2, kk, dt, dw0, db, running=None, keep=N
     d, n, R, sqrt_dt = dyn.d, buf.shape[-1], len(buf) - dyn.d, math.sqrt(dt)
     # x @ M on the particle layout is M' @ X on the rows; at d = 1 the same product
     prod = np.multiply if d == 1 else np.matmul
-    # per step, the loadings of the state, L = Gx + K1' Ga = [(B + C K1)', S, (D0 + F0 K1)'],
-    # and of the mean, G = Gm + (K2 - K1)' Ga, plus g0 + k Ga
-    L = dyn.Gx + matprod(np.swapaxes(K1, 1, 2), dyn.Ga)
-    G = dyn.Gm + matprod(np.swapaxes(K2 - K1, 1, 2), dyn.Ga)
-    g0 = dyn.g0 + matprod(kk[:, None, :], dyn.Ga)
+    # per step, the loadings of the state, L = [(B + C K1)', S, (D0 + F0 K1)'], of the mean, G,
+    # and of 1, g0
+    L, G, g0 = step_loadings(dyn, K1, K2, kk)
     Ab = np.eye(d) + L[:, :, :d] * dt
     S, L0 = L[:, :, d:2 * d], L[:, :, 2 * d:]
     diag = model.cost.triu_diag

@@ -1,7 +1,7 @@
 """Numerical certification of the dynamic-programming structure.
 
 Monte Carlo cost estimation against the quadratic value, the measure-space
-Bellman residual evaluated by exact particle sums, the dynamic-programming
+Bellman residual evaluated exactly from cloud moments, the dynamic-programming
 inequality at intermediate times, the generator identity along conditional
 flows, lifted-gradient finite differences, particle-count convergence, and
 the flow property (a restart from a stored node replays the rest bitwise).
@@ -29,15 +29,8 @@ from functools import partial
 import numpy as np
 
 from .errors import NumericalBlowup
-from .lqmodel import (
-    GRID_TOL,
-    affine_feedback,
-    coefficient_values,
-    lifted_cost,
-    lifted_running_cost,
-    whole_steps,
-)
-from .measure import EmpiricalMeasure, mean, moments, tree_mean
+from .lqmodel import GRID_TOL, lifted_cost, moment_form, step_loadings, whole_steps
+from .measure import EmpiricalMeasure, moments, tree_mean
 from .policy import QuadraticFunctional, QuadraticValue, value
 from .simulator import drain, sample_initial, step_count, stream_scenarios
 
@@ -86,48 +79,47 @@ def estimate_cost(model, control, t0, mu0, N, M, dt, seed, record=None) -> CostE
 
 
 # ---------------------------------------------------------------------------
-# generators by exact particle sums
+# generators from cloud moments
 
-def generator_apply(phi: QuadraticFunctional, mu, bvals, svals, s0vals):
-    """mu(L^a phi) + (mu x mu)(M^a phi) for a quadratic measure functional.
+def generator_apply(phi: QuadraticFunctional, mu, dyn, gains, mom=None):
+    """mu(L^a phi) + (mu x mu)(M^a phi) at the cloud mu under the feedback of gains (K1, K2, k).
 
-    The first-order and trace parts are a single sum over particles.  The
-    common-noise part is the mean over particle pairs (i, j) of
-    s0_i' d2 s0_j / 2, which factors into mean(s0)' d2 mean(s0) / 2, one
-    sum over particles.
+    With u = (x, mbar, 1), a particle's drift and volatilities are u P, P =
+    [L; G; g] (lqmodel.step_loadings), and d_mu phi(x) is u Q.  The
+    first-order and trace parts are the mean of u W u' over the particles,
+    <W, ubar'ubar + blockdiag(E xx' - mbar'mbar, 0, 0)>, ubar = (mbar, mbar,
+    1), and the common-noise pair mean is ubar P_0 (G_phi - L_phi) P_0' ubar':
+    one lqmodel.moment_form of the moments mom (measure.moments, taken here
+    when not given) plus terms in mbar.
     """
-    dmu = np.atleast_2d(phi.d_mu(mu, mu.points))
-    dxdmu = phi.dx_dmu()
-    first = np.einsum("nd,nd->n", dmu, bvals)
-    trace = 0.5 * (np.einsum("ndc,de,nec->n", svals, dxdmu, svals)
-                   + np.einsum("ndc,de,nec->n", s0vals, dxdmu, s0vals))
-    single = float(tree_mean(first + trace))
-
-    d2 = phi.d2_mu()
-    s0bar = tree_mean(s0vals, axis=0)
-    double = sum(0.5 * float(s0bar[:, c] @ d2 @ s0bar[:, c]) for c in range(s0bar.shape[1]))
-    return single + double
-
-
-def _generator_at(phi, dyn, mu, mbar, avals):
-    """generator_apply with the LQ coefficients at the cloud mu under controls avals."""
-    bvals, svals, s0vals = coefficient_values(dyn, mu.points, mbar, avals)
-    return generator_apply(phi, mu, bvals, svals[:, :, None], s0vals[:, :, None])
+    mbar, second = moments(mu.points) if mom is None else mom
+    L, G, g = step_loadings(dyn, *gains)
+    d = dyn.d
+    b, s, s0 = (slice(i * d, (i + 1) * d) for i in range(3))
+    # the rows of v = (mbar, 1) in u P and u Q: L + G and g, 2 G_phi' and g_phi
+    Pv = np.concatenate((L + G, g))
+    Qv = np.concatenate((2.0 * phi.G.T, phi.g[None, :]))
+    W = (2.0 * phi.L.T @ L[:, b].T + L[:, s] @ phi.L @ L[:, s].T
+         + L[:, s0] @ phi.L @ L[:, s0].T)
+    Wv = Qv @ Pv[:, b].T + Pv[:, s] @ phi.L @ Pv[:, s].T + Pv[:, s0] @ phi.G @ Pv[:, s0].T
+    form = moment_form(W, Wv[:d, :d] - W, mbar, second)[0, 0]
+    return float(form + (Wv[:d, d] + Wv[d, :d]) @ mbar + Wv[d, d])
 
 
-def bellman_residual(qv: QuadraticValue, t, mu, a, with_terms=False):
-    """Dynamic-programming residual at (t, mu) under the affine policy a.
+def bellman_residual(qv: QuadraticValue, t, mu, gains, with_terms=False):
+    """Dynamic-programming residual at (t, mu) under the feedback of gains (K1, K2, k).
 
-    d_t w + lifted running cost + mu(L^a w) + (mu x mu)(M^a w), all exact
-    particle sums.  Nonnegative for every a, zero at the minimizing
-    feedback; the excess over the minimizer is a quadratic form in a.
+    d_t w + lifted running cost + mu(L^a w) + (mu x mu)(M^a w), the last two
+    from one call of measure.moments.  Nonnegative for every feedback, zero
+    at the minimizing one; the excess is a quadratic form in the control.
     """
     t = float(t)
     if not 0.0 <= t < qv.T:
         raise ValueError(f"residual needs t in [0, T); got t={t}")
     d_t = qv.dt_at(t)(mu)
-    fhat = lifted_running_cost(mu, a, qv.cost)
-    gen = _generator_at(qv.at(t), qv.dyn, mu, mean(mu), np.atleast_2d(a(mu.points)))
+    mom = moments(mu.points)
+    fhat = float(lifted_cost(qv.cost, *mom, gains))
+    gen = generator_apply(qv.at(t), mu, qv.dyn, gains, mom)
     residual = d_t + fhat + gen
     if with_terms:
         return residual, {"d_t": d_t, "running_cost": fhat, "generator": gen}
@@ -212,10 +204,9 @@ def ito_generator_check(model, control, t, mu0, phi: QuadraticFunctional,
     stderr = float(np.std(ends, ddof=1) / np.sqrt(M)) / delta
 
     # every path starts from cloud0 at t, so the step loop's first controls
-    # are the control's values at the initial cloud
+    # are the control's at the initial cloud
     K1, K2, kk = control.grid_gains(t, dt, steps)
-    avals = affine_feedback(K1[0], K2[0], kk[0], cloud0.points, mean(cloud0))
-    rhs = _generator_at(phi, model.dyn, cloud0, mean(cloud0), avals)
+    rhs = generator_apply(phi, cloud0, model.dyn, (K1[0], K2[0], kk[0]))
     return ItoCheckResult(lhs=lhs, rhs=rhs, stderr=stderr, delta=delta)
 
 

@@ -17,7 +17,7 @@ from cmvlq.lqmodel import (
     lifted_cost,
     require_pd,
 )
-from cmvlq.measure import EmpiricalMeasure, mean, moments, tree_mean
+from cmvlq.measure import AffineMap, EmpiricalMeasure, mean, moments, tree_mean
 from cmvlq.policy import value
 from cmvlq.simulator import _control_grid, _philox
 
@@ -42,15 +42,67 @@ def control_values_on_grid(control, traj, k):
 
 
 def coefficient_values(dyn, x, mbar, a):
-    """lqmodel.coefficient_values one coefficient matrix at a time.
+    """Drift, idiosyncratic and common volatility at each particle, one coefficient at a time.
 
-    Each coefficient is summed as ((c0 + x M') + mbar Mbar') + a N', the
-    sums of the stacked loadings taken apart.
+    Each coefficient is summed as ((c0 + x M') + mbar Mbar') + a N', with
+    the controls a (..., N, m) given at each particle.
     """
     b = dyn.b0 + x @ dyn.B.T + mbar @ dyn.Bbar.T + a @ dyn.C.T
     s = dyn.theta + x @ dyn.D.T + mbar @ dyn.Dbar.T + a @ dyn.F.T
     s0 = dyn.theta0 + x @ dyn.D0.T + mbar @ dyn.D0bar.T + a @ dyn.F0.T
     return b, s, s0
+
+
+def step_loadings(dyn, K1, K2, k):
+    """lqmodel.step_loadings one coefficient matrix at a time.
+
+    The loadings of x, mbar and 1 in the drift are B' + K1'C', Bbar' +
+    (K2 - K1)'C' and b0 + k C', and likewise for the volatilities with
+    (D, Dbar, F, theta) and (D0, D0bar, F0, theta0); each is put in its
+    block of d columns.
+    """
+    K1t, dKt = np.swapaxes(K1, -1, -2), np.swapaxes(K2 - K1, -1, -2)
+    k = k[..., None, :]
+    blocks = [(dyn.B, dyn.Bbar, dyn.C, dyn.b0), (dyn.D, dyn.Dbar, dyn.F, dyn.theta),
+              (dyn.D0, dyn.D0bar, dyn.F0, dyn.theta0)]
+    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*(
+        (M.T + K1t @ N.T, Mbar.T + dKt @ N.T, c + k @ N.T) for M, Mbar, N, c in blocks)))
+
+
+def feedback_affine_map(fb, mubar):
+    """The feedback gains fb at a fixed mean, as a plain affine map of x."""
+    mubar = np.asarray(mubar, dtype=np.float64).reshape(-1)
+    return AffineMap(fb.K1, (fb.K2 - fb.K1) @ mubar + fb.k)
+
+
+def generator_sums(phi, mu, bvals, svals, s0vals):
+    """mu(L^a phi) + (mu x mu)(M^a phi) from the coefficients at each particle, by particle sums.
+
+    bvals (N, d), svals and s0vals (N, d, c): c Brownian columns each.  The
+    first-order and trace parts are a single sum over particles; the
+    common-noise part, the mean over particle pairs (i, j) of
+    s0_i' d2 s0_j / 2, factors into mean(s0)' d2 mean(s0) / 2.
+    """
+    dmu = np.atleast_2d(phi.d_mu(mu, mu.points))
+    dxdmu = phi.dx_dmu()
+    first = np.einsum("nd,nd->n", dmu, bvals)
+    trace = 0.5 * (np.einsum("ndc,de,nec->n", svals, dxdmu, svals)
+                   + np.einsum("ndc,de,nec->n", s0vals, dxdmu, s0vals))
+    single = float(tree_mean(first + trace))
+
+    d2 = phi.d2_mu()
+    s0bar = tree_mean(s0vals, axis=0)
+    double = sum(0.5 * float(s0bar[:, c] @ d2 @ s0bar[:, c]) for c in range(s0bar.shape[1]))
+    return single + double
+
+
+def pointwise_generator(phi, mu, dyn, gains):
+    """verify.generator_apply pointwise: each particle's control (affine_feedback) and
+    coefficients (coefficient_values), then generator_sums."""
+    mbar = mean(mu)
+    a = affine_feedback(*gains, mu.points, mbar)
+    b, s, s0 = coefficient_values(dyn, mu.points, mbar, a)
+    return generator_sums(phi, mu, b, s[:, :, None], s0[:, :, None])
 
 
 def forms(x, L, y):
@@ -177,7 +229,7 @@ def generator_pair_sum(phi, s0vals):
     """(mu x mu)(M^a phi) as the double sum over particle pairs.
 
     The mean over all pairs (i, j) of s0_i' d2 s0_j / 2, built as the n x n
-    matrix of pairs; verify.generator_apply factors it into means of s0.
+    matrix of pairs; generator_sums factors it into means of s0.
     """
     n = s0vals.shape[0]
     d2 = phi.d2_mu()

@@ -16,7 +16,6 @@ from cmvlq.policy import (
     FeedbackPolicy,
     QuadraticFunctional,
     QuadraticValue,
-    feedback_affine_map,
     optimal_feedback,
     recover_original,
     value,
@@ -48,7 +47,7 @@ from cmvlq.verify import (
 )
 
 from conftest import make_interbank, random_cloud, random_lq
-from reference import pushforward, variance_form
+from reference import feedback_affine_map, pushforward, variance_form
 
 
 def report(num, ok, detail):
@@ -171,12 +170,13 @@ def test_criterion_3_bellman_residual_identity():
             t = float(rng.uniform(0, 0.999))
             mu = random_cloud(rng, 50, d)
             a_star = feedback_affine_map(optimal_feedback(qv, t), mean(mu))
-            r_star, terms = bellman_residual(qv, t, mu, a_star, with_terms=True)
+            r_star, terms = bellman_residual(qv, t, mu, (a_star.A, a_star.A, a_star.b),
+                                             with_terms=True)
             draws.append((t, r_star, terms))
 
             a = AffineMap(a_star.A + 0.5 * rng.standard_normal((m, d)),
                           a_star.b + 0.5 * rng.standard_normal(m))
-            r = bellman_residual(qv, t, mu, a)
+            r = bellman_residual(qv, t, mu, (a.A, a.A, a.b))
             g = gains(t, *qv.sol.eval(t)[:3], dyn, cost)
             diff = pushforward(mu, AffineMap(a.A - a_star.A, a.b - a_star.b))
             dbar = mean(diff)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from cmvlq import cli, simulator, verify
+from cmvlq import cli, riccati, simulator, verify
 from cmvlq.lqmodel import save_model
 
 from conftest import forked_pids, inline_noise, make_interbank, random_lq, reaped
@@ -456,6 +456,11 @@ class TestBadNumbers:
         pytest.param(["verify", "dpp", "--seed", "1", "--theta", "0.00025"], None,
                      "theta - t0 = 0.00025 (theta = 0.00025, t0 = 0.0) must be a whole number of "
                      "steps 2 dt = 0.002", id="dpp-theta=0.00025"),
+        pytest.param(["verify", "dpp", "--seed", "1", "--t0", "0.5", "--theta", "0.2"], None,
+                     "verify dpp --paths 2 --theta 0.2: need t <= theta <= T\n",
+                     id="dpp-t0=0.5-theta=0.2"),
+        pytest.param(["verify", "dpp", "--seed", "1", "--dt", "1e-300"], None,
+                     "dt=1e-300", id="dpp-dt=1e-300"),
         pytest.param(["verify", "chaos", "--seed", "1", "--chaos-ns", "40,20"], None,
                      "Ns must be >= 2 ascending", id="chaos-ns=40,20"),
         pytest.param(["systemic-risk", "--seed", "1", "--eta", "-1"], None, "eta", id="eta=-1"),
@@ -630,6 +635,20 @@ class TestBadNumbers:
         assert code == 2
         assert capsys.readouterr().err == ("configuration error: not enough memory for "
                                            "particles = 100000000000, paths = 4, dt = 0.01\n")
+
+
+    def test_riccati_out_of_memory_names_the_step(self, model_file, tmp_path, capsys,
+                                                  monkeypatch):
+        # the sweep's arrays fail to allocate as numpy's would; nothing is allocated
+        def no_memory(*args):
+            raise MemoryError("cannot allocate 7.28 PiB")
+
+        monkeypatch.setattr(riccati, "_sweep", no_memory)
+        code = run_cli("solve", "--model", model_file, "--out", str(tmp_path),
+                       "--riccati-step", "1e-15")
+        assert code == 2
+        assert capsys.readouterr().err == ("configuration error: solve --riccati-step 1e-15: not "
+                                           "enough memory for 1e+15 backward steps\n")
 
 
 class TestPointInit:

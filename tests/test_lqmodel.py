@@ -7,7 +7,7 @@ from cmvlq.lqmodel import (
     affine_feedback,
     check_standing_condition,
     gains,
-    lifted_running_cost,
+    lifted_cost,
     load_model,
     save_model,
 )
@@ -26,18 +26,23 @@ def scalar_cost(Q2=0.0, Q2bar=0.0, R2=1.0, P2=0.0, P2bar=0.0, M2=None):
 
 
 class TestLiftedRunningCost:
+    """lifted_cost with gains: here K1 = K2 = A and k = b, the feedback of a fixed map A x + b."""
+
     def test_all_zero(self):
         c = scalar_cost(Q2=1.0, Q2bar=0.5, R2=2.0, M2=0.3)
-        assert lifted_running_cost(cloud(0.0), AffineMap.zero(1, 1), c) == 0.0
+        zero = np.zeros((1, 1))
+        assert lifted_cost(c, *moments(cloud(0.0).points), (zero, zero, np.zeros(1))) == 0.0
 
     def test_state_terms(self):
         c = scalar_cost(Q2=1.0, Q2bar=0.0, R2=1.0)
-        got = lifted_running_cost(cloud(1.0, 3.0), AffineMap.zero(1, 1), c)
+        zero = np.zeros((1, 1))
+        got = lifted_cost(c, *moments(cloud(1.0, 3.0).points), (zero, zero, np.zeros(1)))
         assert got == pytest.approx(5.0, abs=1e-14)  # Var + mean^2 = 1 + 4
 
     def test_control_second_moment(self):
         c = scalar_cost(Q2=0.0, Q2bar=0.0, R2=1.0)
-        got = lifted_running_cost(cloud(1.0, 3.0), AffineMap(np.eye(1)), c)
+        one = np.eye(1)
+        got = lifted_cost(c, *moments(cloud(1.0, 3.0).points), (one, one, np.zeros(1)))
         assert got == pytest.approx(5.0, abs=1e-14)  # (1 + 9) / 2
 
     def test_matches_pointwise_average(self):
@@ -48,7 +53,7 @@ class TestLiftedRunningCost:
             d, m = dyn.d, dyn.m
             mu = random_cloud(rng, 17, d)
             a = AffineMap(rng.standard_normal((m, d)), rng.standard_normal(m))
-            lifted = lifted_running_cost(mu, a, cost)
+            lifted = float(lifted_cost(cost, *moments(mu.points), (a.A, a.A, a.b)))
             mbar = mean(mu)
             avals = a(mu.points)
             pointwise = (
@@ -58,11 +63,6 @@ class TestLiftedRunningCost:
                 + 2.0 * np.einsum("ni,ij,nj->n", mu.points, cost.M2, avals)
             )
             assert lifted == pytest.approx(float(np.mean(pointwise)), rel=1e-12, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        c = scalar_cost()
-        with pytest.raises(ValueError):
-            lifted_running_cost(cloud(1.0), AffineMap.zero(1, 2), c)
 
 
 class TestLiftedTerminalCost:
@@ -214,9 +214,9 @@ def normal_values(rng, shape):
 
 
 class TestPointwiseFormulas:
-    """coefficient_values and the moment-form lifted costs against their references.
+    """step_loadings and the moment-form lifted costs against their references.
 
-    The reference coefficients (tests/reference.py) take one coefficient
+    The reference loadings (tests/reference.py) take one coefficient
     matrix at a time: at d = m = 1 the two agree bit for bit, at d > 1
     within 1e-14 of max(1, |term|).  lifted_cost, from a cloud's mean and
     second moment, equals the particle mean of reference.running_cost under
@@ -224,8 +224,8 @@ class TestPointwiseFormulas:
     reference.terminal_cost, within 1e-14 of the size of their terms: the
     same particle mean with every matrix, gain and coordinate replaced by
     its absolute value, which bounds each term and each product either form
-    rounds.  Each row runs on a batch of clouds (P, N, d), as the step loop
-    passes them, and on one cloud (N, d), as the checks do.
+    rounds.  Each row runs on a stack of P gains and clouds (P, N, d), as
+    the step loop passes them, and on one (N, d), as the checks do.
     """
 
     @pytest.mark.parametrize("d, m, draw, with_m2", [
@@ -261,19 +261,17 @@ class TestPointwiseFormulas:
         size_cost = LqCost(**{k: np.abs(getattr(cost, k))
                               for k in ("Q2", "Q2bar", "R2", "P2", "P2bar", "M2")})
         P, N = 3, 7
-        for x, mbar, a in ((draw(rng, (P, N, d)), draw(rng, (P, d)), draw(rng, (P, N, m))),
-                           (draw(rng, (N, d)), draw(rng, d), draw(rng, (N, m)))):
-            rows = mbar[..., None, :]
-            for got, want in zip(lqmodel.coefficient_values(dyn, x, rows, a),
-                                 reference.coefficient_values(dyn, x, rows, a)):
+        for x in (draw(rng, (P, N, d)), draw(rng, (N, d))):
+            lead = x.shape[:-2]
+            K1, K2, k = draw(rng, lead + (m, d)), draw(rng, lead + (m, d)), draw(rng, lead + (m,))
+            for got, want in zip(lqmodel.step_loadings(dyn, K1, K2, k),
+                                 reference.step_loadings(dyn, K1, K2, k)):
                 assert got.shape == want.shape
                 if d == m == 1:
                     assert np.array_equal(got, want)
                 else:
                     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
-            lead = x.shape[:-2]
-            K1, K2, k = draw(rng, lead + (m, d)), draw(rng, lead + (m, d)), draw(rng, lead + (m,))
             mbar, second = moments(x)
             a = affine_feedback(K1, K2, k, x, mbar)
             ax, am = np.abs(x), np.abs(mbar)

@@ -12,7 +12,6 @@ from cmvlq.policy import (
     FeedbackPolicy,
     QuadraticFunctional,
     QuadraticValue,
-    feedback_affine_map,
     optimal_feedback,
     recover_original,
     value,
@@ -21,6 +20,7 @@ from cmvlq.riccati import solve_riccati
 
 from conftest import make_interbank, random_cloud, random_lq
 from reference import (
+    feedback_affine_map,
     l2_norm,
     lifted_terminal_cost,
     moment_functional,

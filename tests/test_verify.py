@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,13 +8,12 @@ import pytest
 
 from cmvlq import simulator
 from cmvlq.errors import NumericalBlowup
-from cmvlq.lqmodel import LqCost, LqDynamics, gains
+from cmvlq.lqmodel import LqCost, LqDynamics, affine_feedback, gains
 from cmvlq.measure import AffineMap, EmpiricalMeasure, mean, tree_mean
 from cmvlq.policy import (
     FeedbackPolicy,
     QuadraticFunctional,
     QuadraticValue,
-    feedback_affine_map,
     optimal_feedback,
     value,
 )
@@ -57,7 +57,10 @@ from cmvlq.verify import (
 
 from conftest import forked_pids, inline_noise, make_interbank, random_cloud, random_lq, reaped
 from reference import (
+    coefficient_values,
+    feedback_affine_map,
     generator_pair_sum,
+    pointwise_generator,
     grad_check_loop,
     pushforward,
     quadratic_functional,
@@ -78,6 +81,11 @@ def residual_scale(terms):
 
 def optimal_map(qv, t, mu):
     return feedback_affine_map(optimal_feedback(qv, t), mean(mu))
+
+
+def map_gains(a):
+    """The gains (K1, K2, k) of the feedback that is the fixed affine map a: (A, A, b)."""
+    return a.A, a.A, a.b
 
 
 class TestEstimateCost:
@@ -529,17 +537,65 @@ class TestFlowRestarts:
 
 
 class TestGeneratorApply:
-    @pytest.mark.parametrize("n, d, c", [(2000, 3, 1), (300, 2, 2)])
-    def test_common_noise_term_is_the_pair_sum(self, n, d, c):
-        # with L = 0 and no drift or idiosyncratic noise, only the common
-        # noise term is left
+    @pytest.mark.parametrize("n, d, m", [(2000, 3, 1), (300, 2, 2)])
+    def test_common_noise_term_is_the_pair_sum(self, n, d, m):
+        # with L = 0 and a model whose only loadings are the common noise's,
+        # only the common noise term is left
         rng = np.random.default_rng(n)
         G = rng.standard_normal((d, d))
         phi = QuadraticFunctional(np.zeros((d, d)), G + G.T, rng.standard_normal(d), 0.0)
         mu = EmpiricalMeasure(rng.standard_normal((n, d)))
-        s0 = rng.standard_normal((n, d, c)) + rng.standard_normal((d, c))
-        got = generator_apply(phi, mu, np.zeros((n, d)), np.zeros((n, d, 1)), s0)
-        np.testing.assert_allclose(got, generator_pair_sum(phi, s0), rtol=1e-12, atol=0.0)
+        zero_d, zero_dd, zero_dm = np.zeros(d), np.zeros((d, d)), np.zeros((d, m))
+        dyn = LqDynamics(b0=zero_d, B=zero_dd, Bbar=zero_dd, C=zero_dm, theta=zero_d,
+                         D=zero_dd, Dbar=zero_dd, F=zero_dm, theta0=rng.standard_normal(d),
+                         D0=rng.standard_normal((d, d)), D0bar=rng.standard_normal((d, d)),
+                         F0=rng.standard_normal((d, m)))
+        gains = (rng.standard_normal((m, d)), rng.standard_normal((m, d)), rng.standard_normal(m))
+        s0 = coefficient_values(dyn, mu.points, mean(mu),
+                                affine_feedback(*gains, mu.points, mean(mu)))[2]
+        got = generator_apply(phi, mu, dyn, gains)
+        np.testing.assert_allclose(got, generator_pair_sum(phi, s0[:, :, None]), rtol=1e-12,
+                                   atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_moments_match_the_pointwise_sums(self, d):
+        # phi = w, d_t w and a random quadratic functional, under random gains
+        # on random clouds, on a model with a cross weight M2
+        rng = np.random.default_rng(140 + d)
+        dyn, cost = random_lq(140 + d, d=d, with_m2=True)
+        qv = QuadraticValue(solve_riccati(dyn, cost, 1.0, 5e-3), dyn, cost)
+        m = dyn.m
+        for _ in range(4):
+            t = float(rng.uniform(0.0, 0.999))
+            mu = random_cloud(rng, 50, d)
+            gains = (rng.standard_normal((m, d)), rng.standard_normal((m, d)),
+                     rng.standard_normal(m))
+            L, G = rng.standard_normal((2, d, d))
+            for phi in (qv.at(t), qv.dt_at(t),
+                        QuadraticFunctional(L, G, rng.standard_normal(d), 0.7)):
+                want = pointwise_generator(phi, mu, dyn, gains)
+                assert generator_apply(phi, mu, dyn, gains) == pytest.approx(want, rel=1e-12,
+                                                                             abs=0.0)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_without_noise_it_is_the_flow_derivative(self, d):
+        # every noise loading zero: the mean over particles of d_mu phi(x_i) . b_i
+        rng = np.random.default_rng(150 + d)
+        dyn, _ = random_lq(150 + d, d=d)
+        noiseless = replace(dyn, **{k: np.zeros_like(getattr(dyn, k)) for k in (
+            "theta", "D", "Dbar", "F", "theta0", "D0", "D0bar", "F0")})
+        m = dyn.m
+        for _ in range(4):
+            mu = random_cloud(rng, 40, d)
+            gains = (rng.standard_normal((m, d)), rng.standard_normal((m, d)),
+                     rng.standard_normal(m))
+            L, G = rng.standard_normal((2, d, d))
+            phi = QuadraticFunctional(L, G, rng.standard_normal(d), -0.4)
+            a = affine_feedback(*gains, mu.points, mean(mu))
+            drift = coefficient_values(noiseless, mu.points, mean(mu), a)[0]
+            want = float(np.mean(np.sum(phi.d_mu(mu, mu.points) * drift, axis=1)))
+            assert generator_apply(phi, mu, noiseless, gains) == pytest.approx(want, rel=1e-12,
+                                                                               abs=0.0)
 
 
 class TestBellmanResidual:
@@ -552,7 +608,7 @@ class TestBellmanResidual:
             for _ in range(6):
                 t = float(rng.uniform(0, 0.999))
                 mu = random_cloud(rng, 50, dyn.d)
-                res, terms = bellman_residual(qv, t, mu, optimal_map(qv, t, mu),
+                res, terms = bellman_residual(qv, t, mu, map_gains(optimal_map(qv, t, mu)),
                                               with_terms=True)
                 assert abs(res) <= 1e-8 * residual_scale(terms)
 
@@ -562,7 +618,7 @@ class TestBellmanResidual:
         qv = QuadraticValue(sol, dyn, cost)
         rng = np.random.default_rng(111)
         mu = EmpiricalMeasure(np.tile(rng.standard_normal(2), (30, 1)))
-        res, terms = bellman_residual(qv, 0.37, mu, optimal_map(qv, 0.37, mu),
+        res, terms = bellman_residual(qv, 0.37, mu, map_gains(optimal_map(qv, 0.37, mu)),
                                       with_terms=True)
         assert abs(res) <= 1e-8 * residual_scale(terms)
 
@@ -577,8 +633,8 @@ class TestBellmanResidual:
             a_star = optimal_map(qv, t, mu)
             a = AffineMap(a_star.A + 0.6 * rng.standard_normal((2, 2)),
                           a_star.b + 0.6 * rng.standard_normal(2))
-            r_star = bellman_residual(qv, t, mu, a_star)
-            r = bellman_residual(qv, t, mu, a)
+            r_star = bellman_residual(qv, t, mu, map_gains(a_star))
+            r = bellman_residual(qv, t, mu, map_gains(a))
             g = gains(t, *qv.sol.eval(t)[:3], dyn, cost)
             diff = AffineMap(a.A - a_star.A, a.b - a_star.b)
             dmu = pushforward(mu, diff)
@@ -596,14 +652,15 @@ class TestBellmanResidual:
             mu = random_cloud(rng, 25, 1)
             a_star = optimal_map(qv, t, mu)
             a = AffineMap(a_star.A, a_star.b + eps)
-            excess = bellman_residual(qv, t, mu, a) - bellman_residual(qv, t, mu, a_star)
+            excess = (bellman_residual(qv, t, mu, map_gains(a))
+                      - bellman_residual(qv, t, mu, map_gains(a_star)))
             assert excess == pytest.approx(eps ** 2 / 2.0, rel=1e-10)
 
     def test_rejects_terminal_time(self):
         _, _, _, _, qv, _, _ = interbank_stack()
         mu = EmpiricalMeasure([[0.0]])
         with pytest.raises(ValueError):
-            bellman_residual(qv, qv.T, mu, AffineMap.zero(1, 1))
+            bellman_residual(qv, qv.T, mu, map_gains(AffineMap.zero(1, 1)))
 
 
 class TestDpp:
