@@ -76,24 +76,19 @@ def feedback_affine_map(fb, mubar):
 
 
 def generator_sums(phi, mu, bvals, svals, s0vals):
-    """mu(L^a phi) + (mu x mu)(M^a phi) from the coefficients at each particle, by particle sums.
+    """mu(L^a phi) + (mu x mu)(M^a phi) from the coefficients (N, d) at each particle, by sums.
 
-    bvals (N, d), svals and s0vals (N, d, c): c Brownian columns each.  The
-    first-order and trace parts are a single sum over particles; the
+    The first-order and trace parts are a single sum over particles; the
     common-noise part, the mean over particle pairs (i, j) of
     s0_i' d2 s0_j / 2, factors into mean(s0)' d2 mean(s0) / 2.
     """
     dmu = np.atleast_2d(phi.d_mu(mu, mu.points))
     dxdmu = phi.dx_dmu()
     first = np.einsum("nd,nd->n", dmu, bvals)
-    trace = 0.5 * (np.einsum("ndc,de,nec->n", svals, dxdmu, svals)
-                   + np.einsum("ndc,de,nec->n", s0vals, dxdmu, s0vals))
-    single = float(tree_mean(first + trace))
-
-    d2 = phi.d2_mu()
+    trace = 0.5 * (np.einsum("nd,de,ne->n", svals, dxdmu, svals)
+                   + np.einsum("nd,de,ne->n", s0vals, dxdmu, s0vals))
     s0bar = tree_mean(s0vals, axis=0)
-    double = sum(0.5 * float(s0bar[:, c] @ d2 @ s0bar[:, c]) for c in range(s0bar.shape[1]))
-    return single + double
+    return float(tree_mean(first + trace)) + 0.5 * float(s0bar @ phi.d2_mu() @ s0bar)
 
 
 def pointwise_generator(phi, mu, dyn, gains):
@@ -101,8 +96,7 @@ def pointwise_generator(phi, mu, dyn, gains):
     coefficients (coefficient_values), then generator_sums."""
     mbar = mean(mu)
     a = affine_feedback(*gains, mu.points, mbar)
-    b, s, s0 = coefficient_values(dyn, mu.points, mbar, a)
-    return generator_sums(phi, mu, b, s[:, :, None], s0[:, :, None])
+    return generator_sums(phi, mu, *coefficient_values(dyn, mu.points, mbar, a))
 
 
 def forms(x, L, y):
@@ -226,17 +220,12 @@ def terminal_consistency_gap(qv, mu):
 
 
 def generator_pair_sum(phi, s0vals):
-    """(mu x mu)(M^a phi) as the double sum over particle pairs.
+    """(mu x mu)(M^a phi) as the double sum over particle pairs of the s0 values (N, d).
 
     The mean over all pairs (i, j) of s0_i' d2 s0_j / 2, built as the n x n
     matrix of pairs; generator_sums factors it into means of s0.
     """
-    n = s0vals.shape[0]
-    d2 = phi.d2_mu()
-    pair = np.zeros((n, n))
-    for c in range(s0vals.shape[2]):
-        block = s0vals[:, :, c]
-        pair += block @ d2 @ block.T
+    pair = s0vals @ phi.d2_mu() @ s0vals.T
     return float(tree_mean(tree_mean(0.5 * pair, axis=0)))
 
 

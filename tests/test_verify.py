@@ -554,8 +554,7 @@ class TestGeneratorApply:
         s0 = coefficient_values(dyn, mu.points, mean(mu),
                                 affine_feedback(*gains, mu.points, mean(mu)))[2]
         got = generator_apply(phi, mu, dyn, gains)
-        np.testing.assert_allclose(got, generator_pair_sum(phi, s0[:, :, None]), rtol=1e-12,
-                                   atol=0.0)
+        np.testing.assert_allclose(got, generator_pair_sum(phi, s0), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_moments_match_the_pointwise_sums(self, d):
