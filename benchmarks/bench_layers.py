@@ -74,12 +74,8 @@ SHA (marked -dirty for uncommitted changes), the backend (``cmvlq.backend()``),
 the Python and numpy versions and the CPU count; other labels already in the
 file are kept.  The writer row needs the recorder (``simulator.Recorder``)
 and estimate_cost_recorded ``estimate_cost(..., record=)``; both are
-left out on a checkout without the recorder.  On a checkout whose
-generator takes the coefficients at each particle (``verify._generator_at``),
-the Bellman draw passes the feedback at the cloud's mean as an affine map
-and the generator row times the particles' controls (``affine_feedback``)
-and that generator.  The other rows use only names that earlier checkouts
-also have:
+left out on a checkout without the recorder.  The other rows use only
+names that earlier checkouts also have:
 
     PYTHONPATH=src python benchmarks/bench_layers.py --label after
 """
@@ -106,7 +102,7 @@ import numpy as np  # noqa: E402
 
 import cmvlq  # noqa: E402
 from cmvlq import cli, measure, simulator, verify  # noqa: E402
-from cmvlq.lqmodel import LqCost, LqDynamics, affine_feedback  # noqa: E402
+from cmvlq.lqmodel import LqCost, LqDynamics  # noqa: E402
 from cmvlq.policy import (  # noqa: E402
     FeedbackPolicy,
     QuadraticFunctional,
@@ -182,28 +178,6 @@ def lq3_model(seed=3, d=3, m=2):
     cost = LqCost(Q2=Q2, Q2bar=psd(d) - Q2, R2=psd(m) + 0.3 * np.eye(m), P2=P2,
                   P2bar=psd(d) - P2, M2=g((d, m), 0.1))
     return dyn, cost
-
-
-# an earlier checkout's generator takes each particle's coefficients, and its
-# bellman_residual the feedback at the cloud's mean as an affine map
-POINTWISE = hasattr(verify, "_generator_at")
-
-
-def feedback_arg(fb, cloud):
-    """bellman_residual's feedback argument: fb's gains, or (POINTWISE) its map at the mean."""
-    if POINTWISE:
-        mbar = measure.tree_mean(cloud.points, axis=0)
-        return measure.AffineMap(fb.K1, (fb.K2 - fb.K1) @ mbar + fb.k)
-    return fb.K1, fb.K2, fb.k
-
-
-def generator(phi, cloud, dyn, fb):
-    """The generator of phi at the cloud under the feedback fb, as the checkout evaluates it."""
-    if POINTWISE:
-        mbar = measure.tree_mean(cloud.points, axis=0)
-        avals = affine_feedback(fb.K1, fb.K2, fb.k, cloud.points, mbar)
-        return verify._generator_at(phi, dyn, cloud, mbar, avals)
-    return verify.generator_apply(phi, cloud, dyn, (fb.K1, fb.K2, fb.k))
 
 
 # an earlier checkout's _gen_noise takes a last argument sqrt_dt, by which it
@@ -395,7 +369,7 @@ def main():
         def bellman(value_fn=value_fn, bellman_draws=bellman_draws):
             for t, cloud in bellman_draws:
                 fb = optimal_feedback(value_fn, t)
-                verify.bellman_residual(value_fn, t, cloud, feedback_arg(fb, cloud),
+                verify.bellman_residual(value_fn, t, cloud, (fb.K1, fb.K2, fb.k),
                                         with_terms=True)
 
         generator_draws = [(value_fn.at(t), cloud, optimal_feedback(value_fn, t))
@@ -403,7 +377,7 @@ def main():
 
         def generate(value_fn=value_fn, generator_draws=generator_draws):
             for phi, cloud, fb in generator_draws:
-                generator(phi, cloud, value_fn.dyn, fb)
+                verify.generator_apply(phi, cloud, value_fn.dyn, (fb.K1, fb.K2, fb.k))
 
         def grad(value_fn=value_fn, grad_draws=grad_draws):
             for t, cloud in grad_draws:

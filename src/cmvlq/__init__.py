@@ -17,7 +17,7 @@ from .lqmodel import (
     load_model,
     save_model,
 )
-from .measure import AffineMap, EmpiricalMeasure, mean, tree_mean, tree_sum
+from .measure import EmpiricalMeasure, mean, tree_mean, tree_sum
 from .policy import (
     FeedbackGains,
     FeedbackPolicy,
@@ -36,7 +36,7 @@ from .riccati import (
     systemic_risk_model,
 )
 from .simulator import (
-    AffineControl,
+    ConstantControl,
     FeedbackControl,
     ParticleTrajectory,
     ShiftedControl,

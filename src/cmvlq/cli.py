@@ -26,10 +26,9 @@ from . import riccati as riccati_mod
 from . import verify as verify_mod
 from .errors import NonPositiveGain, NumericalBlowup
 from .lqmodel import load_model, parse_kv_file, parse_value, save_model, whole_steps
-from .measure import AffineMap
 from .policy import FeedbackPolicy, QuadraticValue, optimal_feedback, value
 from .simulator import (
-    AffineControl,
+    ConstantControl,
     FeedbackControl,
     Recorder,
     ShiftedControl,
@@ -182,12 +181,12 @@ def _initial(cfg, init, n, **flag):
 def _build_control(text, qv):
     if text == "optimal":
         return FeedbackControl(FeedbackPolicy(qv))
+    zeros = np.zeros((qv.dyn.m, qv.dyn.d))
     if text == "zero":
-        return AffineControl(AffineMap.zero(qv.dyn.m, qv.dyn.d))
+        return ConstantControl(zeros, zeros, np.zeros(qv.dyn.m))
     kind, _, rest = text.partition(":")
     if kind == "const":
-        vals = _spec_values(text, rest, qv.dyn.m, "values")
-        return AffineControl(AffineMap.constant(vals, qv.dyn.d))
+        return ConstantControl(zeros, zeros, _spec_values(text, rest, qv.dyn.m, "values"))
     if kind == "shift":
         eps = _spec_values(text, rest, qv.dyn.m, "values")
         return ShiftedControl(FeedbackControl(FeedbackPolicy(qv)), eps)

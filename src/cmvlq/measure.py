@@ -76,45 +76,6 @@ def row_moments(rows, d, last=False):
     return (s[..., c:], s[..., :c]) if last else (s[..., :d], s[..., d:])
 
 
-class AffineMap:
-    """Affine map x -> A x + b from R^d to R^m."""
-
-    def __init__(self, A, b=None):
-        A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-        if A.ndim != 2:
-            raise ValueError("A must be a matrix")
-        self.A = A
-        if b is None:
-            self.b = np.zeros(A.shape[0])
-        else:
-            self.b = np.asarray(b, dtype=np.float64).reshape(A.shape[0])
-        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
-            raise ValueError("affine map coefficients must be finite")
-
-    @property
-    def dim_in(self):
-        return self.A.shape[1]
-
-    @property
-    def dim_out(self):
-        return self.A.shape[0]
-
-    @classmethod
-    def constant(cls, c, d):
-        c = np.atleast_1d(np.asarray(c, dtype=np.float64))
-        return cls(np.zeros((c.shape[0], d)), c)
-
-    @classmethod
-    def zero(cls, m, d):
-        return cls(np.zeros((m, d)))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return self.A @ x + self.b
-        return x @ self.A.T + self.b
-
-
 class EmpiricalMeasure:
     """Equal-weight cloud of N >= 1 points in R^d.
 

@@ -21,14 +21,11 @@ from .measure import EmpiricalMeasure, mean, moments
 class QuadraticFunctional:
     """phi(mu) = Var(mu)(L) + mubar'G mubar + g'mubar + c.
 
-    values evaluates phi on a stack of clouds (..., N, d) in one call;
-    __call__ is values on a stack of one.  Var(mu)(L) is the particle mean
-    of x'Lx minus the same form at the mean.
-
-    Measure derivatives:
-      d_mu  phi(mu)(x)      = 2 L (x - mubar) + 2 G mubar + g
-      dx_dmu phi(mu)(x)     = 2 L
-      d2_mu  phi(mu)(x, x') = 2 (G - L)
+    at_moments evaluates phi from clouds' moments, values on a stack of
+    clouds (..., N, d) in one call, and __call__ is values on a stack of
+    one.  Var(mu)(L) is the particle mean of x'Lx minus the same form at
+    the mean.  d_mu is the measure derivative
+    d_mu phi(mu)(x) = 2 L (x - mubar) + 2 G mubar + g.
     """
 
     L: np.ndarray
@@ -46,15 +43,19 @@ class QuadraticFunctional:
     def dim(self):
         return self.L.shape[0]
 
-    def values(self, x):
-        """phi = <L, E xx'> + mubar'(G - L) mubar + g'mubar + c at each cloud of x (..., N, d).
+    def at_moments(self, mbar, second):
+        """phi = <L, E xx'> + mubar'(G - L) mubar + g'mubar + c at clouds' moments.
 
-        The lqmodel.moment_form of measure.moments(x), then g @ m with each mean
-        m a (d, 1) column: a cloud's value is the same bits in any stack.
+        mbar (..., d) and second (..., d(d+1)/2) as measure.moments gives
+        them; the lqmodel.moment_form, then g @ m with each mean m a (d, 1)
+        column: a cloud's value is the same bits in any stack.
         """
-        mbar, second = moments(np.asarray(x, dtype=np.float64))
         form = moment_form(self.L, self.G - self.L, mbar, second)[..., 0, 0]
         return form + (self.g @ mbar[..., :, None])[..., 0] + self.c
+
+    def values(self, x):
+        """phi at each cloud of x (..., N, d): at_moments of measure.moments(x)."""
+        return self.at_moments(*moments(np.asarray(x, dtype=np.float64)))
 
     def __call__(self, mu: EmpiricalMeasure):
         return float(self.values(mu.points[None])[0])
@@ -63,12 +64,6 @@ class QuadraticFunctional:
         mbar = mean(mu)
         x = np.asarray(x, dtype=np.float64)
         return 2.0 * (x - mbar) @ self.L.T + 2.0 * mbar @ self.G.T + self.g
-
-    def dx_dmu(self):
-        return 2.0 * self.L
-
-    def d2_mu(self):
-        return 2.0 * (self.G - self.L)
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ from .lqmodel import (
     step_loadings,
     whole_steps,
 )
-from .measure import AffineMap, EmpiricalMeasure, load_csv, moments, row_moments
+from .measure import EmpiricalMeasure, load_csv, moments, row_moments
 
 _INIT_PATH_TAG = 2**64 - 1
 
@@ -113,17 +113,17 @@ def lq_dynamics_spec(dyn: LqDynamics, cost: LqCost, T) -> LqModel:
     return LqModel(dyn, cost, float(T))
 
 
-class AffineControl:
-    """Constant-in-time affine map a(x) = A x + b applied particlewise."""
+class ConstantControl:
+    """Time-constant affine feedback a(x, mubar) = K1 (x - mubar) + K2 mubar + k.
 
-    def __init__(self, amap: AffineMap):
-        self.amap = amap
+    `zero` is the gains (0, 0, 0) and `const:v` is (0, 0, v).
+    """
+
+    def __init__(self, K1, K2, k):
+        self.gains = K1, K2, k
 
     def grid_gains(self, t0, dt, n_steps, offset=0):
-        A, b = self.amap.A, self.amap.b
-        return (np.broadcast_to(A, (n_steps,) + A.shape),
-                np.broadcast_to(A, (n_steps,) + A.shape),
-                np.broadcast_to(b, (n_steps,) + b.shape))
+        return tuple(np.broadcast_to(a, (n_steps,) + np.shape(a)) for a in self.gains)
 
 
 class FeedbackControl:

@@ -109,15 +109,15 @@ def generator_apply(phi: QuadraticFunctional, mu, dyn, gains, mom=None):
 def bellman_residual(qv: QuadraticValue, t, mu, gains, with_terms=False):
     """Dynamic-programming residual at (t, mu) under the feedback of gains (K1, K2, k).
 
-    d_t w + lifted running cost + mu(L^a w) + (mu x mu)(M^a w), the last two
+    d_t w + lifted running cost + mu(L^a w) + (mu x mu)(M^a w), every term
     from one call of measure.moments.  Nonnegative for every feedback, zero
     at the minimizing one; the excess is a quadratic form in the control.
     """
     t = float(t)
     if not 0.0 <= t < qv.T:
         raise ValueError(f"residual needs t in [0, T); got t={t}")
-    d_t = qv.dt_at(t)(mu)
     mom = moments(mu.points)
+    d_t = float(qv.dt_at(t).at_moments(*mom))
     fhat = float(lifted_cost(qv.cost, *mom, gains))
     gen = generator_apply(qv.at(t), mu, qv.dyn, gains, mom)
     residual = d_t + fhat + gen

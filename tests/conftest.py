@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cmvlq import (
+    ConstantControl,
     LqCost,
     LqDynamics,
     QuadraticValue,
@@ -66,6 +67,12 @@ def random_lq(seed, d=None, m=None, with_m2=False, coupling=0.4):
         M2=0.1 * rng.standard_normal((d, m)) if with_m2 else None,
     )
     return dyn, cost
+
+
+def zero_control(d=1, m=1):
+    """The control a = 0 (the CLI's `zero`) on a model of dimensions (d, m): gains (0, 0, 0)."""
+    zeros = np.zeros((m, d))
+    return ConstantControl(zeros, zeros, np.zeros(m))
 
 
 def random_cloud(rng, n, d, spread=1.0):

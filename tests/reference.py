@@ -17,7 +17,7 @@ from cmvlq.lqmodel import (
     lifted_cost,
     require_pd,
 )
-from cmvlq.measure import AffineMap, EmpiricalMeasure, mean, moments, tree_mean
+from cmvlq.measure import EmpiricalMeasure, mean, moments, tree_mean
 from cmvlq.policy import value
 from cmvlq.simulator import _control_grid, _philox
 
@@ -53,6 +53,27 @@ def coefficient_values(dyn, x, mbar, a):
     return b, s, s0
 
 
+def euler_nodes(dyn, gains, x0, dt, dw0, db):
+    """Every node (K + 1, N, d) of one scenario's Euler scheme, from the model's equations.
+
+    gains (K1, K2, k) are the control's on the K steps, dw0 (K, 1) and db
+    (K, N, 1) the steps' scaled common and idiosyncratic increments.  At
+    each step: the cloud's mean mbar, each particle's control a = K1 (x -
+    mbar) + K2 mbar + k, its coefficients (coefficient_values), and x + b dt
+    + s db + s0 dw0.
+    """
+    K1, K2, kk = gains
+    x = np.array(x0, dtype=np.float64)
+    nodes = [x]
+    for j in range(len(dw0)):
+        mbar = tree_mean(x, axis=0)
+        a = (x - mbar) @ K1[j].T + mbar @ K2[j].T + kk[j]
+        b, s, s0 = coefficient_values(dyn, x, mbar, a)
+        x = x + b * dt + s * db[j] + s0 * dw0[j]
+        nodes.append(x)
+    return np.stack(nodes)
+
+
 def step_loadings(dyn, K1, K2, k):
     """lqmodel.step_loadings one coefficient matrix at a time.
 
@@ -69,10 +90,36 @@ def step_loadings(dyn, K1, K2, k):
         (M.T + K1t @ N.T, Mbar.T + dKt @ N.T, c + k @ N.T) for M, Mbar, N, c in blocks)))
 
 
+class AffineMap:
+    """Affine map x -> A x + b from R^d to R^m: the map of pushforward and feedback_affine_map."""
+
+    def __init__(self, A, b=None):
+        self.A = np.atleast_2d(np.asarray(A, dtype=np.float64))
+        self.b = np.zeros(self.A.shape[0]) if b is None else np.asarray(b, dtype=np.float64)
+
+    @classmethod
+    def constant(cls, c, d):
+        c = np.atleast_1d(np.asarray(c, dtype=np.float64))
+        return cls(np.zeros((c.shape[0], d)), c)
+
+    def __call__(self, x):
+        return np.asarray(x, dtype=np.float64) @ self.A.T + self.b
+
+
 def feedback_affine_map(fb, mubar):
     """The feedback gains fb at a fixed mean, as a plain affine map of x."""
     mubar = np.asarray(mubar, dtype=np.float64).reshape(-1)
     return AffineMap(fb.K1, (fb.K2 - fb.K1) @ mubar + fb.k)
+
+
+def dx_dmu(phi):
+    """d_x d_mu phi(mu)(x) = 2 L of the quadratic functional phi."""
+    return 2.0 * phi.L
+
+
+def d2_mu(phi):
+    """d2_mu phi(mu)(x, x') = 2 (G - L) of the quadratic functional phi."""
+    return 2.0 * (phi.G - phi.L)
 
 
 def generator_sums(phi, mu, bvals, svals, s0vals):
@@ -83,12 +130,12 @@ def generator_sums(phi, mu, bvals, svals, s0vals):
     s0_i' d2 s0_j / 2, factors into mean(s0)' d2 mean(s0) / 2.
     """
     dmu = np.atleast_2d(phi.d_mu(mu, mu.points))
-    dxdmu = phi.dx_dmu()
+    dxdmu = dx_dmu(phi)
     first = np.einsum("nd,nd->n", dmu, bvals)
     trace = 0.5 * (np.einsum("nd,de,ne->n", svals, dxdmu, svals)
                    + np.einsum("nd,de,ne->n", s0vals, dxdmu, s0vals))
     s0bar = tree_mean(s0vals, axis=0)
-    return float(tree_mean(first + trace)) + 0.5 * float(s0bar @ phi.d2_mu() @ s0bar)
+    return float(tree_mean(first + trace)) + 0.5 * float(s0bar @ d2_mu(phi) @ s0bar)
 
 
 def pointwise_generator(phi, mu, dyn, gains):
@@ -190,8 +237,8 @@ def grad_check_loop(qv, t, mu, epsilon, functional=moment_functional):
 
 def pushforward(mu, a):
     """Image measure under an affine map: the cloud {a(x_i)}."""
-    if a.dim_in != mu.dim:
-        raise ValueError(f"map expects dimension {a.dim_in}, cloud has {mu.dim}")
+    if a.A.shape[1] != mu.dim:
+        raise ValueError(f"map expects dimension {a.A.shape[1]}, cloud has {mu.dim}")
     return EmpiricalMeasure(a(mu.points))
 
 
@@ -225,7 +272,7 @@ def generator_pair_sum(phi, s0vals):
     The mean over all pairs (i, j) of s0_i' d2 s0_j / 2, built as the n x n
     matrix of pairs; generator_sums factors it into means of s0.
     """
-    pair = s0vals @ phi.d2_mu() @ s0vals.T
+    pair = s0vals @ d2_mu(phi) @ s0vals.T
     return float(tree_mean(tree_mean(0.5 * pair, axis=0)))
 
 
@@ -330,4 +377,4 @@ def value_derivatives(qv, t, mu, x):
     if not 0.0 <= t <= qv.T * (1.0 + 1e-12):
         raise ValueError(f"t={t} outside [0, {qv.T}]")
     phi = qv.at(t)
-    return qv.dt_at(t)(mu), phi.d_mu(mu, x), phi.dx_dmu(), phi.d2_mu()
+    return qv.dt_at(t)(mu), phi.d_mu(mu, x), dx_dmu(phi), d2_mu(phi)

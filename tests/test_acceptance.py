@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cmvlq.lqmodel import gains
-from cmvlq.measure import AffineMap, mean
+from cmvlq.measure import mean
 from cmvlq.policy import (
     FeedbackPolicy,
     QuadraticFunctional,
@@ -22,7 +22,7 @@ from cmvlq.policy import (
 )
 from cmvlq.riccati import closed_form_lambda, solve_riccati
 from cmvlq.simulator import (
-    AffineControl,
+    ConstantControl,
     FeedbackControl,
     ShiftedControl,
     lq_dynamics_spec,
@@ -46,8 +46,8 @@ from cmvlq.verify import (
     statistical_tolerance,
 )
 
-from conftest import make_interbank, random_cloud, random_lq
-from reference import feedback_affine_map, pushforward, variance_form
+from conftest import make_interbank, random_cloud, random_lq, zero_control
+from reference import AffineMap, feedback_affine_map, pushforward, variance_form
 
 
 def report(num, ok, detail):
@@ -220,8 +220,8 @@ def test_criterion_5_dpp_inequality(ib, richardson):
         "optimal": control,
         "shift 0.2": ShiftedControl(control, 0.2),
         "shift 0.5": ShiftedControl(control, 0.5),
-        "zero": AffineControl(AffineMap.zero(1, 1)),
-        "affine": AffineControl(AffineMap(np.array([[-0.3]]), np.array([0.1]))),
+        "zero": zero_control(),
+        "affine": ConstantControl(np.array([[-0.3]]), np.array([[-0.3]]), np.array([0.1])),
     }
     dt = 2e-3
     worst = ""
@@ -263,7 +263,7 @@ def test_criterion_7_ito_generator(ib0):
     p, dyn, cost, sol, qv, model, _ = ib0
     phi = QuadraticFunctional(np.zeros((1, 1)), np.eye(1), np.zeros(1), 0.0)
     delta, dt = 0.01, 1e-3
-    res = ito_generator_check(model, AffineControl(AffineMap.zero(1, 1)), 0.0,
+    res = ito_generator_check(model, zero_control(), 0.0,
                               {"kind": "point", "x0": 0.0}, phi, delta,
                               400, 400, dt, 4040)
     exact = (p.sigma0 * p.rho) ** 2

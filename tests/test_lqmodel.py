@@ -11,10 +11,11 @@ from cmvlq.lqmodel import (
     load_model,
     save_model,
 )
-from cmvlq.measure import AffineMap, EmpiricalMeasure, mean, moments, tree_mean
+from cmvlq.measure import EmpiricalMeasure, mean, moments, tree_mean
 
 import reference
 from conftest import make_interbank, random_cloud, random_lq
+from reference import AffineMap
 
 
 def cloud(*vals):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cmvlq import measure
-from cmvlq.measure import AffineMap, EmpiricalMeasure, tree_mean, tree_sum
+from cmvlq.measure import EmpiricalMeasure, tree_mean, tree_sum
 
-from reference import l2_norm, pushforward, quad_moment, save_csv, variance_form
+from reference import AffineMap, l2_norm, pushforward, quad_moment, save_csv, variance_form
 
 
 def cloud(*vals):

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from cmvlq import policy
 from cmvlq.errors import NonPositiveGain
 from cmvlq.lqmodel import LqCost, gains
-from cmvlq.measure import AffineMap, EmpiricalMeasure, mean, tree_mean
+from cmvlq.measure import EmpiricalMeasure, mean, tree_mean
 from cmvlq.policy import (
     FeedbackPolicy,
     QuadraticFunctional,
@@ -20,6 +20,7 @@ from cmvlq.riccati import solve_riccati
 
 from conftest import make_interbank, random_cloud, random_lq
 from reference import (
+    AffineMap,
     feedback_affine_map,
     l2_norm,
     lifted_terminal_cost,

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from cmvlq import simulator
 from cmvlq.errors import NumericalBlowup
 from cmvlq.lqmodel import LqCost, LqDynamics, affine_feedback
-from cmvlq.measure import AffineMap, EmpiricalMeasure, tree_mean
+from cmvlq.measure import EmpiricalMeasure, tree_mean
 from cmvlq.policy import FeedbackPolicy, QuadraticValue, optimal_feedback
 from cmvlq.riccati import solve_riccati
 from cmvlq.simulator import (
-    AffineControl,
+    ConstantControl,
     FeedbackControl,
     Recorder,
     ShiftedControl,
@@ -30,8 +30,15 @@ from cmvlq.simulator import (
     stream_scenarios,
 )
 
-from conftest import forked_pids, inline_noise, make_interbank, random_lq, reaped
-from reference import control_values_on_grid, l2_norm, running_cost, save_csv, step_normals
+from conftest import forked_pids, inline_noise, make_interbank, random_lq, reaped, zero_control
+from reference import (
+    AffineMap,
+    control_values_on_grid,
+    l2_norm,
+    running_cost,
+    save_csv,
+    step_normals,
+)
 
 
 def interbank_setup(sigma1=0.3, rho=0.5, q=0.5, h=1e-3, x0=1.0):
@@ -48,10 +55,6 @@ def lq_model(d=2, B=0.0, R2=0.0, T=1.0):
                      theta0=zv, D0=z, D0bar=z, F0=zc)
     cost = LqCost(Q2=z, Q2bar=z, R2=R2, P2=z, P2bar=z)
     return lq_dynamics_spec(dyn, cost, T)
-
-
-def zero_control(d=2):
-    return AffineControl(AffineMap.zero(1, d))
 
 
 class TestSampleInitial:
@@ -316,7 +319,7 @@ class TestSimulate:
     def test_frozen_dynamics(self):
         # the zero model at d = 2 steps on the affine loop
         mu0 = sample_initial({"kind": "gaussian", "mean": [0.5, -0.5], "cov": 1.0}, 30, 5)
-        traj = simulate_path(lq_model(), zero_control(), 0.0, mu0, 1.0, 0.05, 5, 0)
+        traj = simulate_path(lq_model(), zero_control(2), 0.0, mu0, 1.0, 0.05, 5, 0)
         for k in range(traj.n_steps + 1):
             assert np.array_equal(traj.states[k], mu0.points)
 
@@ -366,7 +369,7 @@ class TestSimulate:
         cost = LqCost(Q2=1.0, Q2bar=0.0, R2=1.0, P2=1.0, P2bar=0.0)
         model = lq_dynamics_spec(dyn, cost, 1.0)
         mu0 = sample_initial({"kind": "point", "x0": 10.0}, 8, 0)
-        control = AffineControl(AffineMap.zero(1, 1))
+        control = zero_control()
         # 10 * 1.4^76 is the first state past 1e12; every particle and path is alike
         where = r"t=0\.76, path {}, step 76, particle 0: value 1275647586028\.\d+ exceeded"
         with pytest.raises(NumericalBlowup, match=where.format(2)):
@@ -387,14 +390,14 @@ class TestSimulate:
     def test_blowup_generic_path(self):
         mu0 = sample_initial({"kind": "point", "x0": [10.0, -10.0]}, 8, 0)
         with pytest.raises(NumericalBlowup):
-            simulate_path(lq_model(B=40.0), zero_control(), 0.0, mu0, 1.0, 0.01, 0, 0)
+            simulate_path(lq_model(B=40.0), zero_control(2), 0.0, mu0, 1.0, 0.01, 0, 0)
 
     def test_nonfinite_coefficients_detected(self):
         # the drift overflows to inf at the first step; the state check catches it
         mu0 = sample_initial({"kind": "point", "x0": [10.0, -10.0]}, 4, 0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalBlowup, match="t=0.5"):
-                simulate_path(lq_model(B=1e308), zero_control(), 0.0, mu0, 1.0, 0.5, 0, 0)
+                simulate_path(lq_model(B=1e308), zero_control(2), 0.0, mu0, 1.0, 0.5, 0, 0)
 
 
 def hand_node(batch, k):
@@ -602,13 +605,13 @@ class TestConditionalMean:
 class TestPathwiseCost:
     def test_zero_cost(self):
         mu0 = sample_initial({"kind": "point", "x0": [0.3, 0.3]}, 16, 1)
-        traj = simulate_path(lq_model(), zero_control(), 0.0, mu0, 1.0, 0.125, 1, 0)
+        traj = simulate_path(lq_model(), zero_control(2), 0.0, mu0, 1.0, 0.125, 1, 0)
         assert pathwise_cost(traj, traj.model, traj.control) == 0.0
 
     def test_unit_running_cost_integrates_exactly(self):
         # R2 = 1 under the constant control 1: running cost 1 at every particle
         model = lq_model(R2=1.0)
-        control = AffineControl(AffineMap.constant([1.0], 2))
+        control = ConstantControl(np.zeros((1, 2)), np.zeros((1, 2)), np.array([1.0]))
         mu0 = sample_initial({"kind": "point", "x0": [0.0, 0.0]}, 8, 1)
         traj = simulate_path(model, control, 0.0, mu0, 1.0, 2.0 ** -6, 1, 0)
         assert pathwise_cost(traj, model, control) == 1.0
@@ -702,7 +705,7 @@ class TestControls:
 
     def test_affine_control_grid_form_matches_values(self):
         amap = AffineMap(np.array([[0.7]]), np.array([0.2]))
-        ctrl = AffineControl(amap)
+        ctrl = ConstantControl(amap.A, amap.A, amap.b)
         K1, K2, kk = ctrl.grid_gains(0.0, 0.1, 3)
         x = np.array([[0.5], [-1.0]])
         m = np.array([0.4])

@@ -1,7 +1,8 @@
-"""The package's surface: no exported name, and no top-level function or class,
-without a use or a reason; the layer benchmark's stand-ins still fit the package."""
+"""The package's surface: no exported name, no top-level function or class, and
+no method without a use or a reason; the layer benchmark's stand-ins still fit the package."""
 
 import ast
+import collections
 import importlib.util
 import json
 import math
@@ -11,10 +12,8 @@ import time
 
 import cmvlq
 from cmvlq import cli, simulator
-from cmvlq.measure import AffineMap
 from cmvlq.policy import FeedbackPolicy
 from cmvlq.simulator import (
-    AffineControl,
     FeedbackControl,
     lq_dynamics_spec,
     pathwise_cost,
@@ -23,7 +22,7 @@ from cmvlq.simulator import (
 )
 from cmvlq.verify import estimate_cost
 
-from conftest import make_interbank
+from conftest import make_interbank, zero_control
 
 SRC = pathlib.Path(cmvlq.__file__).parent
 
@@ -40,6 +39,14 @@ UNUSED_EXPORTS = {
                             "verify.flow_restarts' digests equal (tests/test_verify.py)",
     "simulate_path": "one scenario with every node held, the per-path reference of the "
                      "streamed drivers (tests/test_verify.py); perfbench/spans.py times it",
+}
+
+
+# methods and properties that nothing in the package reads as an attribute, each with why it stays
+UNUSED_METHODS = {
+    "_Parser.error": "argparse.ArgumentParser calls it on every argument it rejects",
+    "ParticleTrajectory.cloud": "the node clouds of a held trajectory, which the tests of the "
+                                "held-trajectory reference read",
 }
 
 
@@ -98,6 +105,26 @@ def references(tree):
     return used
 
 
+def method_uses():
+    """Class.method -> how often the package reads the method's name as an attribute
+    outside the method's own body, for each non-dunder method and property of a
+    top-level class."""
+    trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
+    reads = collections.Counter(node.attr for tree in trees for node in ast.walk(tree)
+                                if isinstance(node, ast.Attribute))
+    uses = {}
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__"):
+                    own = sum(isinstance(node, ast.Attribute) and node.attr == fn.name
+                              for node in ast.walk(fn))
+                    uses[f"{cls.name}.{fn.name}"] = reads[fn.name] - own
+    return uses
+
+
 def test_every_export_has_a_use_or_a_reason():
     exported = exported_names()
     used = used_names()
@@ -111,6 +138,14 @@ def test_every_definition_has_a_use_or_a_reason():
     # private helpers too: a top-level function or class that nothing in the
     # package calls is dead code unless the table says why it stays
     assert sorted(defined_names() - used_names() - set(UNUSED_EXPORTS)) == []
+
+
+def test_every_method_has_a_use_or_a_reason():
+    # a method or property that the package never reads is dead code, unless
+    # something outside the package calls it and the table says what
+    uses = method_uses()
+    assert sorted(name for name, n in uses.items() if not n and name not in UNUSED_METHODS) == []
+    assert sorted(name for name in UNUSED_METHODS if uses.get(name, 1)) == []
 
 
 def test_references_skip_the_own_definition():
@@ -163,7 +198,7 @@ def test_bench_reads_the_noise_mapping(monkeypatch):
     _, dyn, cost, _, _ = make_interbank(h=0.01)
     mu0 = sample_initial({"kind": "point", "x0": 1.0}, 20, 0)
     mib = bench.noise_mapping_mib(lq_dynamics_spec(dyn, cost, 1.0),
-                                  AffineControl(AffineMap.zero(1, 1)), mu0, 1.0, 4)
+                                  zero_control(), mu0, 1.0, 4)
     assert mib == 2 * 16 * 4 * 21 * 8 / 2**20
 
 

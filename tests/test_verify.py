@@ -9,7 +9,7 @@ import pytest
 from cmvlq import simulator
 from cmvlq.errors import NumericalBlowup
 from cmvlq.lqmodel import LqCost, LqDynamics, affine_feedback, gains
-from cmvlq.measure import AffineMap, EmpiricalMeasure, mean, tree_mean
+from cmvlq.measure import EmpiricalMeasure, mean, tree_mean
 from cmvlq.policy import (
     FeedbackPolicy,
     QuadraticFunctional,
@@ -19,7 +19,7 @@ from cmvlq.policy import (
 )
 from cmvlq.riccati import RiccatiSolution, solve_riccati
 from cmvlq.simulator import (
-    AffineControl,
+    ConstantControl,
     FeedbackControl,
     Recorder,
     ShiftedControl,
@@ -55,8 +55,17 @@ from cmvlq.verify import (
     save_report,
 )
 
-from conftest import forked_pids, inline_noise, make_interbank, random_cloud, random_lq, reaped
+from conftest import (
+    forked_pids,
+    inline_noise,
+    make_interbank,
+    random_cloud,
+    random_lq,
+    reaped,
+    zero_control,
+)
 from reference import (
+    AffineMap,
     coefficient_values,
     feedback_affine_map,
     generator_pair_sum,
@@ -93,7 +102,7 @@ class TestEstimateCost:
         dyn, cost = random_lq(101, d=1, m=1)
         zero_cost = LqCost(Q2=0.0, Q2bar=0.0, R2=0.0, P2=0.0, P2bar=0.0)
         model = lq_dynamics_spec(dyn, zero_cost, 1.0)
-        est = estimate_cost(model, AffineControl(AffineMap.zero(1, 1)), 0.0,
+        est = estimate_cost(model, zero_control(), 0.0,
                             {"kind": "point", "x0": 0.5}, 16, 4, 0.125, 3)
         assert est.mean == 0.0 and est.stderr == 0.0
 
@@ -387,7 +396,7 @@ class TestNoProcessOutlivesACall:
     def test_blowup(self):
         mu0 = sample_initial({"kind": "point", "x0": 10.0}, 8, 0)
         with pytest.raises(NumericalBlowup, match="step 76"):
-            estimate_cost(self.explosive(), AffineControl(AffineMap.zero(1, 1)), 0.0, mu0,
+            estimate_cost(self.explosive(), zero_control(), 0.0, mu0,
                           8, 6, 0.01, 0)
         assert len(self.pids) == 1 and reaped(self.pids[0])
 
@@ -438,7 +447,7 @@ def explosive(B=40.0):
 class TestCoarseRun:
     """stream_scenarios' coarse run: a fine blowup wins, a coarse one is reported as alone."""
 
-    ZERO = AffineControl(AffineMap.zero(1, 1))
+    ZERO = zero_control()
 
     def blowup(self, model, dt, coarse=None):
         mu0 = sample_initial({"kind": "point", "x0": 10.0}, 8, 0)
@@ -525,7 +534,7 @@ class TestFlowRestarts:
         # paths 1..3 step as one batch: the earliest step, then the lowest path
         mu0 = sample_initial({"kind": "point", "x0": 10.0}, 8, 0)
         with pytest.raises(NumericalBlowup, match="t=0.76, path 1, step 76, particle 0"):
-            list(flow_restarts(explosive(), AffineControl(AffineMap.zero(1, 1)), 0.0, mu0, 1.0,
+            list(flow_restarts(explosive(), zero_control(), 0.0, mu0, 1.0,
                                0.01, 0, [(3, 10), (1, 5)]))
 
     def test_rejects_nodes_off_the_grid(self):
@@ -659,7 +668,7 @@ class TestBellmanResidual:
         _, _, _, _, qv, _, _ = interbank_stack()
         mu = EmpiricalMeasure([[0.0]])
         with pytest.raises(ValueError):
-            bellman_residual(qv, qv.T, mu, map_gains(AffineMap.zero(1, 1)))
+            bellman_residual(qv, qv.T, mu, zero_control().gains)
 
 
 class TestDpp:
@@ -696,7 +705,7 @@ class TestDpp:
     def test_zero_control_gap_nonnegative(self):
         p, _, _, _, qv, model, _ = interbank_stack(sigma1=0.3)
         res = dpp_check(qv, model, 0.0, {"kind": "point", "x0": p.x0}, 0.75,
-                        AffineControl(AffineMap.zero(1, 1)), 500, 32, 2e-3, 33)
+                        zero_control(), 500, 32, 2e-3, 33)
         assert res.gap >= -(3.0 * res.stderr + 5.0 * 2e-3)
 
     def test_coarse_run_adds_less_than_a_chunk(self):
@@ -732,7 +741,7 @@ class TestItoGenerator:
                             Dbar=0.0, F=0.0, theta0=0.0, D0=0.0, D0bar=0.0, F0=0.0)
         model = lq_dynamics_spec(frozen, cost, 1.0)
         phi = QuadraticFunctional(np.ones((1, 1)), np.ones((1, 1)), np.ones(1), 0.0)
-        res = ito_generator_check(model, AffineControl(AffineMap.zero(1, 1)), 0.0,
+        res = ito_generator_check(model, zero_control(), 0.0,
                                   {"kind": "gaussian", "mean": [0.3], "cov": 0.5},
                                   phi, 0.1, 50, 8, 0.05, 7)
         assert res.lhs == 0.0 and res.rhs == 0.0 and res.stderr == 0.0
@@ -741,7 +750,7 @@ class TestItoGenerator:
         # sigma1 = 0, a = 0, phi = mean^2: generator side is (sigma0 rho)^2
         p, _, _, _, qv, model, _ = interbank_stack()
         phi = QuadraticFunctional(np.zeros((1, 1)), np.eye(1), np.zeros(1), 0.0)
-        res = ito_generator_check(model, AffineControl(AffineMap.zero(1, 1)), 0.0,
+        res = ito_generator_check(model, zero_control(), 0.0,
                                   {"kind": "point", "x0": 0.0}, phi,
                                   0.01, 400, 64, 1e-3, 41)
         assert res.rhs == pytest.approx((p.sigma0 * p.rho) ** 2, abs=1e-14)
@@ -755,7 +764,7 @@ class TestItoGenerator:
         cloud0 = sample_initial(mu0, 400, 42)
         var0 = variance_form(cloud0, np.eye(1))
         expect = -2.0 * (p.kappa + p.q) * var0 + p.sigma0 ** 2 * (1 - p.rho ** 2)
-        res = ito_generator_check(model, AffineControl(AffineMap.zero(1, 1)), 0.0,
+        res = ito_generator_check(model, zero_control(), 0.0,
                                   mu0, phi, 0.01, 400, 64, 1e-3, 42)
         assert res.rhs == pytest.approx(expect, rel=1e-12)
         assert abs(res.lhs - res.rhs) <= 3.0 * res.stderr + 2.0 * (0.01 + 1e-3)
@@ -834,7 +843,7 @@ class TestChaos:
                          Dbar=0.0, F=0.0, theta0=0.2, D0=0.1, D0bar=0.0, F0=0.0)
         cost = LqCost(Q2=0.5, Q2bar=0.0, R2=0.5, P2=0.5, P2bar=0.0)
         model = lq_dynamics_spec(dyn, cost, 1.0)
-        control = AffineControl(AffineMap(np.array([[-0.4]]), np.array([0.1])))
+        control = ConstantControl(np.array([[-0.4]]), np.array([[-0.4]]), np.array([0.1]))
         rows = chaos_convergence(model, control, 0.0, {"kind": "point", "x0": 0.7},
                                  [100, 400, 1600], 24, 5e-3, 51)
         for a in rows:
