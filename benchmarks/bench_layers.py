@@ -52,10 +52,17 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
 - ito_check_interbank: ``ito_generator_check`` at the sizes of the verify
   benchmark's ito command (phi = mean^2, N = 2000 particles from the point
   0, M = 2000 scenarios, delta = 10 steps of dt = 1e-3, optimal feedback);
-- dpp_check_interbank: the fine (dt) and the coarse (2 dt) run of
-  ``verify dpp`` at the verify benchmark's sizes (N = 2000 from the point
-  1, M = 48, theta = 0.5, optimal feedback): one ``dpp_check(...,
-  coarse=True)``;
+- dpp_check_interbank: what ``verify dpp`` computes at the verify
+  benchmark's sizes (N = 2000 from the point 1, M = 48, theta = 0.5,
+  optimal feedback): the Monte Carlo run at dt (``dpp_check``) and the
+  exact expected gaps at dt and 2 dt (``expected_dpp_gap``), or, on a
+  checkout without them, ``dpp_check(..., coarse=True)``, whose second
+  run at 2 dt gave the step constant;
+- expected_gap_interbank_500 and _250: ``expected_dpp_gap`` alone, the
+  moment recursion and the expected costs on it, at those sizes at dt
+  (K = 500 steps) and 2 dt (K = 250), and expected_gap_lq3_1000 on the
+  d = 3 model from the d = 3 cost's cloud (N = 250, theta = T, K = 1000);
+  left out on a checkout without ``expected_dpp_gap``;
 - flow_check_interbank: ``verify flow``'s restarts (``flow_restarts``) and
   rule at count 4, N = 500 from the point 1, K = 1000.  These two rows also record traced_peak_mib, the tracemalloc peak of one
   more untimed run.
@@ -395,10 +402,23 @@ def main():
                                                    ITO_M, DT, SEED), args.repeats))
 
     mu_dpp = simulator.sample_initial({"kind": "point", "x0": p.x0}, N, SEED)
+    exact = hasattr(verify, "expected_dpp_gap")
 
     def dpp():
-        verify.dpp_check(qv, model, 0.0, mu_dpp, DPP_THETA, control, N, DPP_M, DT, SEED,
-                         coarse=True)
+        if not exact:
+            verify.dpp_check(qv, model, 0.0, mu_dpp, DPP_THETA, control, N, DPP_M, DT, SEED,
+                             coarse=True)
+            return
+        verify.dpp_check(qv, model, 0.0, mu_dpp, DPP_THETA, control, N, DPP_M, DT, SEED)
+        for h in (DT, 2 * DT):
+            verify.expected_dpp_gap(qv, model, 0.0, mu_dpp, DPP_THETA, control, h)
+
+    if exact:
+        for name, gap in (("interbank_500", (qv, model, 0.0, mu_dpp, DPP_THETA, control, DT)),
+                          ("interbank_250", (qv, model, 0.0, mu_dpp, DPP_THETA, control, 2 * DT)),
+                          ("lq3_1000", (qv3, model3, 0.0, mu3, 1.0, control3, DT))):
+            row("expected_gap_" + name,
+                best_of(lambda gap=gap: verify.expected_dpp_gap(*gap), args.repeats))
 
     mu_flow = simulator.sample_initial({"kind": "point", "x0": p.x0}, FLOW_N, SEED)
     rng = np.random.Generator(np.random.Philox(key=SEED))
@@ -420,6 +440,8 @@ def main():
                           "d3_rows": {"d": 3, "m": 2, "N": N3, "M": M3},
                           "ito_rows": {"N": N, "M": ITO_M, "delta": ITO_DELTA},
                           "dpp_rows": {"N": N, "M": DPP_M, "theta": DPP_THETA},
+                          "expected_gap_rows": {"interbank": {"N": N, "theta": DPP_THETA},
+                                                "lq3": {"N": N3, "theta": 1.0}},
                           "flow_rows": {"N": FLOW_N, "count": FLOW_COUNT, "K": K},
                           "statistic": "minimum (min_s) and median (median_s) wall time and "
                                        "minimum CPU time, children included (cpu_s), of the "

@@ -412,8 +412,8 @@ def cmd_verify(cfg):
         result = verify_mod.grad_rule([(t, verify_mod.grad_check(qv, t, cloud, cfg["epsilon"]))
                                        for t, cloud in clouds])
     elif check == "dpp":
-        # the step constant from a fine and a coarse run on the same scenarios, so theta - t0
-        # must be whole steps of both, of either sign (theta < t0 is dpp_check's range error)
+        # the step constant from the expected gaps at dt and at 2 dt, so theta - t0 must be
+        # whole steps of both, of either sign (theta < t0 is dpp_check's range error)
         span = cfg["theta"] - t0
         whole_steps(abs(span), 2 * dt, 0,
                     f"2 dt = {2 * dt!r} (dt={dt!r}) divides theta - t0 = {span!r}",
@@ -421,10 +421,11 @@ def cmd_verify(cfg):
                     f"whole number of steps 2 dt = {2 * dt!r}: verify dpp compares runs at "
                     f"dt = {dt!r} and at 2 dt")
         with _flagged(cfg, paths=m, theta=cfg["theta"]):
-            fine, coarse = verify_mod.dpp_check(qv, model, t0, mu0, cfg["theta"], control, n, m,
-                                                dt, seed, coarse=True)
-        c_dt = max(1.0, abs(coarse.gap - fine.gap) / dt)
-        result = verify_mod.dpp_rule(fine, dt, c_dt, cfg["control"] == "optimal", coarse)
+            fine = verify_mod.dpp_check(qv, model, t0, mu0, cfg["theta"], control, n, m, dt, seed)
+        expected = [verify_mod.expected_dpp_gap(qv, model, t0, mu0, cfg["theta"], control, h)
+                    for h in (dt, 2 * dt)]
+        c_dt = max(1.0, abs(expected[1] - expected[0]) / dt)
+        result = verify_mod.dpp_rule(fine, dt, c_dt, cfg["control"] == "optimal", expected)
     elif check == "ito":
         d = model.d
         phi = policy_mod.QuadraticFunctional(np.zeros((d, d)), np.eye(d), np.zeros(d), 0.0)

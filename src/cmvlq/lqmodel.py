@@ -2,7 +2,8 @@
 
 Holds the affine dynamics coefficients and quadratic cost matrices of the
 controlled mean-field model, the affine feedback and the coefficients'
-loadings of (x, mbar, 1) under it (step_loadings), the lifted
+loadings of (x, mbar, 1) under it (step_loadings), the exact expected
+moments of the Euler particle scheme's cloud (expected_moments), the lifted
 (measure-level) running and terminal cost as one quadratic form in a
 cloud's mean and second moment, the gain matrices entering the optimal
 feedback, and the standing positivity condition on the cost data.
@@ -21,7 +22,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import NonPositiveGain
+from .errors import NonPositiveGain, NumericalBlowup
 from .measure import triu
 
 SYM_TOL = 1e-12
@@ -182,14 +183,6 @@ class LqCost:
         for k, v in norm.items():
             v.setflags(write=False)
             object.__setattr__(self, k, v)
-
-    @property
-    def d(self):
-        return self.Q2.shape[0]
-
-    @property
-    def m(self):
-        return self.R2.shape[0]
 
 
 @dataclass(frozen=True)
@@ -487,6 +480,47 @@ def step_loadings(dyn, K1, K2, k):
     G = dyn.Gm + matprod(np.swapaxes(K2 - K1, -1, -2), dyn.Ga)
     g = dyn.g0 + matprod(k[..., None, :], dyn.Ga)
     return L, G, g
+
+
+def expected_moments(dyn, K1, K2, k, mbar, second, dt, n):
+    """Exact expected moments of the Euler scheme's n-particle cloud at the K + 1 nodes of K steps.
+
+    Gains K1, K2 (K, m, d), k (K, m); the start cloud's moments mbar (d,), second (d(d+1)/2,).
+    With u = (x, mbar, 1), x+ = u (P0 + P1 dW0 + P2 dB), P0 = [I; 0; 0] + P_b dt, where P_b,
+    P2 and P1 are the drift, idiosyncratic and common blocks of step_loadings' [L; G; g]:
+    E[E2+] = P0'Sigma P0 + dt P1'Sigma P1 + dt P2'Sigma P2, E[mbar+'mbar+] = P0'Ubar P0 +
+    dt P1'Ubar P1 + (dt/n) P2'Sigma P2 and E[mbar+] = ubar P0, with Sigma = E_i u'u, ubar =
+    (mbar, mbar, 1) and Ubar = ubar'ubar.  Returns means (K + 1, 2d, d) and second moments
+    (K + 1, 2d, d(d+1)/2) of the 2d clouds E mbar +- sqrt(d) c_j (c_j the columns of a factor
+    of Cov(mbar)) of second moment E[E2]: their average of anything quadratic in the mean and
+    linear in the second moment is its expectation.  A trace of E[E2] past BLOWUP_LIMIT^2, or
+    NaN, raises NumericalBlowup naming dt and the step.
+    """
+    d = dyn.d
+    P = np.concatenate(step_loadings(dyn, K1, K2, k), axis=-2)
+    P[..., :d] *= dt
+    P[..., :d, :d] += np.eye(d)
+    b, s, s0 = (slice(i * d, (i + 1) * d) for i in range(3))
+    means, mm, e2 = np.empty((len(P) + 1, d)), *np.empty((2, len(P) + 1, d, d))
+    i, j = triu(d)
+    means[0], mm[0] = mbar, np.outer(mbar, mbar)
+    e2[0][i, j] = e2[0][j, i] = second
+    S = np.ones((2, 2 * d + 1, 2 * d + 1))  # (Sigma, Ubar)
+    for step, p in enumerate(P, 1):
+        S[:, :2 * d, :2 * d] = np.tile(mm[step - 1], (2, 2))
+        S[0, :d, :d] = e2[step - 1]
+        S[:, :2 * d, 2 * d] = S[:, 2 * d, :2 * d] = np.tile(means[step - 1], 2)
+        T = p.T @ S @ p
+        e2[step] = T[0, b, b] + dt * (T[0, s, s] + T[0, s0, s0])
+        mm[step] = T[1, b, b] + dt * T[1, s0, s0] + dt / n * T[0, s, s]
+        means[step] = S[1, 2 * d] @ p[:, b]
+        if not e2[step].trace() <= BLOWUP_LIMIT ** 2:
+            raise NumericalBlowup(f"step {step} of the expected moments at dt={dt!r}", f"E|x|^2 "
+                                  f"{float(e2[step].trace())!r} exceeded 1e24 or is NaN")
+    w, v = np.linalg.eigh(mm - means[:, :, None] * means[:, None, :])
+    c = np.swapaxes(v * np.sqrt(d * np.clip(w, 0.0, None))[:, None, :], 1, 2)
+    points = means[:, None, :] + np.concatenate((c, -c), axis=1)
+    return points, np.broadcast_to(e2[:, None, i, j], points.shape[:2] + (i.size,))
 
 
 # ---------------------------------------------------------------------------

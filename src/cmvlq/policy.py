@@ -39,10 +39,6 @@ class QuadraticFunctional:
         object.__setattr__(self, "g", np.asarray(self.g, dtype=np.float64).reshape(-1))
         object.__setattr__(self, "c", float(self.c))
 
-    @property
-    def dim(self):
-        return self.L.shape[0]
-
     def at_moments(self, mbar, second):
         """phi = <L, E xx'> + mubar'(G - L) mubar + g'mubar + c at clouds' moments.
 

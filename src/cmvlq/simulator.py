@@ -26,8 +26,7 @@ blowups see (P, N, d) views of the rows.
 One function, stream_scenarios, steps them in batches, keeps only a
 batch's current state and adds the running cost inside the step; a run
 from a stored node replays the rest of a trajectory bit for bit.  Its
-per-node hook feeds the flow check's digests and the Recorder, and its
-coarse run steps each batch at 2 dt from the same noise chunks (dpp).
+per-node hook feeds the flow check's digests and the Recorder.
 
 The noise comes from a double-buffered producer (_noise_chunks): while
 the caller steps one chunk, a forked process draws the next, and the
@@ -590,7 +589,7 @@ def _await_tasks(done, owed):
 
 
 def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, paths,
-                     with_cost=True, *, step_offset=0, record=None, on_node=None, coarse=None):
+                     with_cost=True, *, step_offset=0, record=None, on_node=None):
     """Step scenarios on the grid t0, t0 + dt, ..., T from node step_offset to T, in batches.
 
     The one function that steps scenarios.  `paths` is a count n (the
@@ -612,13 +611,6 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
     increments (P, 1), None at the last node, valid only during the call.
     A Recorder, `record`, is such a hook whose paths get batches of their
     own; pass record or on_node, not both.
-
-    coarse(paths, running, ends), if given, also steps every batch on the
-    grid of step 2 dt from t0 to T (from node 0) and receives its results
-    before the batch is yielded.  Coarse step j takes fine step j's normals
-    scaled by sqrt(2 dt), what a run at 2 dt would draw, so it equals that
-    run bit for bit.  A coarse blowup is raised once every batch's fine run
-    has ended without one, so a fine blowup is always the one reported.
     """
     n_steps = step_count(model, t0, mu0, T, dt) - step_offset
     t0, dt = float(t0), float(dt)
@@ -638,34 +630,15 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
     rec_end = -(-n_rec // rec_width) * rec_width
     cuts = [*range(0, rec_end, rec_width), *range(rec_end, len(paths), width), len(paths)]
     batches = [paths[a:b] for a, b in zip(cuts, cuts[1:])]
-    coarse_error = None
-    if coarse is not None:
-        if step_offset:
-            raise ValueError("a coarse run starts at the grid's first node")
-        dt2 = 2.0 * dt
-        n2 = step_count(model, t0, mu0, T, dt2)
-        C1, C2, ck = _control_grid(control, t0, dt2, n2, 0, d, model.m)
     with closing(_noise_chunks(seed, batches, n, n_steps, step_offset)) as noise:
         for batch in batches:
             P = len(batch)
             bufs, mom = _batch_buffers(mu0.points, P)
             running = np.zeros(P) if with_cost else None
-            if coarse is not None and coarse_error is None:
-                cbufs, momc = _batch_buffers(mu0.points, P)
-                running_c = np.zeros(P) if with_cost else None
             k0 = 0
             while k0 < n_steps:
                 dw0, db = next(noise)
                 g = slice(k0, k0 + dw0.shape[0])
-                if coarse is not None:
-                    c = min(dw0.shape[0], n2 - k0)
-                    if c > 0 and coarse_error is None:
-                        gc = slice(k0, k0 + c)
-                        bad, cbufs, momc = _run_generic(model, cbufs, momc, C1[gc], C2[gc], ck[gc],
-                                                        dt2, dw0[:c], db[:c], running=running_c)
-                        if bad >= 0:
-                            step = k0 + bad + 1
-                            coarse_error = _blowup(t0 + dt2 * step, batch, step, _points(cbufs, d))
                 keep = None if on_node is None else lambda k, *node: on_node(batch, k0 + k, *node)
                 bad, bufs, mom = _run_generic(model, bufs, mom, K1[g], K2[g], kk[g], dt, dw0, db,
                                               running=running, keep=keep)
@@ -677,12 +650,7 @@ def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, pat
             x, bufs = _points(bufs, d).copy(), None
             if on_node is not None:
                 on_node(batch, n_steps, x, mom[0], None)
-            if coarse is not None and coarse_error is None:
-                coarse(batch, running_c, _points(cbufs, d).copy())
-                cbufs = None
             yield batch, running, x
-    if coarse_error is not None:
-        raise coarse_error
 
 
 def drain(stream):

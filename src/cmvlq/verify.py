@@ -7,9 +7,9 @@ flows, lifted-gradient finite differences, particle-count convergence, and
 the flow property (a restart from a stored node replays the rest bitwise).
 
 The Monte Carlo drivers stream their scenarios (simulator.stream_scenarios)
-and hold no trajectory: the dpp check steps its dt and 2 dt grids from one
-draw, and the flow check compares a restart with its reference through
-SHA-256 digests fed node by node.
+and hold no trajectory: the flow check compares a restart with its reference
+through SHA-256 digests fed node by node, and dpp's step constant comes from
+the exact expected gaps at dt and 2 dt (expected_dpp_gap), with no second run.
 
 Each check's pass rule is written once here and shared by `cmvlq verify`
 and the acceptance suite.  A rule takes what was measured plus the caller's
@@ -24,12 +24,12 @@ import hashlib
 import json
 from contextlib import closing
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import NumericalBlowup
-from .lqmodel import GRID_TOL, lifted_cost, moment_form, step_loadings, whole_steps
+from .lqmodel import GRID_TOL, expected_moments, lifted_cost, moment_form, step_loadings
+from .lqmodel import whole_steps
 from .measure import EmpiricalMeasure, moments, tree_mean
 from .policy import QuadraticFunctional, QuadraticValue, value
 from .simulator import drain, sample_initial, step_count, stream_scenarios
@@ -41,6 +41,17 @@ def _resolve_cloud(mu0, n_particles, seed):
             raise ValueError(f"cloud holds {mu0.n} particles, expected {n_particles}")
         return mu0
     return sample_initial(mu0, n_particles, seed)
+
+
+def _mean_stderr(what, M, stream, value):
+    """Mean (tree_mean) and stderr of value(running, ends) over the M >= 2 scenarios of stream."""
+    if M < 2:
+        raise ValueError(f"{what} needs M >= 2 scenarios")
+    values = np.empty(M)
+    with closing(stream):
+        for paths, running, ends in stream:
+            values[paths.start:paths.stop] = value(running, ends)
+    return float(tree_mean(values)), float(np.std(values, ddof=1) / np.sqrt(M))
 
 
 @dataclass(frozen=True)
@@ -65,16 +76,11 @@ def estimate_cost(model, control, t0, mu0, N, M, dt, seed, record=None) -> CostE
     Recorder `record` keeps nodes of the stepped scenarios (see
     stream_scenarios).
     """
-    if M < 2:
-        raise ValueError("cost estimation needs M >= 2 scenarios")
     cloud0 = _resolve_cloud(mu0, N, seed)
-    costs = np.empty(M)
-    with closing(stream_scenarios(model, control, t0, cloud0, model.T, dt, seed, M,
-                                  record=record)) as stream:
-        for paths, running, ends in stream:
-            costs[paths.start:paths.stop] = running + lifted_cost(model.cost, *moments(ends))
-    m = float(tree_mean(costs))
-    stderr = float(np.std(costs, ddof=1) / np.sqrt(M))
+    m, stderr = _mean_stderr(
+        "cost estimation", M,
+        stream_scenarios(model, control, t0, cloud0, model.T, dt, seed, M, record=record),
+        lambda running, ends: running + lifted_cost(model.cost, *moments(ends)))
     return CostEstimate(mean=m, stderr=stderr, M=M, N=N, dt=float(dt), seed=int(seed))
 
 
@@ -138,36 +144,34 @@ class DppResult:
     M: int
 
 
-def dpp_check(qv: QuadraticValue, model, t, mu0, theta, control, N, M, dt, seed, coarse=False):
+def dpp_check(qv: QuadraticValue, model, t, mu0, theta, control, N, M, dt, seed):
     """Estimate E[int_t^theta fhat ds + w(theta, rho_theta)] - w(t, mu).
 
     Nonnegative up to statistical and discretization error for any control;
     zero within tolerance along the optimal feedback.  theta must be a node
-    of the simulation grid.  Returns a DppResult; with `coarse`, the pair
-    (fine, coarse) of it and the same estimate at step 2 dt, stepped from
-    the same draws (stream_scenarios' coarse run), which equals a separate
-    call at 2 dt bit for bit.
+    of the simulation grid.
     """
     t, theta = float(t), float(theta)
     if theta < t or theta > model.T * (1 + 1e-12):
         raise ValueError("need t <= theta <= T")
-    if M < 2:
-        raise ValueError("the dpp check needs M >= 2 scenarios")
     cloud0 = _resolve_cloud(mu0, N, seed)
     w_t = value(qv, t, cloud0)
     w_theta = qv.at(theta)
-    gaps = np.empty((2 if coarse else 1, M))  # the fine run's, then the coarse run's
+    gap, stderr = _mean_stderr(
+        "the dpp check", M, stream_scenarios(model, control, t, cloud0, theta, dt, seed, M),
+        lambda running, ends: running + w_theta.values(ends) - w_t)
+    return DppResult(gap=gap, stderr=stderr, theta=theta, t=t, M=M)
 
-    def put(row, paths, running, ends):
-        gaps[row, paths.start:paths.stop] = running + w_theta.values(ends) - w_t
 
-    with closing(stream_scenarios(model, control, t, cloud0, theta, dt, seed, M,
-                                  coarse=partial(put, 1) if coarse else None)) as stream:
-        for batch in stream:
-            put(0, *batch)
-    results = tuple(DppResult(gap=float(tree_mean(g)), stderr=float(np.std(g, ddof=1) / np.sqrt(M)),
-                              theta=theta, t=t, M=M) for g in gaps)
-    return results if coarse else results[0]
+def expected_dpp_gap(qv: QuadraticValue, model, t, mu0: EmpiricalMeasure, theta, control, dt):
+    """The exact expectation of dpp_check's gap at mu0's N and at dt, t <= theta <= T: each
+    expected running cost and the expected value at theta is lifted_cost or at_moments
+    averaged over lqmodel.expected_moments' clouds."""
+    grid = control.grid_gains(t, dt, step_count(model, t, mu0, theta, dt))
+    mbar, second = expected_moments(model.dyn, *grid, *moments(mu0.points), dt, mu0.n)
+    fhat = lifted_cost(model.cost, mbar[:-1], second[:-1], tuple(a[:, None] for a in grid))
+    end = qv.at(theta).at_moments(mbar[-1], second[-1])
+    return float(np.sum(np.mean(fhat, axis=1)) * dt + np.mean(end)) - value(qv, t, mu0)
 
 
 @dataclass(frozen=True)
@@ -191,17 +195,13 @@ def ito_generator_check(model, control, t, mu0, phi: QuadraticFunctional,
                         "delta must be a positive multiple of dt")
     if t + delta - model.T > GRID_TOL * max(1.0, model.T):
         raise ValueError(f"t0 + delta = {t + delta!r} exceeds T = {model.T!r}")
-    if M < 2:
-        raise ValueError("the ito check needs M >= 2 scenarios")
     cloud0 = _resolve_cloud(mu0, N, seed)
     phi0 = phi(cloud0)
-    ends = np.empty(M)
-    with closing(stream_scenarios(model, control, t, cloud0, t + delta, dt, seed, M,
-                                  with_cost=False)) as stream:
-        for paths, _, clouds in stream:
-            ends[paths.start:paths.stop] = phi.values(clouds)
-    lhs = (float(tree_mean(ends)) - phi0) / delta
-    stderr = float(np.std(ends, ddof=1) / np.sqrt(M)) / delta
+    end, stderr = _mean_stderr(
+        "the ito check", M,
+        stream_scenarios(model, control, t, cloud0, t + delta, dt, seed, M, with_cost=False),
+        lambda _, clouds: phi.values(clouds))
+    lhs, stderr = (end - phi0) / delta, stderr / delta
 
     # every path starts from cloud0 at t, so the step loop's first controls
     # are the control's at the initial cloud
@@ -398,15 +398,16 @@ def grad_rule(draws):
     return CheckResult("grad", error <= GRAD_TOL, error, GRAD_TOL, None, {"draw": i, "t": float(t)})
 
 
-def dpp_rule(fine: DppResult, dt, c_dt, two_sided, coarse: DppResult | None = None):
+def dpp_rule(fine: DppResult, dt, c_dt, two_sided, expected=None):
     """DPP gap within 3 stderr + c_dt dt: two-sided for the optimal feedback, else from below.
 
-    coarse, a run at 2 dt that the caller took c_dt from, is only reported.
+    expected, the exact expected gaps at dt and 2 dt that the caller took
+    c_dt from (expected_dpp_gap), is only reported.
     """
     tol = statistical_tolerance(fine.stderr, c_dt * dt)
     passed = abs(fine.gap) <= tol if two_sided else fine.gap >= -tol
     return CheckResult("dpp", passed, fine.gap, tol, fine.stderr, {
-        "fine_gap": fine.gap, "coarse_gap": None if coarse is None else coarse.gap,
+        "fine_gap": fine.gap, "expected_gaps": None if expected is None else list(expected),
         "c_dt": float(c_dt), "dt": float(dt), "two_sided": bool(two_sided)})
 
 

@@ -366,7 +366,7 @@ def feedback_by_gains(qv, t):
 
 def lifted_terminal_cost(mu, cost):
     """Measure-level terminal cost at cloud mu (lqmodel.lifted_cost without gains)."""
-    if cost.d != mu.dim:
+    if cost.Q2.shape[0] != mu.dim:
         raise ValueError("cost dimension does not match the cloud")
     return float(lifted_cost(cost, *moments(mu.points)))
 

@@ -105,23 +105,50 @@ def references(tree):
     return used
 
 
-def method_uses():
+def method_uses(trees=None):
     """Class.method -> how often the package reads the method's name as an attribute
     outside the method's own body, for each non-dunder method and property of a
-    top-level class."""
-    trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
-    reads = collections.Counter(node.attr for tree in trees for node in ast.walk(tree)
-                                if isinstance(node, ast.Attribute))
-    uses = {}
+    top-level class.
+
+    A read counts for the classes its receiver can be: the enclosing class
+    for `self`, else the package classes that the receiver's name (`mu` in
+    `mu.dim`, `dyn` in `qv.dyn.d`) is annotated with as a parameter or a
+    field anywhere in the package, else every class.  So `mu.dim`, with `mu:
+    EmpiricalMeasure` somewhere, is no read of a `dim` of another class.
+    """
+    if trees is None:
+        trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
+    classes = {cls.name: cls for tree in trees for cls in tree.body
+               if isinstance(cls, ast.ClassDef)}
+    methods = {name: {fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                      and not fn.name.startswith("__")} for name, cls in classes.items()}
+    annotated = collections.defaultdict(set)
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        ann = getattr(node, "annotation", None)
+        kind = getattr(ann, "id", getattr(ann, "attr", None))
+        name = node.arg if isinstance(node, ast.arg) else getattr(
+            getattr(node, "target", None), "id", None)
+        if name is not None and kind in classes:
+            annotated[name].add(kind)
+    uses = {f"{cls}.{fn}": 0 for cls, names in methods.items() for fn in names}
+
+    def visit(node, cls, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute):
+                name = getattr(child.value, "id", getattr(child.value, "attr", None))
+                owners = {cls} if name == "self" and cls else annotated.get(name, classes)
+                for owner in owners:
+                    if child.attr in methods.get(owner, ()) and (owner, child.attr) != (cls, fn):
+                        uses[f"{owner}.{child.attr}"] += 1
+            if cls is None and isinstance(child, ast.ClassDef):
+                visit(child, child.name, None)
+            elif cls is not None and fn is None and isinstance(child, ast.FunctionDef):
+                visit(child, cls, child.name)
+            else:
+                visit(child, cls, fn)
+
     for tree in trees:
-        for cls in tree.body:
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for fn in cls.body:
-                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__"):
-                    own = sum(isinstance(node, ast.Attribute) and node.attr == fn.name
-                              for node in ast.walk(fn))
-                    uses[f"{cls.name}.{fn.name}"] = reads[fn.name] - own
+        visit(tree, None, None)
     return uses
 
 
@@ -146,6 +173,16 @@ def test_every_method_has_a_use_or_a_reason():
     uses = method_uses()
     assert sorted(name for name, n in uses.items() if not n and name not in UNUSED_METHODS) == []
     assert sorted(name for name in UNUSED_METHODS if uses.get(name, 1)) == []
+
+
+def test_method_uses_credit_the_receivers_class():
+    # `a: A` makes every `a.size` read A's alone; an unannotated receiver
+    # could be either class, and a method's read of itself is no use
+    tree = ast.parse("class A:\n    def size(self):\n        return self.size()\n"
+                     "class B:\n    def size(self):\n        return 1\n"
+                     "    def twice(self):\n        return 2 * self.size()\n"
+                     "def f(a: A, b):\n    return a.size(), b.size()\n")
+    assert method_uses([tree]) == {"A.size": 2, "B.size": 2, "B.twice": 0}
 
 
 def test_references_skip_the_own_definition():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -6,10 +7,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cmvlq import simulator
+from cmvlq import cli, simulator
 from cmvlq.errors import NumericalBlowup
-from cmvlq.lqmodel import LqCost, LqDynamics, affine_feedback, gains
-from cmvlq.measure import EmpiricalMeasure, mean, tree_mean
+from cmvlq.lqmodel import (
+    LqCost,
+    LqDynamics,
+    affine_feedback,
+    expected_moments,
+    gains,
+    save_model,
+)
+from cmvlq.measure import EmpiricalMeasure, mean, moments, tree_mean
 from cmvlq.policy import (
     FeedbackPolicy,
     QuadraticFunctional,
@@ -44,6 +52,7 @@ from cmvlq.verify import (
     dpp_check,
     dpp_rule,
     estimate_cost,
+    expected_dpp_gap,
     flow_restarts,
     flow_rule,
     generator_apply,
@@ -67,6 +76,7 @@ from conftest import (
 from reference import (
     AffineMap,
     coefficient_values,
+    euler_nodes,
     feedback_affine_map,
     generator_pair_sum,
     pointwise_generator,
@@ -237,20 +247,6 @@ class TestStreamedDrivers:
                     float(np.std(ends, ddof=1) / np.sqrt(self.M)) / delta], d)
 
     @pytest.mark.parametrize("d", [1, 3])
-    @pytest.mark.parametrize("name", ["optimal", "shift"])
-    def test_dpp_coarse_run_shares_the_draw(self, d, name, monkeypatch):
-        # the coarse run stepped in lockstep from the fine run's draws is the
-        # separate run at 2 dt bit for bit, on spans of several chunks and of
-        # one, and on a span of no step
-        qv, model, cloud0, controls = self.stacks(d, monkeypatch)
-        for t, theta in ((0.2, 0.6), (0.0, 1.0), (0.9, 0.94), (0.6, 0.6)):
-            pair = dpp_check(qv, model, t, cloud0, theta, controls[name], self.N, self.M,
-                             self.DT, self.SEED, coarse=True)
-            apart = [dpp_check(qv, model, t, cloud0, theta, controls[name], self.N, self.M, h,
-                               self.SEED) for h in (self.DT, 2 * self.DT)]
-            assert pair == tuple(apart)
-
-    @pytest.mark.parametrize("d", [1, 3])
     def test_flow_digests_are_the_trajectories(self, d, monkeypatch):
         # the digests fed node by node are those of simulate_path's suffix and
         # of restart_continuation's arrays, held whole
@@ -296,9 +292,6 @@ class TestStreamedDrivers:
             res = ito_generator_check(model, control, 0.1, cloud0, phi, 10 * self.DT, self.N,
                                       self.M, self.DT, self.SEED)
             out += [res.lhs.hex(), res.stderr.hex()]
-            for res in dpp_check(qv, model, 0.2, cloud0, 0.6, control, self.N, self.M, self.DT,
-                                 self.SEED, coarse=True):
-                out += [res.gap.hex(), res.stderr.hex()]
             out += list(flow_restarts(model, control, 0.0, cloud0, model.T, self.DT, self.SEED,
                                       [(0, 0), (1, 17), (4, 49), (4, 50)]))
             results.append(out)
@@ -444,45 +437,94 @@ def explosive(B=40.0):
     return lq_dynamics_spec(dyn, LqCost(Q2=1.0, Q2bar=0.0, R2=1.0, P2=1.0, P2bar=0.0), 1.0)
 
 
-class TestCoarseRun:
-    """stream_scenarios' coarse run: a fine blowup wins, a coarse one is reported as alone."""
+class TestExpectedGap:
+    """expected_dpp_gap: the dpp gap's expectation over the noise, from the exact moment recursion."""
 
-    ZERO = zero_control()
+    @pytest.mark.parametrize("d, m", [(1, 1), (3, 2)])
+    def test_without_noise_it_is_the_scheme(self, d, m):
+        # with every noise loading zero the scheme is deterministic: every
+        # scenario is the one gap, and the expectation is that gap
+        dyn, cost = random_lq(11, d=d, m=m, with_m2=True)
+        z, Z, F = np.zeros(d), np.zeros((d, d)), np.zeros((d, m))
+        dyn = replace(dyn, theta=z, D=Z, Dbar=Z, F=F, theta0=z, D0=Z, D0bar=Z, F0=F)
+        model = lq_dynamics_spec(dyn, cost, 1.0)
+        qv = QuadraticValue(solve_riccati(dyn, cost, 1.0, 0.01), dyn, cost)
+        spec = {"kind": "gaussian", "mean": np.linspace(-1.0, 1.0, d), "cov": 0.5 * np.eye(d)}
+        mu0 = sample_initial(spec, 50, 3)
+        base = FeedbackControl(FeedbackPolicy(qv))
+        for control in (base, ShiftedControl(base, 0.25 * np.ones(m))):
+            mc = dpp_check(qv, model, 0.2, mu0, 0.8, control, 50, 2, 0.01, 0)
+            assert mc.stderr == 0.0
+            assert expected_dpp_gap(qv, model, 0.2, mu0, 0.8, control, 0.01) == pytest.approx(
+                mc.gap, rel=1e-12, abs=0.0)
 
-    def blowup(self, model, dt, coarse=None):
-        mu0 = sample_initial({"kind": "point", "x0": 10.0}, 8, 0)
-        with pytest.raises(NumericalBlowup) as err:
-            list(stream_scenarios(model, self.ZERO, 0.0, mu0, 1.0, dt, 0, 6, coarse=coarse))
-        return str(err.value)
+    @pytest.mark.parametrize("d, m", [(1, 1), (3, 2)])
+    def test_moments_are_the_mean_over_every_outcome(self, d, m):
+        # each state is affine in each step's increments, so a moment has degree <= 2 in every
+        # increment, and the two outcomes +-sqrt(dt) of each, weights 1/2, integrate it
+        # exactly: over N = 2 particles and K = 3 steps, 2^9 outcomes of the Euler loop
+        dyn, _ = random_lq(5, d=d, m=m, with_m2=True)
+        rng = np.random.default_rng(d)
+        K1, K2 = 0.5 * rng.standard_normal((2, 3, m, d))
+        k, x0, dt = rng.standard_normal((3, m)), rng.standard_normal((2, d)), 0.1
+        ends = np.stack([euler_nodes(dyn, (K1, K2, k), x0, dt, z[:, :1], z[:, 1:, None])[-1]
+                         for z in np.sqrt(dt) * np.reshape(list(itertools.product(
+                             (-1.0, 1.0), repeat=9)), (-1, 3, 3))])
+        mbar, second = expected_moments(dyn, K1, K2, k, *moments(x0), dt, 2)
+        A = rng.standard_normal((2, d, d))
+        phi = QuadraticFunctional(A[0] @ A[0].T, A[1] + A[1].T, rng.standard_normal(d), 0.5)
+        assert np.mean(phi.at_moments(mbar[-1], second[-1])) == pytest.approx(
+            np.mean(phi.values(ends)), rel=1e-12, abs=0.0)
+        outcomes = moments(ends)
+        for got, want in zip((mbar[-1], second[-1]), outcomes):
+            assert np.mean(got, axis=0) == pytest.approx(np.mean(want, axis=0), rel=1e-12)
 
-    @pytest.fixture(autouse=True)
-    def batches(self, monkeypatch):
-        # batches of 2 paths in chunks of 4 steps
-        monkeypatch.setattr(simulator, "_BATCH_DOUBLES", 16)
-        monkeypatch.setattr(simulator, "_CHUNK_DOUBLES", 2 * 4 * 16)
+    @pytest.mark.parametrize("name", ["interbank", "d3"])
+    def test_monte_carlo_mean_within_four_stderr(self, name):
+        # at N = 20 the expectation holds the scheme's particle bias, about 4 stderr here
+        if name == "interbank":
+            _, dyn, cost, _, qv = make_interbank(h=0.01)
+            mu0, M = sample_initial({"kind": "point", "x0": 1.0}, 20, 0), 4000
+        else:
+            dyn, cost = random_lq(3, d=3, m=2, with_m2=True)
+            qv = QuadraticValue(solve_riccati(dyn, cost, 1.0, 0.01), dyn, cost)
+            mu0, M = random_cloud(np.random.default_rng(3), 20, 3), 2000
+        model = lq_dynamics_spec(dyn, cost, 1.0)
+        control = FeedbackControl(FeedbackPolicy(qv))
+        res = dpp_check(qv, model, 0.0, mu0, 0.5, control, 20, M, 0.01, 5)
+        expected = expected_dpp_gap(qv, model, 0.0, mu0, 0.5, control, 0.01)
+        assert abs(res.gap - expected) <= 4.0 * res.stderr
 
-    def test_fine_blowup_wins(self):
-        # the coarse run passes 1e12 at its step 44 (10 * 1.8^44), in lockstep
-        # before the fine run's step 76
-        fine, seen = self.blowup(explosive(), 0.01), []
-        assert "step 76," in fine and "step 44," in self.blowup(explosive(), 0.02)
-        assert self.blowup(explosive(), 0.01, coarse=lambda *a: seen.append(a)) == fine
-        assert seen == []
+    def test_blowup_names_the_grid_and_the_step(self):
+        # B = -150 is stable at dt = 0.01, but at 0.02 the mean square passes 1e24 at step 37
+        model, mu0 = explosive(-150.0), sample_initial({"kind": "point", "x0": 10.0}, 8, 0)
+        gains = zero_control().grid_gains(0.0, 0.02, 50)
+        with pytest.raises(NumericalBlowup, match=r"at step 37 of the expected moments at "
+                                                  r"dt=0\.02: E\|x\|\^2 [0-9.e+]* exceeded 1e24"):
+            expected_moments(model.dyn, *gains, *moments(mu0.points), 0.02, 8)
+        expected_moments(model.dyn, *zero_control().grid_gains(0.0, 0.01, 100),
+                         *moments(mu0.points), 0.01, 8)
 
-    def test_coarse_blowup_reads_as_the_2dt_run(self):
-        mu0 = sample_initial({"kind": "point", "x0": 10.0}, 8, 0)
-        fine = list(stream_scenarios(explosive(-150.0), self.ZERO, 0.0, mu0, 1.0, 0.01, 0, 6))
-        assert len(fine) == 3
-        message = self.blowup(explosive(-150.0), 0.02)
-        assert "step 37," in message
-        assert self.blowup(explosive(-150.0), 0.01, coarse=lambda *a: None) == message
+    @staticmethod
+    def verify_dpp(tmp_path, B, x0):
+        model = explosive(B)
+        path = str(tmp_path / "explosive.txt")
+        save_model(path, model.dyn, model.cost, model.T)
+        return cli.main(["verify", "dpp", "--model", path, "--out", str(tmp_path), "--seed", "0",
+                         "--particles", "8", "--paths", "2", "--dt", "0.01", "--theta", "1.0",
+                         "--init", f"point:{x0}", "--control", "zero"])
 
-    def test_needs_the_first_node_and_whole_coarse_steps(self):
-        mu0 = sample_initial({"kind": "point", "x0": 10.0}, 8, 0)
-        for T, offset in ((1.0, 2), (0.99, 0)):
-            with pytest.raises(ValueError):
-                next(stream_scenarios(explosive(), self.ZERO, 0.0, mu0, T, 0.01, 0, 6,
-                                      step_offset=offset, coarse=lambda *a: None))
+    def test_expected_blowup_exits_three(self, tmp_path, capsys):
+        # the Monte Carlo run at dt passes; the expected moments at 2 dt blow up
+        assert self.verify_dpp(tmp_path, -150.0, 10.0) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: numerical blowup at step 37 of the expected moments at dt=0.02: ")
+
+    def test_monte_carlo_blowup_wins(self, tmp_path, capsys):
+        # both blow up, from 1e8 at factor 1.12 per step; the Monte Carlo run goes first
+        assert self.verify_dpp(tmp_path, 12.0, 1e8) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: numerical blowup at t=0.82, path 0, step 82, particle 0: ")
 
 
 class TestFlowRestarts:
@@ -707,23 +749,6 @@ class TestDpp:
         res = dpp_check(qv, model, 0.0, {"kind": "point", "x0": p.x0}, 0.75,
                         zero_control(), 500, 32, 2e-3, 33)
         assert res.gap >= -(3.0 * res.stderr + 5.0 * 2e-3)
-
-    def test_coarse_run_adds_less_than_a_chunk(self):
-        # 8 scenarios of 2000 particles in chunks of 16 steps: the coarse run
-        # steps the fine run's chunks, so on top of the fine run's peak it
-        # holds only its own clouds and step temporaries, less than a chunk
-        _, _, _, _, qv, model, control = interbank_stack(h=1e-3)
-        mu0 = sample_initial({"kind": "point", "x0": 1.0}, 2000, 0)
-        peaks = []
-        for coarse in (False, True):
-            tracemalloc.start()
-            try:
-                dpp_check(qv, model, 0.0, mu0, 0.1, control, 2000, 8, 1e-3, 0, coarse=coarse)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        chunk = 16 * 8 * 2001 * 8
-        assert peaks[1] - peaks[0] < chunk
 
     def test_validates_theta(self):
         _, _, _, _, qv, model, control = interbank_stack()
@@ -997,8 +1022,10 @@ class TestPassRules:
         bellman = bellman_rule([(0.1, 0.0, TERMS), (0.7, 4e-9, TERMS), (0.9, 1e-9, TERMS)])
         assert bellman.constituents == {"draw": 1, "t": 0.7, "residual": 4e-9, **TERMS}
         assert grad_rule([(0.1, 1e-9), (0.3, 2e-9)]).constituents == {"draw": 1, "t": 0.3}
-        assert _dpp(0.5, True).constituents == {"fine_gap": 0.5, "coarse_gap": None, "c_dt": 2.0,
-                                                "dt": 0.125, "two_sided": True}
+        assert _dpp(0.5, True).constituents == {"fine_gap": 0.5, "expected_gaps": None,
+                                                "c_dt": 2.0, "dt": 0.125, "two_sided": True}
+        assert dpp_rule(DppResult(gap=0.5, **DPP), 0.125, 2.0, True, (0.25, 0.5)).constituents[
+            "expected_gaps"] == [0.25, 0.5]
         assert _ito(2.25, 0.5, 2.0).constituents == {"lhs": 2.25, "rhs": 0.5, "bias": 1.0}
         chaos = _chaos([0.5, -0.25, 0.5])
         assert [r["deviation"] for r in chaos.constituents["rows"]] == [0.5, 0.25, 0.5]
