@@ -29,10 +29,12 @@ from a stored node replays the rest of a trajectory bit for bit.  Its
 per-node hook feeds the flow check's digests and the Recorder.
 
 The noise comes from a double-buffered producer (_noise_chunks): while
-the caller steps one chunk, a forked process draws the next, and the
+the caller steps one chunk, a helper process draws the next, and the
 caller draws what is pending of a chunk it asks for, so neither idles.
 A chunk's draws depend only on (seed, path, step), so who draws them,
-and when, changes no bit.
+and when, changes no bit.  One primitive, fork_helper, forks every helper
+process (this drawer and the CLI's trajectory writer), reports its
+exception and reaps it.
 """
 
 from __future__ import annotations
@@ -415,6 +417,69 @@ def may_fork():
     return hasattr(os, "fork") and threading.active_count() == 1
 
 
+class Helper:
+    """A process that fork_helper forked, and the read end of its report pipe."""
+
+    def __init__(self, pid, report):
+        self.pid, self.report, self.owner = pid, report, os.getpid()
+
+    def reap(self, kill=False):
+        """Waits for the process once, only in the process that forked it: raises what its body
+        raised, else a RuntimeError naming a nonzero exit status; kill=True ends it, raising nothing."""
+        if self.report is None or os.getpid() != self.owner:
+            return
+        report, self.report = self.report, None
+        if kill:
+            os.kill(self.pid, signal.SIGKILL)
+        with open(report, "rb") as fh:
+            payload = b"" if kill else fh.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        if payload:
+            raise pickle.loads(payload)
+        if status and not kill:
+            raise RuntimeError(f"the helper process exited with status {status}")
+
+
+def fork_helper(body, close=()):
+    """Runs body() in a forked process (a Helper), or returns None where may_fork says no or the
+    fork fails.
+
+    The process closes the inherited descriptors `close`, runs body and
+    leaves through os._exit, flushing nothing it inherited.  Helper.reap
+    raises body's exception, pickled down the report pipe (one that does
+    not round-trip through pickle as a RuntimeError naming its type and
+    message).
+    """
+    if not may_fork():
+        return None
+    report_r, report_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(report_r)
+        os.close(report_w)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            for fd in (report_r, *close):
+                os.close(fd)
+            body()
+            status = 0
+        except BaseException as exc:  # noqa: BLE001 - handed to the forking process as is
+            try:
+                payload = pickle.dumps(exc)
+                pickle.loads(payload)
+            except Exception:  # noqa: BLE001
+                payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            while payload:
+                payload = payload[os.write(report_w, payload):]
+        finally:
+            os._exit(status)
+    os.close(report_w)
+    return Helper(pid, report_r)
+
+
 # A task id is 4 bytes, and one pipe write of at most PIPE_BUF bytes queues
 # every task of a chunk at once
 _TASKS_PER_CHUNK = select.PIPE_BUF // 4
@@ -430,23 +495,22 @@ def _noise_chunks(seed, batches, n, n_steps, step_offset=0):
     view of one of two buffers in one anonymous shared mapping, valid until
     the next is requested.
 
-    A chunk's paths are split into tasks, contiguous groups of paths, and
-    a forked drawing process takes tasks from a shared queue (a pipe).
-    Chunk i + 1's tasks are queued once chunk i is complete, just before
-    chunk i is handed out, so the drawing process draws chunk i + 1 into
-    the other buffer while the caller steps chunk i.  When the caller asks
-    for a chunk that is not complete, it claims that chunk's queued tasks
-    and draws them itself, then waits for the ones the drawing process has
-    in flight; the queue never holds tasks of another chunk, so neither
+    A chunk's paths are split into tasks, contiguous groups of paths, on a
+    queue (a pipe).  Chunk i + 1's tasks are queued once chunk i is
+    complete, just before chunk i is handed out, and a drawing process
+    (fork_helper) takes tasks from the queue and sends one byte per task
+    done, so it draws chunk i + 1 into the other buffer while the caller
+    steps chunk i.  The caller claims the queued tasks of the chunk it asks
+    for and draws them itself, then waits for the ones the drawing process
+    has in flight; the queue never holds tasks of another chunk, so neither
     process idles while draws are pending.  A draw depends only on (seed,
     path, step), so who draws it changes no bit.  The process forks only
-    when there is more than one chunk and the idiosyncratic normals of
-    the whole call exceed one buffer's budget, _CHUNK_DOUBLES // 2, and it
-    may fork (may_fork); else the same draws run inline, so a stream that
-    one buffer could hold pays for no process.  A draw's exception reaches
-    the caller, with its type and message, when it requests that chunk.
-    Closing the generator ends and reaps the drawing process, so none
-    outlives it.
+    when there is more than one chunk and the idiosyncratic normals of the
+    whole call exceed one buffer's budget, _CHUNK_DOUBLES // 2; else the
+    caller draws every task, so a stream that one buffer could hold pays
+    for no process.  A drawing process that ends while the caller waits is
+    reaped, which raises what its draw raised.  Closing the generator kills
+    and reaps it, so none outlives it.
     """
     blocks = [(paths, k0, min(chunk, n_steps - k0))
               for paths in batches
@@ -480,29 +544,13 @@ def _noise_chunks(seed, batches, n, n_steps, step_offset=0):
         for j in range(j0, j1):
             _gen_noise(seed, paths[j], step_offset + k0, c, n, 1, 1, out=(dw0[:, j], db[:, j]))
 
-    pid = -1
-    idio = n * n_steps * sum(map(len, batches))
-    if len(blocks) > 1 and idio > _CHUNK_DOUBLES // 2 and may_fork():
-        task_r, task_w = os.pipe()
-        done_r, done_w = os.pipe()
-        # both processes take tasks from task_r; the caller's reads must not block
-        os.set_blocking(task_r, False)
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (task_r, task_w, done_r, done_w):
-                os.close(fd)
-        if pid == 0:
-            os.close(task_w)
-            os.close(done_r)
-            _draw_tasks(draw, task_r, done_w)
-    if pid < 0:
-        for i in range(len(blocks)):
-            for task in range(first[i], first[i + 1]):
-                draw(task)
-            yield views(i)
-        return
-    owner = os.getpid()
+    task_r, task_w = os.pipe()
+    done_r, done_w = os.pipe()
+    # both processes take tasks from task_r; the caller's reads must not block
+    os.set_blocking(task_r, False)
+    drawer = None
+    if len(blocks) > 1 and n * n_steps * sum(map(len, batches)) > _CHUNK_DOUBLES // 2:
+        drawer = fork_helper(lambda: _draw_tasks(draw, task_r, done_w), close=(task_w, done_r))
     os.close(done_w)
 
     def queue(i):
@@ -515,20 +563,20 @@ def _noise_chunks(seed, batches, n, n_steps, step_offset=0):
             while owed and (task := _claim(task_r)) is not None:
                 draw(task)
                 owed -= 1
-            _await_tasks(done_r, owed)
+            while owed:
+                done = os.read(done_r, owed)
+                if not done:
+                    drawer.reap()
+                    raise RuntimeError("the noise drawing process ended early")
+                owed -= len(done)
             if i + 1 < len(blocks):
                 queue(i + 1)
             yield views(i)
     finally:
         for fd in (task_w, task_r, done_r):
             os.close(fd)
-        # a process forked from this one later must not reap our child
-        if os.getpid() == owner:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
+        if drawer is not None:
+            drawer.reap(kill=True)
 
 
 def _claim(task_r):
@@ -542,50 +590,19 @@ def _claim(task_r):
 
 def _draw_tasks(draw, task_r, done):
     """Body of the drawing process: draws queued tasks until the queue
-    closes, then exits, never returning.
-
-    After each task it sends one zero byte; on an exception, a one byte
-    and the pickled exception.
-    """
-    try:
+    closes, sending one zero byte on `done` after each."""
+    ready = select.poll()
+    ready.register(task_r, select.POLLIN)
+    while True:
+        ready.poll()
         try:
-            ready = select.poll()
-            ready.register(task_r, select.POLLIN)
-            while True:
-                ready.poll()
-                try:
-                    word = os.read(task_r, 4)
-                except BlockingIOError:
-                    continue  # the caller claimed it first
-                if not word:
-                    break
-                draw(int.from_bytes(word, "little"))
-                os.write(done, b"\0")
-        except Exception as exc:  # noqa: BLE001 - handed to the parent as is
-            try:
-                payload = pickle.dumps(exc)
-            except Exception:  # noqa: BLE001
-                payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-            data = b"\1" + payload
-            while data:
-                data = data[os.write(done, data):]
-    finally:
-        os._exit(0)
-
-
-def _await_tasks(done, owed):
-    """Waits for the drawing process to finish `owed` tasks; raises what a draw raised."""
-    while owed:
-        words = os.read(done, owed)
-        if not words:
-            raise RuntimeError("the noise drawing process ended early")
-        bad = words.find(b"\1")
-        if bad >= 0:
-            payload = [words[bad + 1:]]
-            while chunk := os.read(done, 1 << 16):
-                payload.append(chunk)
-            raise pickle.loads(b"".join(payload))
-        owed -= len(words)
+            word = os.read(task_r, 4)
+        except BlockingIOError:
+            continue  # the caller claimed it first
+        if not word:
+            return
+        draw(int.from_bytes(word, "little"))
+        os.write(done, b"\0")
 
 
 def stream_scenarios(model, control, t0, mu0: EmpiricalMeasure, T, dt, seed, paths,

@@ -1,4 +1,5 @@
 import os
+import signal
 import threading
 import time
 from contextlib import closing
@@ -22,6 +23,7 @@ from cmvlq.simulator import (
     ShiftedControl,
     _blowup,
     _gen_noise,
+    fork_helper,
     lq_dynamics_spec,
     pathwise_cost,
     restart_continuation,
@@ -313,6 +315,83 @@ class TestNoiseProducer:
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
         assert len(pids) == 1 and reaped(pids[0])
+
+
+class TestHelper:
+    """fork_helper, the one way the package forks: the body's exception comes back at reap."""
+
+    def test_body_exception_comes_back_at_reap(self, monkeypatch):
+        pids = forked_pids(monkeypatch)
+
+        def body():
+            raise OverflowError("seed must be >= 0")
+
+        helper = fork_helper(body)
+        with pytest.raises(OverflowError, match="^seed must be >= 0$"):
+            helper.reap()
+        assert pids == [helper.pid] and reaped(helper.pid)
+        # a second reap does nothing
+        assert helper.reap() is None and helper.reap(kill=True) is None
+
+    def test_unpicklable_exception_arrives_as_runtime_error(self):
+        class Local(Exception):
+            pass
+
+        def body():
+            raise Local("no pickle")
+
+        helper = fork_helper(body)
+        with pytest.raises(RuntimeError, match="^Local: no pickle$"):
+            helper.reap()
+
+    def test_a_clean_exit_reaps_quietly(self):
+        helper = fork_helper(lambda: None)
+        assert helper.reap() is None and reaped(helper.pid)
+
+    def test_kill_ends_a_running_body_quietly(self):
+        helper = fork_helper(lambda: time.sleep(60))
+        t0 = time.monotonic()
+        assert helper.reap(kill=True) is None
+        assert time.monotonic() - t0 < 30 and reaped(helper.pid)
+        assert helper.reap() is None
+
+    def test_killed_from_outside_names_its_status(self):
+        helper = fork_helper(lambda: time.sleep(60))
+        os.kill(helper.pid, signal.SIGKILL)
+        with pytest.raises(RuntimeError, match="^the helper process exited with status -9$"):
+            helper.reap()
+        assert reaped(helper.pid) and helper.reap() is None
+
+    def test_only_the_forking_process_reaps(self, monkeypatch):
+        helper = fork_helper(lambda: time.sleep(60))
+        monkeypatch.setattr(os, "getpid", lambda: -1)
+        assert helper.reap(kill=True) is None and not reaped(helper.pid)
+        monkeypatch.undo()
+        helper.reap(kill=True)
+        assert reaped(helper.pid)
+
+    @pytest.mark.parametrize("why", ["no fork", "other thread", "fork fails"])
+    def test_no_fork_where_it_may_not(self, monkeypatch, why):
+        pids = forked_pids(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,), daemon=True)
+        if why == "no fork":
+            inline_noise(monkeypatch)
+        elif why == "other thread":
+            other.start()
+        else:
+            def failing():
+                raise OSError("Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", failing)
+        ran = []
+        try:
+            assert fork_helper(lambda: ran.append(1)) is None
+        finally:
+            release.set()
+        assert pids == [] and ran == []
+        if why == "other thread":
+            other.join(60)
 
 
 class TestSimulate:

@@ -175,6 +175,22 @@ def test_every_method_has_a_use_or_a_reason():
     assert sorted(name for name in UNUSED_METHODS if uses.get(name, 1)) == []
 
 
+def test_one_fork_site():
+    # every helper process forks, and leaves, through simulator.fork_helper
+    calls = collections.defaultdict(list)
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                        and getattr(func.value, "id", None) == "os"
+                        and func.attr in ("fork", "_exit", "pipe", "waitpid")):
+                    calls[func.attr].append(f"{path.stem}.{getattr(top, 'name', '')}")
+    assert calls["fork"] == ["simulator.fork_helper"]
+    assert calls["_exit"] == ["simulator.fork_helper"]
+    assert not any(site.startswith("cli.") for sites in calls.values() for site in sites)
+
+
 def test_method_uses_credit_the_receivers_class():
     # `a: A` makes every `a.size` read A's alone; an unannotated receiver
     # could be either class, and a method's read of itself is no use
