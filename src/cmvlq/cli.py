@@ -384,8 +384,7 @@ def cmd_verify(cfg):
         draws = []
         for i in range(count):
             t, cloud = verify_mod.random_clouds(qv, 1, 50, seed + i)[0]
-            fb = optimal_feedback(qv, t)
-            draws.append((t, *verify_mod.bellman_residual(qv, t, cloud, (fb.K1, fb.K2, fb.k),
+            draws.append((t, *verify_mod.bellman_residual(qv, t, cloud, optimal_feedback(qv, t),
                                                           with_terms=True)))
         result = verify_mod.bellman_rule(draws)
     elif check == "grad":
@@ -399,8 +398,8 @@ def cmd_verify(cfg):
         whole_steps(abs(span), 2 * dt, 0,
                     f"2 dt = {2 * dt!r} (dt={dt!r}) divides theta - t0 = {span!r}",
                     f"theta - t0 = {span!r} (theta = {cfg['theta']!r}, t0 = {t0!r}) must be a "
-                    f"whole number of steps 2 dt = {2 * dt!r}: verify dpp compares runs at "
-                    f"dt = {dt!r} and at 2 dt")
+                    f"whole number of steps 2 dt = {2 * dt!r}: verify dpp takes its step "
+                    f"constant from the expected gaps at dt = {dt!r} and at 2 dt")
         with _flagged(cfg, paths=m, theta=cfg["theta"]):
             fine = verify_mod.dpp_check(qv, model, t0, mu0, cfg["theta"], control, n, m, dt, seed)
         expected = [verify_mod.expected_dpp_gap(qv, model, t0, mu0, cfg["theta"], control, h)

@@ -456,18 +456,8 @@ class LqModel:
 
 
 # ---------------------------------------------------------------------------
-# the affine feedback and the coefficients' loadings under it; gains K1, K2
-# (..., m, d) and k (..., m), clouds x (..., N, d) and means mbar (..., d)
-
-def affine_feedback(K1, K2, k, x, mbar):
-    """Controls K1 (x - mbar) + K2 mbar + k at each particle, (..., N, m)."""
-    mbar = mbar[..., None, :]
-    # a contiguous K1': the product with the transposed view takes twice as long
-    a = (x - mbar) @ np.swapaxes(K1, -1, -2).copy()
-    a += mbar @ np.swapaxes(K2, -1, -2)
-    a += k[..., None, :]
-    return a
-
+# the coefficients' loadings under the affine feedback K1 (x - mbar) + K2 mbar
+# + k; gains K1, K2 (..., m, d) and k (..., m)
 
 def step_loadings(dyn, K1, K2, k):
     """Loadings (L, G, g) of x, mbar and 1 in the coefficients under K1 (x - mbar) + K2 mbar + k.

@@ -83,7 +83,7 @@ class EmpiricalMeasure:
     and safe to share.
     """
 
-    __slots__ = ("points", "_mean")
+    __slots__ = ("points",)
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=np.float64)
@@ -96,7 +96,6 @@ class EmpiricalMeasure:
         pts = pts.copy()
         pts.setflags(write=False)
         self.points = pts
-        self._mean = None
 
     @classmethod
     def _wrap(cls, pts):
@@ -104,11 +103,10 @@ class EmpiricalMeasure:
         obj = object.__new__(cls)
         pts.setflags(write=False)
         object.__setattr__(obj, "points", pts)
-        object.__setattr__(obj, "_mean", None)
         return obj
 
     def __setattr__(self, name, value):
-        if name == "_mean" or not hasattr(self, "points"):
+        if not hasattr(self, "points"):
             object.__setattr__(self, name, value)
         else:
             raise AttributeError("EmpiricalMeasure is immutable")
@@ -123,10 +121,8 @@ class EmpiricalMeasure:
 
 
 def mean(mu):
-    """Particle mean, cached on the (immutable) measure."""
-    if mu._mean is None:
-        mu._mean = tree_mean(mu.points, axis=0)
-    return mu._mean
+    """Particle mean of the measure mu."""
+    return tree_mean(mu.points, axis=0)
 
 
 def load_csv(path):

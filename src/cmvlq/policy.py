@@ -9,11 +9,12 @@ no derivative here is ever approximated numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import riccati as _riccati
-from .lqmodel import affine_feedback, moment_form
+from .lqmodel import moment_form
 from .measure import EmpiricalMeasure, mean, moments
 
 
@@ -116,31 +117,12 @@ def value(qv: QuadraticValue, t, mu):
     return qv.at(t)(mu)
 
 
-@dataclass(frozen=True)
-class FeedbackGains:
+class FeedbackGains(NamedTuple):
     """Feedback triple at one time: a(x, mubar) = K1 (x - mubar) + K2 mubar + k."""
 
-    t: float
     K1: np.ndarray
     K2: np.ndarray
     k: np.ndarray
-
-    def control(self, x, mubar):
-        """Control at one point x (d,) or a particle block (N, d).
-
-        A 1-d x of length d is one state; for scalar models (d = 1) a 1-d x
-        of any other length is a batch of scalar states.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        mubar = np.asarray(mubar, dtype=np.float64).reshape(-1)
-        d = self.K1.shape[1]
-        if x.ndim == 1 and x.shape[0] != d:
-            if d != 1:
-                raise ValueError(f"state has length {x.shape[0]}, expected {d}")
-            x = x[:, None]
-        if x.ndim == 1:
-            return affine_feedback(self.K1, self.K2, self.k, x[None, :], mubar)[0]
-        return affine_feedback(self.K1, self.K2, self.k, x, mubar)
 
 
 def optimal_feedback(qv: QuadraticValue, t) -> FeedbackGains:
@@ -157,8 +139,7 @@ def optimal_feedback(qv: QuadraticValue, t) -> FeedbackGains:
     Lam, Gam, gam, _ = qv.sol.eval(t)
     K1, K2, k = kit.rhs(kit.stack(Lam, Gam, gam), t, True)[2]
     d, m = qv.dyn.d, qv.dyn.m
-    return FeedbackGains(t=float(t), K1=np.reshape(K1, (m, d)), K2=np.reshape(K2, (m, d)),
-                         k=np.reshape(k, m))
+    return FeedbackGains(np.reshape(K1, (m, d)), np.reshape(K2, (m, d)), np.reshape(k, m))
 
 
 class FeedbackPolicy:
@@ -174,9 +155,6 @@ class FeedbackPolicy:
     def __init__(self, qv: QuadraticValue):
         self.qv = qv
         self._grid_cache = {}
-
-    def gains_at(self, t) -> FeedbackGains:
-        return optimal_feedback(self.qv, t)
 
     def grid_gains(self, t0, dt, n_steps, offset=0):
         """(K1, K2, k) stacked over the nodes t0 + (offset + k) dt.
@@ -202,8 +180,7 @@ class FeedbackPolicy:
             K2 = np.empty((n_steps, m, d))
             kk = np.empty((n_steps, m))
             for j in range(n_steps):
-                fb = self.gains_at(t0 + (offset + j) * dt)
-                K1[j], K2[j], kk[j] = fb.K1, fb.K2, fb.k
+                K1[j], K2[j], kk[j] = optimal_feedback(self.qv, t0 + (offset + j) * dt)
             self._grid_cache[key] = (K1, K2, kk)
         return self._grid_cache[key]
 
@@ -217,16 +194,17 @@ def recover_original(feedback, p: _riccati.SystemicRiskParams, t, x, mubar):
 
     The model is solved in the shifted variable a_tilde = a - q(mubar - x);
     inverting the shift gives a = a_tilde - q(x - mubar), i.e.
-    -(2 Lam(t) + q)(x - mubar) - 2 Gam(t) mubar - gam(t).  x may be a scalar
-    state or a vector of particle states; the result matches its shape.
+    -(2 Lam(t) + q)(x - mubar) - 2 Gam(t) mubar - gam(t), which is
+    (K1 - q)(x - mubar) + K2 mubar + k in the feedback's gains (a
+    FeedbackPolicy's at t, or a FeedbackGains).  x may be a scalar state or
+    a vector of particle states; the result matches its shape.
     """
-    fb = feedback.gains_at(t) if isinstance(feedback, FeedbackPolicy) else feedback
+    fb = optimal_feedback(feedback.qv, t) if isinstance(feedback, FeedbackPolicy) else feedback
+    K1, K2, k = (float(np.reshape(a, -1)[0]) for a in fb)
     x = np.asarray(x, dtype=np.float64)
-    scalar_in = x.ndim == 0
-    xs = x.reshape(-1, 1)
-    mubar = np.asarray(mubar, dtype=np.float64).reshape(-1)
-    orig = fb.control(xs, mubar)[:, 0] - p.q * (xs[:, 0] - mubar[0])
-    return float(orig[0]) if scalar_in else orig
+    mubar = float(np.reshape(mubar, -1)[0])
+    orig = (K1 - p.q) * (x - mubar) + K2 * mubar + k
+    return float(orig) if x.ndim == 0 else orig
 
 
 def save_policy_csv(qv: QuadraticValue, path):

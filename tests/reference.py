@@ -9,7 +9,6 @@ import numpy as np
 from cmvlq import riccati
 from cmvlq.errors import NonPositiveGain, NumericalBlowup
 from cmvlq.lqmodel import (
-    affine_feedback,
     backward_derivatives,
     gain_terms,
     gains,
@@ -32,6 +31,17 @@ def step_normals(seed, path_index, step, n_particles, n_idio, m0):
     z0 = gen.standard_normal(m0)
     zb = gen.standard_normal((n_particles, n_idio))
     return z0, zb
+
+
+def affine_feedback(K1, K2, k, x, mbar):
+    """Controls K1 (x - mbar) + K2 mbar + k at each particle, (..., N, m), of gains K1, K2
+    (..., m, d) and k (..., m), clouds x (..., N, d) and means mbar (..., d)."""
+    mbar = mbar[..., None, :]
+    # a contiguous K1': the product with the transposed view takes twice as long
+    a = (x - mbar) @ np.swapaxes(K1, -1, -2).copy()
+    a += mbar @ np.swapaxes(K2, -1, -2)
+    a += k[..., None, :]
+    return a
 
 
 def control_values_on_grid(control, traj, k):

@@ -451,7 +451,8 @@ class TestBadNumbers:
                      "need t <= theta <= T", id="theta=2"),
         pytest.param(["verify", "dpp", "--seed", "1", "--theta", "0.003", "--dt", "0.001"], None,
                      "theta - t0 = 0.003 (theta = 0.003, t0 = 0.0) must be a whole number of "
-                     "steps 2 dt = 0.002: verify dpp compares runs at dt = 0.001 and at 2 dt",
+                     "steps 2 dt = 0.002: verify dpp takes its step constant from the expected "
+                     "gaps at dt = 0.001 and at 2 dt",
                      id="dpp-theta=0.003-dt=0.001"),
         pytest.param(["verify", "dpp", "--seed", "1", "--theta", "0.00025"], None,
                      "theta - t0 = 0.00025 (theta = 0.00025, t0 = 0.0) must be a whole number of "

@@ -4,7 +4,6 @@ import pytest
 from cmvlq import lqmodel
 from cmvlq.lqmodel import (
     LqCost,
-    affine_feedback,
     check_standing_condition,
     gains,
     lifted_cost,
@@ -15,7 +14,7 @@ from cmvlq.measure import EmpiricalMeasure, mean, moments, tree_mean
 
 import reference
 from conftest import make_interbank, random_cloud, random_lq
-from reference import AffineMap
+from reference import AffineMap, affine_feedback
 
 
 def cloud(*vals):

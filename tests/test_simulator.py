@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cmvlq import simulator
 from cmvlq.errors import NumericalBlowup
-from cmvlq.lqmodel import LqCost, LqDynamics, affine_feedback
+from cmvlq.lqmodel import LqCost, LqDynamics
 from cmvlq.measure import EmpiricalMeasure, tree_mean
 from cmvlq.policy import FeedbackPolicy, QuadraticValue, optimal_feedback
 from cmvlq.riccati import solve_riccati
@@ -35,6 +35,7 @@ from cmvlq.simulator import (
 from conftest import forked_pids, inline_noise, make_interbank, random_lq, reaped, zero_control
 from reference import (
     AffineMap,
+    affine_feedback,
     control_values_on_grid,
     l2_norm,
     running_cost,

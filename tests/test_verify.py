@@ -12,7 +12,6 @@ from cmvlq.errors import NumericalBlowup
 from cmvlq.lqmodel import (
     LqCost,
     LqDynamics,
-    affine_feedback,
     expected_moments,
     gains,
     save_model,
@@ -75,6 +74,7 @@ from conftest import (
 )
 from reference import (
     AffineMap,
+    affine_feedback,
     coefficient_values,
     euler_nodes,
     feedback_affine_map,
