@@ -447,8 +447,7 @@ def fork_helper(body, close=()):
     The process closes the inherited descriptors `close`, runs body and
     leaves through os._exit, flushing nothing it inherited.  Helper.reap
     raises body's exception, pickled down the report pipe (one that does
-    not round-trip through pickle as a RuntimeError naming its type and
-    message).
+    not pickle as a RuntimeError naming its type and message).
     """
     if not may_fork():
         return None
@@ -469,7 +468,6 @@ def fork_helper(body, close=()):
         except BaseException as exc:  # noqa: BLE001 - handed to the forking process as is
             try:
                 payload = pickle.dumps(exc)
-                pickle.loads(payload)
             except Exception:  # noqa: BLE001
                 payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
             while payload:
