@@ -48,21 +48,20 @@ particles, dt = 1e-3 so K = 1000 steps, M = 32 scenarios) unless noted:
   the draw's time are made untimed), and grad_check_<model>_20 one draw of
   ``verify grad`` (``grad_check`` on a 20-particle cloud, epsilon 0.1), on
   the interbank and the d = 3 model; each row is the mean over 20 seeded
-  draws;
+  draws, and the six rows take 10 times --repeats runs in turn, so that a
+  slow phase of the machine slows a few runs of every row rather than one
+  row's every run;
 - ito_check_interbank: ``ito_generator_check`` at the sizes of the verify
   benchmark's ito command (phi = mean^2, N = 2000 particles from the point
   0, M = 2000 scenarios, delta = 10 steps of dt = 1e-3, optimal feedback);
 - dpp_check_interbank: what ``verify dpp`` computes at the verify
   benchmark's sizes (N = 2000 from the point 1, M = 48, theta = 0.5,
   optimal feedback): the Monte Carlo run at dt (``dpp_check``) and the
-  exact expected gaps at dt and 2 dt (``expected_dpp_gap``), or, on a
-  checkout without them, ``dpp_check(..., coarse=True)``, whose second
-  run at 2 dt gave the step constant;
+  exact expected gaps at dt and 2 dt (``expected_dpp_gap``);
 - expected_gap_interbank_500 and _250: ``expected_dpp_gap`` alone, the
   moment recursion and the expected costs on it, at those sizes at dt
   (K = 500 steps) and 2 dt (K = 250), and expected_gap_lq3_1000 on the
   d = 3 model from the d = 3 cost's cloud (N = 250, theta = T, K = 1000);
-  left out on a checkout without ``expected_dpp_gap``;
 - flow_check_interbank: ``verify flow``'s restarts (``flow_restarts``) and
   rule at count 4, N = 500 from the point 1, K = 1000.  These two rows also record traced_peak_mib, the tracemalloc peak of one
   more untimed run.
@@ -79,16 +78,13 @@ the gain grid are built before any timing.  Results
 go under --label ("before" or "after") in the output file, next to the git
 SHA (marked -dirty for uncommitted changes), the backend (``cmvlq.backend()``),
 the Python and numpy versions and the CPU count; other labels already in the
-file are kept.  The writer row needs the recorder (``simulator.Recorder``)
-and estimate_cost_recorded ``estimate_cost(..., record=)``; both are
-left out on a checkout without the recorder.  The other rows use only
-names that earlier checkouts also have:
+file are kept.  The rows need a checkout whose ``_gen_noise`` draws unit
+normals and which has ``simulator.Recorder`` and ``verify.expected_dpp_gap``:
 
     PYTHONPATH=src python benchmarks/bench_layers.py --label after
 """
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -131,17 +127,25 @@ def cpu_seconds():
     return time.process_time() + kids.ru_utime + kids.ru_stime
 
 
+def in_turn(fns, repeats, per=1):
+    """best_of of each of fns, whose runs take turns: a warm-up of each, then repeats rounds
+    that run each fn once."""
+    for fn in fns:
+        fn()
+    wall, cpu = [[] for _ in fns], [[] for _ in fns]
+    for _ in range(repeats):
+        for fn, w, c in zip(fns, wall, cpu):
+            t0, c0 = time.perf_counter(), cpu_seconds()
+            fn()
+            w.append(time.perf_counter() - t0)
+            c.append(cpu_seconds() - c0)
+    return [(min(w) / per, statistics.median(w) / per, min(c) / per) for w, c in zip(wall, cpu)]
+
+
 def best_of(fn, repeats, per=1):
     """(minimum wall, median wall, minimum CPU) seconds of fn over repeats runs after a warm-up,
     each divided by per."""
-    fn()
-    wall, cpu = [], []
-    for _ in range(repeats):
-        t0, c0 = time.perf_counter(), cpu_seconds()
-        fn()
-        wall.append(time.perf_counter() - t0)
-        cpu.append(cpu_seconds() - c0)
-    return min(wall) / per, statistics.median(wall) / per, min(cpu) / per
+    return in_turn([fn], repeats, per)[0]
 
 
 def traced_peak_mib(fn):
@@ -187,28 +191,20 @@ def lq3_model(seed=3, d=3, m=2):
     return dyn, cost
 
 
-# an earlier checkout's _gen_noise takes a last argument sqrt_dt, by which it
-# scales its normals (None: unit normals, as every _gen_noise draws now)
-UNIT = (None,) if "sqrt_dt" in inspect.signature(simulator._gen_noise).parameters else ()
-
-
 def cached_noise(k_max, n):
     """A _gen_noise stand-in serving one pre-drawn path's unit normals to every request.
 
-    It writes the steps into `out`, the caller's views, as _gen_noise draws
-    into them (else into new arrays), scaled by a sqrt_dt that an earlier
-    checkout passes last.
+    It copies the steps into `out`, the caller's views, as _gen_noise draws
+    into them (else into new arrays).
     """
-    dw0, db = simulator._gen_noise(SEED, 0, 0, k_max, n, 1, 1, *UNIT)
+    dw0, db = simulator._gen_noise(SEED, 0, 0, k_max, n, 1, 1)
 
-    def gen(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, *sqrt_dt,
-            out=None):
+    def gen(seed, path_index, step_offset, n_steps, n_particles, n_idio, m0, out=None):
         g = slice(step_offset, step_offset + n_steps)
         if out is None:
             out = np.empty_like(dw0[g]), np.empty_like(db[g])
-        scale = sqrt_dt[0] if sqrt_dt and sqrt_dt[0] is not None else 1.0
-        np.multiply(dw0[g], scale, out=out[0])
-        np.multiply(db[g], scale, out=out[1])
+        np.copyto(out[0], dw0[g])
+        np.copyto(out[1], db[g])
         return out
 
     return gen
@@ -295,7 +291,7 @@ def main():
     row("gain_grid_1000", best_of(lambda: FeedbackPolicy(qv).grid_gains(0.0, DT, K), args.repeats),
         K, "nodes_per_s")
 
-    row("noise_path", best_of(lambda: simulator._gen_noise(SEED, 0, 0, K, N, 1, 1, *UNIT),
+    row("noise_path", best_of(lambda: simulator._gen_noise(SEED, 0, 0, K, N, 1, 1),
                               args.repeats), K * N, "normals_per_s")
 
     qv3 = QuadraticValue(solve_riccati(dyn3, cost3, 1.0, DT), dyn3, cost3)
@@ -342,33 +338,32 @@ def main():
         row("values_" + "x".join(map(str, shape)),
             best_of(lambda: [phi_t.values(x) for _ in range(reps)], args.repeats, reps))
 
-    if hasattr(simulator, "Recorder"):
-        recs = []
-        for _ in simulator.stream_scenarios(model, control, 0.0, mu0, p.T, DT, SEED, 4,
-                                            with_cost=False,
-                                            record=simulator.Recorder(4, 10, recs.append)):
-            pass
-        with tempfile.TemporaryDirectory() as out_dir:
-            def write():
-                with cli._trajectory_files(out_dir, 1) as sink:
-                    for rec in recs:
-                        sink(rec)
+    recs = []
+    for _ in simulator.stream_scenarios(model, control, 0.0, mu0, p.T, DT, SEED, 4,
+                                        with_cost=False,
+                                        record=simulator.Recorder(4, 10, recs.append)):
+        pass
+    with tempfile.TemporaryDirectory() as out_dir:
+        def write():
+            with cli._trajectory_files(out_dir, 1) as sink:
+                for rec in recs:
+                    sink(rec)
 
-            timing = best_of(write, args.repeats)
-            mb = sum(os.path.getsize(os.path.join(out_dir, f)) for f in os.listdir(out_dir)) / 1e6
-            row("writer_4_paths_stride_10", timing, mb, "mb_per_s")
+        timing = best_of(write, args.repeats)
+        mb = sum(os.path.getsize(os.path.join(out_dir, f)) for f in os.listdir(out_dir)) / 1e6
+        row("writer_4_paths_stride_10", timing, mb, "mb_per_s")
 
-            def estimate_recorded():
-                with cli._trajectory_files(out_dir, 1) as sink:
-                    verify.estimate_cost(model, control, 0.0, mu0, N, M, DT, SEED,
-                                         record=simulator.Recorder(4, 10, sink))
+        def estimate_recorded():
+            with cli._trajectory_files(out_dir, 1) as sink:
+                verify.estimate_cost(model, control, 0.0, mu0, N, M, DT, SEED,
+                                     record=simulator.Recorder(4, 10, sink))
 
-            row("estimate_cost_recorded", best_of(estimate_recorded, args.repeats), steps,
-                "particle_steps_per_s")
+        row("estimate_cost_recorded", best_of(estimate_recorded, args.repeats), steps,
+            "particle_steps_per_s")
 
     row("estimate_cost", best_of(estimate, args.repeats), steps, "particle_steps_per_s")
 
-    draws = 20
+    draws, quick = 20, {}
     for name, value_fn in (("interbank", qv), ("lq3", qv3)):
         bellman_draws = verify.random_clouds(value_fn, draws, 50, SEED)
         grad_draws = verify.random_clouds(value_fn, draws, 20, SEED)
@@ -390,10 +385,11 @@ def main():
             for t, cloud in grad_draws:
                 verify.grad_check(value_fn, t, cloud, 0.1)
 
-        for label, fn in ((f"bellman_residual_{name}_50", bellman),
-                          (f"generator_{name}_50", generate),
-                          (f"grad_check_{name}_20", grad)):
-            row(label, best_of(fn, args.repeats, draws))
+        quick.update({f"bellman_residual_{name}_50": bellman, f"generator_{name}_50": generate,
+                      f"grad_check_{name}_20": grad})
+    # about 4 ms a run: 10 times the repeats, in turns, so that no slow phase covers a row
+    for label, timing in zip(quick, in_turn(list(quick.values()), 10 * args.repeats, draws)):
+        row(label, timing)
 
     phi = QuadraticFunctional(np.zeros((1, 1)), np.eye(1), np.zeros(1), 0.0)
     mu_ito = simulator.sample_initial({"kind": "point", "x0": 0.0}, N, SEED)
@@ -402,23 +398,17 @@ def main():
                                                    ITO_M, DT, SEED), args.repeats))
 
     mu_dpp = simulator.sample_initial({"kind": "point", "x0": p.x0}, N, SEED)
-    exact = hasattr(verify, "expected_dpp_gap")
 
     def dpp():
-        if not exact:
-            verify.dpp_check(qv, model, 0.0, mu_dpp, DPP_THETA, control, N, DPP_M, DT, SEED,
-                             coarse=True)
-            return
         verify.dpp_check(qv, model, 0.0, mu_dpp, DPP_THETA, control, N, DPP_M, DT, SEED)
         for h in (DT, 2 * DT):
             verify.expected_dpp_gap(qv, model, 0.0, mu_dpp, DPP_THETA, control, h)
 
-    if exact:
-        for name, gap in (("interbank_500", (qv, model, 0.0, mu_dpp, DPP_THETA, control, DT)),
-                          ("interbank_250", (qv, model, 0.0, mu_dpp, DPP_THETA, control, 2 * DT)),
-                          ("lq3_1000", (qv3, model3, 0.0, mu3, 1.0, control3, DT))):
-            row("expected_gap_" + name,
-                best_of(lambda gap=gap: verify.expected_dpp_gap(*gap), args.repeats))
+    for name, gap in (("interbank_500", (qv, model, 0.0, mu_dpp, DPP_THETA, control, DT)),
+                      ("interbank_250", (qv, model, 0.0, mu_dpp, DPP_THETA, control, 2 * DT)),
+                      ("lq3_1000", (qv3, model3, 0.0, mu3, 1.0, control3, DT))):
+        row("expected_gap_" + name,
+            best_of(lambda gap=gap: verify.expected_dpp_gap(*gap), args.repeats))
 
     mu_flow = simulator.sample_initial({"kind": "point", "x0": p.x0}, FLOW_N, SEED)
     rng = np.random.Generator(np.random.Philox(key=SEED))
